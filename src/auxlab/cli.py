@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output-dir", default=None,
                      help="overrides the config and the environment variable")
     run.add_argument("--threads", type=int, default=0,
-                     help="branch-training threads; 0 means all cores")
+                     help="accepted for compatibility and ignored: branches "
+                          "train in lockstep on one thread")
 
     sweep = sub.add_parser("sweep", help="run an analysis sweep")
     sweep.add_argument("kind", choices=("tg-gcs", "csd-lambda"))
@@ -147,9 +148,7 @@ def _cmd_run(args) -> int:
         config = load_config(path)
     except ConfigError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    records = run_experiment(config, threads=threads,
-                             output_dir=args.output_dir)
+    records = run_experiment(config, output_dir=args.output_dir)
     out_dir = (args.output_dir or os.environ.get("AUXLAB_OUTPUT_DIR")
                or config.output_dir)
     print(f"wrote {len(records)} records to {Path(out_dir) / RECORDS_FILENAME}")
@@ -165,16 +164,18 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "tg-gcs":
-        try:
-            family = generate_family(_family_config(args, seeds[0]))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         hidden = _parse_int_list(args.hidden)
-        heads = {t: HeadSpec(family.n_classes) for t in family.task_ids}
-        spec = ModelSpec(family.input_dim, hidden, "tanh", heads)
-        rows = run_tg_gcs_sweep(
-            family, spec, args.warm_steps, lambdas, args.points, opt, seeds[0]
-        )
+        rows = []
+        for seed in seeds:
+            try:
+                family = generate_family(_family_config(args, seed))
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+            heads = {t: HeadSpec(family.n_classes) for t in family.task_ids}
+            spec = ModelSpec(family.input_dim, hidden, "tanh", heads)
+            rows += [(seed, row) for row in run_tg_gcs_sweep(
+                family, spec, args.warm_steps, lambdas, args.points, opt, seed
+            )]
         write_sweep_rows(rows, out)
     else:
         relatedness = _parse_float_list(args.relatedness)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil
 from pathlib import Path
@@ -37,6 +36,7 @@ __all__ = [
     "merge_coeffs_from_task_weights",
     "draw_batch",
     "train_branch",
+    "train_branches",
     "search_lambda_grid",
     "search_lambda_binary",
     "greedy_search_lambda",
@@ -47,12 +47,16 @@ __all__ = [
 DEFAULT_LAMBDA_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-class BranchDivergedError(RuntimeError):
-    def __init__(self, branch_id: int, round_index: int, cause: Exception):
-        super().__init__(
-            f"branch {branch_id} diverged in round {round_index}: {cause}"
-        )
+class BranchDivergedError(NonFiniteError):
+    """Branch ``branch_id`` reached non-finite values at absolute step
+    ``step``; ``round_index`` is its fork/merge round, or None outside one."""
+
+    def __init__(self, branch_id: int, step: int, cause: Exception,
+                 round_index: int | None = None):
+        where = "" if round_index is None else f" (round {round_index})"
+        super().__init__(f"branch {branch_id} diverged at step {step}{where}: {cause}")
         self.branch_id = branch_id
+        self.step = step
         self.round_index = round_index
 
 
@@ -187,19 +191,50 @@ def train_branch(
     batch_size: int,
 ) -> np.ndarray:
     """Run `steps` weighted-SGD steps from `start`; pure in all arguments."""
+    return train_branches(
+        start, [branch], steps, family, model_spec, opt, root, batch_size
+    )[0]
+
+
+def train_branches(
+    start: np.ndarray,
+    branches: Sequence[BranchSpec],
+    steps: int,
+    family: TaskFamily,
+    model_spec: ModelSpec,
+    opt: OptState,
+    root: RngStream,
+    batch_size: int,
+) -> list[np.ndarray]:
+    """Train every branch for `steps` weighted-SGD steps from `start`, in
+    lockstep; returns the branches' parameters in branch order.
+
+    All branches start from the same parameters and optimizer state. Each
+    step draws every used task's batch once and hands it to each branch
+    that weights the task, then steps the branches in order, so each result
+    is bit-identical to training that branch alone. The first non-finite
+    value raises BranchDivergedError naming the earliest step and, within
+    it, the first branch in order.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    views = branch_data_view(family, branch.weighting)
-    params = np.array(start, dtype=np.float64)
-    state = opt
-    model = SharedHeadModel(model_spec, params)
-    for _ in range(steps):
-        step = state.step_count
-        grads = {}
-        for task_id in sorted(views):
-            batch = draw_batch(views[task_id], root, task_id, step, batch_size)
-            _, grads[task_id] = nn.loss_and_gradient(model.with_params(params), batch)
-        params, state = sgd_step(params, weighted_gradient(grads, branch.weighting), state)
+    views = [branch_data_view(family, b.weighting) for b in branches]
+    splits = {t: split for view in views for t, split in view.items()}
+    params = [np.array(start, dtype=np.float64)] * len(branches)
+    states = [opt] * len(branches)
+    for step in range(opt.step_count, opt.step_count + steps):
+        batches = {t: draw_batch(splits[t], root, t, step, batch_size)
+                   for t in sorted(splits)}
+        for i, branch in enumerate(branches):
+            model = SharedHeadModel(model_spec, params[i])
+            try:
+                grads = {t: nn.loss_and_gradient(model, batches[t])[1]
+                         for t in sorted(views[i])}
+                params[i], states[i] = sgd_step(
+                    params[i], weighted_gradient(grads, branch.weighting), states[i]
+                )
+            except NonFiniteError as exc:
+                raise BranchDivergedError(branch.branch_id, step, exc) from exc
     return params
 
 
@@ -403,7 +438,6 @@ def run_forkmerge(
     branch_specs: Sequence[BranchSpec],
     opt_cfg: OptConfig,
     seed: int,
-    threads: int = 1,
 ) -> ForkMergeResult:
     """Alternate Δt-step branch training with validation-guided merging.
 
@@ -439,20 +473,15 @@ def run_forkmerge(
         steps = min(schedule.interval, schedule.total_steps - done)
         opt = opt_cfg.state_at(n, schedule.total_steps, step_count=done)
 
-        def train_one(branch: BranchSpec) -> np.ndarray:
-            try:
-                return train_branch(
-                    params, branch, steps, family, model_spec, opt, root,
-                    opt_cfg.batch_size,
-                )
-            except NonFiniteError as exc:
-                raise BranchDivergedError(branch.branch_id, round_index, exc) from exc
-
-        if threads == 1 or len(branches) == 1:
-            trained = [train_one(b) for b in branches]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                trained = list(pool.map(train_one, branches))
+        try:
+            trained = train_branches(
+                params, branches, steps, family, model_spec, opt, root,
+                opt_cfg.batch_size,
+            )
+        except BranchDivergedError as exc:
+            raise BranchDivergedError(
+                exc.branch_id, exc.step, exc.__cause__, round_index
+            ) from exc.__cause__
 
         val = _subsampled_val(family, schedule, root, round_index)
         template = model.with_params(params)

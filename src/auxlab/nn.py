@@ -8,13 +8,15 @@ and gradient mixing are plain vector arithmetic. Layout, in order:
     ...
     head blocks in ascending task_id order: W (enc_out x out_dim), then b
 
-``param_layout`` returns the exact slice for every block; all branches of a
-fork share this single layout, which is what makes merged vectors meaningful.
+``ModelSpec.layout`` holds the exact slice for every block, built once per
+spec; all branches of a fork share this single layout, which is what makes
+merged vectors meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -80,6 +82,12 @@ class ModelSpec:
     def task_ids(self) -> tuple[int, ...]:
         return tuple(self.heads)
 
+    @cached_property
+    def layout(self) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
+        """Ordered (block_name, slice, shape) triples covering the whole
+        vector, computed on first use and kept for the life of the spec."""
+        return _build_layout(self)
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -96,8 +104,7 @@ class Batch:
             raise ValueError("inputs and targets row counts differ")
 
 
-def param_layout(spec: ModelSpec) -> list[tuple[str, slice, tuple[int, ...]]]:
-    """Ordered (block_name, slice, shape) triples covering the whole vector."""
+def _build_layout(spec: ModelSpec) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
     blocks: list[tuple[str, slice, tuple[int, ...]]] = []
     offset = 0
 
@@ -114,18 +121,22 @@ def param_layout(spec: ModelSpec) -> list[tuple[str, slice, tuple[int, ...]]]:
     for task_id, head in spec.heads.items():
         block(f"head{task_id}.W", (spec.encoder_out_dim, head.output_dim))
         block(f"head{task_id}.b", (head.output_dim,))
-    return blocks
+    return tuple(blocks)
+
+
+def param_layout(spec: ModelSpec) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
+    """Ordered (block_name, slice, shape) triples covering the whole vector."""
+    return spec.layout
 
 
 def param_count(spec: ModelSpec) -> int:
-    layout = param_layout(spec)
-    return layout[-1][1].stop if layout else 0
+    return spec.layout[-1][1].stop
 
 
 def head_slice(spec: ModelSpec, task_id: int) -> slice:
     """Contiguous slice covering task_id's W and b blocks."""
     start = stop = None
-    for name, sl, _ in param_layout(spec):
+    for name, sl, _ in spec.layout:
         if name.startswith(f"head{task_id}."):
             start = sl.start if start is None else start
             stop = sl.stop
@@ -158,23 +169,21 @@ def init_params(spec: ModelSpec, rng: RngStream) -> SharedHeadModel:
     """
     gen = rng.generator()
     params = np.zeros(param_count(spec))
-    for name, sl, shape in param_layout(spec):
+    for name, sl, shape in spec.layout:
         if name.endswith(".W"):
             bound = 1.0 / np.sqrt(shape[0])
             params[sl] = gen.uniform(-bound, bound, size=shape).ravel()
     return SharedHeadModel(spec, params)
 
 
-def _unpack(model: SharedHeadModel) -> dict[str, np.ndarray]:
-    views = {}
-    for name, sl, shape in param_layout(model.spec):
-        views[name] = model.params[sl].reshape(shape)
-    return views
+def _unpack(spec: ModelSpec, vector: np.ndarray) -> dict[str, np.ndarray]:
+    """Writable block views of a full-length vector, by block name."""
+    return {name: vector[sl].reshape(shape) for name, sl, shape in spec.layout}
 
 
 def _encoder_forward(model: SharedHeadModel, x: np.ndarray):
     """Returns (activations per layer incl. input, pre-activations per layer)."""
-    views = _unpack(model)
+    views = _unpack(model.spec, model.params)
     acts = [x]
     pres = []
     a = x
@@ -235,22 +244,17 @@ def loss_and_gradient(model: SharedHeadModel, batch: Batch) -> tuple[float, np.n
         raise NonFiniteError(f"non-finite loss on task {batch.task_id}: diverged")
 
     grad = np.zeros_like(model.params)
-    layout = {name: (sl, shape) for name, sl, shape in param_layout(spec)}
-
-    def put(name: str, value: np.ndarray):
-        sl, _ = layout[name]
-        grad[sl] = value.ravel()
-
-    put(f"head{batch.task_id}.W", acts[-1].T @ dlogits)
-    put(f"head{batch.task_id}.b", dlogits.sum(axis=0))
+    grad_blocks = _unpack(spec, grad)
+    grad_blocks[f"head{batch.task_id}.W"][...] = acts[-1].T @ dlogits
+    grad_blocks[f"head{batch.task_id}.b"][...] = dlogits.sum(axis=0)
     da = dlogits @ w_head.T
     for i in reversed(range(len(spec.hidden_dims))):
         if spec.activation == "tanh":
             dz = da * (1.0 - acts[i + 1] ** 2)
         else:
             dz = da * (pres[i] > 0.0)
-        put(f"enc{i}.W", acts[i].T @ dz)
-        put(f"enc{i}.b", dz.sum(axis=0))
+        grad_blocks[f"enc{i}.W"][...] = acts[i].T @ dz
+        grad_blocks[f"enc{i}.b"][...] = dz.sum(axis=0)
         da = dz @ views[f"enc{i}.W"].T
     return loss, grad
 

@@ -429,7 +429,6 @@ def _run_method(
     family: TaskFamily,
     spec: ModelSpec,
     seed: int,
-    threads: int,
     out_dir: Path,
 ) -> tuple[np.ndarray, int]:
     """Train one (method, seed) job; returns final params and the number of
@@ -453,7 +452,7 @@ def _run_method(
     # forkmerge / forkmerge_multi
     result = run_forkmerge(
         family, spec, _schedule_for(config), _branches_for(config, family),
-        opt, seed, threads=threads,
+        opt, seed,
     )
     write_merge_history(
         result.merge_history,
@@ -510,7 +509,6 @@ def _atl_row_specs(
 
 def run_experiment(
     config: ExperimentConfig,
-    threads: int = 1,
     output_dir: str | os.PathLike | None = None,
 ) -> list[ResultRecord]:
     """Execute the configured method for every seed.
@@ -544,7 +542,7 @@ def run_experiment(
                                                     seed), 0
             else:
                 params, psearch = _run_method(
-                    config, method, family, spec, seed, threads, out_dir
+                    config, method, family, spec, seed, out_dir
                 )
                 row_specs = _atl_row_specs(family, spec, params, seed,
                                            stl_target)
@@ -710,13 +708,14 @@ def run_tg_gcs_sweep(
     )
 
 
-def write_sweep_rows(rows: Sequence[SweepRow], path) -> None:
+def write_sweep_rows(rows: Sequence[tuple[int, SweepRow]], path) -> None:
+    """Write (seed, sweep row) pairs, one CSV row each."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("point_id", "lambda", "gcs", "tg"))
-        for row in rows:
+        writer.writerow(("seed", "point_id", "lambda", "gcs", "tg"))
+        for seed, row in rows:
             writer.writerow(
-                (row.point_id, repr(row.lam), repr(row.gcs), repr(row.tg))
+                (seed, row.point_id, repr(row.lam), repr(row.gcs), repr(row.tg))
             )
 
 

@@ -37,6 +37,23 @@ class TestExitCodes:
         assert run_cli("run", "--config", str(bad)) == 1
         assert "turbo" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["ew", "forkmerge"])
+    def test_diverged_seeds_become_nan_rows(self, tmp_path, method):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(CFG_SMALL.replace("method = ew", f"method = {method}")
+                       .replace("seeds = 0", "seeds = 0,1")
+                       + "base_lr = 1e300\nactivation = relu\n"
+                       "lr_schedule = constant\ncompute_tg = false\n"
+                       "merge_interval = 10\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        with open(out / "records.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["method"], r["seed"], r["value"]) for r in rows] == [
+            (method, "0", "nan"), (method, "1", "nan"),
+        ]
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("run", "--confg", "x") == 1
         assert capsys.readouterr().err.startswith("auxlab:")
@@ -113,10 +130,26 @@ class TestSweeps:
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 15
-        assert set(rows[0]) == {"point_id", "lambda", "gcs", "tg"}
+        assert list(rows[0]) == ["seed", "point_id", "lambda", "gcs", "tg"]
         for row in rows:
             if float(row["lambda"]) == 0.0:
                 assert row["tg"] == "0.0"
+
+    def test_tg_gcs_runs_every_seed(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "tg-gcs", "--out", str(out), "--seeds", "0,1,2",
+            "--points", "3", "--warm-steps", "20", "--n-train", "200",
+            "--n-val", "80", "--n-test", "80", "--hidden", "8",
+        )
+        assert code == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 45
+        assert [r["seed"] for r in rows] == ["0"] * 15 + ["1"] * 15 + ["2"] * 15
+        by_seed = {s: [(r["point_id"], r["lambda"], r["gcs"]) for r in rows
+                       if r["seed"] == s] for s in "01"}
+        assert by_seed["0"] != by_seed["1"]
 
     def test_csd_lambda_columns(self, tmp_path):
         out = tmp_path / "csd.csv"

@@ -16,6 +16,7 @@ from auxlab.forkmerge import (
     search_lambda_binary,
     search_lambda_grid,
     train_branch,
+    train_branches,
     write_merge_history,
 )
 from auxlab.nn import (
@@ -30,7 +31,7 @@ from auxlab.nn import (
 )
 from auxlab.optim import OptConfig, TaskWeighting, initial_state
 from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
-from auxlab.vectors import RngStream, linear_combination
+from auxlab.vectors import NonFiniteError, RngStream, linear_combination
 
 
 def family_for(relatedness, seed=17, **kw):
@@ -144,6 +145,62 @@ class TestTrainBranch:
         branch = BranchSpec(TaskWeighting({0: 1.0}), 0)
         with pytest.raises(NonFiniteError):
             train_branch(start, branch, 20, fam, spec, opt, RngStream(1), 16)
+
+
+class TestTrainBranches:
+    def setup_method(self):
+        self.fam = family_for([0.7, 0.3], seed=6)
+        self.spec = model_spec_for(self.fam)
+        self.start = init_params(self.spec, RngStream(9).child("init")).params
+        self.opt = initial_state(len(self.start), 0.1, momentum_coeff=0.9,
+                                 step_count=3)
+
+    def test_lockstep_matches_branches_trained_alone(self):
+        branches = make_omega_branches(2)
+        together = train_branches(self.start, branches, 15, self.fam, self.spec,
+                                  self.opt, RngStream(9), 32)
+        assert len(together) == len(branches)
+        for branch, got in zip(branches, together):
+            alone = train_branch(self.start, branch, 15, self.fam, self.spec,
+                                 self.opt, RngStream(9), 32)
+            np.testing.assert_array_equal(got, alone)
+
+    def test_each_task_batch_drawn_once_per_step(self, monkeypatch):
+        import auxlab.forkmerge as fm
+
+        drawn = []
+
+        def counting_draw(split, root, task_id, step, batch_size):
+            drawn.append((task_id, step))
+            return draw_batch(split, root, task_id, step, batch_size)
+
+        monkeypatch.setattr(fm, "draw_batch", counting_draw)
+        train_branches(self.start, make_omega_branches(2), 4, self.fam,
+                       self.spec, self.opt, RngStream(9), 32)
+        # 3 tasks over 5 branch-task uses per step: one draw per (task, step)
+        assert sorted(drawn) == [(t, s) for t in (0, 1, 2) for s in range(3, 7)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_earliest_step_then_lowest_position(self):
+        # the target-only branch survives step 0 and diverges later; both
+        # branches with an enormous auxiliary weight overflow at step 0
+        fam = family_for([0.5, 0.5])
+        spec = model_spec_for(fam, activation="relu")
+        branches = [
+            BranchSpec(TaskWeighting({0: 1.0}), 0),
+            BranchSpec(TaskWeighting({0: 1.0, 2: 1e300}), 2),
+            BranchSpec(TaskWeighting({0: 1.0, 1: 1e300}), 1),
+        ]
+        opt = OptConfig(base_lr=1e300, momentum_coeff=0.0, schedule="constant")
+        schedule = MergeSchedule(total_steps=40, interval=20)
+        with pytest.raises(BranchDivergedError) as err:
+            run_forkmerge(fam, spec, schedule, branches, opt, 0)
+        assert (err.value.branch_id, err.value.step, err.value.round_index) == (2, 0, 0)
+        assert isinstance(err.value, NonFiniteError)
+        # alone, the target-only branch does get through its first step
+        start = init_params(spec, RngStream(0).child("init")).params
+        train_branch(start, branches[0], 1, fam, spec,
+                     opt.state_at(len(start), 40), RngStream(0), 64)
 
 
 def regression_template():
@@ -370,23 +427,6 @@ class TestRunForkMerge:
             total = sum(record.merge_coeffs.values())
             assert abs(total - 1.0) <= 1e-9
             assert all(c >= 0 for c in record.merge_coeffs.values())
-
-    def test_thread_count_invariance(self):
-        fam = family_for([0.7, 0.3], seed=6)
-        spec = model_spec_for(fam)
-        schedule = MergeSchedule(total_steps=40, interval=20)
-        branches = make_omega_branches(2)
-        a = run_forkmerge(fam, spec, schedule, branches, OptConfig(base_lr=0.1), 9,
-                          threads=1)
-        b = run_forkmerge(fam, spec, schedule, branches, OptConfig(base_lr=0.1), 9,
-                          threads=4)
-        np.testing.assert_array_equal(a.final_params, b.final_params)
-        for ra, rb in zip(a.merge_history, b.merge_history):
-            assert ra.merge_coeffs == rb.merge_coeffs
-            assert ra.chosen_perf.value == rb.chosen_perf.value
-            assert [c.perf.value for c in ra.candidates] == [
-                c.perf.value for c in rb.candidates
-            ]
 
     def test_pruning_keeps_target_and_k_strongest(self):
         fam = family_for([0.9, 0.8, 0.2, 0.0], seed=31, n_train=300)

@@ -107,6 +107,30 @@ class TestSpecAndInit:
         w0 = model.params[param_layout(spec)[0][1]]
         assert np.abs(w0).max() <= 1.0 / np.sqrt(100)
 
+    def test_layout_built_once_per_spec(self, monkeypatch):
+        import auxlab.nn as nn_mod
+
+        builds = []
+        real = nn_mod._build_layout
+
+        def counting_build(spec):
+            builds.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(nn_mod, "_build_layout", counting_build)
+        spec = small_spec(hidden=(6, 3))
+        model = init_params(spec, RngStream(2))
+        rng = np.random.default_rng(0)
+        for task_id in (0, 1, 0):
+            loss_and_gradient(model.with_params(model.params),
+                              random_batch(spec, task_id, rng))
+        head_slice(spec, 1)
+        param_count(spec)
+        param_layout(spec)
+        assert len(builds) == 1
+        small_spec(hidden=(6, 3)).layout
+        assert len(builds) == 2
+
     def test_heads_sorted_and_validated(self):
         spec = ModelSpec(2, (), "relu", {3: HeadSpec(2), 1: HeadSpec(2)})
         assert spec.task_ids == (1, 3)
