@@ -2,8 +2,12 @@
 
 Refactors and speed-ups of the training loop are meant to leave every record
 bit-identical. These digests pin `records.csv` (without the timing column)
-and the merge-history CSV of a small `ew` run and a 3-task `forkmerge_multi`
-run. A change that is meant to alter results refreshes them and says so.
+and the merge-history CSVs of small runs of every trainer: `ew`, a 2-branch
+`forkmerge` with the grid and with the binary search, a 3-task
+`forkmerge_multi` with the full validation split and with a subsample (so
+evaluations run on splits of several row counts), `fixed_lambda`,
+`post_train` and `gcs`. A change that is meant to alter results refreshes
+them and says so.
 """
 
 import csv
@@ -28,19 +32,56 @@ merge_interval = 10
 batch_size = 16
 """
 
+# case id -> (config lines added to GOLDEN_CONFIG, {file name: sha256})
 GOLDEN = {
-    "ew": {
+    "ew": ("method = ew", {
         RECORDS_FILENAME:
             "fa095cb93a9f86eebf5b671550ba8108cb31ca2940ac50c8555dea84a8ed744b",
-    },
-    "forkmerge_multi": {
+    }),
+    "forkmerge": ("method = forkmerge", {
+        RECORDS_FILENAME:
+            "b3c3fe5ab1f84ec4ecda85191b42d2a8730ba5639bbcf5c6eac17e91211d9d94",
+        "merge_history_forkmerge_seed0.csv":
+            "2086fac6713b7301d74062af2cbdb3b487ea66f039d7433ba19034d8084d3d6c",
+        "merge_history_forkmerge_seed1.csv":
+            "4b29818e1d616f0897e481ecbb5a457bd3ffa106eeb35b6080401cabc5efee29",
+    }),
+    "forkmerge_binary": ("method = forkmerge\nsearch_strategy = binary", {
+        RECORDS_FILENAME:
+            "846b66d21f59ea2758670e60273472d4a463413588889460601bc522324a7108",
+        "merge_history_forkmerge_seed0.csv":
+            "3996c8f7fbcf8b53cba1040338926516591ea1a2a727cbfa61d81594afaeeb59",
+        "merge_history_forkmerge_seed1.csv":
+            "0bd010a4f5a4d9d7ff24034e22403022d319e2440f4eb3d838b9d9b80cc74cc7",
+    }),
+    "forkmerge_multi": ("method = forkmerge_multi", {
         RECORDS_FILENAME:
             "e83fccccb17e1aa002369fe638b2193c4dabbfc8060b1f524630aab5f0e2978d",
         "merge_history_forkmerge_multi_seed0.csv":
             "ce56b5c8d69f4cc593a5c2dd7dea814d9d3425d2cf1e88519a3895491197eef9",
         "merge_history_forkmerge_multi_seed1.csv":
             "66966e6367ba79586133081dd261b4c9fb1c46fa631addf7ce1c138e6ca66036",
-    },
+    }),
+    "forkmerge_multi_valsub": ("method = forkmerge_multi\nval_subsample = 120", {
+        RECORDS_FILENAME:
+            "e5a8e34e5b23b5df7d7ed40021aa449debaac1847315129a2423839161ca6fb7",
+        "merge_history_forkmerge_multi_seed0.csv":
+            "b749a62ffe893db0596e7f9cfb1d84cac3cdd67e2de61bdecb86de3c11bee57e",
+        "merge_history_forkmerge_multi_seed1.csv":
+            "4a51c046daed2a5af255d64d48e6ef9a6ce80b509b2d9f214f97db8017dd1397",
+    }),
+    "fixed_lambda": ("method = fixed_lambda", {
+        RECORDS_FILENAME:
+            "b5d6b0fac4ebf9f05bfcf2e0929e0718c9604266fe23a82b54b2aa04056d12c7",
+    }),
+    "post_train": ("method = post_train\npre_steps = 20", {
+        RECORDS_FILENAME:
+            "5dcca39db248affc3adccac6debe73ca3fc4a57c708bd6b4122cf42bb338369e",
+    }),
+    "gcs": ("method = gcs", {
+        RECORDS_FILENAME:
+            "54726b50d5d8f71b054a220241d67ba19ecb666e67709a57c1531103b50202dd",
+    }),
 }
 
 
@@ -54,14 +95,15 @@ def _records_without_wall_time(path) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("method", sorted(GOLDEN))
-def test_golden_digests(tmp_path, method):
-    config = parse_config_text(f"method = {method}\n{GOLDEN_CONFIG}")
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_digests(tmp_path, case):
+    lines, digests = GOLDEN[case]
+    config = parse_config_text(f"{lines}\n{GOLDEN_CONFIG}")
     run_experiment(config, output_dir=tmp_path)
     got = {}
-    for name in GOLDEN[method]:
+    for name in digests:
         path = tmp_path / name
         data = (_records_without_wall_time(path) if name == RECORDS_FILENAME
                 else path.read_bytes())
         got[name] = hashlib.sha256(data).hexdigest()
-    assert got == GOLDEN[method]
+    assert got == digests
