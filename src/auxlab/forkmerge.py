@@ -20,9 +20,9 @@ import numpy as np
 
 from . import nn
 from .nn import Batch, ModelSpec, PerfValue, SharedHeadModel
-from .optim import OptConfig, OptState, TaskWeighting, sgd_step, weighted_gradient
+from .optim import OptConfig, OptState, TaskWeighting, sgd_step_into
 from .tasks import DataSplit, TaskFamily, branch_data_view
-from .vectors import NonFiniteError, RngStream, linear_combination
+from .vectors import NonFiniteError, RngStream, linear_combination, linear_combination_into
 
 __all__ = [
     "BranchSpec",
@@ -96,6 +96,8 @@ class MergeSchedule:
             raise ValueError("prune_after_first_merge must be >= 1")
         if self.binary_iters < 1:
             raise ValueError("binary_iters must be >= 1")
+        if self.val_subsample is not None and self.val_subsample < 1:
+            raise ValueError("val_subsample must be >= 1")
 
     @property
     def n_rounds(self) -> int:
@@ -212,27 +214,41 @@ def train_branches(
     All branches start from the same parameters and optimizer state. Each
     step draws every used task's batch once and hands it to each branch
     that weights the task, then steps the branches in order, so each result
-    is bit-identical to training that branch alone. The first non-finite
-    value raises BranchDivergedError naming the earliest step and, within
-    it, the first branch in order.
+    is bit-identical to training that branch alone. Each branch keeps its
+    parameters and momentum for the whole call and mixes and steps them in
+    place, with the arithmetic of `weighted_gradient` and `sgd_step`. The
+    first non-finite loss or parameter raises BranchDivergedError naming
+    the earliest step and, within it, the first branch in order.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    kernel = model_spec.kernel
+    n = kernel.n_params
     views = [branch_data_view(family, b.weighting) for b in branches]
     splits = {t: split for view in views for t, split in view.items()}
-    params = [np.array(start, dtype=np.float64)] * len(branches)
-    states = [opt] * len(branches)
+    # one gradient buffer per task: the kernel writes only the encoder and
+    # that task's head, so the other heads' blocks stay zero
+    grads = {t: np.zeros(n) for t in splits}
+    grad_views = {t: kernel.views(g) for t, g in grads.items()}
+    params = [np.array(start, dtype=np.float64) for _ in branches]
+    param_views = [kernel.views(p) for p in params]
+    momenta = [np.array(opt.momentum_buffer, dtype=np.float64) for _ in branches]
+    mixes = [([b.weighting.weights[t] for t in b.weighting.active_tasks],
+              [grads[t] for t in b.weighting.active_tasks]) for b in branches]
+    mixed, scratch = np.empty(n), np.empty(n)
     for step in range(opt.step_count, opt.step_count + steps):
+        lr = opt.learning_rate(step)
         batches = {t: draw_batch(splits[t], root, t, step, batch_size)
                    for t in sorted(splits)}
         for i, branch in enumerate(branches):
-            model = SharedHeadModel(model_spec, params[i])
             try:
-                grads = {t: nn.loss_and_gradient(model, batches[t])[1]
-                         for t in sorted(views[i])}
-                params[i], states[i] = sgd_step(
-                    params[i], weighted_gradient(grads, branch.weighting), states[i]
-                )
+                for t in sorted(views[i]):
+                    kernel.loss_and_gradient(param_views[i], batches[t], grad_views[t])
+                linear_combination_into(mixed, *mixes[i], scratch)
+                sgd_step_into(params[i], momenta[i], mixed, opt.momentum_coeff, lr,
+                              scratch)
+                if not np.isfinite(params[i]).all():
+                    raise NonFiniteError("parameters diverged to non-finite values")
             except NonFiniteError as exc:
                 raise BranchDivergedError(branch.branch_id, step, exc) from exc
     return params

@@ -10,11 +10,14 @@ and gradient mixing are plain vector arithmetic. Layout, in order:
 
 ``ModelSpec.layout`` holds the exact slice for every block, built once per
 spec; all branches of a fork share this single layout, which is what makes
-merged vectors meaningful.
+merged vectors meaningful. ``ModelSpec.kernel`` compiles the spec once into
+the only forward/backward implementation, which reuses its workspaces across
+calls; the module-level functions are thin callers that return fresh values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -63,7 +66,7 @@ class ModelSpec:
             raise ValueError("input_dim must be positive")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden dims must be positive")
+            raise ValueError("hidden_dims must be positive")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
         if not self.heads:
@@ -87,6 +90,12 @@ class ModelSpec:
         """Ordered (block_name, slice, shape) triples covering the whole
         vector, computed on first use and kept for the life of the spec."""
         return _build_layout(self)
+
+    @cached_property
+    def kernel(self) -> "_Kernel":
+        """Compiled forward/backward with its workspaces, built on first use
+        and kept for the life of the spec."""
+        return _Kernel(self)
 
 
 @dataclass(frozen=True)
@@ -176,86 +185,189 @@ def init_params(spec: ModelSpec, rng: RngStream) -> SharedHeadModel:
     return SharedHeadModel(spec, params)
 
 
-def _unpack(spec: ModelSpec, vector: np.ndarray) -> dict[str, np.ndarray]:
-    """Writable block views of a full-length vector, by block name."""
-    return {name: vector[sl].reshape(shape) for name, sl, shape in spec.layout}
+class _Kernel:
+    """Forward and backward passes of one ModelSpec.
 
+    Parameter and gradient vectors are read and written through block views
+    from ``views``, which callers may keep for as long as the vector lives.
+    Activations, logits and backward scratch live in grow-only workspaces
+    sized to the largest row count seen so far and sliced to ``[:n]`` per
+    call; a workspace view returned by ``logits`` or ``log_probs`` is valid
+    only until the next call. The operations and their order are those of a
+    plain allocating implementation, so results do not depend on which
+    calls came before. One kernel serves one thread at a time.
+    """
 
-def _encoder_forward(model: SharedHeadModel, x: np.ndarray):
-    """Returns (activations per layer incl. input, pre-activations per layer)."""
-    views = _unpack(model.spec, model.params)
-    acts = [x]
-    pres = []
-    a = x
-    for i in range(len(model.spec.hidden_dims)):
-        z = a @ views[f"enc{i}.W"] + views[f"enc{i}.b"]
-        pres.append(z)
-        a = np.tanh(z) if model.spec.activation == "tanh" else np.maximum(z, 0.0)
-        acts.append(a)
-    return acts, pres, views
+    def __init__(self, spec: ModelSpec):
+        self.spec = spec
+        self.n_params = spec.layout[-1][1].stop
+        self._depth = len(spec.hidden_dims)
+        self._tanh = spec.activation == "tanh"
+        self._max_out = max(head.output_dim for head in spec.heads.values())
+        self._rows = 0
 
+    def _reserve(self, n: int) -> None:
+        if n <= self._rows:
+            return
+        hidden = self.spec.hidden_dims
+        # tanh' needs 1 - a**2; relu' is the mask a > 0
+        deriv = np.float64 if self._tanh else np.bool_
+        self._acts = [np.empty((n, h)) for h in hidden]
+        self._deltas = [np.empty((n, h)) for h in hidden]
+        self._derivs = [np.empty((n, h), dtype=deriv) for h in hidden]
+        self._logits = np.empty(n * self._max_out)
+        self._probs = np.empty(n * self._max_out)
+        self._col = np.empty((n, 1))
+        self._argmax = np.empty(n, dtype=np.intp)
+        self._hits = np.empty(n, dtype=np.bool_)
+        self._row_ids = np.arange(n)
+        self._rows = n
 
-def _head_logits(model: SharedHeadModel, x: np.ndarray, task_id: int) -> np.ndarray:
-    if task_id not in model.spec.heads:
-        raise UnknownTaskError(task_id)
-    acts, _, views = _encoder_forward(model, np.asarray(x, dtype=np.float64))
-    return acts[-1] @ views[f"head{task_id}.W"] + views[f"head{task_id}.b"]
+    def views(self, vector: np.ndarray):
+        """Writable block views of a full-length vector: a tuple of (W, b)
+        per encoder layer, and a dict of (W, b) per head by task id."""
+        if len(vector) != self.n_params:
+            raise ValueError(f"vector length {len(vector)} != {self.n_params}")
+        blocks = [vector[sl].reshape(shape) for _, sl, shape in self.spec.layout]
+        pairs = list(zip(blocks[::2], blocks[1::2]))
+        return tuple(pairs[: self._depth]), dict(zip(self.spec.heads, pairs[self._depth:]))
 
+    def logits(self, views, x: np.ndarray, task_id: int) -> np.ndarray:
+        """(n, C) logits of head ``task_id`` on inputs ``x``, in a workspace."""
+        n = x.shape[0]
+        self._reserve(n)
+        a = x
+        for (w, b), act in zip(views[0], self._acts):
+            z = act[:n]
+            np.matmul(a, w, out=z)
+            z += b
+            if self._tanh:
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
+            a = z
+        w, b = views[1][task_id]
+        out = self._logits[: n * w.shape[1]].reshape(n, w.shape[1])
+        np.matmul(a, w, out=out)
+        out += b
+        return out
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    def log_probs(self, views, x: np.ndarray, task_id: int) -> np.ndarray:
+        """(n, C) log-softmax of head ``task_id`` on ``x``, in a workspace."""
+        logits = self.logits(views, x, task_id)
+        n, c = logits.shape
+        col = self._col[:n]
+        np.maximum.reduce(logits, axis=1, keepdims=True, out=col)
+        logits -= col
+        probs = self._probs[: n * c].reshape(n, c)
+        np.exp(logits, out=probs)
+        np.add.reduce(probs, axis=1, keepdims=True, out=col)
+        np.log(col, out=col)
+        logits -= col
+        return logits
+
+    def loss_and_gradient(self, views, batch: Batch, grad_views) -> float:
+        """Mean loss on ``batch``; writes its gradient into ``grad_views``.
+
+        Only the encoder blocks and ``batch.task_id``'s head blocks are
+        written, so a gradient buffer that is zero in the other heads' blocks
+        stays so. A non-finite loss raises before the backward pass.
+        """
+        head = self.spec.heads.get(batch.task_id)
+        if head is None:
+            raise UnknownTaskError(batch.task_id)
+        x = batch.inputs
+        n = x.shape[0]
+        c = head.output_dim
+        if head.loss == CROSS_ENTROPY:
+            labels = np.asarray(batch.targets, dtype=np.int64)
+            if labels.min() < 0 or labels.max() >= c:
+                raise ValueError("class label out of range for head")
+            log_probs = self.log_probs(views, x, batch.task_id)
+            rows = self._row_ids[:n]
+            loss = float(-log_probs[rows, labels].mean())
+            if not math.isfinite(loss):
+                raise NonFiniteError(f"non-finite loss on task {batch.task_id}: diverged")
+            dlogits = np.exp(log_probs, out=self._probs[: n * c].reshape(n, c))
+            dlogits[rows, labels] -= 1.0
+            dlogits /= n
+        else:
+            targets = np.asarray(batch.targets, dtype=np.float64).reshape(n, c)
+            diff = self.logits(views, x, batch.task_id)
+            diff -= targets
+            dlogits = np.square(diff, out=self._probs[: n * c].reshape(n, c))
+            loss = float(np.mean(dlogits))
+            if not math.isfinite(loss):
+                raise NonFiniteError(f"non-finite loss on task {batch.task_id}: diverged")
+            np.multiply(diff, 2.0, out=dlogits)
+            dlogits /= diff.size
+
+        w, _ = views[1][batch.task_id]
+        gw, gb = grad_views[1][batch.task_id]
+        np.matmul((self._acts[-1][:n] if self._depth else x).T, dlogits, out=gw)
+        np.add.reduce(dlogits, axis=0, out=gb)
+        delta = dlogits
+        for i in reversed(range(self._depth)):
+            d = self._deltas[i][:n]
+            np.matmul(delta, w.T, out=d)
+            act, deriv = self._acts[i][:n], self._derivs[i][:n]
+            if self._tanh:
+                np.square(act, out=deriv)
+                np.subtract(1.0, deriv, out=deriv)
+            else:
+                np.greater(act, 0.0, out=deriv)
+            np.multiply(d, deriv, out=d)
+            gw, gb = grad_views[0][i]
+            np.matmul((self._acts[i - 1][:n] if i else x).T, d, out=gw)
+            np.add.reduce(d, axis=0, out=gb)
+            delta, w = d, views[0][i][0]
+        return loss
+
+    def evaluate(self, views, split, task_id: int) -> "PerfValue":
+        inputs = np.asarray(split.inputs, dtype=np.float64)
+        n = inputs.shape[0]
+        if n == 0:
+            raise EmptySplitError("cannot evaluate an empty split")
+        head = self.spec.heads.get(task_id)
+        if head is None:
+            raise UnknownTaskError(task_id)
+        logits = self.logits(views, inputs, task_id)
+        if head.loss == CROSS_ENTROPY:
+            labels = np.asarray(split.targets, dtype=np.int64)
+            predicted = np.argmax(logits, axis=1, out=self._argmax[:n])
+            hits = np.equal(predicted, labels, out=self._hits[:n])
+            return PerfValue(float(np.mean(hits)), "accuracy")
+        targets = np.asarray(split.targets, dtype=np.float64).reshape(logits.shape)
+        logits -= targets
+        np.square(logits, out=logits)
+        return PerfValue(-float(np.mean(logits)), "neg_mse")
+
+    def confidence(self, views, split, task_id: int) -> float:
+        head = self.spec.heads.get(task_id)
+        if head is None:
+            raise UnknownTaskError(task_id)
+        if head.loss != CROSS_ENTROPY:
+            raise ValueError("confidence is defined only for classification heads")
+        inputs = np.asarray(split.inputs, dtype=np.float64)
+        n = inputs.shape[0]
+        if n == 0:
+            raise EmptySplitError("cannot evaluate an empty split")
+        log_probs = self.log_probs(views, inputs, task_id)
+        top = np.maximum.reduce(log_probs, axis=1, out=self._col[:n, 0])
+        return float(np.exp(top, out=top).mean())
 
 
 def loss_and_gradient(model: SharedHeadModel, batch: Batch) -> tuple[float, np.ndarray]:
-    """Mean per-example loss and its exact gradient as a full-length vector.
+    """Mean per-example loss and its exact gradient as a fresh full-length
+    vector.
 
     Head blocks not belonging to ``batch.task_id`` are exactly zero. A
     non-finite loss raises: that signals divergence and the caller is
     expected to abort the run with a diagnostic.
     """
-    spec = model.spec
-    if batch.task_id not in spec.heads:
-        raise UnknownTaskError(batch.task_id)
-    head = spec.heads[batch.task_id]
-    x = batch.inputs
-    n = x.shape[0]
-
-    acts, pres, views = _encoder_forward(model, x)
-    w_head = views[f"head{batch.task_id}.W"]
-    logits = acts[-1] @ w_head + views[f"head{batch.task_id}.b"]
-
-    if head.loss == CROSS_ENTROPY:
-        labels = np.asarray(batch.targets, dtype=np.int64)
-        if labels.min() < 0 or labels.max() >= head.output_dim:
-            raise ValueError("class label out of range for head")
-        log_probs = _log_softmax(logits)
-        loss = float(-log_probs[np.arange(n), labels].mean())
-        dlogits = np.exp(log_probs)
-        dlogits[np.arange(n), labels] -= 1.0
-        dlogits /= n
-    else:
-        targets = np.asarray(batch.targets, dtype=np.float64).reshape(n, head.output_dim)
-        diff = logits - targets
-        loss = float(np.mean(diff**2))
-        dlogits = 2.0 * diff / diff.size
-
-    if not np.isfinite(loss):
-        raise NonFiniteError(f"non-finite loss on task {batch.task_id}: diverged")
-
-    grad = np.zeros_like(model.params)
-    grad_blocks = _unpack(spec, grad)
-    grad_blocks[f"head{batch.task_id}.W"][...] = acts[-1].T @ dlogits
-    grad_blocks[f"head{batch.task_id}.b"][...] = dlogits.sum(axis=0)
-    da = dlogits @ w_head.T
-    for i in reversed(range(len(spec.hidden_dims))):
-        if spec.activation == "tanh":
-            dz = da * (1.0 - acts[i + 1] ** 2)
-        else:
-            dz = da * (pres[i] > 0.0)
-        grad_blocks[f"enc{i}.W"][...] = acts[i].T @ dz
-        grad_blocks[f"enc{i}.b"][...] = dz.sum(axis=0)
-        da = dz @ views[f"enc{i}.W"].T
+    kernel = model.spec.kernel
+    grad = np.zeros(kernel.n_params)
+    loss = kernel.loss_and_gradient(kernel.views(model.params), batch, kernel.views(grad))
     return loss, grad
 
 
@@ -282,30 +394,11 @@ def evaluate(model: SharedHeadModel, split, task_id: int) -> PerfValue:
     ``task_id`` picks the head; the split may come from any task with
     compatible inputs (that is how shifted-distribution probes work).
     """
-    inputs = np.asarray(split.inputs, dtype=np.float64)
-    if inputs.shape[0] == 0:
-        raise EmptySplitError("cannot evaluate an empty split")
-    head = model.spec.heads.get(task_id)
-    if head is None:
-        raise UnknownTaskError(task_id)
-    logits = _head_logits(model, inputs, task_id)
-    if head.loss == CROSS_ENTROPY:
-        labels = np.asarray(split.targets, dtype=np.int64)
-        acc = float(np.mean(np.argmax(logits, axis=1) == labels))
-        return PerfValue(acc, "accuracy")
-    targets = np.asarray(split.targets, dtype=np.float64).reshape(logits.shape)
-    return PerfValue(-float(np.mean((logits - targets) ** 2)), "neg_mse")
+    kernel = model.spec.kernel
+    return kernel.evaluate(kernel.views(model.params), split, task_id)
 
 
 def mean_max_confidence(model: SharedHeadModel, split, task_id: int) -> float:
     """Mean over the split of the max softmax probability; in [1/C, 1]."""
-    head = model.spec.heads.get(task_id)
-    if head is None:
-        raise UnknownTaskError(task_id)
-    if head.loss != CROSS_ENTROPY:
-        raise ValueError("confidence is defined only for classification heads")
-    inputs = np.asarray(split.inputs, dtype=np.float64)
-    if inputs.shape[0] == 0:
-        raise EmptySplitError("cannot evaluate an empty split")
-    log_probs = _log_softmax(_head_logits(model, inputs, task_id))
-    return float(np.exp(log_probs.max(axis=1)).mean())
+    kernel = model.spec.kernel
+    return kernel.confidence(kernel.views(model.params), split, task_id)

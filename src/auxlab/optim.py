@@ -16,6 +16,7 @@ __all__ = [
     "initial_state",
     "weighted_gradient",
     "sgd_step",
+    "sgd_step_into",
 ]
 
 
@@ -112,10 +113,12 @@ class OptState:
         if self.step_count < 0:
             raise ValueError("step_count must be nonnegative")
 
-    def learning_rate(self) -> float:
+    def learning_rate(self, step: int | None = None) -> float:
+        """η at absolute step ``step``, by default at ``step_count``."""
         if self.schedule == "constant":
             return self.base_lr
-        return self.base_lr * (1.0 + np.cos(np.pi * self.step_count / self.total_steps)) / 2.0
+        t = self.step_count if step is None else step
+        return self.base_lr * (1.0 + np.cos(np.pi * t / self.total_steps)) / 2.0
 
     def reset_momentum(self) -> "OptState":
         return replace(self, momentum_buffer=np.zeros_like(self.momentum_buffer))
@@ -160,8 +163,22 @@ def sgd_step(
             f"length mismatch: params {len(params)}, grad {len(grad)}, "
             f"buffer {len(state.momentum_buffer)}"
         )
-    buffer = state.momentum_coeff * state.momentum_buffer + grad
-    new_params = params - state.learning_rate() * buffer
+    new_params = np.array(params, dtype=np.float64)
+    buffer = np.array(state.momentum_buffer, dtype=np.float64)
+    sgd_step_into(new_params, buffer, grad, state.momentum_coeff,
+                  state.learning_rate(), np.empty_like(buffer))
     if not np.all(np.isfinite(new_params)):
         raise NonFiniteError("parameters diverged to non-finite values during sgd_step")
     return new_params, replace(state, momentum_buffer=buffer, step_count=state.step_count + 1)
+
+
+def sgd_step_into(
+    params: np.ndarray, buffer: np.ndarray, grad: np.ndarray,
+    momentum_coeff: float, lr: float, scratch: np.ndarray,
+) -> None:
+    """``sgd_step``'s heavy-ball arithmetic, in place and unchecked:
+    buffer ← μ·buffer + g; params ← params − η·buffer. ``scratch`` holds
+    η·buffer."""
+    np.multiply(buffer, momentum_coeff, out=buffer)
+    buffer += grad
+    params -= np.multiply(buffer, lr, out=scratch)

@@ -8,10 +8,12 @@ Accuracy is recorded in percent so that gains read directly as points.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import statistics
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -29,6 +31,7 @@ from .baselines import (
     run_stl,
 )
 from .forkmerge import (
+    DEFAULT_LAMBDA_GRID,
     BranchSpec,
     MergeSchedule,
     draw_batch,
@@ -75,6 +78,7 @@ METHODS = (
     "forkmerge",
     "forkmerge_multi",
 )
+FORKMERGE_METHODS = ("forkmerge", "forkmerge_multi")
 
 OUTPUT_DIR_ENV = "AUXLAB_OUTPUT_DIR"
 RECORDS_FILENAME = "records.csv"
@@ -139,25 +143,18 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigError("seeds: at least one seed is required")
-        if self.n_tasks < 1:
-            raise ConfigError("n_tasks: must be >= 1")
-        if len(self.relatedness) != self.n_tasks - 1:
-            raise ConfigError(
-                f"relatedness: expected {self.n_tasks - 1} values for"
-                f" n_tasks = {self.n_tasks}, got {len(self.relatedness)}"
-            )
-        if self.activation not in ("tanh", "relu"):
-            raise ConfigError(f"activation: unknown value {self.activation!r}")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ConfigError(f"lr_schedule: unknown value {self.lr_schedule!r}")
-        if self.search_strategy not in ("grid", "binary", "greedy"):
-            raise ConfigError(
-                f"search_strategy: unknown value {self.search_strategy!r}"
-            )
-        if self.total_steps <= 0:
-            raise ConfigError("total_steps: must be positive")
-        if self.merge_interval <= 0:
-            raise ConfigError("merge_interval: must be positive")
+        # the family, model, optimizer and schedule configs own their checks
+        try:
+            _family_config(self, self.data_seed)
+            ModelSpec(self.input_dim, self.hidden_dims, self.activation,
+                      {0: HeadSpec(self.n_classes)})
+            opt_config_for(self)
+            # fixed_lambda trains once per value of any grid; the merge
+            # search's grid rules bind the fork/merge methods only
+            _schedule_for(self, self.lambda_grid if self.method in FORKMERGE_METHODS
+                          else DEFAULT_LAMBDA_GRID)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.pre_steps < 0:
             raise ConfigError("pre_steps: must be >= 0")
         if self.method == "post_train" and self.pre_steps > self.total_steps:
@@ -317,25 +314,27 @@ class ResultRecord:
     wall_s: float
 
 
+def _family_config(config: ExperimentConfig, seed: int) -> TaskFamilyConfig:
+    return TaskFamilyConfig(
+        n_tasks=config.n_tasks,
+        relatedness=config.relatedness,
+        input_dim=config.input_dim,
+        n_classes=config.n_classes,
+        n_train=config.n_train,
+        n_val=config.n_val,
+        n_test=config.n_test,
+        noise_std=config.noise_std,
+        mean_scale=config.mean_scale,
+        seed=seed,
+    )
+
+
 def family_for_seed(config: ExperimentConfig, seed: int) -> TaskFamily:
     if config.data_dir:
         return load_family(
             config.data_dir, config.n_tasks, config.input_dim, config.n_classes
         )
-    return generate_family(
-        TaskFamilyConfig(
-            n_tasks=config.n_tasks,
-            relatedness=config.relatedness,
-            input_dim=config.input_dim,
-            n_classes=config.n_classes,
-            n_train=config.n_train,
-            n_val=config.n_val,
-            n_test=config.n_test,
-            noise_std=config.noise_std,
-            mean_scale=config.mean_scale,
-            seed=config.data_seed + seed,
-        )
-    )
+    return generate_family(_family_config(config, config.data_seed + seed))
 
 
 def model_spec_for(config: ExperimentConfig, family: TaskFamily) -> ModelSpec:
@@ -375,11 +374,12 @@ def _branches_for(config: ExperimentConfig, family: TaskFamily) -> list[BranchSp
     ]
 
 
-def _schedule_for(config: ExperimentConfig) -> MergeSchedule:
+def _schedule_for(config: ExperimentConfig,
+                  lambda_grid: Sequence[float]) -> MergeSchedule:
     return MergeSchedule(
         total_steps=config.total_steps,
         interval=config.merge_interval,
-        lambda_grid=config.lambda_grid,
+        lambda_grid=lambda_grid,
         search_strategy=config.search_strategy,
         prune_after_first_merge=config.prune_to,
         binary_iters=config.binary_iters,
@@ -451,7 +451,8 @@ def _run_method(
         return params, 0
     # forkmerge / forkmerge_multi
     result = run_forkmerge(
-        family, spec, _schedule_for(config), _branches_for(config, family),
+        family, spec, _schedule_for(config, config.lambda_grid),
+        _branches_for(config, family),
         opt, seed,
     )
     write_merge_history(
@@ -582,15 +583,25 @@ def run_experiment(
 # -- aggregation -------------------------------------------------------------
 
 def read_records(path) -> list[ResultRecord]:
+    """Parse a records CSV. Rows are appended whole and newline-terminated,
+    so a last row without its newline was cut off mid-write: it is skipped
+    with a note on stderr. Any other malformed row raises."""
     path = Path(path)
-    records = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != list(RECORD_COLUMNS):
-            raise ValueError(
-                f"{path}: unexpected records header {reader.fieldnames}"
-            )
-        for row in reader:
+        text = handle.read()
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames != list(RECORD_COLUMNS):
+        raise ValueError(
+            f"{path}: unexpected records header {reader.fieldnames}"
+        )
+    rows = [(reader.line_num, row) for row in reader]
+    if rows and not text.endswith("\n"):
+        line, _ = rows.pop()
+        print(f"auxlab: {path}: skipping incomplete last row (line {line})",
+              file=sys.stderr)
+    records = []
+    for line, row in rows:
+        try:
             records.append(ResultRecord(
                 method=row["method"],
                 seed=int(row["seed"]),
@@ -602,6 +613,8 @@ def read_records(path) -> list[ResultRecord]:
                 psearch_evals=int(row["psearch_evals"]),
                 wall_s=float(row["wall_s"]),
             ))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {line}: malformed record: {exc}") from exc
     return records
 
 

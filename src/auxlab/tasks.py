@@ -72,7 +72,7 @@ class TaskFamilyConfig:
 
     def __post_init__(self):
         if self.n_tasks < 1:
-            raise ValueError("need at least the target task")
+            raise ValueError("n_tasks must be >= 1 (the target task)")
         rel = tuple(float(r) for r in np.atleast_1d(self.relatedness))
         if len(rel) != self.n_tasks - 1:
             raise ValueError(
@@ -84,14 +84,14 @@ class TaskFamilyConfig:
         if self.input_dim < 2:
             raise ValueError("input_dim must be >= 2 (class circle needs a plane)")
         if self.n_classes < 2:
-            raise ValueError("need at least two classes")
+            raise ValueError("n_classes must be >= 2")
         if isinstance(self.n_train, (tuple, list)):
             counts = tuple(int(n) for n in self.n_train)
             if len(counts) != self.n_tasks:
                 raise ValueError("per-task n_train needs one entry per task")
             object.__setattr__(self, "n_train", counts)
         if self.n_val < 1 or self.n_test < 1:
-            raise ValueError("val and test splits must be nonempty")
+            raise ValueError("n_val and n_test must be >= 1")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
 

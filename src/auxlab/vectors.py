@@ -19,6 +19,7 @@ __all__ = [
     "RngStream",
     "as_params",
     "linear_combination",
+    "linear_combination_into",
     "dot",
 ]
 
@@ -65,12 +66,26 @@ def linear_combination(coeffs: Sequence[float], vectors: Sequence[np.ndarray]) -
             raise LengthMismatchError(f"vector {i} has length {len(v)}, expected {n}")
         if not np.all(np.isfinite(v)):
             raise NonFiniteError(f"vector {i} contains NaN or Inf")
-    acc = cs[0] * np.asarray(vectors[0], dtype=np.float64)
-    for c, v in zip(cs[1:], vectors[1:]):
-        acc += c * np.asarray(v, dtype=np.float64)
+    acc = np.empty(n)
+    linear_combination_into(acc, cs, vectors, np.empty(n))
     if not np.all(np.isfinite(acc)):
         raise NonFiniteError("combination overflowed to non-finite values")
     return acc
+
+
+def linear_combination_into(
+    out: np.ndarray, coeffs: Sequence[float], vectors: Sequence[np.ndarray],
+    scratch: np.ndarray,
+) -> None:
+    """``out`` ← sum_b coeffs[b] * vectors[b], in place and unchecked.
+
+    The arithmetic of ``linear_combination``, in the same order, for callers
+    that own the buffers and check finiteness themselves; ``scratch`` holds
+    each product before it is added.
+    """
+    np.multiply(vectors[0], coeffs[0], out=out)
+    for c, v in zip(coeffs[1:], vectors[1:]):
+        out += np.multiply(v, c, out=scratch)
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:

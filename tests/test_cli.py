@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from auxlab.cli import main
+from auxlab.runner import read_records
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -53,6 +54,46 @@ class TestExitCodes:
         assert [(r["method"], r["seed"], r["value"]) for r in rows] == [
             (method, "0", "nan"), (method, "1", "nan"),
         ]
+
+    @pytest.mark.parametrize("key, value", [
+        ("relatedness", "1.5"),
+        ("lambda_grid", "0.5,1"),
+        ("val_subsample", "0"),
+        ("momentum", "1.0"),
+        ("hidden_dims", "0"),
+    ])
+    def test_invalid_value_exits_1_before_any_work(self, capsys, tmp_path,
+                                                   key, value):
+        lines = [line for line in CFG_SMALL.strip().splitlines()
+                 if not line.startswith(("method", key))]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(["method = forkmerge", f"{key} = {value}", *lines]))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
+        assert key in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
+    def test_report_skips_torn_last_row(self, capsys, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(CFG_SMALL.replace("seeds = 0", "seeds = 0,1")
+                       + "compute_tg = false\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        records = out / "records.csv"
+        complete = read_records(records)
+        records.write_bytes(records.read_bytes()[:-20])
+        capsys.readouterr()
+        assert run_cli("report", "--records", str(out)) == 0
+        assert "incomplete last row" in capsys.readouterr().err
+        assert read_records(records) == complete[:-1]
+        assert (out / "summary.csv").is_file()
+
+    def test_report_rejects_malformed_inner_row(self, capsys, tmp_path):
+        header = "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
+        good = "ew,0,0,test,accuracy,80.0,,0,0.1\n"
+        (tmp_path / "records.csv").write_text(header + "ew,1,0,test,acc\n" + good)
+        assert run_cli("report", "--records", str(tmp_path)) == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("run", "--confg", "x") == 1

@@ -1,0 +1,282 @@
+"""Oracle tests for the compiled model kernel.
+
+`reference_loss_and_gradient` and `reference_logits` below are a plain-numpy
+forward/backward that allocates every intermediate, written out once here as
+the slow path. The kernel in `auxlab.nn` runs the same operations in the same
+order into reused workspaces, so the two must agree bit for bit.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import auxlab.forkmerge as fm
+from auxlab.forkmerge import BranchDivergedError, make_omega_branches, train_branches
+from auxlab.nn import (
+    CROSS_ENTROPY,
+    MEAN_SQUARED_ERROR,
+    Batch,
+    HeadSpec,
+    ModelSpec,
+    SharedHeadModel,
+    evaluate,
+    init_params,
+    loss_and_gradient,
+    mean_max_confidence,
+    param_layout,
+)
+from auxlab.optim import initial_state
+from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
+from auxlab.vectors import RngStream
+
+
+def _blocks(spec, vector):
+    return {name: vector[sl].reshape(shape) for name, sl, shape in param_layout(spec)}
+
+
+def _reference_encoder(spec, views, x):
+    acts, pres = [x], []
+    a = x
+    for i in range(len(spec.hidden_dims)):
+        z = a @ views[f"enc{i}.W"] + views[f"enc{i}.b"]
+        pres.append(z)
+        a = np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
+        acts.append(a)
+    return acts, pres
+
+
+def reference_logits(spec, params, x, task_id):
+    views = _blocks(spec, params)
+    acts, _ = _reference_encoder(spec, views, np.asarray(x, dtype=np.float64))
+    return acts[-1] @ views[f"head{task_id}.W"] + views[f"head{task_id}.b"]
+
+
+def _reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def reference_loss_and_gradient(spec, params, batch):
+    head = spec.heads[batch.task_id]
+    x = batch.inputs
+    n = x.shape[0]
+    views = _blocks(spec, params)
+    acts, pres = _reference_encoder(spec, views, x)
+    w_head = views[f"head{batch.task_id}.W"]
+    logits = acts[-1] @ w_head + views[f"head{batch.task_id}.b"]
+    if head.loss == CROSS_ENTROPY:
+        labels = np.asarray(batch.targets, dtype=np.int64)
+        log_probs = _reference_log_softmax(logits)
+        loss = float(-log_probs[np.arange(n), labels].mean())
+        dlogits = np.exp(log_probs)
+        dlogits[np.arange(n), labels] -= 1.0
+        dlogits /= n
+    else:
+        targets = np.asarray(batch.targets, dtype=np.float64).reshape(n, head.output_dim)
+        diff = logits - targets
+        loss = float(np.mean(diff**2))
+        dlogits = 2.0 * diff / diff.size
+    grad = np.zeros_like(params)
+    blocks = _blocks(spec, grad)
+    blocks[f"head{batch.task_id}.W"][...] = acts[-1].T @ dlogits
+    blocks[f"head{batch.task_id}.b"][...] = dlogits.sum(axis=0)
+    da = dlogits @ w_head.T
+    for i in reversed(range(len(spec.hidden_dims))):
+        if spec.activation == "tanh":
+            dz = da * (1.0 - acts[i + 1] ** 2)
+        else:
+            dz = da * (pres[i] > 0.0)
+        blocks[f"enc{i}.W"][...] = acts[i].T @ dz
+        blocks[f"enc{i}.b"][...] = dz.sum(axis=0)
+        da = dz @ views[f"enc{i}.W"].T
+    return loss, grad
+
+
+def reference_evaluate(spec, params, split, task_id):
+    logits = reference_logits(spec, params, split.inputs, task_id)
+    if spec.heads[task_id].loss == CROSS_ENTROPY:
+        labels = np.asarray(split.targets, dtype=np.int64)
+        return float(np.mean(np.argmax(logits, axis=1) == labels))
+    targets = np.asarray(split.targets, dtype=np.float64).reshape(logits.shape)
+    return -float(np.mean((logits - targets) ** 2))
+
+
+def reference_confidence(spec, params, split, task_id):
+    log_probs = _reference_log_softmax(reference_logits(spec, params, split.inputs, task_id))
+    return float(np.exp(log_probs.max(axis=1)).mean())
+
+
+def two_layer_spec(activation):
+    heads = {0: HeadSpec(4, CROSS_ENTROPY), 2: HeadSpec(3, MEAN_SQUARED_ERROR)}
+    return ModelSpec(3, (7, 5), activation, heads)
+
+
+def random_split(spec, task_id, n, rng):
+    head = spec.heads[task_id]
+    x = rng.normal(size=(n, spec.input_dim))
+    if head.loss == CROSS_ENTROPY:
+        y = rng.integers(0, head.output_dim, size=n)
+    else:
+        y = rng.normal(size=(n, head.output_dim))
+    return DataSplit(x, y, task_id)
+
+
+def trained_like_params(spec, seed):
+    # init scale plus noise, so relu units are both on and off and no bias is 0
+    params = init_params(spec, RngStream(seed)).params
+    return params + 0.3 * np.random.default_rng(seed).normal(size=len(params))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("task_id", [0, 2], ids=["cross_entropy", "mse"])
+def test_loss_and_gradient_match_reference_bitwise(activation, task_id):
+    spec = two_layer_spec(activation)
+    rng = np.random.default_rng(11)
+    for seed, n in ((1, 16), (2, 5), (3, 64), (4, 1)):
+        params = trained_like_params(spec, seed)
+        split = random_split(spec, task_id, n, rng)
+        batch = Batch(split.inputs, split.targets, task_id)
+        loss, grad = loss_and_gradient(SharedHeadModel(spec, params), batch)
+        ref_loss, ref_grad = reference_loss_and_gradient(spec, params, batch)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(grad, ref_grad)
+        assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_evaluations_across_split_sizes_equal_fresh_ones(activation):
+    spec = two_layer_spec(activation)
+    model = SharedHeadModel(spec, trained_like_params(spec, 5))
+    rng = np.random.default_rng(3)
+    for task_id in (0, 2):
+        split_a = random_split(spec, task_id, 300, rng)
+        split_b = random_split(spec, task_id, 70, rng)
+        idx = rng.choice(300, size=40, replace=False)
+        subsample = DataSplit(split_a.inputs[idx], split_a.targets[idx], task_id)
+        for split in (split_a, split_b, subsample, split_a):
+            got = evaluate(model, split, task_id).value
+            assert got == reference_evaluate(spec, model.params, split, task_id)
+            # a fresh spec compiles a fresh kernel with empty workspaces
+            fresh = SharedHeadModel(two_layer_spec(activation), model.params)
+            assert got == evaluate(fresh, split, task_id).value
+            if task_id == 0:
+                assert mean_max_confidence(model, split, task_id) == (
+                    reference_confidence(spec, model.params, split, task_id))
+
+
+def test_returned_gradient_is_not_overwritten_by_next_call():
+    spec = two_layer_spec("tanh")
+    model = SharedHeadModel(spec, trained_like_params(spec, 8))
+    rng = np.random.default_rng(4)
+    first = random_split(spec, 0, 32, rng)
+    _, grad = loss_and_gradient(model, Batch(first.inputs, first.targets, 0))
+    kept = grad.copy()
+    for task_id, n in ((0, 32), (2, 200), (0, 3)):
+        split = random_split(spec, task_id, n, rng)
+        loss_and_gradient(model, Batch(split.inputs, split.targets, task_id))
+        evaluate(model, split, task_id)
+    np.testing.assert_array_equal(grad, kept)
+
+
+def small_family():
+    return generate_family(TaskFamilyConfig(
+        n_tasks=3, relatedness=(0.7, 0.3), n_train=300, n_val=100, n_test=100,
+        seed=6,
+    ))
+
+
+def family_spec(family, hidden=(16,)):
+    heads = {t: HeadSpec(family.n_classes) for t in family.task_ids}
+    return ModelSpec(family.input_dim, hidden, "tanh", heads)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_in_one_batch_names_the_same_step_and_branch(monkeypatch):
+    # task 1 is weighted by branch 1 only; its batch at step 7 carries a NaN
+    family = small_family()
+    spec = family_spec(family)
+    start = init_params(spec, RngStream(2).child("init")).params
+    opt = initial_state(len(start), 0.1, momentum_coeff=0.9, step_count=3)
+    real_draw = fm.draw_batch
+
+    def poisoned_draw(split, root, task_id, step, batch_size):
+        batch = real_draw(split, root, task_id, step, batch_size)
+        if (task_id, step) == (1, 7):
+            inputs = batch.inputs.copy()
+            inputs[5, 1] = np.nan
+            return Batch(inputs, batch.targets, task_id)
+        return batch
+
+    monkeypatch.setattr(fm, "draw_batch", poisoned_draw)
+    with pytest.raises(BranchDivergedError) as err:
+        train_branches(start, make_omega_branches(2), 10, family, spec, opt,
+                       RngStream(2), 32)
+    assert (err.value.branch_id, err.value.step) == (1, 7)
+
+
+def _peak_bytes(call):
+    """Peak traced memory above the level at entry while `call` runs."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+class TestAllocations:
+    """Deterministic guards on what the kernel allocates, read from
+    tracemalloc (numpy reports its data buffers to it); no timing. Each
+    bound is one (rows, hidden) float64 activation, which the per-call
+    forward/backward used to allocate several of."""
+
+    def test_repeat_evaluation_allocates_less_than_one_activation(self):
+        n, hidden = 20_000, 16
+        spec = ModelSpec(2, (hidden,), "tanh", {0: HeadSpec(4)})
+        model = SharedHeadModel(spec, trained_like_params(spec, 1))
+        rng = np.random.default_rng(0)
+        split = DataSplit(rng.normal(size=(n, 2)), rng.integers(0, 4, size=n), 0)
+        evaluate(model, split, 0)  # warm-up: the workspaces grow to n rows
+        assert _peak_bytes(lambda: evaluate(model, split, 0)) < n * hidden * 8
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_repeat_gradient_allocates_less_than_one_activation(self, activation):
+        n, hidden = 2048, 16
+        spec = ModelSpec(2, (hidden, hidden), activation, {0: HeadSpec(4)})
+        model = SharedHeadModel(spec, trained_like_params(spec, 2))
+        rng = np.random.default_rng(1)
+        batch = Batch(rng.normal(size=(n, 2)), rng.integers(0, 4, size=n), 0)
+        loss_and_gradient(model, batch)  # warm-up
+        assert _peak_bytes(lambda: loss_and_gradient(model, batch)) < n * hidden * 8
+
+    def test_training_allocates_nothing_that_grows_with_steps(self):
+        family = small_family()
+        spec = family_spec(family)
+        start = init_params(spec, RngStream(1).child("init")).params
+        branches = make_omega_branches(2)
+
+        def train(steps):
+            opt = initial_state(len(start), 0.1, momentum_coeff=0.9)
+            train_branches(start, branches, steps, family, spec, opt,
+                           RngStream(1), 64)
+
+        train(1)  # warm-up: the kernel's workspaces grow to the batch size
+        tracemalloc.start()
+        try:
+            held = []
+            for steps in (10, 100):
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                train(steps)
+                after, peak = tracemalloc.get_traced_memory()
+                held.append((after - before, peak - before))
+        finally:
+            tracemalloc.stop()
+        (held_10, peak_10), (held_100, peak_100) = held
+        # a few interpreter-level bytes may differ (larger step ints); even
+        # one float kept per step would add 90 * 24 bytes
+        assert held_100 - held_10 < 1024
+        assert peak_100 - peak_10 < 1024

@@ -306,9 +306,9 @@ class TestConfidence:
         split = Split(rng.normal(size=(20, 3)), rng.integers(0, 4, size=20))
         got = mean_max_confidence(model, split, 0)
 
-        from auxlab.nn import _head_logits  # logits path already oracle-tested above
-
-        logits = _head_logits(model, split.inputs, 0)
+        # the logits path is already oracle-tested above
+        kernel = spec.kernel
+        logits = kernel.logits(kernel.views(model.params), split.inputs, 0).copy()
         acc = 0.0
         for i in range(20):
             exps = [np.exp(v - max(logits[i])) for v in logits[i]]
@@ -320,9 +320,8 @@ class TestConfidence:
         spec = small_spec(hidden=(5,))
         model = init_params(spec, RngStream(4))
         rng = np.random.default_rng(2)
-        from auxlab.nn import _head_logits, _log_softmax
-
-        probs = np.exp(_log_softmax(_head_logits(model, rng.normal(size=(25, 3)), 0)))
+        kernel = spec.kernel
+        probs = np.exp(kernel.log_probs(kernel.views(model.params), rng.normal(size=(25, 3)), 0))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_regression_head_rejected(self):

@@ -250,6 +250,12 @@ class TestConfigValidation:
             ExperimentConfig(method="forkmerge", seeds=(0,),
                              branch_weights=((1.0, 0.0, 0.5),))
 
+    def test_merge_grid_rules_bind_fork_methods_only(self):
+        ExperimentConfig(method="fixed_lambda", seeds=(0,), lambda_grid=(0.5,))
+        for method in ("forkmerge", "forkmerge_multi"):
+            with pytest.raises(ConfigError, match="lambda_grid"):
+                ExperimentConfig(method=method, seeds=(0,), lambda_grid=(0.5,))
+
     def test_pre_steps_bound_only_for_post_train(self):
         ExperimentConfig(method="stl", seeds=(0,), total_steps=10,
                          pre_steps=1000)
