@@ -273,9 +273,7 @@ class _Kernel:
         written, so a gradient buffer that is zero in the other heads' blocks
         stays so. A non-finite loss raises before the backward pass.
         """
-        head = self.spec.heads.get(batch.task_id)
-        if head is None:
-            raise UnknownTaskError(batch.task_id)
+        head = self._head(batch.task_id)
         x = batch.inputs
         n = x.shape[0]
         c = head.output_dim
@@ -324,13 +322,9 @@ class _Kernel:
         return loss
 
     def evaluate(self, views, split, task_id: int) -> "PerfValue":
-        inputs = np.asarray(split.inputs, dtype=np.float64)
+        inputs = _inputs(split)
         n = inputs.shape[0]
-        if n == 0:
-            raise EmptySplitError("cannot evaluate an empty split")
-        head = self.spec.heads.get(task_id)
-        if head is None:
-            raise UnknownTaskError(task_id)
+        head = self._head(task_id)
         logits = self.logits(views, inputs, task_id)
         if head.loss == CROSS_ENTROPY:
             labels = np.asarray(split.targets, dtype=np.int64)
@@ -343,18 +337,25 @@ class _Kernel:
         return PerfValue(-float(np.mean(logits)), "neg_mse")
 
     def confidence(self, views, split, task_id: int) -> float:
+        if self._head(task_id).loss != CROSS_ENTROPY:
+            raise ValueError("confidence is defined only for classification heads")
+        inputs = _inputs(split)
+        log_probs = self.log_probs(views, inputs, task_id)
+        top = np.maximum.reduce(log_probs, axis=1, out=self._col[: inputs.shape[0], 0])
+        return float(np.exp(top, out=top).mean())
+
+    def _head(self, task_id: int) -> HeadSpec:
         head = self.spec.heads.get(task_id)
         if head is None:
             raise UnknownTaskError(task_id)
-        if head.loss != CROSS_ENTROPY:
-            raise ValueError("confidence is defined only for classification heads")
-        inputs = np.asarray(split.inputs, dtype=np.float64)
-        n = inputs.shape[0]
-        if n == 0:
-            raise EmptySplitError("cannot evaluate an empty split")
-        log_probs = self.log_probs(views, inputs, task_id)
-        top = np.maximum.reduce(log_probs, axis=1, out=self._col[:n, 0])
-        return float(np.exp(top, out=top).mean())
+        return head
+
+
+def _inputs(split) -> np.ndarray:
+    inputs = np.asarray(split.inputs, dtype=np.float64)
+    if inputs.shape[0] == 0:
+        raise EmptySplitError("cannot evaluate an empty split")
+    return inputs
 
 
 def loss_and_gradient(model: SharedHeadModel, batch: Batch) -> tuple[float, np.ndarray]:
