@@ -224,8 +224,8 @@ def train_branches(
         raise ValueError("steps must be >= 1")
     kernel = model_spec.kernel
     n = kernel.n_params
-    views = [branch_data_view(family, b.weighting) for b in branches]
-    splits = {t: split for view in views for t, split in view.items()}
+    branch_splits = [branch_data_view(family, b.weighting) for b in branches]
+    splits = {t: split for view in branch_splits for t, split in view.items()}
     # one gradient buffer per task: the kernel writes only the encoder and
     # that task's head, so the other heads' blocks stay zero
     grads = {t: np.zeros(n) for t in splits}
@@ -242,7 +242,7 @@ def train_branches(
                    for t in sorted(splits)}
         for i, branch in enumerate(branches):
             try:
-                for t in sorted(views[i]):
+                for t in sorted(branch_splits[i]):
                     kernel.loss_and_gradient(param_views[i], batches[t], grad_views[t])
                 linear_combination_into(mixed, *mixes[i], scratch)
                 sgd_step_into(params[i], momenta[i], mixed, opt.momentum_coeff, lr,
