@@ -4,9 +4,9 @@ Refactors and speed-ups of the training loop are meant to leave every record
 bit-identical. These digests pin `records.csv` (without the timing column)
 and the merge-history CSVs of small runs of every trainer: `ew`, a 2-branch
 `forkmerge` with the grid and with the binary search, a 3-task
-`forkmerge_multi` with the full validation split and with a subsample (so
-evaluations run on splits of several row counts), `fixed_lambda`,
-`post_train` and `gcs`. A change that is meant to alter results refreshes
+`forkmerge_multi` with the full validation split, with a subsample (so
+evaluations run on splits of several row counts) and with a two-layer relu
+encoder, `fixed_lambda`, `post_train` and `gcs`. A change that is meant to alter results refreshes
 them and says so.
 """
 
@@ -70,6 +70,15 @@ GOLDEN = {
         "merge_history_forkmerge_multi_seed1.csv":
             "4a51c046daed2a5af255d64d48e6ef9a6ce80b509b2d9f214f97db8017dd1397",
     }),
+    "forkmerge_multi_relu_deep": (
+        "method = forkmerge_multi\nactivation = relu\nhidden_dims = 8,8", {
+            RECORDS_FILENAME:
+                "e1464660d82271ea366863577d9e4df7c6683e02528ea0f84c8e65c8112b8a74",
+            "merge_history_forkmerge_multi_seed0.csv":
+                "c5dd8a655eca5f916f1b36524d2be709fdae273980e3ff32911b18fc5aaf88cc",
+            "merge_history_forkmerge_multi_seed1.csv":
+                "48ac2509df17d59a444385686fc30cc6a603802d49e7f87b02a510965f63d045",
+        }),
     "fixed_lambda": ("method = fixed_lambda", {
         RECORDS_FILENAME:
             "b5d6b0fac4ebf9f05bfcf2e0929e0718c9604266fe23a82b54b2aa04056d12c7",
@@ -85,6 +94,15 @@ GOLDEN = {
 }
 
 
+def _config_text(lines: str) -> str:
+    """GOLDEN_CONFIG with the case's lines added; a case line replaces the
+    base line of the same key."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    base = [line for line in GOLDEN_CONFIG.splitlines()
+            if line.split("=")[0].strip() not in keys]
+    return "\n".join([lines, *base])
+
+
 def _records_without_wall_time(path) -> bytes:
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -98,7 +116,7 @@ def _records_without_wall_time(path) -> bytes:
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_digests(tmp_path, case):
     lines, digests = GOLDEN[case]
-    config = parse_config_text(f"{lines}\n{GOLDEN_CONFIG}")
+    config = parse_config_text(_config_text(lines))
     run_experiment(config, output_dir=tmp_path)
     got = {}
     for name in digests:
