@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 import auxlab.forkmerge as fm
-from auxlab.forkmerge import BranchDivergedError, make_omega_branches, train_branches
+from auxlab.forkmerge import (
+    BranchDivergedError,
+    BranchSpec,
+    make_omega_branches,
+    train_branches,
+)
 from auxlab.nn import (
     CROSS_ENTROPY,
     MEAN_SQUARED_ERROR,
@@ -26,7 +31,7 @@ from auxlab.nn import (
     mean_max_confidence,
     param_layout,
 )
-from auxlab.optim import initial_state
+from auxlab.optim import TaskWeighting, initial_state
 from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
 from auxlab.vectors import RngStream
 
@@ -214,6 +219,41 @@ def test_nan_in_one_batch_names_the_same_step_and_branch(monkeypatch):
                        RngStream(2), 32)
     assert (err.value.branch_id, err.value.step) == (1, 7)
 
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("order", ["params_first", "loss_first"])
+def test_divergence_at_one_step_names_the_earlier_branch(monkeypatch, order):
+    # at step 0 the branch weighting task 2 by 1e300 steps its parameters to
+    # inf, while task 1's batch carries a NaN, so the branch weighting task 1
+    # has a non-finite loss; the branch earlier in order is named
+    family = small_family()
+    spec = family_spec(family)
+    start = init_params(spec, RngStream(4).child("init")).params
+    opt = initial_state(len(start), 1e300, momentum_coeff=0.0)
+    real_draw = fm.draw_batch
+
+    def poisoned_draw(split, root, task_id, step, batch_size):
+        batch = real_draw(split, root, task_id, step, batch_size)
+        if task_id == 1:
+            inputs = batch.inputs.copy()
+            inputs[0, 0] = np.nan
+            return Batch(inputs, batch.targets, task_id)
+        return batch
+
+    monkeypatch.setattr(fm, "draw_batch", poisoned_draw)
+    overflowing = BranchSpec(TaskWeighting({0: 1.0, 2: 1e300}), 2)
+    poisoned = BranchSpec(TaskWeighting({0: 1.0, 1: 1.0}), 1)
+    if order == "params_first":
+        branches = [overflowing, poisoned]
+        expected = "branch 2 diverged at step 0: parameters diverged to non-finite values"
+    else:
+        branches = [poisoned, overflowing]
+        expected = "branch 1 diverged at step 0: non-finite loss on task 1: diverged"
+    with pytest.raises(BranchDivergedError) as err:
+        train_branches(start, branches, 3, family, spec, opt, RngStream(4), 16)
+    assert str(err.value) == expected
+    assert (err.value.step, err.value.round_index) == (0, None)
 
 def _peak_bytes(call):
     """Peak traced memory above the level at entry while `call` runs."""
