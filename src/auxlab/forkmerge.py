@@ -21,7 +21,7 @@ import numpy as np
 from . import nn
 from .nn import Batch, ModelSpec, PerfValue, SharedHeadModel
 from .optim import OptConfig, OptState, TaskWeighting, sgd_step_into
-from .tasks import DataSplit, TaskFamily, branch_data_view
+from .tasks import DataSplit, TaskFamily
 from .vectors import NonFiniteError, RngStream, linear_combination, linear_combination_into
 
 __all__ = [
@@ -212,38 +212,38 @@ def train_branches(
     lockstep; returns the branches' parameters in branch order.
 
     All branches start from the same parameters and optimizer state. Each
-    step draws every used task's batch once and hands it to each branch
-    that weights the task, then steps the branches in order, so each result
-    is bit-identical to training that branch alone. Each branch keeps its
-    parameters and momentum for the whole call and mixes and steps them in
-    place, with the arithmetic of `weighted_gradient` and `sgd_step`. The
-    first non-finite loss or parameter raises BranchDivergedError naming
-    the earliest step and, within it, the first branch in order.
+    step draws every used task's batch once, runs one stacked forward and
+    backward over every (branch, task) pair with a nonzero weight, then
+    mixes and steps the branches in order, in place, with the arithmetic of
+    `weighted_gradient` and `sgd_step`; each result is therefore
+    bit-identical to training that branch alone. The first non-finite loss
+    or parameter raises BranchDivergedError naming the earliest step and,
+    within it, the first branch in order.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     kernel = model_spec.kernel
-    n = kernel.n_params
-    branch_splits = [branch_data_view(family, b.weighting) for b in branches]
-    splits = {t: split for view in branch_splits for t, split in view.items()}
-    # one gradient buffer per task: the kernel writes only the encoder and
-    # that task's head, so the other heads' blocks stay zero
-    grads = {t: np.zeros(n) for t in splits}
-    grad_views = {t: kernel.views(g) for t, g in grads.items()}
-    params = [np.array(start, dtype=np.float64) for _ in branches]
-    param_views = [kernel.views(p) for p in params]
+    params = np.tile(np.asarray(start, dtype=np.float64), (len(branches), 1))
+    tasks = [b.weighting.active_tasks for b in branches]
+    stack = kernel.pair_pass(
+        params, [(i, t) for i, active in enumerate(tasks) for t in active], batch_size)
+    splits = {t: family.train(t) for active in tasks for t in active}
     momenta = [np.array(opt.momentum_buffer, dtype=np.float64) for _ in branches]
-    mixes = [([b.weighting.weights[t] for t in b.weighting.active_tasks],
-              [grads[t] for t in b.weighting.active_tasks]) for b in branches]
-    mixed, scratch = np.empty(n), np.empty(n)
+    # per branch: its (task, pair position) in task order, and its mix
+    uses = [[(t, stack.index[i, t]) for t in active] for i, active in enumerate(tasks)]
+    mixes = [([b.weighting.weights[t] for t in active], [stack.grads[k] for _, k in use])
+             for b, active, use in zip(branches, tasks, uses)]
+    mixed, scratch = np.empty(kernel.n_params), np.empty(kernel.n_params)
     for step in range(opt.step_count, opt.step_count + steps):
         lr = opt.learning_rate(step)
-        batches = {t: draw_batch(splits[t], root, t, step, batch_size)
-                   for t in sorted(splits)}
+        losses = stack({t: draw_batch(splits[t], root, t, step, batch_size)
+                        for t in sorted(splits)})
+        finite = np.isfinite(losses).all()
         for i, branch in enumerate(branches):
             try:
-                for t in sorted(branch_splits[i]):
-                    kernel.loss_and_gradient(param_views[i], batches[t], grad_views[t])
+                if not finite:
+                    for t, k in uses[i]:
+                        nn.check_loss(losses[k], t)
                 linear_combination_into(mixed, *mixes[i], scratch)
                 sgd_step_into(params[i], momenta[i], mixed, opt.momentum_coeff, lr,
                               scratch)
@@ -251,7 +251,7 @@ def train_branches(
                     raise NonFiniteError("parameters diverged to non-finite values")
             except NonFiniteError as exc:
                 raise BranchDivergedError(branch.branch_id, step, exc) from exc
-    return params
+    return list(params)
 
 
 @dataclass(frozen=True)

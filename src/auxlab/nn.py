@@ -189,13 +189,17 @@ class _Kernel:
     """Forward and backward passes of one ModelSpec.
 
     Parameter and gradient vectors are read and written through block views
-    from ``views``, which callers may keep for as long as the vector lives.
-    Activations, logits and backward scratch live in grow-only workspaces
-    sized to the largest row count seen so far and sliced to ``[:n]`` per
+    from ``views``, which callers may keep for as long as the vector lives;
+    biases are ``(1, k)`` rows. Every operation acts on the last two axes, so
+    the same code runs one ``(n, d)`` batch and a stacked ``(P, n, d)`` pass
+    over P (branch, task) pairs (see ``pair_pass``), with one matmul per layer
+    over the leading pair axis. Activations, logits and backward scratch live
+    in grow-only workspaces sized to the most rows seen so far and sliced per
     call; a workspace view returned by ``logits`` or ``log_probs`` is valid
     only until the next call. The operations and their order are those of a
-    plain allocating implementation, so results do not depend on which
-    calls came before. One kernel serves one thread at a time.
+    plain allocating implementation, so results do not depend on which calls
+    came before or on which pairs are stacked together. One kernel serves one
+    thread at a time.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -206,65 +210,136 @@ class _Kernel:
         self._max_out = max(head.output_dim for head in spec.heads.values())
         self._rows = 0
 
-    def _reserve(self, n: int) -> None:
-        if n <= self._rows:
+    def _reserve(self, rows: int) -> None:
+        if rows <= self._rows:
             return
         hidden = self.spec.hidden_dims
         # tanh' needs 1 - a**2; relu' is the mask a > 0
         deriv = np.float64 if self._tanh else np.bool_
-        self._acts = [np.empty((n, h)) for h in hidden]
-        self._deltas = [np.empty((n, h)) for h in hidden]
-        self._derivs = [np.empty((n, h), dtype=deriv) for h in hidden]
-        self._logits = np.empty(n * self._max_out)
-        self._probs = np.empty(n * self._max_out)
-        self._col = np.empty((n, 1))
-        self._argmax = np.empty(n, dtype=np.intp)
-        self._hits = np.empty(n, dtype=np.bool_)
-        self._row_ids = np.arange(n)
-        self._rows = n
+        self._acts = [np.empty((rows, h)) for h in hidden]
+        self._deltas = [np.empty((rows, h)) for h in hidden]
+        self._derivs = [np.empty((rows, h), dtype=deriv) for h in hidden]
+        self._logits = np.empty(rows * self._max_out)
+        self._probs = np.empty(rows * self._max_out)
+        self._col = np.empty((rows, 1))
+        self._argmax = np.empty(rows, dtype=np.intp)
+        self._hits = np.empty(rows, dtype=np.bool_)
+        self._label_at = np.empty(rows, dtype=np.intp)
+        self._row_ids = np.arange(rows)
+        self._rows = rows
 
     def views(self, vector: np.ndarray):
         """Writable block views of a full-length vector: a tuple of (W, b)
         per encoder layer, and a dict of (W, b) per head by task id."""
         if len(vector) != self.n_params:
             raise ValueError(f"vector length {len(vector)} != {self.n_params}")
-        blocks = [vector[sl].reshape(shape) for _, sl, shape in self.spec.layout]
-        pairs = list(zip(blocks[::2], blocks[1::2]))
+        shapes = [shape for _, _, shape in self.spec.layout]
+        pairs = [(w[0], b[0]) for w, b in _stacked_blocks(vector[None], shapes)]
         return tuple(pairs[: self._depth]), dict(zip(self.spec.heads, pairs[self._depth:]))
 
-    def logits(self, views, x: np.ndarray, task_id: int) -> np.ndarray:
-        """(n, C) logits of head ``task_id`` on inputs ``x``, in a workspace."""
-        n = x.shape[0]
-        self._reserve(n)
-        a = x
-        for (w, b), act in zip(views[0], self._acts):
-            z = act[:n]
-            np.matmul(a, w, out=z)
+    def _encode(self, enc, x: np.ndarray) -> list[np.ndarray]:
+        """[x, a_1, ..., a_depth]: inputs ``x`` (..., n, d) and each hidden
+        layer's activations under encoder blocks ``enc``, in workspaces."""
+        rows = x.size // x.shape[-1]
+        self._reserve(rows)
+        acts = [x]
+        for (w, b), ws in zip(enc, self._acts):
+            z = ws[:rows].reshape(*x.shape[:-1], ws.shape[1])
+            np.matmul(acts[-1], w, out=z)
             z += b
             if self._tanh:
                 np.tanh(z, out=z)
             else:
                 np.maximum(z, 0.0, out=z)
-            a = z
-        w, b = views[1][task_id]
-        out = self._logits[: n * w.shape[1]].reshape(n, w.shape[1])
+            acts.append(z)
+        return acts
+
+    def _affine_head(self, a: np.ndarray, w: np.ndarray, b: np.ndarray,
+                     start: int = 0) -> np.ndarray:
+        """a @ w + b into the logits workspace from flat offset ``start``."""
+        out = self._logits[start: start + a.size // a.shape[-1] * w.shape[-1]]
+        out = out.reshape(*a.shape[:-1], w.shape[-1])
         np.matmul(a, w, out=out)
         out += b
         return out
 
-    def log_probs(self, views, x: np.ndarray, task_id: int) -> np.ndarray:
-        """(n, C) log-softmax of head ``task_id`` on ``x``, in a workspace."""
-        logits = self.logits(views, x, task_id)
-        n, c = logits.shape
-        col = self._col[:n]
-        np.maximum.reduce(logits, axis=1, keepdims=True, out=col)
+    def _log_softmax(self, logits: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Log-softmax over the last axis, in place; ``scratch`` (same shape)
+        holds the exponentials."""
+        col = self._col[: logits.size // logits.shape[-1]].reshape(*logits.shape[:-1], 1)
+        np.maximum.reduce(logits, axis=-1, keepdims=True, out=col)
         logits -= col
-        probs = self._probs[: n * c].reshape(n, c)
-        np.exp(logits, out=probs)
-        np.add.reduce(probs, axis=1, keepdims=True, out=col)
+        np.exp(logits, out=scratch)
+        np.add.reduce(scratch, axis=-1, keepdims=True, out=col)
         np.log(col, out=col)
         logits -= col
         return logits
+
+    def logits(self, views, x: np.ndarray, task_id: int) -> np.ndarray:
+        """(n, C) logits of head ``task_id`` on inputs ``x``, in a workspace."""
+        return self._affine_head(self._encode(views[0], x)[-1], *views[1][task_id])
+
+    def log_probs(self, views, x: np.ndarray, task_id: int) -> np.ndarray:
+        """(n, C) log-softmax of head ``task_id`` on ``x``, in a workspace."""
+        logits = self.logits(views, x, task_id)
+        return self._log_softmax(logits, self._probs[: logits.size].reshape(logits.shape))
+
+    def _loss(self, a: np.ndarray, w: np.ndarray, b: np.ndarray, head: HeadSpec,
+              targets: np.ndarray, start: int = 0):
+        """Mean loss over the row axis of one head kind on activations ``a``
+        (..., n, h), and d loss / d logits in the probs workspace from flat
+        offset ``start``. ``targets`` are checked labels (..., n) or values
+        (..., n, C); the loss has shape (...)."""
+        logits = self._affine_head(a, w, b, start)
+        n, c = logits.shape[-2:]
+        grad = self._probs[start: start + logits.size].reshape(logits.shape)
+        if head.loss == CROSS_ENTROPY:
+            log_probs = self._log_softmax(logits, grad)
+            rows = logits.size // c
+            at = np.multiply(self._row_ids[:rows], c, out=self._label_at[:rows])
+            at += targets.reshape(-1)
+            loss = -(np.add.reduce(log_probs.reshape(-1)[at].reshape(targets.shape),
+                                   axis=-1) / n)
+            np.exp(log_probs, out=grad)
+            grad.reshape(-1)[at] -= 1.0
+            grad /= n
+        else:
+            diff = logits
+            diff -= targets
+            np.square(diff, out=grad)
+            loss = np.add.reduce(grad, axis=(-2, -1)) / (n * c)
+            np.multiply(diff, 2.0, out=grad)
+            grad /= n * c
+        return loss, grad
+
+    def _backward(self, acts, enc, genc, heads) -> None:
+        """Backward pass after ``_encode`` and ``_loss``: writes encoder
+        gradients into ``genc``. ``heads`` holds, per head kind, (slice of
+        the leading axis, W, gW, gb, d loss / d logits)."""
+        rows = acts[0].size // acts[0].shape[-1]
+        top = acts[-1]
+        delta = self._deltas[-1][:rows].reshape(top.shape) if self._depth else None
+        for part, w, gw, gb, grad in heads:
+            np.matmul(top[part].swapaxes(-1, -2), grad, out=gw)
+            np.add.reduce(grad, axis=-2, keepdims=True, out=gb)
+            if delta is not None:
+                np.matmul(grad, w.swapaxes(-1, -2), out=delta[part])
+        for i in reversed(range(self._depth)):
+            d = self._deltas[i][:rows].reshape(acts[i + 1].shape)
+            if i + 1 < self._depth:
+                np.matmul(delta, enc[i + 1][0].swapaxes(-1, -2), out=d)
+            act = acts[i + 1]
+            deriv = self._derivs[i][:rows].reshape(act.shape)
+            if self._tanh:
+                np.square(act, out=deriv)
+                np.subtract(1.0, deriv, out=deriv)
+            else:
+                np.greater(act, 0.0, out=deriv)
+            np.multiply(d, deriv, out=d)
+            gw, gb = genc[i]
+            np.matmul(acts[i].swapaxes(-1, -2), d, out=gw)
+            np.add.reduce(d, axis=-2, keepdims=True, out=gb)
+            delta = d
 
     def loss_and_gradient(self, views, batch: Batch, grad_views) -> float:
         """Mean loss on ``batch``; writes its gradient into ``grad_views``.
@@ -274,52 +349,20 @@ class _Kernel:
         stays so. A non-finite loss raises before the backward pass.
         """
         head = self._head(batch.task_id)
-        x = batch.inputs
-        n = x.shape[0]
-        c = head.output_dim
-        if head.loss == CROSS_ENTROPY:
-            labels = np.asarray(batch.targets, dtype=np.int64)
-            if labels.min() < 0 or labels.max() >= c:
-                raise ValueError("class label out of range for head")
-            log_probs = self.log_probs(views, x, batch.task_id)
-            rows = self._row_ids[:n]
-            loss = float(-log_probs[rows, labels].mean())
-            if not math.isfinite(loss):
-                raise NonFiniteError(f"non-finite loss on task {batch.task_id}: diverged")
-            dlogits = np.exp(log_probs, out=self._probs[: n * c].reshape(n, c))
-            dlogits[rows, labels] -= 1.0
-            dlogits /= n
-        else:
-            targets = np.asarray(batch.targets, dtype=np.float64).reshape(n, c)
-            diff = self.logits(views, x, batch.task_id)
-            diff -= targets
-            dlogits = np.square(diff, out=self._probs[: n * c].reshape(n, c))
-            loss = float(np.mean(dlogits))
-            if not math.isfinite(loss):
-                raise NonFiniteError(f"non-finite loss on task {batch.task_id}: diverged")
-            np.multiply(diff, 2.0, out=dlogits)
-            dlogits /= diff.size
-
-        w, _ = views[1][batch.task_id]
+        targets = _checked_targets(batch.targets, head)
+        acts = self._encode(views[0], batch.inputs)
+        w, b = views[1][batch.task_id]
+        loss, grad = self._loss(acts[-1], w, b, head, targets)
+        check_loss(loss, batch.task_id)
         gw, gb = grad_views[1][batch.task_id]
-        np.matmul((self._acts[-1][:n] if self._depth else x).T, dlogits, out=gw)
-        np.add.reduce(dlogits, axis=0, out=gb)
-        delta = dlogits
-        for i in reversed(range(self._depth)):
-            d = self._deltas[i][:n]
-            np.matmul(delta, w.T, out=d)
-            act, deriv = self._acts[i][:n], self._derivs[i][:n]
-            if self._tanh:
-                np.square(act, out=deriv)
-                np.subtract(1.0, deriv, out=deriv)
-            else:
-                np.greater(act, 0.0, out=deriv)
-            np.multiply(d, deriv, out=d)
-            gw, gb = grad_views[0][i]
-            np.matmul((self._acts[i - 1][:n] if i else x).T, d, out=gw)
-            np.add.reduce(d, axis=0, out=gb)
-            delta, w = d, views[0][i][0]
-        return loss
+        self._backward(acts, views[0], grad_views[0], [(slice(None), w, gw, gb, grad)])
+        return float(loss)
+
+    def pair_pass(self, params: np.ndarray, pairs: Sequence[tuple[int, int]],
+                  batch_size: int) -> "_PairPass":
+        """One stacked forward/backward per step for the (row of ``params``,
+        task id) ``pairs``; see ``_PairPass``."""
+        return _PairPass(self, params, pairs, batch_size)
 
     def evaluate(self, views, split, task_id: int) -> "PerfValue":
         inputs = _inputs(split)
@@ -349,6 +392,141 @@ class _Kernel:
         if head is None:
             raise UnknownTaskError(task_id)
         return head
+
+
+class _PairPass:
+    """One stacked forward/backward per step over (branch, task) pairs.
+
+    ``params`` is a C-contiguous array with one branch's parameter vector
+    per row, which the caller may update in place between steps. Pair (i, t) runs
+    task t's batch through row i's encoder and head t, and its gradient goes
+    to ``grads[index[(i, t)]]``, a full-length vector that stays zero outside
+    the encoder and head t. The pair axis is ordered by head kind, so each
+    kind's heads are one slice of it. The pairs' parameter blocks are read
+    through a strided view of ``params`` when they sit evenly spaced in it
+    (one pair, or one branch on consecutive heads) and gathered per step
+    otherwise; head gradients are written in place or scattered likewise.
+    """
+
+    def __init__(self, kernel: _Kernel, params: np.ndarray,
+                 pairs: Sequence[tuple[int, int]], batch_size: int):
+        spec, depth, n = kernel.spec, kernel._depth, kernel.n_params
+        heads = {t: kernel._head(t) for _, t in pairs}
+        kinds = list(dict.fromkeys(heads[t] for t in sorted(heads)))
+        order = sorted(pairs, key=lambda pair: (kinds.index(heads[pair[1]]), pair))
+        self.index = {pair: k for k, pair in enumerate(order)}
+        self.grads = np.zeros((len(order), n))
+        self.losses = np.empty(len(order))
+        if not params.flags.c_contiguous:
+            raise ValueError("params must be C-contiguous, one branch per row")
+        self._kernel = kernel
+        self._params = params.reshape(-1)
+        self._gathers: list[tuple[np.ndarray, np.ndarray]] = []
+        self._scatters: list[tuple[np.ndarray, np.ndarray]] = []
+        self._x = np.empty((len(order), batch_size, spec.input_dim))
+        branch_at = np.array([i for i, _ in order]) * n
+        enc_shapes = [shape for _, _, shape in spec.layout[: 2 * depth]]
+        enc_size = sum(math.prod(shape) for shape in enc_shapes)
+        self._enc = _stacked_blocks(self._read(branch_at, enc_size), enc_shapes)
+        self._genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes)
+        # per task: the (inputs, targets) rows of the pairs that use it
+        self._feeds: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._kinds = []
+        start = 0
+        for kind in kinds:
+            members = [k for k, (_, t) in enumerate(order) if heads[t] == kind]
+            part = slice(members[0], members[-1] + 1)
+            head_at = np.array([head_slice(spec, t).start for _, t in order[part]])
+            shapes = [(spec.encoder_out_dim, kind.output_dim), (kind.output_dim,)]
+            size = (spec.encoder_out_dim + 1) * kind.output_dim
+            (w, b), = _stacked_blocks(self._read(branch_at[part] + head_at, size), shapes)
+            grad_at = np.arange(part.start, part.stop) * n + head_at
+            (gw, gb), = _stacked_blocks(self._write(grad_at, size), shapes)
+            if kind.loss == CROSS_ENTROPY:
+                targets = np.empty((len(members), batch_size), dtype=np.int64)
+            else:
+                targets = np.empty((len(members), batch_size, kind.output_dim))
+            for k, y in zip(members, targets):
+                self._feeds.setdefault(order[k][1], []).append((self._x[k], y))
+            self._kinds.append((part, kind, w, b, targets, gw, gb, start))
+            start += len(members) * batch_size * kind.output_dim
+
+    def _read(self, offsets: np.ndarray, size: int) -> np.ndarray:
+        view = _evenly_spaced(self._params, offsets, size)
+        if view is None:
+            view = np.empty((len(offsets), size))
+            self._gathers.append((offsets[:, None] + np.arange(size), view))
+        return view
+
+    def _write(self, offsets: np.ndarray, size: int) -> np.ndarray:
+        view = _evenly_spaced(self.grads.reshape(-1), offsets, size)
+        if view is None:
+            view = np.empty((len(offsets), size))
+            self._scatters.append((offsets[:, None] + np.arange(size), view))
+        return view
+
+    def __call__(self, batches: Mapping[int, Batch]) -> np.ndarray:
+        """Every pair's loss on this step's batches (one per task id), in
+        pair order, and its gradient into ``grads``. The gradient of a pair
+        whose loss is non-finite is meaningless."""
+        kernel = self._kernel
+        for t, feeds in self._feeds.items():
+            batch = batches[t]
+            targets = _checked_targets(batch.targets, kernel._head(t))
+            for x, y in feeds:
+                np.copyto(x, batch.inputs)
+                np.copyto(y, targets)
+        for at, out in self._gathers:
+            np.take(self._params, at, out=out)
+        acts = kernel._encode(self._enc, self._x)
+        heads = []
+        for part, kind, w, b, targets, gw, gb, start in self._kinds:
+            self.losses[part], grad = kernel._loss(acts[-1][part], w, b, kind, targets, start)
+            heads.append((part, w, gw, gb, grad))
+        kernel._backward(acts, self._enc, self._genc, heads)
+        grads = self.grads.reshape(-1)
+        for at, values in self._scatters:
+            grads[at] = values
+        return self.losses
+
+
+def _evenly_spaced(flat: np.ndarray, offsets: np.ndarray, size: int):
+    """(len(offsets), size) view of ``flat`` whose rows start at
+    ``offsets``, or None when the offsets are not evenly spaced."""
+    steps = np.diff(offsets)
+    if len(steps) and (steps != steps[0]).any():
+        return None
+    step = int(steps[0]) if len(steps) else 0
+    return np.lib.stride_tricks.as_strided(
+        flat[offsets[0]:], (len(offsets), size), (step * flat.itemsize, flat.itemsize))
+
+
+def _stacked_blocks(stack: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views of (P, size) rows that hold blocks of ``shapes`` back to
+    back; biases are (P, 1, k)."""
+    blocks, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append(stack[:, at: at + size].reshape(len(stack), -1, shape[-1]))
+        at += size
+    return list(zip(blocks[::2], blocks[1::2]))
+
+
+def check_loss(loss, task_id: int) -> None:
+    """Raise NonFiniteError naming ``task_id`` for a non-finite loss."""
+    if not math.isfinite(loss):
+        raise NonFiniteError(f"non-finite loss on task {task_id}: diverged")
+
+
+def _checked_targets(targets, head: HeadSpec) -> np.ndarray:
+    """Labels in [0, C) as int64 for a classification head, else (n, C)
+    float64 regression targets."""
+    if head.loss == CROSS_ENTROPY:
+        labels = np.asarray(targets, dtype=np.int64)
+        if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= head.output_dim:
+            raise ValueError("class label out of range for head")
+        return labels
+    return np.asarray(targets, dtype=np.float64).reshape(-1, head.output_dim)
 
 
 def _inputs(split) -> np.ndarray:

@@ -184,6 +184,65 @@ def test_returned_gradient_is_not_overwritten_by_next_call():
     np.testing.assert_array_equal(grad, kept)
 
 
+
+def mixed_head_spec(activation, hidden):
+    heads = {0: HeadSpec(4, CROSS_ENTROPY), 1: HeadSpec(3, MEAN_SQUARED_ERROR),
+             2: HeadSpec(4, CROSS_ENTROPY), 3: HeadSpec(1, MEAN_SQUARED_ERROR),
+             4: HeadSpec(2, CROSS_ENTROPY)}
+    return ModelSpec(3, hidden, activation, heads)
+
+
+# 4 branches x 5 tasks; each prefix has pairs that share a branch and,
+# from 3 pairs on, pairs that share a task
+PAIRS = [(0, 0), (0, 1), (1, 0), (1, 3), (2, 2), (2, 4), (3, 0), (3, 1), (1, 4)]
+
+
+def pair_sets():
+    rng = np.random.default_rng(21)
+    grid = [(i, t) for i in range(4) for t in range(5)]
+    for p in range(1, 10):
+        yield PAIRS[:p]
+        yield [grid[k] for k in rng.choice(len(grid), size=p, replace=False)]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (6,), (7, 5)], ids=["depth0", "depth1", "depth2"])
+@pytest.mark.parametrize("batch_size", [16, 1])
+def test_pair_pass_matches_per_pair_gradients_bitwise(activation, hidden, batch_size):
+    spec = mixed_head_spec(activation, hidden)
+    kernel = spec.kernel
+    rng = np.random.default_rng(7)
+    for pairs in pair_sets():
+        params = np.stack([trained_like_params(spec, seed) for seed in range(4)])
+        stack = kernel.pair_pass(params, pairs, batch_size)
+        for _ in range(2):
+            # in-place updates between steps, as training makes them
+            params += 0.05 * rng.normal(size=params.shape)
+            batches = {}
+            for t in sorted({t for _, t in pairs}):
+                split = random_split(spec, t, batch_size, rng)
+                batches[t] = Batch(split.inputs, split.targets, t)
+            losses = stack(batches).copy()
+            for i, t in pairs:
+                k = stack.index[i, t]
+                loss, grad = loss_and_gradient(SharedHeadModel(spec, params[i].copy()),
+                                               batches[t])
+                assert losses[k] == loss
+                np.testing.assert_array_equal(stack.grads[k], grad)
+                assert np.array_equal(np.signbit(stack.grads[k]), np.signbit(grad))
+
+
+def test_pair_pass_checks_labels_of_every_task():
+    spec = mixed_head_spec("tanh", (6,))
+    params = np.stack([trained_like_params(spec, seed) for seed in range(2)])
+    stack = spec.kernel.pair_pass(params, [(0, 0), (1, 0), (1, 4)], 8)
+    rng = np.random.default_rng(2)
+    split = random_split(spec, 0, 8, rng)
+    batches = {0: Batch(split.inputs, split.targets, 0),
+               4: Batch(split.inputs, np.full(8, 2), 4)}  # head 4 has 2 classes
+    with pytest.raises(ValueError, match="class label out of range"):
+        stack(batches)
+
 def small_family():
     return generate_family(TaskFamilyConfig(
         n_tasks=3, relatedness=(0.7, 0.3), n_train=300, n_val=100, n_test=100,
