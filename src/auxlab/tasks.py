@@ -19,6 +19,8 @@ centers are maximally displaced and half the labels are systematically wrong.
 from __future__ import annotations
 
 import csv
+import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -284,8 +286,33 @@ def _expected_header(input_dim: int) -> list[str]:
 
 
 def load_csv(path, input_dim: int, n_classes: int, task_id: int = 0) -> DataSplit:
-    """Read one split from `f0,...,f{d-1},label` CSV, naming bad lines."""
+    """Read one split from `f0,...,f{d-1},label` CSV, naming bad lines.
+
+    The rows are parsed in one ``np.loadtxt`` pass. A file that pass cannot
+    read, or whose labels leave [0, n_classes), is read again row by row,
+    which accepts what Python's float() and int() accept and names the line
+    at fault.
+    """
     path = Path(path)
+    with _open_rows(path, input_dim) as (fh, _):
+        body = fh.read()
+    if body.strip():
+        dtype = [("x", np.float64, (input_dim,)), ("label", np.int64)]
+        try:
+            data = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            labels = data["label"]
+            if len(labels) and 0 <= labels.min() and labels.max() < n_classes:
+                return DataSplit(np.ascontiguousarray(data["x"]), labels.copy(), task_id)
+    return _read_rows(path, input_dim, n_classes, task_id)
+
+
+@contextmanager
+def _open_rows(path: Path, input_dim: int):
+    """The open file and a csv reader past its checked header."""
     if not path.exists():
         raise FileNotFoundError(f"no such data file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
@@ -299,6 +326,11 @@ def load_csv(path, input_dim: int, n_classes: int, task_id: int = 0) -> DataSpli
             raise CsvFormatError(
                 f"{path}: header {header!r} does not match expected {expected!r}"
             )
+        yield fh, reader
+
+
+def _read_rows(path: Path, input_dim: int, n_classes: int, task_id: int) -> DataSplit:
+    with _open_rows(path, input_dim) as (_, reader):
         rows, labels = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import auxlab.tasks as tasks
 from auxlab.optim import TaskWeighting
 from auxlab.tasks import (
     CsvFormatError,
@@ -208,6 +209,55 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", input_dim=2, n_classes=4)
+
+    def test_fast_path_equals_row_reader_bitwise(self, tmp_path, monkeypatch):
+        fam = generate_family(cfg([0.4, 0.8], n_train=300))
+        write_family(fam, tmp_path)
+        edge = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308],
+                         [0.1 + 0.2, 1 / 3], [-1e-300, 123456789.123456789]])
+        write_csv(DataSplit(edge, np.array([0, 3, 1, 2]), 0), tmp_path / "edge0_val.csv")
+        paths = sorted(tmp_path.glob("*.csv"))
+        slow = [tasks._read_rows(path, 2, 4, 0) for path in paths]
+
+        def no_fallback(*args):
+            raise AssertionError("the row reader was used for a well-formed file")
+
+        monkeypatch.setattr(tasks, "_read_rows", no_fallback)
+        for path, want in zip(paths, slow):
+            got = load_csv(path, input_dim=2, n_classes=4)
+            assert got.inputs.shape == want.inputs.shape
+            np.testing.assert_array_equal(got.inputs.view(np.uint64),
+                                          want.inputs.view(np.uint64))
+            np.testing.assert_array_equal(got.targets, want.targets)
+            assert got.targets.dtype == np.int64
+            assert got.inputs.flags.c_contiguous and got.targets.flags.c_contiguous
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,0.5,1.0", "line 3: label '1.0' is not an integer"),
+        ("0.5,0.5", "line 3: expected 3 fields, got 2"),
+        ("0.5,0.5,1,1", "line 3: expected 3 fields, got 4"),
+        ("0.5,0.5,-1", "line 3: label -1 outside [0, 4)"),
+        ("0.5,nan?,1", "line 3: could not convert string to float: 'nan?'"),
+    ])
+    def test_malformed_row_is_named_as_before(self, tmp_path, row, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"f0,f1,label\n1.0,1.0,0\n{row}\n2.0,2.0,3\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(p, input_dim=2, n_classes=4)
+        assert str(err.value) == f"{p}: {message}"
+
+    def test_values_only_python_parses_are_read_as_before(self, tmp_path):
+        p = tmp_path / "odd.csv"
+        p.write_text("f0,f1,label\n1_0,2.5,0_1\n\n0.5,0.5,2\n")
+        split = load_csv(p, input_dim=2, n_classes=4)
+        np.testing.assert_array_equal(split.inputs, [[10.0, 2.5], [0.5, 0.5]])
+        np.testing.assert_array_equal(split.targets, [1, 2])
+
+    def test_header_only_file_is_an_empty_split(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("f0,f1,label\n")
+        split = load_csv(p, input_dim=2, n_classes=4)
+        assert split.inputs.shape == (0, 2) and len(split.targets) == 0
 
     def test_family_round_trip(self, tmp_path):
         fam = generate_family(cfg([0.4, 0.8]))
