@@ -560,7 +560,6 @@ class PerfValue:
 
     value: float
     metric: str
-    higher_is_better: bool = True
 
     def __post_init__(self):
         if not np.isfinite(self.value):

@@ -54,9 +54,8 @@ class OptConfig:
 class TaskWeighting:
     """Per-task mixing coefficients; the target task's weight is pinned to 1.
 
-    Sums of auxiliary weights are unconstrained here (equal weighting uses
-    λ_k = 1 for every task); merge-search points additionally require
-    Σ_{k≠target} λ_k ≤ 1, which callers check via ``is_merge_point``.
+    Sums of auxiliary weights are unconstrained (equal weighting uses λ_k = 1
+    for every task).
     """
 
     weights: Mapping[int, float]
@@ -74,16 +73,6 @@ class TaskWeighting:
     def active_tasks(self) -> tuple[int, ...]:
         """Task ids with nonzero weight, ascending."""
         return tuple(sorted(k for k, v in self.weights.items() if v > 0))
-
-    def aux_sum(self) -> float:
-        return sum(v for k, v in self.weights.items() if k != self.target_id)
-
-    def is_merge_point(self) -> bool:
-        return self.aux_sum() <= 1.0 + 1e-12
-
-    def describe(self) -> str:
-        inner = ",".join(f"{k}:{v:g}" for k, v in sorted(self.weights.items()))
-        return "{" + inner + "}"
 
 
 @dataclass(frozen=True)
@@ -119,9 +108,6 @@ class OptState:
             return self.base_lr
         t = self.step_count if step is None else step
         return self.base_lr * (1.0 + np.cos(np.pi * t / self.total_steps)) / 2.0
-
-    def reset_momentum(self) -> "OptState":
-        return replace(self, momentum_buffer=np.zeros_like(self.momentum_buffer))
 
 
 def initial_state(

@@ -17,7 +17,6 @@ __all__ = [
     "LengthMismatchError",
     "NonFiniteError",
     "RngStream",
-    "as_params",
     "linear_combination",
     "linear_combination_into",
     "dot",
@@ -32,16 +31,6 @@ class LengthMismatchError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """A parameter vector or coefficient contains NaN or Inf."""
-
-
-def as_params(values) -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting non-finite entries."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("parameter vector contains NaN or Inf")
-    return arr
 
 
 def linear_combination(coeffs: Sequence[float], vectors: Sequence[np.ndarray]) -> np.ndarray:

@@ -22,10 +22,6 @@ class TestTaskWeighting:
         w = TaskWeighting({0: 1.0, 1: 0.0, 2: 0.3})
         assert w.active_tasks == (0, 2)
 
-    def test_merge_point_bound(self):
-        assert TaskWeighting({0: 1.0, 1: 0.4, 2: 0.6}).is_merge_point()
-        assert not TaskWeighting({0: 1.0, 1: 1.0, 2: 1.0}).is_merge_point()
-
 
 class TestWeightedGradient:
     def test_zero_aux_weight_is_target_gradient(self):
@@ -103,13 +99,6 @@ class TestSgdStep:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sgd_step(np.zeros(3), np.zeros(2), initial_state(3, 0.1))
-
-    def test_reset_momentum_keeps_schedule_position(self):
-        state = initial_state(4, base_lr=0.1, schedule="cosine", total_steps=100)
-        _, state = sgd_step(np.zeros(4), np.ones(4), state)
-        reset = state.reset_momentum()
-        assert reset.step_count == 1
-        assert np.all(reset.momentum_buffer == 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
