@@ -10,6 +10,7 @@ so a merge can never score below the target-only branch on validation.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from math import ceil
@@ -213,12 +214,12 @@ def train_branches(
 
     All branches start from the same parameters and optimizer state. Each
     step draws every used task's batch once, runs one stacked forward and
-    backward over every (branch, task) pair with a nonzero weight, then
-    mixes and steps the branches in order, in place, with the arithmetic of
-    `weighted_gradient` and `sgd_step`; each result is therefore
-    bit-identical to training that branch alone. The first non-finite loss
-    or parameter raises BranchDivergedError naming the earliest step and,
-    within it, the first branch in order.
+    backward over every (branch, task) pair with a nonzero weight, mixes each
+    branch's gradients, and steps all branches at once, in place, with the
+    arithmetic of `weighted_gradient` and `sgd_step`; each result is
+    therefore bit-identical to training that branch alone. The first
+    non-finite loss or parameter raises BranchDivergedError naming the
+    earliest step and, within it, the first branch in order.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -228,30 +229,38 @@ def train_branches(
     stack = kernel.pair_pass(
         params, [(i, t) for i, active in enumerate(tasks) for t in active], batch_size)
     splits = {t: family.train(t) for active in tasks for t in active}
-    momenta = [np.array(opt.momentum_buffer, dtype=np.float64) for _ in branches]
+    momenta = np.tile(np.asarray(opt.momentum_buffer, dtype=np.float64), (len(branches), 1))
     # per branch: its (task, pair position) in task order, and its mix
     uses = [[(t, stack.index[i, t]) for t in active] for i, active in enumerate(tasks)]
-    mixes = [([b.weighting.weights[t] for t in active], [stack.grads[k] for _, k in use])
-             for b, active, use in zip(branches, tasks, uses)]
-    mixed, scratch = np.empty(kernel.n_params), np.empty(kernel.n_params)
+    mixed, scratch = np.empty_like(params), np.empty_like(params)
+    mixes = [(out, [b.weighting.weights[t] for t in active],
+              [stack.grads[k] for _, k in use], scratch[0])
+             for out, b, active, use in zip(mixed, branches, tasks, uses)]
     for step in range(opt.step_count, opt.step_count + steps):
-        lr = opt.learning_rate(step)
         losses = stack({t: draw_batch(splits[t], root, t, step, batch_size)
                         for t in sorted(splits)})
-        finite = np.isfinite(losses).all()
-        for i, branch in enumerate(branches):
-            try:
-                if not finite:
-                    for t, k in uses[i]:
-                        nn.check_loss(losses[k], t)
-                linear_combination_into(mixed, *mixes[i], scratch)
-                sgd_step_into(params[i], momenta[i], mixed, opt.momentum_coeff, lr,
-                              scratch)
-                if not np.isfinite(params[i]).all():
-                    raise NonFiniteError("parameters diverged to non-finite values")
-            except NonFiniteError as exc:
-                raise BranchDivergedError(branch.branch_id, step, exc) from exc
+        for mix in mixes:
+            linear_combination_into(*mix)
+        sgd_step_into(params, momenta, mixed, opt.momentum_coeff, opt.learning_rate(step),
+                      scratch)
+        # a sum is finite only if every term is; a finite sum too large for
+        # float64 just sends the check below through finding nothing
+        if not math.isfinite(np.add.reduce(losses) + np.add.reduce(params, axis=None)):
+            _raise_first_divergence(branches, uses, losses, params, step)
     return list(params)
+
+
+def _raise_first_divergence(branches, uses, losses, params, step: int) -> None:
+    """Raise BranchDivergedError for the first branch, in order, with a
+    non-finite loss or, after its step, non-finite parameters, if any."""
+    for branch, use, branch_params in zip(branches, uses, params):
+        try:
+            for t, k in use:
+                nn.check_loss(losses[k], t)
+            if not np.isfinite(branch_params).all():
+                raise NonFiniteError("parameters diverged to non-finite values")
+        except NonFiniteError as exc:
+            raise BranchDivergedError(branch.branch_id, step, exc) from exc
 
 
 @dataclass(frozen=True)

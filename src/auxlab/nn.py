@@ -189,8 +189,8 @@ class _Kernel:
     """Forward and backward passes of one ModelSpec.
 
     Parameter and gradient vectors are read and written through block views
-    from ``views``, which callers may keep for as long as the vector lives;
-    biases are ``(1, k)`` rows. Every operation acts on the last two axes, so
+    from ``views``, which callers may keep for as long as the vector lives.
+    Every operation acts on the last two axes, so
     the same code runs one ``(n, d)`` batch and a stacked ``(P, n, d)`` pass
     over P (branch, task) pairs (see ``pair_pass``), with one matmul per layer
     over the leading pair axis. Activations, logits and backward scratch live
@@ -224,7 +224,6 @@ class _Kernel:
         self._col = np.empty((rows, 1))
         self._argmax = np.empty(rows, dtype=np.intp)
         self._hits = np.empty(rows, dtype=np.bool_)
-        self._label_at = np.empty(rows, dtype=np.intp)
         self._row_ids = np.arange(rows)
         self._rows = rows
 
@@ -234,7 +233,7 @@ class _Kernel:
         if len(vector) != self.n_params:
             raise ValueError(f"vector length {len(vector)} != {self.n_params}")
         shapes = [shape for _, _, shape in self.spec.layout]
-        pairs = [(w[0], b[0]) for w, b in _stacked_blocks(vector[None], shapes)]
+        pairs = [(w[0], b[0]) for w, b in _stacked_blocks(vector[None], shapes, bias_rows=False)]
         return tuple(pairs[: self._depth]), dict(zip(self.spec.heads, pairs[self._depth:]))
 
     def _encode(self, enc, x: np.ndarray) -> list[np.ndarray]:
@@ -295,13 +294,11 @@ class _Kernel:
         grad = self._probs[start: start + logits.size].reshape(logits.shape)
         if head.loss == CROSS_ENTROPY:
             log_probs = self._log_softmax(logits, grad)
-            rows = logits.size // c
-            at = np.multiply(self._row_ids[:rows], c, out=self._label_at[:rows])
-            at += targets.reshape(-1)
-            loss = -(np.add.reduce(log_probs.reshape(-1)[at].reshape(targets.shape),
+            hit = (self._row_ids[: targets.size], targets.reshape(-1))
+            loss = -(np.add.reduce(log_probs.reshape(-1, c)[hit].reshape(targets.shape),
                                    axis=-1) / n)
             np.exp(log_probs, out=grad)
-            grad.reshape(-1)[at] -= 1.0
+            grad.reshape(-1, c)[hit] -= 1.0
             grad /= n
         else:
             diff = logits
@@ -321,7 +318,7 @@ class _Kernel:
         delta = self._deltas[-1][:rows].reshape(top.shape) if self._depth else None
         for part, w, gw, gb, grad in heads:
             np.matmul(top[part].swapaxes(-1, -2), grad, out=gw)
-            np.add.reduce(grad, axis=-2, keepdims=True, out=gb)
+            np.add.reduce(grad, axis=-2, out=gb)
             if delta is not None:
                 np.matmul(grad, w.swapaxes(-1, -2), out=delta[part])
         for i in reversed(range(self._depth)):
@@ -338,7 +335,7 @@ class _Kernel:
             np.multiply(d, deriv, out=d)
             gw, gb = genc[i]
             np.matmul(acts[i].swapaxes(-1, -2), d, out=gw)
-            np.add.reduce(d, axis=-2, keepdims=True, out=gb)
+            np.add.reduce(d, axis=-2, out=gb)
             delta = d
 
     def loss_and_gradient(self, views, batch: Batch, grad_views) -> float:
@@ -416,6 +413,7 @@ class _PairPass:
         order = sorted(pairs, key=lambda pair: (kinds.index(heads[pair[1]]), pair))
         self.index = {pair: k for k, pair in enumerate(order)}
         self.grads = np.zeros((len(order), n))
+        self._grads_flat = self.grads.reshape(-1)
         self.losses = np.empty(len(order))
         if not params.flags.c_contiguous:
             raise ValueError("params must be C-contiguous, one branch per row")
@@ -428,9 +426,9 @@ class _PairPass:
         enc_shapes = [shape for _, _, shape in spec.layout[: 2 * depth]]
         enc_size = sum(math.prod(shape) for shape in enc_shapes)
         self._enc = _stacked_blocks(self._read(branch_at, enc_size), enc_shapes)
-        self._genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes)
-        # per task: the (inputs, targets) rows of the pairs that use it
-        self._feeds: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes, bias_rows=False)
+        # per task: its head and the (inputs, targets) rows of its pairs
+        self._feeds: dict[int, tuple[HeadSpec, list]] = {}
         self._kinds = []
         start = 0
         for kind in kinds:
@@ -441,15 +439,22 @@ class _PairPass:
             size = (spec.encoder_out_dim + 1) * kind.output_dim
             (w, b), = _stacked_blocks(self._read(branch_at[part] + head_at, size), shapes)
             grad_at = np.arange(part.start, part.stop) * n + head_at
-            (gw, gb), = _stacked_blocks(self._write(grad_at, size), shapes)
+            (gw, gb), = _stacked_blocks(self._write(grad_at, size), shapes, bias_rows=False)
             if kind.loss == CROSS_ENTROPY:
                 targets = np.empty((len(members), batch_size), dtype=np.int64)
             else:
                 targets = np.empty((len(members), batch_size, kind.output_dim))
             for k, y in zip(members, targets):
-                self._feeds.setdefault(order[k][1], []).append((self._x[k], y))
+                t = order[k][1]
+                self._feeds.setdefault(t, (kind, []))[1].append((self._x[k], y))
             self._kinds.append((part, kind, w, b, targets, gw, gb, start))
             start += len(members) * batch_size * kind.output_dim
+        if len(order) == 1:  # one pair runs as a plain (n, d) batch
+            self._x = self._x[0]
+            self._enc, self._genc = ([(w[0], b[0]) for w, b in blocks]
+                                     for blocks in (self._enc, self._genc))
+            _, kind, *operands, start = self._kinds[0]
+            self._kinds = [(slice(None), kind, *(a[0] for a in operands), start)]
 
     def _read(self, offsets: np.ndarray, size: int) -> np.ndarray:
         view = _evenly_spaced(self._params, offsets, size)
@@ -459,7 +464,7 @@ class _PairPass:
         return view
 
     def _write(self, offsets: np.ndarray, size: int) -> np.ndarray:
-        view = _evenly_spaced(self.grads.reshape(-1), offsets, size)
+        view = _evenly_spaced(self._grads_flat, offsets, size)
         if view is None:
             view = np.empty((len(offsets), size))
             self._scatters.append((offsets[:, None] + np.arange(size), view))
@@ -470,12 +475,12 @@ class _PairPass:
         pair order, and its gradient into ``grads``. The gradient of a pair
         whose loss is non-finite is meaningless."""
         kernel = self._kernel
-        for t, feeds in self._feeds.items():
+        for t, (head, feeds) in self._feeds.items():
             batch = batches[t]
-            targets = _checked_targets(batch.targets, kernel._head(t))
+            targets = _checked_targets(batch.targets, head)
             for x, y in feeds:
-                np.copyto(x, batch.inputs)
-                np.copyto(y, targets)
+                x[...] = batch.inputs
+                y[...] = targets
         for at, out in self._gathers:
             np.take(self._params, at, out=out)
         acts = kernel._encode(self._enc, self._x)
@@ -484,9 +489,8 @@ class _PairPass:
             self.losses[part], grad = kernel._loss(acts[-1][part], w, b, kind, targets, start)
             heads.append((part, w, gw, gb, grad))
         kernel._backward(acts, self._enc, self._genc, heads)
-        grads = self.grads.reshape(-1)
         for at, values in self._scatters:
-            grads[at] = values
+            self._grads_flat[at] = values
         return self.losses
 
 
@@ -501,13 +505,16 @@ def _evenly_spaced(flat: np.ndarray, offsets: np.ndarray, size: int):
         flat[offsets[0]:], (len(offsets), size), (step * flat.itemsize, flat.itemsize))
 
 
-def _stacked_blocks(stack: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+def _stacked_blocks(stack: np.ndarray, shapes, bias_rows: bool = True
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(W, b) views of (P, size) rows that hold blocks of ``shapes`` back to
-    back; biases are (P, 1, k)."""
+    back. Biases are (P, 1, k), which broadcast over a forward pass's rows,
+    or with ``bias_rows`` false (P, k), which a backward pass sums into."""
     blocks, at = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        blocks.append(stack[:, at: at + size].reshape(len(stack), -1, shape[-1]))
+        lead = (len(stack), -1) if len(shape) == 2 or bias_rows else (len(stack),)
+        blocks.append(stack[:, at: at + size].reshape(*lead, shape[-1]))
         at += size
     return list(zip(blocks[::2], blocks[1::2]))
 

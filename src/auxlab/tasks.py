@@ -19,8 +19,7 @@ centers are maximally displaced and half the labels are systematically wrong.
 from __future__ import annotations
 
 import csv
-import io
-from contextlib import contextmanager
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -294,25 +293,30 @@ def load_csv(path, input_dim: int, n_classes: int, task_id: int = 0) -> DataSpli
     at fault.
     """
     path = Path(path)
-    with _open_rows(path, input_dim) as (fh, _):
-        body = fh.read()
-    if body.strip():
-        dtype = [("x", np.float64, (input_dim,)), ("label", np.int64)]
-        try:
-            data = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
-                              comments=None, ndmin=1)
-        except ValueError:
-            pass
-        else:
+    if path.exists():
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader([fh.readline()]), None)
+            data = _parse_rows(fh, input_dim) if header == _expected_header(input_dim) else None
+        if data is not None:
             labels = data["label"]
-            if len(labels) and 0 <= labels.min() and labels.max() < n_classes:
+            if 0 <= labels.min() and labels.max() < n_classes:
                 return DataSplit(np.ascontiguousarray(data["x"]), labels.copy(), task_id)
     return _read_rows(path, input_dim, n_classes, task_id)
 
 
-@contextmanager
-def _open_rows(path: Path, input_dim: int):
-    """The open file and a csv reader past its checked header."""
+def _parse_rows(fh, input_dim: int):
+    """The remaining rows of ``fh`` as a structured array, or None if
+    ``np.loadtxt`` cannot read them or finds none."""
+    dtype = [("x", np.float64, (input_dim,)), ("label", np.int64)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, UserWarning):
+        return None
+
+
+def _read_rows(path: Path, input_dim: int, n_classes: int, task_id: int) -> DataSplit:
     if not path.exists():
         raise FileNotFoundError(f"no such data file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
@@ -326,11 +330,6 @@ def _open_rows(path: Path, input_dim: int):
             raise CsvFormatError(
                 f"{path}: header {header!r} does not match expected {expected!r}"
             )
-        yield fh, reader
-
-
-def _read_rows(path: Path, input_dim: int, n_classes: int, task_id: int) -> DataSplit:
-    with _open_rows(path, input_dim) as (_, reader):
         rows, labels = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
