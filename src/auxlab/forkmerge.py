@@ -232,6 +232,7 @@ def train_branches(
     momenta = np.tile(np.asarray(opt.momentum_buffer, dtype=np.float64), (len(branches), 1))
     # per branch: its (task, pair position) in task order, and its mix
     uses = [[(t, stack.index[i, t]) for t in active] for i, active in enumerate(tasks)]
+    flat = params.reshape(-1)
     mixed, scratch = np.empty_like(params), np.empty_like(params)
     mixes = [(out, [b.weighting.weights[t] for t in active],
               [stack.grads[k] for _, k in use], scratch[0])
@@ -243,9 +244,9 @@ def train_branches(
             linear_combination_into(*mix)
         sgd_step_into(params, momenta, mixed, opt.momentum_coeff, opt.learning_rate(step),
                       scratch)
-        # a sum is finite only if every term is; a finite sum too large for
-        # float64 just sends the check below through finding nothing
-        if not math.isfinite(np.add.reduce(losses) + np.add.reduce(params, axis=None)):
+        # a dot product is finite only if every entry is; one that overflows
+        # from finite entries sends the exact check through finding nothing
+        if not math.isfinite(losses.dot(losses) + flat.dot(flat)):
             _raise_first_divergence(branches, uses, losses, params, step)
     return list(params)
 

@@ -209,6 +209,7 @@ class _Kernel:
         self._tanh = spec.activation == "tanh"
         self._max_out = max(head.output_dim for head in spec.heads.values())
         self._rows = 0
+        self._fitted: dict[tuple[int, ...], tuple] = {}
 
     def _reserve(self, rows: int) -> None:
         if rows <= self._rows:
@@ -226,6 +227,24 @@ class _Kernel:
         self._hits = np.empty(rows, dtype=np.bool_)
         self._row_ids = np.arange(rows)
         self._rows = rows
+        self._fitted.clear()
+
+    def _fit(self, lead: tuple[int, ...]):
+        """(activations, deltas, derivatives, column, row ids): workspace
+        views shaped for rows ``lead``, (n,) or (P, n); kept per shape until
+        the workspaces grow."""
+        fitted = self._fitted.get(lead)
+        if fitted is None:
+            rows = math.prod(lead)
+            self._reserve(rows)
+
+            def fit(ws):
+                return ws[:rows].reshape(*lead, *ws.shape[1:])
+
+            fitted = self._fitted[lead] = (
+                [fit(ws) for ws in self._acts], [fit(ws) for ws in self._deltas],
+                [fit(ws) for ws in self._derivs], fit(self._col), self._row_ids[:rows])
+        return fitted
 
     def views(self, vector: np.ndarray):
         """Writable block views of a full-length vector: a tuple of (W, b)
@@ -239,11 +258,8 @@ class _Kernel:
     def _encode(self, enc, x: np.ndarray) -> list[np.ndarray]:
         """[x, a_1, ..., a_depth]: inputs ``x`` (..., n, d) and each hidden
         layer's activations under encoder blocks ``enc``, in workspaces."""
-        rows = x.size // x.shape[-1]
-        self._reserve(rows)
         acts = [x]
-        for (w, b), ws in zip(enc, self._acts):
-            z = ws[:rows].reshape(*x.shape[:-1], ws.shape[1])
+        for (w, b), z in zip(enc, self._fit(x.shape[:-1])[0]):
             np.matmul(acts[-1], w, out=z)
             z += b
             if self._tanh:
@@ -265,7 +281,7 @@ class _Kernel:
     def _log_softmax(self, logits: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Log-softmax over the last axis, in place; ``scratch`` (same shape)
         holds the exponentials."""
-        col = self._col[: logits.size // logits.shape[-1]].reshape(*logits.shape[:-1], 1)
+        col = self._fit(logits.shape[:-1])[3]
         np.maximum.reduce(logits, axis=-1, keepdims=True, out=col)
         logits -= col
         np.exp(logits, out=scratch)
@@ -294,7 +310,7 @@ class _Kernel:
         grad = self._probs[start: start + logits.size].reshape(logits.shape)
         if head.loss == CROSS_ENTROPY:
             log_probs = self._log_softmax(logits, grad)
-            hit = (self._row_ids[: targets.size], targets.reshape(-1))
+            hit = (self._fit(targets.shape)[4], targets.reshape(-1))
             loss = -(np.add.reduce(log_probs.reshape(-1, c)[hit].reshape(targets.shape),
                                    axis=-1) / n)
             np.exp(log_probs, out=grad)
@@ -313,20 +329,19 @@ class _Kernel:
         """Backward pass after ``_encode`` and ``_loss``: writes encoder
         gradients into ``genc``. ``heads`` holds, per head kind, (slice of
         the leading axis, W, gW, gb, d loss / d logits)."""
-        rows = acts[0].size // acts[0].shape[-1]
+        _, deltas, derivs, _, _ = self._fit(acts[0].shape[:-1])
         top = acts[-1]
-        delta = self._deltas[-1][:rows].reshape(top.shape) if self._depth else None
+        delta = deltas[-1] if self._depth else None
         for part, w, gw, gb, grad in heads:
             np.matmul(top[part].swapaxes(-1, -2), grad, out=gw)
             np.add.reduce(grad, axis=-2, out=gb)
             if delta is not None:
                 np.matmul(grad, w.swapaxes(-1, -2), out=delta[part])
         for i in reversed(range(self._depth)):
-            d = self._deltas[i][:rows].reshape(acts[i + 1].shape)
+            d = deltas[i]
             if i + 1 < self._depth:
                 np.matmul(delta, enc[i + 1][0].swapaxes(-1, -2), out=d)
-            act = acts[i + 1]
-            deriv = self._derivs[i][:rows].reshape(act.shape)
+            act, deriv = acts[i + 1], derivs[i]
             if self._tanh:
                 np.square(act, out=deriv)
                 np.subtract(1.0, deriv, out=deriv)
