@@ -190,13 +190,13 @@ class _Kernel:
 
     Parameter and gradient vectors are read and written through block views
     from ``views``, which callers may keep for as long as the vector lives.
-    Every operation acts on the last two axes, so
-    the same code runs one ``(n, d)`` batch and a stacked ``(P, n, d)`` pass
-    over P (branch, task) pairs (see ``pair_pass``), with one matmul per layer
-    over the leading pair axis. Activations, logits and backward scratch live
-    in grow-only workspaces sized to the most rows seen so far and sliced per
-    call; a workspace view returned by ``logits`` or ``log_probs`` is valid
-    only until the next call. The operations and their order are those of a
+    Every operation acts on the last two axes, so the same code runs one
+    ``(n, d)`` batch and a stacked ``(P, n, d)`` pass over P (branch, task)
+    pairs (see ``pair_pass``), with one matmul per layer over the leading
+    pair axis. Activations, logits and backward scratch live in grow-only
+    workspaces sized to the most rows seen so far and sliced per call; a
+    workspace view returned by ``logits`` or ``log_probs`` is valid only
+    until the next call. The operations and their order are those of a
     plain allocating implementation, so results do not depend on which calls
     came before or on which pairs are stacked together. One kernel serves one
     thread at a time.
@@ -251,8 +251,9 @@ class _Kernel:
         per encoder layer, and a dict of (W, b) per head by task id."""
         if len(vector) != self.n_params:
             raise ValueError(f"vector length {len(vector)} != {self.n_params}")
-        shapes = [shape for _, _, shape in self.spec.layout]
-        pairs = [(w[0], b[0]) for w, b in _stacked_blocks(vector[None], shapes, bias_rows=False)]
+        blocks = _stacked_blocks(vector[None], [shape for _, _, shape in self.spec.layout],
+                                 bias_rows=False)
+        pairs = [(w[0], b[0]) for w, b in blocks]
         return tuple(pairs[: self._depth]), dict(zip(self.spec.heads, pairs[self._depth:]))
 
     def _encode(self, enc, x: np.ndarray) -> list[np.ndarray]:
@@ -410,11 +411,12 @@ class _PairPass:
     """One stacked forward/backward per step over (branch, task) pairs.
 
     ``params`` is a C-contiguous array with one branch's parameter vector
-    per row, which the caller may update in place between steps. Pair (i, t) runs
-    task t's batch through row i's encoder and head t, and its gradient goes
-    to ``grads[index[(i, t)]]``, a full-length vector that stays zero outside
-    the encoder and head t. The pair axis is ordered by head kind, so each
-    kind's heads are one slice of it. The pairs' parameter blocks are read
+    per row, which the caller may update in place between steps. Pair (i, t)
+    runs task t's batch through row i's encoder and head t, and its gradient
+    goes to ``grads[index[(i, t)]]``, a full-length vector that stays zero
+    outside the encoder and head t. The pair axis is ordered by head kind,
+    so each kind's heads are one slice of it; a single pair drops the axis
+    and runs as one ``(n, d)`` batch. The pairs' parameter blocks are read
     through a strided view of ``params`` when they sit evenly spaced in it
     (one pair, or one branch on consecutive heads) and gathered per step
     otherwise; head gradients are written in place or scattered likewise.
@@ -422,6 +424,8 @@ class _PairPass:
 
     def __init__(self, kernel: _Kernel, params: np.ndarray,
                  pairs: Sequence[tuple[int, int]], batch_size: int):
+        if not params.flags.c_contiguous:
+            raise ValueError("params must be C-contiguous, one branch per row")
         spec, depth, n = kernel.spec, kernel._depth, kernel.n_params
         heads = {t: kernel._head(t) for _, t in pairs}
         kinds = list(dict.fromkeys(heads[t] for t in sorted(heads)))
@@ -430,8 +434,6 @@ class _PairPass:
         self.grads = np.zeros((len(order), n))
         self._grads_flat = self.grads.reshape(-1)
         self.losses = np.empty(len(order))
-        if not params.flags.c_contiguous:
-            raise ValueError("params must be C-contiguous, one branch per row")
         self._kernel = kernel
         self._params = params.reshape(-1)
         self._gathers: list[tuple[np.ndarray, np.ndarray]] = []
@@ -464,7 +466,7 @@ class _PairPass:
                 self._feeds.setdefault(t, (kind, []))[1].append((self._x[k], y))
             self._kinds.append((part, kind, w, b, targets, gw, gb, start))
             start += len(members) * batch_size * kind.output_dim
-        if len(order) == 1:  # one pair runs as a plain (n, d) batch
+        if len(order) == 1:
             self._x = self._x[0]
             self._enc, self._genc = ([(w[0], b[0]) for w, b in blocks]
                                      for blocks in (self._enc, self._genc))
@@ -501,7 +503,8 @@ class _PairPass:
         acts = kernel._encode(self._enc, self._x)
         heads = []
         for part, kind, w, b, targets, gw, gb, start in self._kinds:
-            self.losses[part], grad = kernel._loss(acts[-1][part], w, b, kind, targets, start)
+            loss, grad = kernel._loss(acts[-1][part], w, b, kind, targets, start)
+            self.losses[part] = loss
             heads.append((part, w, gw, gb, grad))
         kernel._backward(acts, self._enc, self._genc, heads)
         for at, values in self._scatters:
@@ -545,7 +548,8 @@ def _checked_targets(targets, head: HeadSpec) -> np.ndarray:
     float64 regression targets."""
     if head.loss == CROSS_ENTROPY:
         labels = np.asarray(targets, dtype=np.int64)
-        if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= head.output_dim:
+        # one bound: negative labels wrap to huge unsigned values
+        if np.maximum.reduce(labels.view(np.uint64)) >= head.output_dim:
             raise ValueError("class label out of range for head")
         return labels
     return np.asarray(targets, dtype=np.float64).reshape(-1, head.output_dim)

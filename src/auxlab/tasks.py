@@ -293,27 +293,27 @@ def load_csv(path, input_dim: int, n_classes: int, task_id: int = 0) -> DataSpli
     at fault.
     """
     path = Path(path)
-    if path.exists():
-        with path.open(newline="", encoding="utf-8") as fh:
-            header = next(csv.reader([fh.readline()]), None)
-            data = _parse_rows(fh, input_dim) if header == _expected_header(input_dim) else None
-        if data is not None:
-            labels = data["label"]
-            if 0 <= labels.min() and labels.max() < n_classes:
-                return DataSplit(np.ascontiguousarray(data["x"]), labels.copy(), task_id)
+    data = _parse_rows(path, input_dim) if path.exists() else None
+    if data is not None:
+        labels = data["label"]
+        if 0 <= labels.min() and labels.max() < n_classes:
+            return DataSplit(np.ascontiguousarray(data["x"]), labels.copy(), task_id)
     return _read_rows(path, input_dim, n_classes, task_id)
 
 
-def _parse_rows(fh, input_dim: int):
-    """The remaining rows of ``fh`` as a structured array, or None if
-    ``np.loadtxt`` cannot read them or finds none."""
-    dtype = [("x", np.float64, (input_dim,)), ("label", np.int64)]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # "input contained no data"
-            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, UserWarning):
-        return None
+def _parse_rows(path: Path, input_dim: int):
+    """The rows below a well-formed header as a structured array, or None if
+    the header differs or ``np.loadtxt`` cannot read the rows or finds none."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        if next(csv.reader([fh.readline()]), None) != _expected_header(input_dim):
+            return None
+        dtype = [("x", np.float64, (input_dim,)), ("label", np.int64)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # "input contained no data"
+                return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, UserWarning):
+            return None
 
 
 def _read_rows(path: Path, input_dim: int, n_classes: int, task_id: int) -> DataSplit:

@@ -232,16 +232,20 @@ def test_pair_pass_matches_per_pair_gradients_bitwise(activation, hidden, batch_
                 assert np.array_equal(np.signbit(stack.grads[k]), np.signbit(grad))
 
 
-def test_pair_pass_checks_labels_of_every_task():
+@pytest.mark.parametrize("label", [2, -1])  # head 4 has 2 classes
+def test_labels_out_of_range_are_rejected(label):
     spec = mixed_head_spec("tanh", (6,))
     params = np.stack([trained_like_params(spec, seed) for seed in range(2)])
     stack = spec.kernel.pair_pass(params, [(0, 0), (1, 0), (1, 4)], 8)
     rng = np.random.default_rng(2)
     split = random_split(spec, 0, 8, rng)
-    batches = {0: Batch(split.inputs, split.targets, 0),
-               4: Batch(split.inputs, np.full(8, 2), 4)}  # head 4 has 2 classes
+    labels = split.targets.copy()
+    labels[3] = label
+    batches = {0: Batch(split.inputs, split.targets, 0), 4: Batch(split.inputs, labels, 4)}
     with pytest.raises(ValueError, match="class label out of range"):
         stack(batches)
+    with pytest.raises(ValueError, match="class label out of range"):
+        loss_and_gradient(SharedHeadModel(spec, params[1]), batches[4])
 
 def small_family():
     return generate_family(TaskFamilyConfig(
