@@ -251,9 +251,8 @@ class _Kernel:
         per encoder layer, and a dict of (W, b) per head by task id."""
         if len(vector) != self.n_params:
             raise ValueError(f"vector length {len(vector)} != {self.n_params}")
-        blocks = _stacked_blocks(vector[None], [shape for _, _, shape in self.spec.layout],
-                                 bias_rows=False)
-        pairs = [(w[0], b[0]) for w, b in blocks]
+        blocks = [vector[sl].reshape(shape) for _, sl, shape in self.spec.layout]
+        pairs = list(zip(blocks[::2], blocks[1::2]))
         return tuple(pairs[: self._depth]), dict(zip(self.spec.heads, pairs[self._depth:]))
 
     def _encode(self, enc, x: np.ndarray) -> list[np.ndarray]:
@@ -442,7 +441,8 @@ class _PairPass:
         branch_at = np.array([i for i, _ in order]) * n
         enc_shapes = [shape for _, _, shape in spec.layout[: 2 * depth]]
         enc_size = sum(math.prod(shape) for shape in enc_shapes)
-        self._enc = _stacked_blocks(self._read(branch_at, enc_size), enc_shapes)
+        enc = _rows_at(self._params, branch_at, enc_size, self._gathers)
+        self._enc = _stacked_blocks(enc, enc_shapes)
         self._genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes, bias_rows=False)
         # per task: its head and the (inputs, targets) rows of its pairs
         self._feeds: dict[int, tuple[HeadSpec, list]] = {}
@@ -454,9 +454,11 @@ class _PairPass:
             head_at = np.array([head_slice(spec, t).start for _, t in order[part]])
             shapes = [(spec.encoder_out_dim, kind.output_dim), (kind.output_dim,)]
             size = (spec.encoder_out_dim + 1) * kind.output_dim
-            (w, b), = _stacked_blocks(self._read(branch_at[part] + head_at, size), shapes)
+            head = _rows_at(self._params, branch_at[part] + head_at, size, self._gathers)
+            (w, b), = _stacked_blocks(head, shapes)
             grad_at = np.arange(part.start, part.stop) * n + head_at
-            (gw, gb), = _stacked_blocks(self._write(grad_at, size), shapes, bias_rows=False)
+            ghead = _rows_at(self._grads_flat, grad_at, size, self._scatters)
+            (gw, gb), = _stacked_blocks(ghead, shapes, bias_rows=False)
             if kind.loss == CROSS_ENTROPY:
                 targets = np.empty((len(members), batch_size), dtype=np.int64)
             else:
@@ -472,20 +474,6 @@ class _PairPass:
                                      for blocks in (self._enc, self._genc))
             _, kind, *operands, start = self._kinds[0]
             self._kinds = [(slice(None), kind, *(a[0] for a in operands), start)]
-
-    def _read(self, offsets: np.ndarray, size: int) -> np.ndarray:
-        view = _evenly_spaced(self._params, offsets, size)
-        if view is None:
-            view = np.empty((len(offsets), size))
-            self._gathers.append((offsets[:, None] + np.arange(size), view))
-        return view
-
-    def _write(self, offsets: np.ndarray, size: int) -> np.ndarray:
-        view = _evenly_spaced(self._grads_flat, offsets, size)
-        if view is None:
-            view = np.empty((len(offsets), size))
-            self._scatters.append((offsets[:, None] + np.arange(size), view))
-        return view
 
     def __call__(self, batches: Mapping[int, Batch]) -> np.ndarray:
         """Every pair's loss on this step's batches (one per task id), in
@@ -512,12 +500,15 @@ class _PairPass:
         return self.losses
 
 
-def _evenly_spaced(flat: np.ndarray, offsets: np.ndarray, size: int):
-    """(len(offsets), size) view of ``flat`` whose rows start at
-    ``offsets``, or None when the offsets are not evenly spaced."""
+def _rows_at(flat: np.ndarray, offsets: np.ndarray, size: int, copies: list) -> np.ndarray:
+    """(len(offsets), size) rows of ``flat`` starting at ``offsets``: a
+    strided view when the offsets are evenly spaced, else a buffer whose
+    (flat index, buffer) pair joins ``copies``, to be copied every step."""
     steps = np.diff(offsets)
-    if len(steps) and (steps != steps[0]).any():
-        return None
+    if (steps != steps[:1]).any():
+        rows = np.empty((len(offsets), size))
+        copies.append((offsets[:, None] + np.arange(size), rows))
+        return rows
     step = int(steps[0]) if len(steps) else 0
     return np.lib.stride_tricks.as_strided(
         flat[offsets[0]:], (len(offsets), size), (step * flat.itemsize, flat.itemsize))
