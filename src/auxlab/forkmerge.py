@@ -10,10 +10,9 @@ so a merge can never score below the target-only branch on validation.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, isfinite
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -246,7 +245,7 @@ def train_branches(
                       scratch)
         # a dot product is finite only if every entry is; one that overflows
         # from finite entries sends the exact check through finding nothing
-        if not math.isfinite(losses.dot(losses) + flat.dot(flat)):
+        if not isfinite(losses.dot(losses) + flat.dot(flat)):
             _raise_first_divergence(branches, uses, losses, params, step)
     return list(params)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,6 +185,16 @@ def init_params(spec: ModelSpec, rng: RngStream) -> SharedHeadModel:
     return SharedHeadModel(spec, params)
 
 
+class _Fitted(NamedTuple):
+    """A kernel's workspace views shaped for one row shape (..., n)."""
+
+    acts: list[np.ndarray]
+    deltas: list[np.ndarray]
+    derivs: list[np.ndarray]
+    col: np.ndarray
+    row_ids: np.ndarray
+
+
 class _Kernel:
     """Forward and backward passes of one ModelSpec.
 
@@ -209,7 +219,7 @@ class _Kernel:
         self._tanh = spec.activation == "tanh"
         self._max_out = max(head.output_dim for head in spec.heads.values())
         self._rows = 0
-        self._fitted: dict[tuple[int, ...], tuple] = {}
+        self._fitted: dict[tuple[int, ...], _Fitted] = {}
 
     def _reserve(self, rows: int) -> None:
         if rows <= self._rows:
@@ -229,10 +239,9 @@ class _Kernel:
         self._rows = rows
         self._fitted.clear()
 
-    def _fit(self, lead: tuple[int, ...]):
-        """(activations, deltas, derivatives, column, row ids): workspace
-        views shaped for rows ``lead``, (n,) or (P, n); kept per shape until
-        the workspaces grow."""
+    def _fit(self, lead: tuple[int, ...]) -> "_Fitted":
+        """Workspace views shaped for rows ``lead``, (n,) or (P, n); kept per
+        shape until the workspaces grow."""
         fitted = self._fitted.get(lead)
         if fitted is None:
             rows = math.prod(lead)
@@ -241,7 +250,7 @@ class _Kernel:
             def fit(ws):
                 return ws[:rows].reshape(*lead, *ws.shape[1:])
 
-            fitted = self._fitted[lead] = (
+            fitted = self._fitted[lead] = _Fitted(
                 [fit(ws) for ws in self._acts], [fit(ws) for ws in self._deltas],
                 [fit(ws) for ws in self._derivs], fit(self._col), self._row_ids[:rows])
         return fitted
@@ -259,7 +268,7 @@ class _Kernel:
         """[x, a_1, ..., a_depth]: inputs ``x`` (..., n, d) and each hidden
         layer's activations under encoder blocks ``enc``, in workspaces."""
         acts = [x]
-        for (w, b), z in zip(enc, self._fit(x.shape[:-1])[0]):
+        for (w, b), z in zip(enc, self._fit(x.shape[:-1]).acts):
             np.matmul(acts[-1], w, out=z)
             z += b
             if self._tanh:
@@ -281,7 +290,7 @@ class _Kernel:
     def _log_softmax(self, logits: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Log-softmax over the last axis, in place; ``scratch`` (same shape)
         holds the exponentials."""
-        col = self._fit(logits.shape[:-1])[3]
+        col = self._fit(logits.shape[:-1]).col
         np.maximum.reduce(logits, axis=-1, keepdims=True, out=col)
         logits -= col
         np.exp(logits, out=scratch)
@@ -310,7 +319,7 @@ class _Kernel:
         grad = self._probs[start: start + logits.size].reshape(logits.shape)
         if head.loss == CROSS_ENTROPY:
             log_probs = self._log_softmax(logits, grad)
-            hit = (self._fit(targets.shape)[4], targets.reshape(-1))
+            hit = (self._fit(targets.shape).row_ids, targets.reshape(-1))
             loss = -(np.add.reduce(log_probs.reshape(-1, c)[hit].reshape(targets.shape),
                                    axis=-1) / n)
             np.exp(log_probs, out=grad)
@@ -329,7 +338,8 @@ class _Kernel:
         """Backward pass after ``_encode`` and ``_loss``: writes encoder
         gradients into ``genc``. ``heads`` holds, per head kind, (slice of
         the leading axis, W, gW, gb, d loss / d logits)."""
-        _, deltas, derivs, _, _ = self._fit(acts[0].shape[:-1])
+        fitted = self._fit(acts[0].shape[:-1])
+        deltas, derivs = fitted.deltas, fitted.derivs
         top = acts[-1]
         delta = deltas[-1] if self._depth else None
         for part, w, gw, gb, grad in heads:
