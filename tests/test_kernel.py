@@ -3,7 +3,9 @@
 `reference_loss_and_gradient` and `reference_logits` below are a plain-numpy
 forward/backward that allocates every intermediate, written out once here as
 the slow path. The kernel in `auxlab.nn` runs the same operations in the same
-order into reused workspaces, so the two must agree bit for bit.
+order into reused workspaces, so the two must agree bit for bit. The stacked
+pass over (branch, task) pairs must in turn equal the kernel's single-batch
+`loss_and_gradient` for every pair, bit for bit.
 """
 
 import tracemalloc
@@ -184,7 +186,6 @@ def test_returned_gradient_is_not_overwritten_by_next_call():
     np.testing.assert_array_equal(grad, kept)
 
 
-
 def mixed_head_spec(activation, hidden):
     heads = {0: HeadSpec(4, CROSS_ENTROPY), 1: HeadSpec(3, MEAN_SQUARED_ERROR),
              2: HeadSpec(4, CROSS_ENTROPY), 3: HeadSpec(1, MEAN_SQUARED_ERROR),
@@ -247,6 +248,7 @@ def test_labels_out_of_range_are_rejected(label):
     with pytest.raises(ValueError, match="class label out of range"):
         loss_and_gradient(SharedHeadModel(spec, params[1]), batches[4])
 
+
 def small_family():
     return generate_family(TaskFamilyConfig(
         n_tasks=3, relatedness=(0.7, 0.3), n_train=300, n_val=100, n_test=100,
@@ -283,7 +285,6 @@ def test_nan_in_one_batch_names_the_same_step_and_branch(monkeypatch):
     assert (err.value.branch_id, err.value.step) == (1, 7)
 
 
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("order", ["params_first", "loss_first"])
 def test_divergence_at_one_step_names_the_earlier_branch(monkeypatch, order):
@@ -317,6 +318,7 @@ def test_divergence_at_one_step_names_the_earlier_branch(monkeypatch, order):
         train_branches(start, branches, 3, family, spec, opt, RngStream(4), 16)
     assert str(err.value) == expected
     assert (err.value.step, err.value.round_index) == (0, None)
+
 
 def _peak_bytes(call):
     """Peak traced memory above the level at entry while `call` runs."""
