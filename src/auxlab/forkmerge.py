@@ -175,9 +175,11 @@ def draw_batch(
 
     Every branch therefore sees the same draw for the same task at the same
     step — the property that makes one-step merges exactly equal direct
-    weighted updates, and makes results independent of worker count.
+    weighted updates, and makes results independent of worker count. The
+    draw re-keys this thread's reused generator rather than building one;
+    the indices are those of a fresh ``generator()`` on the same stream.
     """
-    gen = root.child("batch", task_id, step).generator()
+    gen = root.child("batch", task_id, step).reused_generator()
     idx = gen.integers(0, len(split), size=batch_size)
     return Batch(split.inputs[idx], split.targets[idx], task_id)
 

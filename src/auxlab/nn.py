@@ -291,10 +291,10 @@ class _Kernel:
         """Log-softmax over the last axis, in place; ``scratch`` (same shape)
         holds the exponentials."""
         col = self._fit(logits.shape[:-1]).col
-        np.maximum.reduce(logits, axis=-1, keepdims=True, out=col)
+        _reduce_last(np.maximum, logits, col)
         logits -= col
         np.exp(logits, out=scratch)
-        np.add.reduce(scratch, axis=-1, keepdims=True, out=col)
+        _reduce_last(np.add, scratch, col)
         np.log(col, out=col)
         logits -= col
         return logits
@@ -508,6 +508,24 @@ class _PairPass:
         for at, values in self._scatters:
             self._grads_flat[at] = values
         return self.losses
+
+
+def _reduce_last(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray) -> None:
+    """``ufunc.reduce`` over the last axis of ``x`` into ``out`` (keepdims),
+    bit for bit. Below 8 columns numpy folds each row left to right, from
+    the ufunc's identity if it has one, so one elementwise call per column
+    gives the same bits without a per-row inner loop; from 8 columns on it
+    sums pairwise, so the reduce itself runs."""
+    c = x.shape[-1]
+    if c >= 8:
+        ufunc.reduce(x, axis=-1, keepdims=True, out=out)
+        return
+    if ufunc.identity is None:
+        np.copyto(out, x[..., :1])
+    else:
+        ufunc(x[..., :1], ufunc.identity, out=out)
+    for j in range(1, c):
+        ufunc(out, x[..., j:j + 1], out=out)
 
 
 def _rows_at(flat: np.ndarray, offsets: np.ndarray, size: int, copies: list) -> np.ndarray:

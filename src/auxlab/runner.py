@@ -394,33 +394,76 @@ def _scaled(perf: nn.PerfValue) -> float:
 
 class _RecordWriter:
     """Appends records to CSV as they are produced, so a crash loses at most
-    the run in flight."""
+    the run in flight. The file is first made to hold exactly ``kept``, in
+    order: anything else it held (a torn tail, an unfinished job's rows) is
+    dropped by an atomic rewrite before the first append."""
 
-    def __init__(self, path: Path):
-        self.path = path
-        write_header = not path.exists() or path.stat().st_size == 0
+    def __init__(self, path: Path, kept: Sequence[ResultRecord]):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(
+            [RECORD_COLUMNS, *map(_record_row, kept)])
+        text = buffer.getvalue()
+        if not path.exists() or path.read_text(encoding="utf-8") != text:
+            partial = path.with_name(path.name + ".partial")
+            partial.write_text(text, encoding="utf-8")
+            os.replace(partial, path)
         self._handle = open(path, "a", newline="", encoding="utf-8")
         self._writer = csv.writer(self._handle, lineterminator="\n")
-        if write_header:
-            self._writer.writerow(RECORD_COLUMNS)
-            self._handle.flush()
 
     def append(self, record: ResultRecord):
-        self._writer.writerow([
-            record.method,
-            record.seed,
-            record.task_id,
-            record.split,
-            record.metric,
-            repr(record.value),
-            "" if record.tg is None else repr(record.tg),
-            record.psearch_evals,
-            repr(record.wall_s),
-        ])
+        self._writer.writerow(_record_row(record))
         self._handle.flush()
 
     def close(self):
         self._handle.close()
+
+
+def _record_row(record: ResultRecord) -> list:
+    return [
+        record.method,
+        record.seed,
+        record.task_id,
+        record.split,
+        record.metric,
+        repr(record.value),
+        "" if record.tg is None else repr(record.tg),
+        record.psearch_evals,
+        repr(record.wall_s),
+    ]
+
+
+def _finished_jobs(path: Path) -> list[list[ResultRecord]]:
+    """The rows of every (method, seed) job that ``path`` holds in full, in
+    file order. A job writes its rows together and ends with the target's
+    val row, or, if it diverged, is one NaN row; rows that stop short of
+    that belong to a job that did not finish and are left out. A file cut
+    within its header holds no job."""
+    if not path.exists() or ",".join(RECORD_COLUMNS).startswith(
+            path.read_text(encoding="utf-8")):
+        return []
+    records = read_records(path)
+    jobs: list[list[ResultRecord]] = []
+    rows: list[ResultRecord] = []
+    for record in records:
+        if rows and (record.method, record.seed) != (rows[0].method, rows[0].seed):
+            rows = []
+        rows.append(record)
+        if record.split == "val" or (len(rows) == 1 and math.isnan(record.value)):
+            jobs.append(rows)
+            rows = []
+    dropped = len(records) - sum(map(len, jobs))
+    if dropped:
+        print(f"auxlab: {path}: dropping {dropped} row(s) of unfinished jobs",
+              file=sys.stderr)
+    return jobs
+
+
+def _target_test_value(rows: Sequence[ResultRecord]) -> float | None:
+    """A finished job's target test value; None for a diverged job."""
+    if rows[-1].split != "val":
+        return None
+    target = rows[-1].task_id  # the val row is the target's
+    return next(r.value for r in rows if r.task_id == target and r.split == "test")
 
 
 def _run_method(
@@ -519,6 +562,11 @@ def run_experiment(
     incrementally appended records CSV, and per-seed merge histories for the
     fork/merge methods. A diverged seed is recorded as a NaN row and the run
     moves on to the next seed.
+
+    A dir that already holds records is resumed: (method, seed) jobs whose
+    rows are complete there are skipped, and a skipped single-task job still
+    supplies its seed's target value for transfer gain. Only the records
+    written by this call are returned.
     """
     out_dir = Path(
         output_dir or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir
@@ -529,7 +577,10 @@ def run_experiment(
         config_to_text(echo), encoding="utf-8"
     )
 
-    writer = _RecordWriter(out_dir / RECORDS_FILENAME)
+    path = out_dir / RECORDS_FILENAME
+    finished = _finished_jobs(path)
+    done = {(rows[0].method, rows[0].seed): rows for rows in finished}
+    writer = _RecordWriter(path, [r for rows in finished for r in rows])
     records: list[ResultRecord] = []
     stl_target: dict[int, float] = {}
 
@@ -560,21 +611,20 @@ def run_experiment(
                              psearch, wall)
                 for task_id, split, metric, value, tg in row_specs
             ]
-            if method == "stl":
-                stl_target[seed] = next(
-                    r.value for r in rows
-                    if r.task_id == family.target_id and r.split == "test"
-                )
         for row in rows:
             records.append(row)
             writer.append(row)
+        return rows
 
+    jobs = [(config.method, seed) for seed in config.seeds]
+    if config.method != "stl" and config.compute_tg:
+        jobs = [("stl", seed) for seed in config.seeds] + jobs
     try:
-        if config.method != "stl" and config.compute_tg:
-            for seed in config.seeds:
-                one_job("stl", seed)
-        for seed in config.seeds:
-            one_job(config.method, seed)
+        for method, seed in jobs:
+            rows = done.get((method, seed)) or one_job(method, seed)
+            value = _target_test_value(rows) if method == "stl" else None
+            if value is not None:
+                stl_target[seed] = value
     finally:
         writer.close()
     return records

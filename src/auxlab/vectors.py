@@ -8,6 +8,7 @@ are bit-identical across runs and across worker counts.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,3 +115,31 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
         return np.random.Generator(np.random.Philox(key=key))
+
+    def reused_generator(self) -> np.random.Generator:
+        """This thread's one reused generator, re-keyed to the start of this
+        stream: it yields what :meth:`generator` would, without building a
+        Philox, whose constructor also reads OS entropy that the key then
+        discards. Valid until the thread's next call."""
+        # the 128-bit key of generator() as two words, low word first
+        return _REUSED.rekeyed((self.stream_id & _MASK64, self.seed & _MASK64))
+
+
+class _Reused(threading.local):
+    """Per thread: one Philox, its generator, and the state that re-keys it
+    to a stream's start (zero counter, empty buffer). Built on first use, so
+    importing this module does not load ``numpy.random``."""
+
+    generator = None
+
+    def rekeyed(self, key: tuple[int, int]) -> np.random.Generator:
+        if self.generator is None:
+            self.bit_generator = np.random.Philox(0)  # any seed: each use re-keys it
+            self.generator = np.random.Generator(self.bit_generator)
+            self.state = self.bit_generator.state
+        self.state["state"]["key"] = key
+        self.bit_generator.state = self.state
+        return self.generator
+
+
+_REUSED = _Reused()

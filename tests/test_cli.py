@@ -88,6 +88,25 @@ class TestExitCodes:
         assert read_records(records) == complete[:-1]
         assert (out / "summary.csv").is_file()
 
+    @pytest.mark.parametrize("keep", [-20, 10], ids=["torn_row", "torn_header"])
+    def test_rerun_after_torn_row_counts_every_seed_once(self, capsys, tmp_path, keep):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(CFG_SMALL.replace("seeds = 0", "seeds = 0,1"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        records = out / "records.csv"
+        complete = read_records(records)
+        records.write_bytes(records.read_bytes()[:keep])
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        again = read_records(records)
+        strip = lambda r: (r.method, r.seed, r.task_id, r.split, r.value, r.tg)  # noqa: E731
+        assert [strip(r) for r in again] == [strip(r) for r in complete]
+        capsys.readouterr()
+        assert run_cli("report", "--records", str(out)) == 0
+        with open(out / "summary.csv", newline="") as handle:
+            summary = {r["method"]: r for r in csv.DictReader(handle)}
+        assert {m: summary[m]["n_seeds"] for m in summary} == {"ew": "2", "stl": "2"}
+
     def test_report_rejects_malformed_inner_row(self, capsys, tmp_path):
         header = "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
         good = "ew,0,0,test,accuracy,80.0,,0,0.1\n"

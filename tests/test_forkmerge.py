@@ -215,6 +215,92 @@ def regression_val(n=200, seed=0):
     return DataSplit(x, x[:, 0].copy(), 0)
 
 
+def reference_draw(split, root, task_id, step, batch_size):
+    """The indices a fresh generator on the (task, step) stream draws."""
+    gen = root.child("batch", task_id, step).generator()
+    return gen.integers(0, len(split), size=batch_size)
+
+
+def index_split(n):
+    # row i holds i, so a batch's targets are its indices
+    return DataSplit(np.arange(n, dtype=np.float64).reshape(n, 1), np.arange(n), 0)
+
+
+class TestDrawBatch:
+    """``draw_batch`` re-keys one reused generator per thread; every draw must
+    equal a fresh generator's, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5], ids=["0", "-1", "2^64+5"])
+    @pytest.mark.parametrize("n", [1, 2000, 20_000])
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_equals_fresh_generator(self, seed, n, batch_size):
+        split = index_split(n)
+        root = RngStream(seed)
+        for task_id, step in ((0, 0), (3, 17), (1, 2**40)):
+            batch = draw_batch(split, root, task_id, step, batch_size)
+            expected = reference_draw(split, root, task_id, step, batch_size)
+            np.testing.assert_array_equal(batch.targets, expected)
+            np.testing.assert_array_equal(batch.inputs[:, 0], expected)
+            assert batch.task_id == task_id
+
+    def test_interleaved_keys(self):
+        split = index_split(2000)
+        roots = (RngStream(0), RngStream(7), RngStream(0).child("sweep"))
+        keys = [(root, t, step) for step in range(3) for t in (0, 1) for root in roots]
+        rng = np.random.default_rng(0)
+        for k in rng.permutation(len(keys)).tolist() + [0, 0, 5, 0]:
+            root, t, step = keys[k]
+            np.testing.assert_array_equal(draw_batch(split, root, t, step, 64).targets,
+                                          reference_draw(split, root, t, step, 64))
+
+    def test_a_held_generator_is_not_disturbed(self):
+        split = index_split(2000)
+        stream = RngStream(3).child("batch", 0, 4)
+        held, replay = stream.generator(), stream.generator()
+        first = held.integers(0, 2000, size=10)
+        batch = draw_batch(split, RngStream(3), 0, 4, 64)
+        np.testing.assert_array_equal(first, replay.integers(0, 2000, size=10))
+        np.testing.assert_array_equal(batch.targets,
+                                      reference_draw(split, RngStream(3), 0, 4, 64))
+        np.testing.assert_array_equal(held.normal(size=5), replay.normal(size=5))
+
+    def test_threads_draw_independently(self):
+        import sys
+        import threading
+
+        split = index_split(2000)
+        mismatches, finished = [], []
+
+        def draw_many(seed):
+            root = RngStream(seed)
+            for step in range(200):
+                got = draw_batch(split, root, 1, step, 64).targets
+                if not np.array_equal(got, reference_draw(split, root, 1, step, 64)):
+                    mismatches.append((seed, step))
+            finished.append(seed)
+
+        # more threads than cores, switching as often as the interpreter allows
+        threads = [threading.Thread(target=draw_many, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == list(range(6)) and mismatches == []
+
+    def test_builds_no_generator(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("draw_batch built a generator")
+
+        monkeypatch.setattr(RngStream, "generator", refuse)
+        draw_batch(index_split(10), RngStream(0), 0, 0, 4)
+
+
 class TestGridSearch:
     def test_degenerate_tie_breaks_to_zero(self):
         template = regression_template()

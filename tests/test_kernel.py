@@ -33,6 +33,7 @@ from auxlab.nn import (
     mean_max_confidence,
     param_layout,
 )
+from auxlab.nn import _reduce_last
 from auxlab.optim import TaskWeighting, initial_state
 from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
 from auxlab.vectors import RngStream
@@ -187,21 +188,25 @@ def test_returned_gradient_is_not_overwritten_by_next_call():
 
 
 def mixed_head_spec(activation, hidden):
+    # cross-entropy heads 1 to 7 classes wide: the widths the log-softmax
+    # reduces column by column
     heads = {0: HeadSpec(4, CROSS_ENTROPY), 1: HeadSpec(3, MEAN_SQUARED_ERROR),
              2: HeadSpec(4, CROSS_ENTROPY), 3: HeadSpec(1, MEAN_SQUARED_ERROR),
-             4: HeadSpec(2, CROSS_ENTROPY)}
+             4: HeadSpec(2, CROSS_ENTROPY), 5: HeadSpec(1, CROSS_ENTROPY),
+             6: HeadSpec(7, CROSS_ENTROPY)}
     return ModelSpec(3, hidden, activation, heads)
 
 
-# 4 branches x 5 tasks; each prefix has pairs that share a branch and,
+# 4 branches x 7 tasks; each prefix has pairs that share a branch and,
 # from 3 pairs on, pairs that share a task
-PAIRS = [(0, 0), (0, 1), (1, 0), (1, 3), (2, 2), (2, 4), (3, 0), (3, 1), (1, 4)]
+PAIRS = [(0, 0), (0, 1), (1, 0), (1, 3), (2, 2), (2, 4), (3, 0), (3, 1), (1, 4),
+         (2, 5), (0, 6)]
 
 
 def pair_sets():
     rng = np.random.default_rng(21)
-    grid = [(i, t) for i in range(4) for t in range(5)]
-    for p in range(1, 10):
+    grid = [(i, t) for i in range(4) for t in range(7)]
+    for p in range(1, len(PAIRS) + 1):
         yield PAIRS[:p]
         yield [grid[k] for k in rng.choice(len(grid), size=p, replace=False)]
 
@@ -231,6 +236,50 @@ def test_pair_pass_matches_per_pair_gradients_bitwise(activation, hidden, batch_
                 assert losses[k] == loss
                 np.testing.assert_array_equal(stack.grads[k], grad)
                 assert np.array_equal(np.signbit(stack.grads[k]), np.signbit(grad))
+
+
+def awkward_rows(lead, c, seed):
+    """Rows (*lead, c) full of ties, signed zeros, infinities and NaNs."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(*lead, c)).astype(np.float64)
+    pick = rng.random(x.shape)
+    x[pick < 0.3] = rng.normal(size=int((pick < 0.3).sum())) * 1e3
+    for value, lo in ((-0.0, 0.3), (-np.inf, 0.4), (np.inf, 0.45), (np.nan, 0.48)):
+        x[(pick >= lo) & (pick < lo + 0.03)] = value
+    rows = x.reshape(-1, c)
+    rows[0], rows[1], rows[2] = -np.inf, -0.0, np.nan  # whole rows of one value
+    return x
+
+
+def column_fold(ufunc, x):
+    """x's last axis folded left to right, one column at a time."""
+    out = ufunc.reduce(x[..., :1], axis=-1, keepdims=True)
+    for j in range(1, x.shape[-1]):
+        out = ufunc(out, x[..., j:j + 1])
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("c", range(1, 8))
+@pytest.mark.parametrize("lead", [(500,), (9, 64)], ids=["n_c", "p_n_c"])
+def test_narrow_class_reductions_equal_numpy_reduce_bitwise(c, lead):
+    x = awkward_rows(lead, c, seed=c)
+    for ufunc in (np.maximum, np.add):
+        out = np.full((*lead, 1), 7.0)
+        _reduce_last(ufunc, x, out)
+        expected = ufunc.reduce(x, axis=-1, keepdims=True)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("c", [8, 9])
+def test_wide_class_reductions_keep_numpy_reduce(c):
+    x = np.random.default_rng(c).normal(size=(2000, c)) * 10.0 ** np.arange(c)
+    out = np.empty((2000, 1))
+    _reduce_last(np.add, x, out)
+    expected = np.add.reduce(x, axis=-1, keepdims=True)
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    # numpy sums rows this wide pairwise, which a column fold does not match
+    assert not np.array_equal(column_fold(np.add, x), expected)
 
 
 @pytest.mark.parametrize("label", [2, -1])  # head 4 has 2 classes

@@ -187,6 +187,77 @@ class TestRunExperiment:
         assert math.isnan(loaded[0].value)
 
 
+def _strip_wall(records):
+    return [dataclasses.replace(r, wall_s=0.0) for r in records]
+
+
+class TestRerunIntoSameDir:
+    """A run into a dir that already holds records resumes: complete
+    (method, seed) jobs are skipped, so no row is ever counted twice."""
+
+    def test_rerun_adds_no_rows(self, tmp_path):
+        cfg = small_config(seeds=(0,))
+        first = run_experiment(cfg, output_dir=tmp_path)
+        assert {r.method for r in first} == {"stl", "ew"}
+        written = (tmp_path / "records.csv").read_bytes()
+        assert run_experiment(cfg, output_dir=tmp_path) == []
+        assert (tmp_path / "records.csv").read_bytes() == written
+        summary = aggregate(read_records(tmp_path / "records.csv"))
+        assert summary["ew"]["n_seeds"] == summary["stl"]["n_seeds"] == 1
+
+    def test_only_missing_seeds_run(self, tmp_path, monkeypatch):
+        import auxlab.runner as runner_mod
+
+        run_experiment(small_config(seeds=(0,)), output_dir=tmp_path)
+        trained = []
+        real_ew, real_stl = runner_mod.run_ew, runner_mod.run_single_task
+
+        def ew(family, spec, total, opt, seed):
+            trained.append(("ew", seed))
+            return real_ew(family, spec, total, opt, seed)
+
+        def stl(family, spec, task_id, total, opt, seed):
+            trained.append(("stl", seed))
+            return real_stl(family, spec, task_id, total, opt, seed)
+
+        monkeypatch.setattr(runner_mod, "run_ew", ew)
+        monkeypatch.setattr(runner_mod, "run_single_task", stl)
+        added = run_experiment(small_config(seeds=(0, 1)), output_dir=tmp_path)
+        assert {(r.method, r.seed) for r in added} == {("stl", 1), ("ew", 1)}
+        assert sorted(set(trained)) == [("ew", 1), ("stl", 1)]
+        fresh = run_experiment(small_config(seeds=(0, 1)), output_dir=tmp_path / "fresh")
+        key = lambda r: (r.method, r.seed)  # noqa: E731
+        assert sorted(_strip_wall(read_records(tmp_path / "records.csv")), key=key) == (
+            sorted(_strip_wall(fresh), key=key))
+
+    def test_skipped_stl_job_still_feeds_tg(self, tmp_path):
+        run_experiment(small_config(method="stl", seeds=(0,)), output_dir=tmp_path)
+        added = run_experiment(small_config(seeds=(0,)), output_dir=tmp_path)
+        assert {r.method for r in added} == {"ew"}
+        fresh = run_experiment(small_config(seeds=(0,)), output_dir=tmp_path / "fresh")
+        assert _strip_wall(added) == _strip_wall([r for r in fresh if r.method == "ew"])
+        assert any(r.tg is not None for r in added)
+
+    def test_other_methods_keep_appending(self, tmp_path):
+        run_experiment(small_config(seeds=(0,)), output_dir=tmp_path)
+        added = run_experiment(small_config(method="gcs", seeds=(0,), compute_tg=False),
+                               output_dir=tmp_path)
+        assert {r.method for r in added} == {"gcs"}
+        methods = [r.method for r in read_records(tmp_path / "records.csv")]
+        assert methods == ["stl"] * 3 + ["ew"] * 3 + ["gcs"] * 3
+
+    def test_partial_job_is_dropped_and_rerun(self, tmp_path):
+        cfg = small_config(seeds=(0, 1), compute_tg=False)
+        complete = run_experiment(cfg, output_dir=tmp_path)
+        path = tmp_path / "records.csv"
+        # keep seed 1's first row only, cut at a line end
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-2]))
+        added = run_experiment(cfg, output_dir=tmp_path)
+        assert {(r.method, r.seed) for r in added} == {("ew", 1)}
+        assert _strip_wall(read_records(path)) == _strip_wall(complete)
+
+
 def record(method, seed, task_id, value, tg=None, split="test"):
     return ResultRecord(method, seed, task_id, split, "accuracy", value, tg, 0,
                         0.0)
