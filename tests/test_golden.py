@@ -6,16 +6,25 @@ and the merge-history CSVs of small runs of every trainer: `ew`, a 2-branch
 `forkmerge` with the grid and with the binary search, a 3-task
 `forkmerge_multi` with the full validation split, with a subsample (so
 evaluations run on splits of several row counts) and with a two-layer relu
-encoder, `fixed_lambda`, `post_train` and `gcs`. A change that is meant to alter results refreshes
-them and says so.
+encoder, `fixed_lambda`, `post_train` and `gcs`; and the CSV files of small
+`sweep tg-gcs` and `sweep csd-lambda` runs. A change that is meant to alter
+results refreshes them and says so.
+
+    PYTHONPATH=src python tests/test_golden.py
+
+prints every case's current digests, which is how a new or refreshed case
+gets its values.
 """
 
 import csv
 import hashlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
+from auxlab.cli import main
 from auxlab.runner import RECORDS_FILENAME, parse_config_text, run_experiment
 
 GOLDEN_CONFIG = """
@@ -93,6 +102,28 @@ GOLDEN = {
     }),
 }
 
+SWEEP_FILENAME = "sweep.csv"
+SWEEP_FAMILY = ["--n-train", "200", "--n-val", "120", "--n-test", "60",
+                "--noise-std", "1.2", "--batch-size", "16"]
+
+# case id -> (`auxlab sweep` arguments, {file name: sha256}); the sweep
+# writes SWEEP_FILENAME
+SWEEP_GOLDEN = {
+    "sweep_tg_gcs": (
+        ["tg-gcs", "--seeds", "0,1", "--n-tasks", "3", "--relatedness", "0.8,0.2",
+         "--lambdas", "0,0.5,1", "--points", "4", "--warm-steps", "30",
+         "--hidden", "8", *SWEEP_FAMILY], {
+            SWEEP_FILENAME:
+                "cf3ec32cea13658297e0954247aad97e7a8bf4deadf4209801315e629589ddcd",
+        }),
+    "sweep_csd_lambda": (
+        ["csd-lambda", "--seeds", "0,1", "--relatedness", "0.5",
+         "--lambdas", "0,0.5,1", "--train-steps", "40", *SWEEP_FAMILY], {
+            SWEEP_FILENAME:
+                "85be934685be88f23f0f90ec3699d76cb6c36f31a6bbaedfb80fd2b7c3b1a8a2",
+        }),
+}
+
 
 def _config_text(lines: str) -> str:
     """GOLDEN_CONFIG with the case's lines added; a case line replaces the
@@ -113,15 +144,31 @@ def _records_without_wall_time(path) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_digests(tmp_path, case):
-    lines, digests = GOLDEN[case]
-    config = parse_config_text(_config_text(lines))
-    run_experiment(config, output_dir=tmp_path)
+def _digests(case: str, out_dir: Path) -> dict[str, str]:
+    """Run ``case`` into ``out_dir``; the sha256 of each file it pins."""
+    if case in GOLDEN:
+        lines, digests = GOLDEN[case]
+        run_experiment(parse_config_text(_config_text(lines)), output_dir=out_dir)
+    else:
+        argv, digests = SWEEP_GOLDEN[case]
+        assert main(["sweep", *argv, "--out", str(out_dir / SWEEP_FILENAME)]) == 0
     got = {}
     for name in digests:
-        path = tmp_path / name
+        path = out_dir / name
         data = (_records_without_wall_time(path) if name == RECORDS_FILENAME
                 else path.read_bytes())
         got[name] = hashlib.sha256(data).hexdigest()
-    assert got == digests
+    return got
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN) + sorted(SWEEP_GOLDEN))
+def test_golden_digests(tmp_path, case):
+    expected = {**GOLDEN, **SWEEP_GOLDEN}[case][1]
+    assert _digests(case, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(GOLDEN) + sorted(SWEEP_GOLDEN):
+            for name, digest in _digests(case, Path(tmp) / case).items():
+                print(f"{case}  {name}  {digest}")
