@@ -82,7 +82,7 @@ FORKMERGE_METHODS = ("forkmerge", "forkmerge_multi")
 
 OUTPUT_DIR_ENV = "AUXLAB_OUTPUT_DIR"
 RECORDS_FILENAME = "records.csv"
-CONFIG_ECHO_FILENAME = "config_echo.cfg"
+CONFIG_ECHO_FILENAME = "config_echo_{method}.cfg"
 RECORD_COLUMNS = (
     "method", "seed", "task_id", "split", "metric", "value", "tg",
     "psearch_evals", "wall_s",
@@ -558,7 +558,8 @@ def run_experiment(
     """Execute the configured method for every seed.
 
     The resolved output directory (argument, then the environment variable,
-    then the config field) receives an echo of the effective config, the
+    then the config field) receives an echo of the effective config, named
+    after the method so that every method run into one dir keeps its own, the
     incrementally appended records CSV, and per-seed merge histories for the
     fork/merge methods. A diverged seed is recorded as a NaN row and the run
     moves on to the next seed.
@@ -573,7 +574,7 @@ def run_experiment(
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = replace(config, output_dir=str(out_dir))
-    (out_dir / CONFIG_ECHO_FILENAME).write_text(
+    (out_dir / CONFIG_ECHO_FILENAME.format(method=config.method)).write_text(
         config_to_text(echo), encoding="utf-8"
     )
 

@@ -153,7 +153,7 @@ class TestPipeline:
         assert run_cli("run", "--config", str(cfg),
                        "--output-dir", str(out), "--threads", "1") == 0
         assert (out / "records.csv").is_file()
-        assert (out / "config_echo.cfg").is_file()
+        assert (out / "config_echo_ew.cfg").is_file()
 
         assert run_cli("report", "--records", str(out)) == 0
         with open(out / "summary.csv", newline="") as handle:

@@ -131,7 +131,7 @@ class TestRunExperiment:
         from auxlab.runner import load_config
 
         run_experiment(small_config(seeds=(4,)), output_dir=tmp_path / "first")
-        echoed = load_config(tmp_path / "first" / "config_echo.cfg")
+        echoed = load_config(tmp_path / "first" / "config_echo_ew.cfg")
         again = run_experiment(echoed, output_dir=tmp_path / "second")
         first = read_records(tmp_path / "first" / "records.csv")
         strip = lambda r: dataclasses.replace(r, wall_s=0.0)  # noqa: E731
@@ -245,6 +245,19 @@ class TestRerunIntoSameDir:
         assert {r.method for r in added} == {"gcs"}
         methods = [r.method for r in read_records(tmp_path / "records.csv")]
         assert methods == ["stl"] * 3 + ["ew"] * 3 + ["gcs"] * 3
+
+    def test_each_methods_echo_reproduces_its_rows(self, tmp_path):
+        from auxlab.runner import load_config
+
+        shared = tmp_path / "shared"
+        run_experiment(small_config(seeds=(0,)), output_dir=shared)
+        run_experiment(small_config(method="gcs", seeds=(0,), compute_tg=False),
+                       output_dir=shared)
+        rows = _strip_wall(read_records(shared / "records.csv"))
+        for method, methods in (("ew", {"stl", "ew"}), ("gcs", {"gcs"})):
+            echoed = load_config(shared / f"config_echo_{method}.cfg")
+            again = run_experiment(echoed, output_dir=tmp_path / method)
+            assert _strip_wall(again) == [r for r in rows if r.method in methods]
 
     def test_partial_job_is_dropped_and_rerun(self, tmp_path):
         cfg = small_config(seeds=(0, 1), compute_tg=False)
