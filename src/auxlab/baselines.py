@@ -1,8 +1,8 @@
 """Reference training procedures: single-task, equal weighting, fixed-weight
 grid search, per-step gradient-cosine weighting, and pretrain-then-finetune.
 
-All of them are continuous trainers (no forking); they share the branch
-trainer and batch keying with the fork/merge loop, so degenerate settings
+All of them are continuous trainers (no forking) run by the fork/merge
+loop's lockstep `train_branches`, one branch per run, so degenerate settings
 (single target-only branch, zero momentum) coincide bit-for-bit with it.
 """
 
@@ -14,11 +14,11 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .forkmerge import BranchSpec, draw_batch, train_branch
+from .forkmerge import BranchSpec, train_branches
 from .metrics import shared_gradient_block, gcs
 from .nn import ModelSpec, PerfValue, SharedHeadModel
-from .optim import OptConfig, TaskWeighting, sgd_step, weighted_gradient
-from .tasks import TaskFamily, branch_data_view
+from .optim import OptConfig, TaskWeighting
+from .tasks import TaskFamily
 from .vectors import RngStream, dot
 
 __all__ = [
@@ -37,24 +37,30 @@ __all__ = [
 def _train(
     family: TaskFamily,
     model_spec: ModelSpec,
-    weighting: TaskWeighting,
+    weightings: Sequence[TaskWeighting],
     steps: int,
     opt_cfg: OptConfig,
     seed: int,
     total_steps: int,
     start_params: np.ndarray | None = None,
     start_step: int = 0,
-) -> np.ndarray:
+    weigh=None,
+) -> list[np.ndarray]:
+    """One run per weighting from one start and batch stream, as lockstep
+    branches of one `train_branches` call; parameters in weighting order."""
     root = RngStream(seed)
     if start_params is None:
         start_params = nn.init_params(model_spec, root.child("init")).params
     if steps == 0:
-        return start_params
+        return [start_params for _ in weightings]
     opt = opt_cfg.state_at(len(start_params), total_steps, step_count=start_step)
-    return train_branch(
-        start_params, BranchSpec(weighting, 0), steps, family, model_spec, opt,
-        root, opt_cfg.batch_size,
-    )
+    branches = [BranchSpec(w, i) for i, w in enumerate(weightings)]
+    return train_branches(start_params, branches, steps, family, model_spec, opt, root,
+                          opt_cfg.batch_size, weigh)
+
+
+def _equal_weighting(family: TaskFamily) -> TaskWeighting:
+    return TaskWeighting({t: 1.0 for t in family.task_ids}, target_id=family.target_id)
 
 
 def _test_perf(family: TaskFamily, model_spec: ModelSpec, params) -> PerfValue:
@@ -63,15 +69,16 @@ def _test_perf(family: TaskFamily, model_spec: ModelSpec, params) -> PerfValue:
 
 
 def run_single_task(
-    family: TaskFamily, model_spec: ModelSpec, task_id: int, total_steps: int,
-    opt_cfg: OptConfig, seed: int,
-) -> tuple[np.ndarray, PerfValue]:
-    """Train one head alone for the whole budget; returns the parameters and
-    that task's test performance."""
-    w = TaskWeighting({task_id: 1.0}, target_id=task_id)
-    params = _train(family, model_spec, w, total_steps, opt_cfg, seed, total_steps)
-    model = SharedHeadModel(model_spec, params)
-    return params, nn.evaluate(model, family.test(task_id), task_id)
+    family: TaskFamily, model_spec: ModelSpec, task_ids: Sequence[int],
+    total_steps: int, opt_cfg: OptConfig, seed: int,
+) -> list[tuple[np.ndarray, PerfValue]]:
+    """Train one head alone for the whole budget, for each of ``task_ids``;
+    returns each model's parameters and its task's test performance."""
+    weightings = [TaskWeighting({t: 1.0}, target_id=t) for t in task_ids]
+    trained = _train(family, model_spec, weightings, total_steps, opt_cfg, seed,
+                     total_steps)
+    return [(params, nn.evaluate(SharedHeadModel(model_spec, params), family.test(t), t))
+            for t, params in zip(task_ids, trained)]
 
 
 def run_stl(
@@ -80,8 +87,8 @@ def run_stl(
 ) -> tuple[np.ndarray, PerfValue]:
     """Train the target head alone for the whole budget."""
     return run_single_task(
-        family, model_spec, family.target_id, total_steps, opt_cfg, seed
-    )
+        family, model_spec, [family.target_id], total_steps, opt_cfg, seed
+    )[0]
 
 
 def run_ew(
@@ -89,8 +96,8 @@ def run_ew(
     opt_cfg: OptConfig, seed: int,
 ) -> tuple[np.ndarray, PerfValue]:
     """Joint training with every task weighted 1."""
-    w = TaskWeighting({t: 1.0 for t in family.task_ids}, target_id=family.target_id)
-    params = _train(family, model_spec, w, total_steps, opt_cfg, seed, total_steps)
+    [params] = _train(family, model_spec, [_equal_weighting(family)], total_steps,
+                      opt_cfg, seed, total_steps)
     return params, _test_perf(family, model_spec, params)
 
 
@@ -107,17 +114,20 @@ def run_fixed_lambda(
     lambda_grid: Sequence[float], opt_cfg: OptConfig, seed: int,
 ) -> FixedLambdaResult:
     """One full training run per grid value (every auxiliary task weighted
-    by the same lam); the winner is picked on validation, ties toward the
-    smaller lam."""
+    by the same lam), all trained in lockstep; the winner is picked on
+    validation, ties toward the smaller lam."""
     if not lambda_grid:
         raise ValueError("empty lambda grid")
+    weightings = [
+        TaskWeighting({t: (1.0 if t == family.target_id else float(lam))
+                       for t in family.task_ids}, target_id=family.target_id)
+        for lam in lambda_grid
+    ]
+    trained = _train(family, model_spec, weightings, total_steps, opt_cfg, seed,
+                     total_steps)
     best = None
     history = []
-    for lam in lambda_grid:
-        weights = {t: (1.0 if t == family.target_id else float(lam))
-                   for t in family.task_ids}
-        w = TaskWeighting(weights, target_id=family.target_id)
-        params = _train(family, model_spec, w, total_steps, opt_cfg, seed, total_steps)
+    for lam, params in zip(lambda_grid, trained):
         val_perf = nn.evaluate(
             SharedHeadModel(model_spec, params), family.val(family.target_id),
             family.target_id,
@@ -166,25 +176,16 @@ def run_gcs_weighting(
     """Every step weights each auxiliary task by the clamped cosine between
     its gradient and the target gradient (on the shared block), so aligned
     tasks push with up to equal weight and conflicting tasks are muted."""
-    root = RngStream(seed)
-    model = nn.init_params(model_spec, root.child("init"))
-    params = model.params
-    all_tasks = TaskWeighting({t: 1.0 for t in family.task_ids},
-                              target_id=family.target_id)
-    views = branch_data_view(family, all_tasks)
-    state = opt_cfg.state_at(len(params), total_steps)
+    model = nn.init_params(model_spec, RngStream(seed).child("init"))
     lambda_history = []
-    for _ in range(total_steps):
-        step = state.step_count
-        grads = {}
-        for task_id in sorted(views):
-            batch = draw_batch(views[task_id], root, task_id, step, opt_cfg.batch_size)
-            _, grads[task_id] = nn.loss_and_gradient(model.with_params(params), batch)
+
+    def weigh(grads: dict[int, np.ndarray]) -> dict[int, float]:
         weights = instantaneous_gcs_weights(model, grads, family.target_id)
-        lambda_history.append(dict(weights))
-        weights[family.target_id] = 1.0
-        w = TaskWeighting(weights, target_id=family.target_id)
-        params, state = sgd_step(params, weighted_gradient(grads, w), state)
+        lambda_history.append(weights)
+        return {**weights, family.target_id: 1.0}
+
+    [params] = _train(family, model_spec, [_equal_weighting(family)], total_steps,
+                      opt_cfg, seed, total_steps, start_params=model.params, weigh=weigh)
     return GcsResult(params, _test_perf(family, model_spec, params),
                      tuple(lambda_history))
 
@@ -197,9 +198,9 @@ def run_post_train(
     parameters (nothing frozen). One cosine schedule spans both phases;
     momentum restarts at the phase boundary."""
     total = pre_steps + finetune_steps
-    ew = TaskWeighting({t: 1.0 for t in family.task_ids}, target_id=family.target_id)
     stl = TaskWeighting({family.target_id: 1.0}, target_id=family.target_id)
-    params = _train(family, model_spec, ew, pre_steps, opt_cfg, seed, total)
-    params = _train(family, model_spec, stl, finetune_steps, opt_cfg, seed, total,
-                    start_params=params, start_step=pre_steps)
+    [params] = _train(family, model_spec, [_equal_weighting(family)], pre_steps,
+                      opt_cfg, seed, total)
+    [params] = _train(family, model_spec, [stl], finetune_steps, opt_cfg, seed, total,
+                      start_params=params, start_step=pre_steps)
     return params, _test_perf(family, model_spec, params)

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from math import ceil, isfinite
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "make_omega_branches",
     "merge_coeffs_from_task_weights",
     "draw_batch",
-    "train_branch",
     "train_branches",
     "search_lambda_grid",
     "search_lambda_binary",
@@ -194,7 +193,8 @@ def train_branch(
     root: RngStream,
     batch_size: int,
 ) -> np.ndarray:
-    """Run `steps` weighted-SGD steps from `start`; pure in all arguments."""
+    """`train_branches` of one branch; unused here, but perfbench's tracer
+    spans it by name."""
     return train_branches(
         start, [branch], steps, family, model_spec, opt, root, batch_size
     )[0]
@@ -209,6 +209,7 @@ def train_branches(
     opt: OptState,
     root: RngStream,
     batch_size: int,
+    weigh: Callable[[dict[int, np.ndarray]], Mapping[int, float]] | None = None,
 ) -> list[np.ndarray]:
     """Train every branch for `steps` weighted-SGD steps from `start`, in
     lockstep; returns the branches' parameters in branch order.
@@ -221,6 +222,9 @@ def train_branches(
     therefore bit-identical to training that branch alone. The first
     non-finite loss or parameter raises BranchDivergedError naming the
     earliest step and, within it, the first branch in order.
+
+    A ``weigh`` hook replaces each branch's weights at every step with
+    ``weigh({task id: gradient})``; a task weighted 0 drops out of that mix.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -241,8 +245,14 @@ def train_branches(
     for step in range(opt.step_count, opt.step_count + steps):
         losses = stack({t: draw_batch(splits[t], root, t, step, batch_size)
                         for t in sorted(splits)})
-        for mix in mixes:
-            linear_combination_into(*mix)
+        if weigh is None:
+            for mix in mixes:
+                linear_combination_into(*mix)
+        else:
+            for out, use in zip(mixed, uses):
+                weights = weigh({t: stack.grads[k] for t, k in use})
+                live = [(weights[t], stack.grads[k]) for t, k in use if weights[t] > 0]
+                linear_combination_into(out, *zip(*live), scratch[0])
         sgd_step_into(params, momenta, mixed, opt.momentum_coeff, opt.learning_rate(step),
                       scratch)
         # a dot product is finite only if every entry is; one that overflows

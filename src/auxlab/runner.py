@@ -8,6 +8,7 @@ Accuracy is recorded in percent so that gains read directly as points.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -34,14 +35,14 @@ from .forkmerge import (
     DEFAULT_LAMBDA_GRID,
     BranchSpec,
     MergeSchedule,
-    draw_batch,
     make_omega_branches,
     run_forkmerge,
+    train_branches,
     write_merge_history,
 )
 from .metrics import SweepRow, csd, delta_m, one_step_tg_gcs_sweep
 from .nn import HeadSpec, ModelSpec, SharedHeadModel
-from .optim import OptConfig, TaskWeighting, sgd_step
+from .optim import OptConfig, TaskWeighting
 from .tasks import (
     TaskFamily,
     TaskFamilyConfig,
@@ -509,25 +510,16 @@ def _run_method(
 def _stl_row_specs(
     config: ExperimentConfig, family: TaskFamily, spec: ModelSpec, seed: int,
 ) -> list[tuple[int, str, str, float, float | None]]:
-    """One single-task model per task, so per-task rows are true single-task
-    references rather than read-outs of untrained heads."""
-    opt = opt_config_for(config)
-    rows = []
-    target_params = None
-    for task_id in family.task_ids:
-        params, perf = run_single_task(
-            family, spec, task_id, config.total_steps, opt, seed
-        )
-        if task_id == family.target_id:
-            target_params = params
-        rows.append((task_id, "test", perf.metric, _scaled(perf), None))
-    val_perf = nn.evaluate(
-        SharedHeadModel(spec, target_params), family.val(family.target_id),
-        family.target_id,
-    )
-    rows.append((family.target_id, "val", val_perf.metric, _scaled(val_perf),
-                 None))
-    return rows
+    """One single-task model per task, trained in lockstep, so per-task rows
+    are true single-task references rather than read-outs of untrained heads."""
+    tasks, target = family.task_ids, family.target_id
+    trained = run_single_task(family, spec, tasks, config.total_steps,
+                              opt_config_for(config), seed)
+    target_params = trained[tasks.index(target)][0]
+    val_perf = nn.evaluate(SharedHeadModel(spec, target_params), family.val(target), target)
+    return [(task_id, "test", perf.metric, _scaled(perf), None)
+            for task_id, (_, perf) in zip(tasks, trained)
+            ] + [(target, "val", val_perf.metric, _scaled(val_perf), None)]
 
 
 def _atl_row_specs(
@@ -585,9 +577,14 @@ def run_experiment(
     records: list[ResultRecord] = []
     stl_target: dict[int, float] = {}
 
-    def one_job(method: str, seed: int):
+    # a data_dir family serves every seed: it and its spec load once per run
+    @functools.lru_cache(maxsize=1)
+    def family_and_spec(seed: int | None) -> tuple[TaskFamily, ModelSpec]:
         family = family_for_seed(config, seed)
-        spec = model_spec_for(config, family)
+        return family, model_spec_for(config, family)
+
+    def one_job(method: str, seed: int):
+        family, spec = family_and_spec(None if config.data_dir else seed)
         start = time.perf_counter()
         try:
             if method == "stl":
@@ -816,15 +813,12 @@ def run_csd_lambda_sweep(
                 family.train(0), family.train(1), lam, len(family.train(0)),
                 root.child("csd", "mix", str(lam)),
             )
-            branch_root = root.child("csd", "train", str(lam))
-            params = init.params
-            state = opt_cfg.state_at(len(params), train_steps)
-            for _ in range(train_steps):
-                batch = draw_batch(
-                    mixed, branch_root, 0, state.step_count, opt_cfg.batch_size
-                )
-                _, grad = nn.loss_and_gradient(init.with_params(params), batch)
-                params, state = sgd_step(params, grad, state)
+            one_task = replace(family, splits={0: {**family.splits[0], "train": mixed}})
+            [params] = train_branches(
+                init.params, [BranchSpec(TaskWeighting({0: 1.0}), 0)], train_steps,
+                one_task, spec, opt_cfg.state_at(len(init.params), train_steps),
+                root.child("csd", "train", str(lam)), opt_cfg.batch_size,
+            )
             value = csd(init.with_params(params), family.val(0), 0)
             results.append((seed, float(lam), value))
     return results

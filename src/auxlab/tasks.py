@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .optim import TaskWeighting
 from .vectors import RngStream
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "family_geometry",
     "generate_family",
     "sample_interpolated",
-    "branch_data_view",
     "load_csv",
     "write_csv",
     "load_family",
@@ -273,11 +271,6 @@ def sample_interpolated(
     inputs = np.where(take_aux[:, None], aux.inputs[aux_rows], tgt.inputs[tgt_rows])
     targets = np.where(take_aux, aux.targets[aux_rows], tgt.targets[tgt_rows])
     return DataSplit(inputs, targets, tgt.task_id)
-
-
-def branch_data_view(family: TaskFamily, w: TaskWeighting) -> dict[int, DataSplit]:
-    """Train splits for the tasks this weighting actually uses (weight > 0)."""
-    return {task_id: family.train(task_id) for task_id in w.active_tasks}
 
 
 def _expected_header(input_dim: int) -> list[str]:

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+import auxlab.baselines as baselines_mod
 from auxlab.baselines import (
     instantaneous_gcs_weights,
     run_ew,
     run_fixed_lambda,
     run_gcs_weighting,
     run_post_train,
+    run_single_task,
     run_stl,
 )
+from auxlab.forkmerge import draw_batch
 from auxlab.nn import HeadSpec, ModelSpec, init_params, loss_and_gradient, param_count
 from auxlab.nn import SharedHeadModel
-from auxlab.optim import OptConfig
+from auxlab.optim import OptConfig, TaskWeighting, sgd_step, weighted_gradient
 from auxlab.tasks import TaskFamilyConfig, generate_family
 from auxlab.vectors import RngStream
 
@@ -33,6 +36,56 @@ def model_spec_for(family, hidden=(8,)):
 
 
 OPT = OptConfig(base_lr=0.1, batch_size=32)
+
+
+def assert_bitwise_equal(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64),
+                                  np.asarray(b).view(np.uint64))
+
+
+def spy_on_lockstep_calls(monkeypatch):
+    """Record every `train_branches` call the baselines make, with its
+    arguments and result; returns the list and the real function."""
+    real = baselines_mod.train_branches
+    calls = []
+
+    def spy(start, branches, *rest):
+        trained = real(start, branches, *rest)
+        calls.append((start, branches, rest, trained))
+        return trained
+
+    monkeypatch.setattr(baselines_mod, "train_branches", spy)
+    return calls, real
+
+
+def assert_each_branch_trains_alone_to_the_same_bits(calls, real):
+    for start, branches, rest, trained in calls:
+        assert len(trained) == len(branches)
+        for branch, got in zip(branches, trained):
+            [alone] = real(start, [branch], *rest)
+            assert_bitwise_equal(got, alone)
+
+
+def gcs_loop(family, spec, total_steps, opt_cfg, seed):
+    """The per-step loop `run_gcs_weighting` ran before it trained through
+    `train_branches`: draw, per-task gradients, weights, mix, step."""
+    root = RngStream(seed)
+    model = init_params(spec, root.child("init"))
+    params = model.params
+    state = opt_cfg.state_at(len(params), total_steps)
+    history = []
+    for _ in range(total_steps):
+        grads = {}
+        for task_id in family.task_ids:
+            batch = draw_batch(family.train(task_id), root, task_id, state.step_count,
+                               opt_cfg.batch_size)
+            _, grads[task_id] = loss_and_gradient(model.with_params(params), batch)
+        weights = instantaneous_gcs_weights(model, grads, family.target_id)
+        history.append(dict(weights))
+        weights[family.target_id] = 1.0
+        w = TaskWeighting(weights, target_id=family.target_id)
+        params, state = sgd_step(params, weighted_gradient(grads, w), state)
+    return params, history
 
 
 class TestStl:
@@ -57,6 +110,20 @@ class TestStl:
         b, pb = run_stl(fam, spec, 50, OPT, seed=7)
         np.testing.assert_array_equal(a, b)
         assert pa.value == pb.value
+
+
+    def test_lockstep_models_equal_each_trained_alone(self, monkeypatch):
+        fam = family_for([0.8, 0.2], seed=4)
+        spec = model_spec_for(fam)
+        calls, real = spy_on_lockstep_calls(monkeypatch)
+        trained = run_single_task(fam, spec, fam.task_ids, 30, OPT, seed=4)
+        assert [len(branches) for _, branches, _, _ in calls] == [3]
+        assert_each_branch_trains_alone_to_the_same_bits(calls, real)
+        for task_id, (params, perf) in zip(fam.task_ids, trained):
+            [(alone, alone_perf)] = run_single_task(fam, spec, [task_id], 30, OPT, seed=4)
+            assert_bitwise_equal(params, alone)
+            assert perf == alone_perf
+        assert_bitwise_equal(trained[0][0], run_stl(fam, spec, 30, OPT, seed=4)[0])
 
 
 class TestEw:
@@ -95,6 +162,22 @@ class TestFixedLambda:
         best = max(p.value for _, p in res.val_history)
         winners = [lam for lam, p in res.val_history if p.value == best]
         assert res.lam == winners[0]  # ties break toward the smaller value
+
+    def test_lockstep_grid_equals_each_run_alone(self, monkeypatch):
+        fam = family_for([0.8, 0.2], seed=2)
+        spec = model_spec_for(fam)
+        grid = [0.0, 0.3, 1.0, 0.5]
+        calls, real = spy_on_lockstep_calls(monkeypatch)
+        res = run_fixed_lambda(fam, spec, 30, grid, OPT, seed=2)
+        assert [len(branches) for _, branches, _, _ in calls] == [len(grid)]
+        assert_each_branch_trains_alone_to_the_same_bits(calls, real)
+        # every grid point is the single-value grid's run
+        monkeypatch.setattr(baselines_mod, "train_branches", real)
+        for lam, perf in res.val_history:
+            alone = run_fixed_lambda(fam, spec, 30, [lam], OPT, seed=2)
+            assert alone.val_history == ((lam, perf),)
+            if lam == res.lam:
+                assert_bitwise_equal(res.params, alone.params)
 
     def test_empty_grid_rejected(self):
         fam = family_for([0.5])
@@ -161,6 +244,18 @@ class TestGcsTraining:
         stl_params, _ = run_stl(fam, spec, 50, OPT, seed=8)
         assert all(w == {1: 0.0} for w in res.lambda_history)
         np.testing.assert_array_equal(res.params, stl_params)
+
+    def test_matches_the_per_step_loop_bitwise(self):
+        # an unrelated task conflicts with the target often enough that its
+        # cosine clamps to 0 and it drops out of some steps' mix
+        fam = family_for([0.8, 0.0], seed=5)
+        spec = model_spec_for(fam)
+        res = run_gcs_weighting(fam, spec, 60, OPT, seed=5)
+        params, history = gcs_loop(fam, spec, 60, OPT, seed=5)
+        assert_bitwise_equal(res.params, params)
+        assert list(res.lambda_history) == history
+        weights = [w for step in history for w in step.values()]
+        assert 0.0 in weights and max(weights) > 0.0
 
     def test_deterministic(self):
         fam = family_for([0.6], seed=3)

@@ -15,7 +15,6 @@ from auxlab.forkmerge import (
     run_forkmerge,
     search_lambda_binary,
     search_lambda_grid,
-    train_branch,
     train_branches,
     write_merge_history,
 )
@@ -88,8 +87,8 @@ class TestTrainBranch:
         start = init_params(spec, RngStream(3).child("init")).params
         opt = initial_state(len(start), 0.1)
         branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.5}), 1)
-        a = train_branch(start, branch, 20, fam, spec, opt, RngStream(3), 32)
-        b = train_branch(start, branch, 20, fam, spec, opt, RngStream(3), 32)
+        a = train_branches(start, [branch], 20, fam, spec, opt, RngStream(3), 32)[0]
+        b = train_branches(start, [branch], 20, fam, spec, opt, RngStream(3), 32)[0]
         assert np.array_equal(a, b)
 
     def test_matches_hand_rolled_sgd(self):
@@ -102,7 +101,7 @@ class TestTrainBranch:
         start = init_params(spec, RngStream(5).child("init")).params
         opt = initial_state(len(start), 0.05, momentum_coeff=0.9)
         branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.7}), 1)
-        got = train_branch(start, branch, 10, fam, spec, opt, RngStream(5), 16)
+        got = train_branches(start, [branch], 10, fam, spec, opt, RngStream(5), 16)[0]
 
         params, state = start, opt
         model = SharedHeadModel(spec, start)
@@ -125,7 +124,7 @@ class TestTrainBranch:
 
         def branch_after(lam):
             b = BranchSpec(TaskWeighting({0: 1.0, 1: lam}), int(lam * 10))
-            return train_branch(start, b, 1, fam, spec, mk_opt(), root, 32)
+            return train_branches(start, [b], 1, fam, spec, mk_opt(), root, 32)[0]
 
         theta0, theta1 = branch_after(0.0), branch_after(1.0)
         for lam in (0.25, 0.5, 0.8):
@@ -144,7 +143,7 @@ class TestTrainBranch:
         opt = initial_state(len(start), 1e8, momentum_coeff=0.0)
         branch = BranchSpec(TaskWeighting({0: 1.0}), 0)
         with pytest.raises(NonFiniteError):
-            train_branch(start, branch, 20, fam, spec, opt, RngStream(1), 16)
+            train_branches(start, [branch], 20, fam, spec, opt, RngStream(1), 16)
 
 
 class TestTrainBranches:
@@ -161,8 +160,8 @@ class TestTrainBranches:
                                   self.opt, RngStream(9), 32)
         assert len(together) == len(branches)
         for branch, got in zip(branches, together):
-            alone = train_branch(self.start, branch, 15, self.fam, self.spec,
-                                 self.opt, RngStream(9), 32)
+            [alone] = train_branches(self.start, [branch], 15, self.fam, self.spec,
+                                     self.opt, RngStream(9), 32)
             np.testing.assert_array_equal(got, alone)
 
     def test_each_task_batch_drawn_once_per_step(self, monkeypatch):
@@ -199,8 +198,8 @@ class TestTrainBranches:
         assert isinstance(err.value, NonFiniteError)
         # alone, the target-only branch does get through its first step
         start = init_params(spec, RngStream(0).child("init")).params
-        train_branch(start, branches[0], 1, fam, spec,
-                     opt.state_at(len(start), 40), RngStream(0), 64)
+        train_branches(start, branches[:1], 1, fam, spec,
+                       opt.state_at(len(start), 40), RngStream(0), 64)
 
 
 def regression_template():

@@ -164,6 +164,25 @@ class TestRunExperiment:
         assert (tmp_path / "explicit" / "records.csv").is_file()
         assert not (tmp_path / "env").exists()
 
+    def test_data_dir_family_loaded_once_per_run(self, tmp_path, monkeypatch):
+        import auxlab.runner as runner_mod
+        from auxlab.tasks import generate_family, write_family
+
+        cfg = small_config(data_dir=str(tmp_path / "fam"))
+        write_family(generate_family(runner_mod._family_config(cfg, 0)), cfg.data_dir)
+        loads = []
+
+        def load_family(*args):
+            loads.append(args)
+            return real(*args)
+
+        real = runner_mod.load_family
+        monkeypatch.setattr(runner_mod, "load_family", load_family)
+        records = run_experiment(cfg, output_dir=tmp_path / "out")
+        assert {(r.method, r.seed) for r in records} == {
+            (m, s) for m in ("stl", "ew") for s in (0, 1, 2)}
+        assert len(loads) == 1
+
     def test_divergence_recorded_and_run_continues(self, tmp_path, monkeypatch):
         import auxlab.runner as runner_mod
         from auxlab.vectors import NonFiniteError
@@ -216,9 +235,9 @@ class TestRerunIntoSameDir:
             trained.append(("ew", seed))
             return real_ew(family, spec, total, opt, seed)
 
-        def stl(family, spec, task_id, total, opt, seed):
+        def stl(family, spec, task_ids, total, opt, seed):
             trained.append(("stl", seed))
-            return real_stl(family, spec, task_id, total, opt, seed)
+            return real_stl(family, spec, task_ids, total, opt, seed)
 
         monkeypatch.setattr(runner_mod, "run_ew", ew)
         monkeypatch.setattr(runner_mod, "run_single_task", stl)

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 import auxlab.tasks as tasks
-from auxlab.optim import TaskWeighting
 from auxlab.tasks import (
     CsvFormatError,
     DataSplit,
     TaskFamilyConfig,
-    branch_data_view,
     family_geometry,
     generate_family,
     load_csv,
@@ -151,24 +149,6 @@ class TestSampleInterpolated:
         bad = DataSplit(np.ones((5, 3)), np.ones(5, dtype=int), 1)
         with pytest.raises(ValueError):
             sample_interpolated(tgt, bad, 0.5, 10, RngStream(0))
-
-
-class TestBranchDataView:
-    def test_target_only(self):
-        fam = generate_family(cfg([0.5, 0.5]))
-        view = branch_data_view(fam, TaskWeighting({0: 1.0}))
-        assert set(view) == {0}
-
-    def test_zero_weight_excluded(self):
-        fam = generate_family(cfg([0.5, 0.5]))
-        view = branch_data_view(fam, TaskWeighting({0: 1.0, 1: 0.0, 2: 0.5}))
-        assert set(view) == {0, 2}
-        assert view[2] is fam.train(2)
-
-    def test_all_tasks(self):
-        fam = generate_family(cfg([0.5, 0.5, 0.5]))
-        w = TaskWeighting({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
-        assert set(branch_data_view(fam, w)) == {0, 1, 2, 3}
 
 
 class TestCsv:
