@@ -515,11 +515,11 @@ def _stl_row_specs(
     tasks, target = family.task_ids, family.target_id
     trained = run_single_task(family, spec, tasks, config.total_steps,
                               opt_config_for(config), seed)
-    target_params = trained[tasks.index(target)][0]
-    val_perf = nn.evaluate(SharedHeadModel(spec, target_params), family.val(target), target)
-    return [(task_id, "test", perf.metric, _scaled(perf), None)
-            for task_id, (_, perf) in zip(tasks, trained)
-            ] + [(target, "val", val_perf.metric, _scaled(val_perf), None)]
+    rows = [(task_id, "test", perf.metric, _scaled(perf), None)
+            for task_id, (_, perf) in zip(tasks, trained)]
+    target_model = SharedHeadModel(spec, trained[tasks.index(target)][0])
+    val_perf = nn.evaluate(target_model, family.val(target), target)
+    return rows + [(target, "val", val_perf.metric, _scaled(val_perf), None)]
 
 
 def _atl_row_specs(
