@@ -7,207 +7,29 @@ training loop that searches mixing coefficients on validation data, the
 usual single-task / equal-weight / fixed-weight baselines, and transfer
 diagnostics (transfer gain, gradient cosine similarity, confidence-based
 distribution shift).
+
+The package exports the names of the README's Python API; everything else
+is imported from its own module (``auxlab.nn``, ``auxlab.metrics``, ...).
 """
 
-from .baselines import (
-    FixedLambdaResult,
-    GcsResult,
-    instantaneous_gcs_weights,
-    run_ew,
-    run_fixed_lambda,
-    run_gcs_weighting,
-    run_post_train,
-    run_single_task,
-    run_stl,
-)
-from .forkmerge import (
-    BranchDivergedError,
-    BranchSpec,
-    CandidateEval,
-    ForkMergeResult,
-    MergeRecord,
-    MergeSchedule,
-    SearchOutcome,
-    draw_batch,
-    greedy_search_lambda,
-    make_omega_branches,
-    merge_coeffs_from_task_weights,
-    run_forkmerge,
-    search_lambda_binary,
-    search_lambda_grid,
-    train_branches,
-    write_merge_history,
-)
-from .metrics import (
-    POSITIVE,
-    STRONG_NEGATIVE,
-    SweepRow,
-    TransferReport,
-    WEAK_NEGATIVE,
-    classify_transfer,
-    csd,
-    delta_m,
-    gcs,
-    one_step_tg_gcs_sweep,
-    shared_gradient_block,
-    transfer_gain,
-)
-from .nn import (
-    Batch,
-    CROSS_ENTROPY,
-    EmptySplitError,
-    HeadSpec,
-    MEAN_SQUARED_ERROR,
-    ModelSpec,
-    PerfValue,
-    SharedHeadModel,
-    UnknownTaskError,
-    evaluate,
-    init_params,
-    loss_and_gradient,
-    mean_max_confidence,
-    param_count,
-)
-from .optim import (
-    OptConfig,
-    OptState,
-    TaskWeighting,
-    initial_state,
-    sgd_step,
-    weighted_gradient,
-)
-from .runner import (
-    ConfigError,
-    ExperimentConfig,
-    METHODS,
-    OUTPUT_DIR_ENV,
-    ResultRecord,
-    aggregate,
-    config_to_text,
-    load_config,
-    parse_config_text,
-    read_records,
-    run_csd_lambda_sweep,
-    run_experiment,
-    run_tg_gcs_sweep,
-    write_summary,
-)
-from .tasks import (
-    CsvFormatError,
-    DataSplit,
-    FamilyGeometry,
-    TaskFamily,
-    TaskFamilyConfig,
-    family_geometry,
-    generate_family,
-    load_family,
-    sample_interpolated,
-    write_family,
-)
-from .vectors import (
-    LengthMismatchError,
-    NonFiniteError,
-    RngStream,
-    dot,
-    linear_combination,
-)
+from .baselines import run_stl
+from .forkmerge import BranchSpec, MergeSchedule, run_forkmerge
+from .nn import HeadSpec, ModelSpec
+from .optim import OptConfig, TaskWeighting
+from .tasks import TaskFamilyConfig, generate_family
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # vectors
-    "LengthMismatchError",
-    "NonFiniteError",
-    "RngStream",
-    "dot",
-    "linear_combination",
-    # nn
-    "Batch",
-    "CROSS_ENTROPY",
-    "EmptySplitError",
-    "HeadSpec",
-    "MEAN_SQUARED_ERROR",
-    "ModelSpec",
-    "PerfValue",
-    "SharedHeadModel",
-    "UnknownTaskError",
-    "evaluate",
-    "init_params",
-    "loss_and_gradient",
-    "mean_max_confidence",
-    "param_count",
-    # optim
-    "OptConfig",
-    "OptState",
-    "TaskWeighting",
-    "initial_state",
-    "sgd_step",
-    "weighted_gradient",
-    # tasks
-    "CsvFormatError",
-    "DataSplit",
-    "FamilyGeometry",
-    "TaskFamily",
-    "TaskFamilyConfig",
-    "family_geometry",
-    "generate_family",
-    "load_family",
-    "sample_interpolated",
-    "write_family",
-    # metrics
-    "POSITIVE",
-    "STRONG_NEGATIVE",
-    "SweepRow",
-    "TransferReport",
-    "WEAK_NEGATIVE",
-    "classify_transfer",
-    "csd",
-    "delta_m",
-    "gcs",
-    "one_step_tg_gcs_sweep",
-    "shared_gradient_block",
-    "transfer_gain",
-    # forkmerge
-    "BranchDivergedError",
     "BranchSpec",
-    "CandidateEval",
-    "ForkMergeResult",
-    "MergeRecord",
+    "HeadSpec",
     "MergeSchedule",
-    "SearchOutcome",
-    "draw_batch",
-    "greedy_search_lambda",
-    "make_omega_branches",
-    "merge_coeffs_from_task_weights",
+    "ModelSpec",
+    "OptConfig",
+    "TaskFamilyConfig",
+    "TaskWeighting",
+    "generate_family",
     "run_forkmerge",
-    "search_lambda_binary",
-    "search_lambda_grid",
-    "train_branches",
-    "write_merge_history",
-    # baselines
-    "FixedLambdaResult",
-    "GcsResult",
-    "instantaneous_gcs_weights",
-    "run_ew",
-    "run_fixed_lambda",
-    "run_gcs_weighting",
-    "run_post_train",
-    "run_single_task",
     "run_stl",
-    # runner
-    "ConfigError",
-    "ExperimentConfig",
-    "METHODS",
-    "OUTPUT_DIR_ENV",
-    "ResultRecord",
-    "aggregate",
-    "config_to_text",
-    "load_config",
-    "parse_config_text",
-    "read_records",
-    "run_csd_lambda_sweep",
-    "run_experiment",
-    "run_tg_gcs_sweep",
-    "write_summary",
 ]

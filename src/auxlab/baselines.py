@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from .forkmerge import BranchSpec, train_branches
 from .metrics import shared_gradient_block, gcs
-from .nn import ModelSpec, PerfValue, SharedHeadModel
+from .nn import ModelSpec, PerfValue
 from .optim import OptConfig, TaskWeighting
 from .tasks import TaskFamily
 from .vectors import RngStream, dot
@@ -50,7 +50,7 @@ def _train(
     branches of one `train_branches` call; parameters in weighting order."""
     root = RngStream(seed)
     if start_params is None:
-        start_params = nn.init_params(model_spec, root.child("init")).params
+        start_params = nn.init_params(model_spec, root.child("init"))
     if steps == 0:
         return [start_params for _ in weightings]
     opt = opt_cfg.state_at(len(start_params), total_steps, step_count=start_step)
@@ -64,8 +64,8 @@ def _equal_weighting(family: TaskFamily) -> TaskWeighting:
 
 
 def _test_perf(family: TaskFamily, model_spec: ModelSpec, params) -> PerfValue:
-    model = SharedHeadModel(model_spec, params)
-    return nn.evaluate(model, family.test(family.target_id), family.target_id)
+    target = family.target_id
+    return nn.evaluate(model_spec, params, family.test(target), target)
 
 
 def run_single_task(
@@ -77,7 +77,7 @@ def run_single_task(
     weightings = [TaskWeighting({t: 1.0}, target_id=t) for t in task_ids]
     trained = _train(family, model_spec, weightings, total_steps, opt_cfg, seed,
                      total_steps)
-    return [(params, nn.evaluate(SharedHeadModel(model_spec, params), family.test(t), t))
+    return [(params, nn.evaluate(model_spec, params, family.test(t), t))
             for t, params in zip(task_ids, trained)]
 
 
@@ -128,10 +128,8 @@ def run_fixed_lambda(
     best = None
     history = []
     for lam, params in zip(lambda_grid, trained):
-        val_perf = nn.evaluate(
-            SharedHeadModel(model_spec, params), family.val(family.target_id),
-            family.target_id,
-        )
+        val_perf = nn.evaluate(model_spec, params, family.val(family.target_id),
+                               family.target_id)
         history.append((float(lam), val_perf))
         if best is None or val_perf.value > best[1].value:
             best = (float(lam), val_perf, params)
@@ -150,18 +148,18 @@ class GcsResult:
 
 
 def instantaneous_gcs_weights(
-    model: SharedHeadModel, per_task_grads: dict[int, np.ndarray], target_id: int,
+    spec: ModelSpec, per_task_grads: dict[int, np.ndarray], target_id: int,
 ) -> dict[int, float]:
     """Clamped cosine, on the shared block, between each auxiliary gradient
     and the target gradient.  An identical copy of the target gradient gets
     weight 1, an exactly opposed one gets 0, and a gradient with no shared
     support (or no signal at all) gets 0."""
-    g_tgt = shared_gradient_block(model, per_task_grads[target_id])
+    g_tgt = shared_gradient_block(spec, per_task_grads[target_id])
     weights = {}
     for task_id, grad in per_task_grads.items():
         if task_id == target_id:
             continue
-        g_aux = shared_gradient_block(model, grad)
+        g_aux = shared_gradient_block(spec, grad)
         if dot(g_tgt, g_tgt) == 0.0 or dot(g_aux, g_aux) == 0.0:
             weights[task_id] = 0.0  # no usable signal this step
         else:
@@ -176,16 +174,15 @@ def run_gcs_weighting(
     """Every step weights each auxiliary task by the clamped cosine between
     its gradient and the target gradient (on the shared block), so aligned
     tasks push with up to equal weight and conflicting tasks are muted."""
-    model = nn.init_params(model_spec, RngStream(seed).child("init"))
     lambda_history = []
 
     def weigh(grads: dict[int, np.ndarray]) -> dict[int, float]:
-        weights = instantaneous_gcs_weights(model, grads, family.target_id)
+        weights = instantaneous_gcs_weights(model_spec, grads, family.target_id)
         lambda_history.append(weights)
         return {**weights, family.target_id: 1.0}
 
     [params] = _train(family, model_spec, [_equal_weighting(family)], total_steps,
-                      opt_cfg, seed, total_steps, start_params=model.params, weigh=weigh)
+                      opt_cfg, seed, total_steps, weigh=weigh)
     return GcsResult(params, _test_perf(family, model_spec, params),
                      tuple(lambda_history))
 

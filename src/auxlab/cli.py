@@ -12,16 +12,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .nn import HeadSpec, ModelSpec
 from .optim import OptConfig
 from .runner import (
     ConfigError,
+    _parse_counts,
+    _parse_float_tuple,
+    _parse_int_tuple,
     aggregate,
     load_config,
+    output_dir_for,
     read_records,
     run_csd_lambda_sweep,
     run_experiment,
@@ -43,18 +47,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse's own failures to exit code 1
         raise UsageError(message)
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p.strip()) for p in text.split(",") if p.strip())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p.strip()) for p in text.split(",") if p.strip())
-
-
-def _parse_counts(text: str):
-    return _parse_int_list(text) if "," in text else int(text)
 
 
 def _add_family_flags(parser: argparse.ArgumentParser, n_train_default="2000"):
@@ -113,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _family_config(args, seed: int) -> TaskFamilyConfig:
+def _family_config(args, seed: int, n_tasks: int) -> TaskFamilyConfig:
     return TaskFamilyConfig(
-        n_tasks=args.n_tasks,
-        relatedness=_parse_float_list(args.relatedness),
+        n_tasks=n_tasks,
+        relatedness=_parse_float_tuple(args.relatedness),
         input_dim=args.input_dim,
         n_classes=args.n_classes,
         n_train=_parse_counts(args.n_train),
@@ -130,7 +122,7 @@ def _family_config(args, seed: int) -> TaskFamilyConfig:
 
 def _cmd_gen_data(args) -> int:
     try:
-        family = generate_family(_family_config(args, args.seed))
+        family = generate_family(_family_config(args, args.seed, args.n_tasks))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = Path(args.out)
@@ -149,48 +141,48 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     records = run_experiment(config, output_dir=args.output_dir)
-    out_dir = (args.output_dir or os.environ.get("AUXLAB_OUTPUT_DIR")
-               or config.output_dir)
-    print(f"wrote {len(records)} records to {Path(out_dir) / RECORDS_FILENAME}")
+    out_dir = output_dir_for(config, args.output_dir)
+    print(f"wrote {len(records)} records to {out_dir / RECORDS_FILENAME}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    seeds = _parse_int_list(args.seeds)
-    lambdas = _parse_float_list(args.lambdas)
-    if not seeds or not lambdas:
-        raise UsageError("--seeds and --lambdas must be non-empty")
-    opt = OptConfig(base_lr=args.lr, batch_size=args.batch_size)
+    csd_sweep = args.kind == "csd-lambda"
+    try:
+        seeds = _parse_int_tuple(args.seeds)
+        lambdas = _parse_float_tuple(args.lambdas)
+        if not seeds or not lambdas:
+            raise ValueError("--seeds and --lambdas must be non-empty")
+        if args.points < 1 or args.warm_steps < 0 or args.train_steps < 1:
+            raise ValueError("--points and --train-steps must be >= 1,"
+                             " --warm-steps >= 0")
+        opt = OptConfig(base_lr=args.lr, batch_size=args.batch_size)
+        # csd-lambda mixes the target with exactly one auxiliary task
+        family_cfg = _family_config(args, seeds[0], 2 if csd_sweep else args.n_tasks)
+        if csd_sweep and not isinstance(family_cfg.n_train, int):
+            raise ValueError("csd-lambda expects a single n-train count")
+        heads = {t: HeadSpec(args.n_classes) for t in range(family_cfg.n_tasks)}
+        spec = ModelSpec(args.input_dim, _parse_int_tuple(args.hidden), "tanh", heads)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.kind == "tg-gcs":
-        hidden = _parse_int_list(args.hidden)
+    if csd_sweep:
+        rows = run_csd_lambda_sweep(
+            family_cfg.relatedness[0], lambdas, seeds, args.train_steps, opt,
+            n_classes=args.n_classes, input_dim=args.input_dim,
+            n_train=family_cfg.n_train, n_val=args.n_val, noise_std=args.noise_std,
+            mean_scale=args.mean_scale,
+        )
+        write_csd_rows(rows, out)
+    else:
         rows = []
         for seed in seeds:
-            try:
-                family = generate_family(_family_config(args, seed))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            heads = {t: HeadSpec(family.n_classes) for t in family.task_ids}
-            spec = ModelSpec(family.input_dim, hidden, "tanh", heads)
+            family = generate_family(replace(family_cfg, seed=seed))
             rows += [(seed, row) for row in run_tg_gcs_sweep(
                 family, spec, args.warm_steps, lambdas, args.points, opt, seed
             )]
         write_sweep_rows(rows, out)
-    else:
-        relatedness = _parse_float_list(args.relatedness)
-        if len(relatedness) != 1:
-            raise UsageError("csd-lambda expects exactly one relatedness value")
-        n_train = _parse_counts(args.n_train)
-        if not isinstance(n_train, int):
-            raise UsageError("csd-lambda expects a single n-train count")
-        rows = run_csd_lambda_sweep(
-            relatedness[0], lambdas, seeds, args.train_steps, opt,
-            n_classes=args.n_classes, input_dim=args.input_dim,
-            n_train=n_train, n_val=args.n_val, noise_std=args.noise_std,
-            mean_scale=args.mean_scale,
-        )
-        write_csd_rows(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 

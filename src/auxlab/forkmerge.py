@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import nn
-from .nn import Batch, ModelSpec, PerfValue, SharedHeadModel
+from .nn import Batch, ModelSpec, PerfValue
 from .optim import OptConfig, OptState, TaskWeighting, sgd_step_into
 from .tasks import DataSplit, TaskFamily
 from .vectors import NonFiniteError, RngStream, linear_combination, linear_combination_into
@@ -283,21 +283,11 @@ class SearchOutcome:
     perf: PerfValue
     params: np.ndarray = field(repr=False)
     evaluations: tuple[CandidateEval, ...]
-    n_evals: int
 
-
-class _PerfProbe:
-    """Counts every validation evaluation made during a search."""
-
-    def __init__(self, template: SharedHeadModel, val: DataSplit, task_id: int):
-        self.template = template
-        self.val = val
-        self.task_id = task_id
-        self.count = 0
-
-    def __call__(self, params: np.ndarray) -> PerfValue:
-        self.count += 1
-        return nn.evaluate(self.template.with_params(params), self.val, self.task_id)
+    @property
+    def n_evals(self) -> int:
+        """Validation evaluations the search made: one per candidate."""
+        return len(self.evaluations)
 
 
 def search_lambda_grid(
@@ -306,18 +296,17 @@ def search_lambda_grid(
     grid: Sequence[float],
     val: DataSplit,
     task_id: int,
-    model_template: SharedHeadModel,
+    model_spec: ModelSpec,
     branch_ids: tuple[int, int] = (0, 1),
 ) -> SearchOutcome:
     """Evaluate (1-λ)·θ0 + λ·θ1 at every grid point; ties prefer smaller λ."""
     if not grid:
         raise ValueError("empty lambda grid")
-    probe = _PerfProbe(model_template, val, task_id)
     best = None
     evals = []
     for lam in grid:
         params = linear_combination([1.0 - lam, lam], [theta0, theta1])
-        perf = probe(params)
+        perf = nn.evaluate(model_spec, params, val, task_id)
         evals.append((float(lam), perf, params))
         if best is None or perf.value > best[1].value:
             best = evals[-1]
@@ -330,7 +319,6 @@ def search_lambda_grid(
         evaluations=tuple(
             CandidateEval(id1, lam, perf, lam == lam_star) for lam, perf, _ in evals
         ),
-        n_evals=probe.count,
     )
 
 
@@ -340,7 +328,7 @@ def search_lambda_binary(
     iters: int,
     val: DataSplit,
     task_id: int,
-    model_template: SharedHeadModel,
+    model_spec: ModelSpec,
     branch_ids: tuple[int, int] = (0, 1),
 ) -> SearchOutcome:
     """Interval halving on λ ∈ [0,1]: evaluate both half midpoints, keep the
@@ -351,7 +339,6 @@ def search_lambda_binary(
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    probe = _PerfProbe(model_template, val, task_id)
     lo, hi = 0.0, 1.0
     best = None
     evals = []
@@ -359,7 +346,7 @@ def search_lambda_binary(
     def try_lambda(lam: float):
         nonlocal best
         params = linear_combination([1.0 - lam, lam], [theta0, theta1])
-        perf = probe(params)
+        perf = nn.evaluate(model_spec, params, val, task_id)
         evals.append((lam, perf, params))
         if best is None or perf.value > best[1].value:
             best = evals[-1]
@@ -383,7 +370,6 @@ def search_lambda_binary(
         evaluations=tuple(
             CandidateEval(id1, lam, perf, lam == lam_star) for lam, perf, _ in evals
         ),
-        n_evals=probe.count,
     )
 
 
@@ -392,7 +378,7 @@ def greedy_search_lambda(
     grid_per_coord: Sequence[float],
     val: DataSplit,
     task_id: int,
-    model_template: SharedHeadModel,
+    model_spec: ModelSpec,
 ) -> SearchOutcome:
     """Coordinate-wise greedy search over the branch simplex.
 
@@ -406,12 +392,11 @@ def greedy_search_lambda(
     """
     if not candidates:
         raise ValueError("no candidate branches to merge")
-    probe = _PerfProbe(model_template, val, task_id)
     evaluations: list[CandidateEval] = []
 
     standalone = []
     for branch_id, params in candidates:
-        perf = probe(params)
+        perf = nn.evaluate(model_spec, params, val, task_id)
         standalone.append((branch_id, params, perf))
     order = sorted(
         range(len(standalone)), key=lambda i: (-standalone[i][2].value, i)
@@ -436,7 +421,7 @@ def greedy_search_lambda(
             total = sum(trial)
             coeffs = [c / total for c in trial]
             params = linear_combination(coeffs, vectors)
-            perf = probe(params)
+            perf = nn.evaluate(model_spec, params, val, task_id)
             stage.append((v, perf, params))
             if best_eval is None or perf.value > best_eval[1].value:
                 best_eval = stage[-1]
@@ -453,7 +438,6 @@ def greedy_search_lambda(
         perf=chosen_perf,
         params=chosen_params,
         evaluations=tuple(evaluations),
-        n_evals=probe.count,
     )
 
 
@@ -480,8 +464,8 @@ def run_forkmerge(
 
     Branches always start each round from the shared merged parameters with
     zeroed momentum; the learning-rate schedule position is global. Two
-    branches route to the configured grid/binary search, more than two to the
-    greedy coordinate search. When pruning is configured, after the first
+    branches route to the configured grid/binary search, any other number to
+    the greedy coordinate search. When pruning is configured, after the first
     merge only the K' strongest branches (by merge coefficient) survive, and
     the target-only branch always survives.
     """
@@ -499,8 +483,7 @@ def run_forkmerge(
         raise ValueError("prune_after_first_merge must be < number of branches")
 
     root = RngStream(seed)
-    model = nn.init_params(model_spec, root.child("init"))
-    params = model.params
+    params = nn.init_params(model_spec, root.child("init"))
     n = len(params)
 
     history: list[MergeRecord] = []
@@ -521,37 +504,25 @@ def run_forkmerge(
             ) from exc.__cause__
 
         val = _subsampled_val(family, schedule, root, round_index)
-        template = model.with_params(params)
         tgt_branch = next(b for b in branches if b.is_target_only())
         tgt_pos = branches.index(tgt_branch)
 
-        if len(branches) == 1:
-            probe = _PerfProbe(template, val, family.target_id)
-            perf = probe(trained[0])
-            outcome = SearchOutcome(
-                coeffs={tgt_branch.branch_id: 1.0},
-                perf=perf,
-                params=trained[0],
-                evaluations=(CandidateEval(tgt_branch.branch_id, 1.0, perf, True),),
-                n_evals=probe.count,
-            )
-            target_only_perf = perf
-        elif len(branches) == 2:
+        if len(branches) == 2:
             other_pos = 1 - tgt_pos
             pair_ids = (tgt_branch.branch_id, branches[other_pos].branch_id)
             if schedule.search_strategy == "binary":
                 outcome = search_lambda_binary(
                     trained[tgt_pos], trained[other_pos], schedule.binary_iters,
-                    val, family.target_id, template, branch_ids=pair_ids,
+                    val, family.target_id, model_spec, branch_ids=pair_ids,
                 )
                 # not part of the search set; evaluated for the record only
                 target_only_perf = nn.evaluate(
-                    template.with_params(trained[tgt_pos]), val, family.target_id
+                    model_spec, trained[tgt_pos], val, family.target_id
                 )
             else:
                 outcome = search_lambda_grid(
                     trained[tgt_pos], trained[other_pos], schedule.lambda_grid,
-                    val, family.target_id, template, branch_ids=pair_ids,
+                    val, family.target_id, model_spec, branch_ids=pair_ids,
                 )
                 target_only_perf = next(
                     e.perf for e in outcome.evaluations if e.coeff == 0.0
@@ -559,7 +530,7 @@ def run_forkmerge(
         else:
             outcome = greedy_search_lambda(
                 [(b.branch_id, p) for b, p in zip(branches, trained)],
-                schedule.lambda_grid, val, family.target_id, template,
+                schedule.lambda_grid, val, family.target_id, model_spec,
             )
             target_only_perf = next(
                 e.perf for e in outcome.evaluations
@@ -600,7 +571,7 @@ def run_forkmerge(
         branches = surviving
 
     final_perf = nn.evaluate(
-        model.with_params(params), family.test(family.target_id), family.target_id
+        model_spec, params, family.test(family.target_id), family.target_id
     )
     return ForkMergeResult(params, tuple(history), final_perf)
 

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import nn
-from .nn import PerfValue, SharedHeadModel, mean_max_confidence
+from .nn import ModelSpec, PerfValue, mean_max_confidence
 from .optim import initial_state, sgd_step
 from .tasks import DataSplit, TaskFamily
 from .vectors import RngStream, dot
@@ -94,13 +94,13 @@ def gcs(g_i: np.ndarray, g_j: np.ndarray) -> float:
     return float(np.clip(dot(g_i, g_j) / (ni * nj), -1.0, 1.0))
 
 
-def csd(model_on_d: SharedHeadModel, d_prime: DataSplit, task_id: int) -> float:
+def csd(spec: ModelSpec, params: np.ndarray, split: DataSplit, task_id: int) -> float:
     """Confidence drop of a trained classifier on a (possibly shifted) split.
 
     1 - mean max softmax probability; 0 on the model's own confident regime,
     approaching 1 - 1/C under heavy shift.
     """
-    return 1.0 - mean_max_confidence(model_on_d, d_prime, task_id)
+    return 1.0 - mean_max_confidence(spec, params, split, task_id)
 
 
 def delta_m(
@@ -139,20 +139,21 @@ def _batch_from(split: DataSplit, stream: RngStream, batch_size: int) -> nn.Batc
     return nn.Batch(split.inputs[idx], split.targets[idx], split.task_id)
 
 
-def shared_gradient_block(model: SharedHeadModel, g: np.ndarray) -> np.ndarray:
+def shared_gradient_block(spec: ModelSpec, g: np.ndarray) -> np.ndarray:
     """Restrict a gradient to the encoder block the tasks actually share.
 
     Cosine comparisons are most informative there (head blocks never overlap
     across tasks, so they only dilute the angle). A pure-head model shares
     nothing, in which case the full vector is returned.
     """
-    first_head = min(model.spec.heads)
-    start = nn.head_slice(model.spec, first_head).start
+    first_head = min(spec.heads)
+    start = nn.head_slice(spec, first_head).start
     return g[:start] if start > 0 else g
 
 
 def one_step_tg_gcs_sweep(
-    model: SharedHeadModel,
+    spec: ModelSpec,
+    params: np.ndarray,
     family: TaskFamily,
     lambdas: Sequence[float],
     n_points: int,
@@ -182,18 +183,18 @@ def one_step_tg_gcs_sweep(
             rng.child("point", point, family.target_id),
             batch_size,
         )
-        _, g_tgt = nn.loss_and_gradient(model, tgt_batch)
+        _, g_tgt = nn.loss_and_gradient(spec, params, tgt_batch)
         aux_grads = []
         for aid in aux_ids:
             batch = _batch_from(family.train(aid), rng.child("point", point, aid), batch_size)
-            aux_grads.append(nn.loss_and_gradient(model, batch)[1])
+            aux_grads.append(nn.loss_and_gradient(spec, params, batch)[1])
         g_aux = aux_grads[0] if len(aux_grads) == 1 else np.mean(aux_grads, axis=0)
-        cos = gcs(shared_gradient_block(model, g_tgt), shared_gradient_block(model, g_aux))
+        cos = gcs(shared_gradient_block(spec, g_tgt), shared_gradient_block(spec, g_aux))
 
         def perf_after(lam: float) -> float:
-            state = initial_state(len(model.params), base_lr=lr, momentum_coeff=0.0)
-            stepped, _ = sgd_step(model.params, g_tgt + lam * g_aux, state)
-            return nn.evaluate(model.with_params(stepped), val, family.target_id).value
+            state = initial_state(len(params), base_lr=lr, momentum_coeff=0.0)
+            stepped, _ = sgd_step(params, g_tgt + lam * g_aux, state)
+            return nn.evaluate(spec, stepped, val, family.target_id).value
 
         base = perf_after(0.0)
         for lam in lambdas:

@@ -12,13 +12,14 @@ and gradient mixing are plain vector arithmetic. Layout, in order:
 spec; all branches of a fork share this single layout, which is what makes
 merged vectors meaningful. ``ModelSpec.kernel`` compiles the spec once into
 the only forward/backward implementation, which reuses its workspaces across
-calls; the module-level functions are thin callers that return fresh values.
+calls. A model is its spec plus one parameter vector: the module-level
+functions take both and return fresh values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
@@ -154,23 +155,7 @@ def head_slice(spec: ModelSpec, task_id: int) -> slice:
     return slice(start, stop)
 
 
-@dataclass(frozen=True)
-class SharedHeadModel:
-    spec: ModelSpec
-    params: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        expected = param_count(self.spec)
-        if len(self.params) != expected:
-            raise ValueError(
-                f"params length {len(self.params)} != spec-derived count {expected}"
-            )
-
-    def with_params(self, params: np.ndarray) -> "SharedHeadModel":
-        return SharedHeadModel(self.spec, np.asarray(params, dtype=np.float64))
-
-
-def init_params(spec: ModelSpec, rng: RngStream) -> SharedHeadModel:
+def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     """Weights ~ Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero.
 
     Blocks are drawn in layout order from a single generator, so the result
@@ -182,7 +167,7 @@ def init_params(spec: ModelSpec, rng: RngStream) -> SharedHeadModel:
         if name.endswith(".W"):
             bound = 1.0 / np.sqrt(shape[0])
             params[sl] = gen.uniform(-bound, bound, size=shape).ravel()
-    return SharedHeadModel(spec, params)
+    return params
 
 
 class _Fitted(NamedTuple):
@@ -581,7 +566,8 @@ def _inputs(split) -> np.ndarray:
     return inputs
 
 
-def loss_and_gradient(model: SharedHeadModel, batch: Batch) -> tuple[float, np.ndarray]:
+def loss_and_gradient(spec: ModelSpec, params: np.ndarray,
+                      batch: Batch) -> tuple[float, np.ndarray]:
     """Mean per-example loss and its exact gradient as a fresh full-length
     vector.
 
@@ -589,9 +575,9 @@ def loss_and_gradient(model: SharedHeadModel, batch: Batch) -> tuple[float, np.n
     non-finite loss raises: that signals divergence and the caller is
     expected to abort the run with a diagnostic.
     """
-    kernel = model.spec.kernel
+    kernel = spec.kernel
     grad = np.zeros(kernel.n_params)
-    loss = kernel.loss_and_gradient(kernel.views(model.params), batch, kernel.views(grad))
+    loss = kernel.loss_and_gradient(kernel.views(params), batch, kernel.views(grad))
     return loss, grad
 
 
@@ -611,17 +597,18 @@ class PerfValue:
             raise NonFiniteError(f"non-finite performance value ({self.metric})")
 
 
-def evaluate(model: SharedHeadModel, split, task_id: int) -> PerfValue:
+def evaluate(spec: ModelSpec, params: np.ndarray, split, task_id: int) -> PerfValue:
     """Accuracy in [0, 1] for classification heads, negative MSE otherwise.
 
     ``task_id`` picks the head; the split may come from any task with
     compatible inputs (that is how shifted-distribution probes work).
     """
-    kernel = model.spec.kernel
-    return kernel.evaluate(kernel.views(model.params), split, task_id)
+    kernel = spec.kernel
+    return kernel.evaluate(kernel.views(params), split, task_id)
 
 
-def mean_max_confidence(model: SharedHeadModel, split, task_id: int) -> float:
+def mean_max_confidence(spec: ModelSpec, params: np.ndarray, split,
+                        task_id: int) -> float:
     """Mean over the split of the max softmax probability; in [1/C, 1]."""
-    kernel = model.spec.kernel
-    return kernel.confidence(kernel.views(model.params), split, task_id)
+    kernel = spec.kernel
+    return kernel.confidence(kernel.views(params), split, task_id)

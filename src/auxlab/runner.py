@@ -41,7 +41,7 @@ from .forkmerge import (
     write_merge_history,
 )
 from .metrics import SweepRow, csd, delta_m, one_step_tg_gcs_sweep
-from .nn import HeadSpec, ModelSpec, SharedHeadModel
+from .nn import HeadSpec, ModelSpec
 from .optim import OptConfig, TaskWeighting
 from .tasks import (
     TaskFamily,
@@ -343,6 +343,13 @@ def model_spec_for(config: ExperimentConfig, family: TaskFamily) -> ModelSpec:
     return ModelSpec(family.input_dim, config.hidden_dims, config.activation, heads)
 
 
+def output_dir_for(config: ExperimentConfig,
+                   output_dir: str | os.PathLike | None = None) -> Path:
+    """The directory a run writes into: ``output_dir`` if given, else the
+    ``OUTPUT_DIR_ENV`` environment variable, else ``config.output_dir``."""
+    return Path(output_dir or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir)
+
+
 def opt_config_for(config: ExperimentConfig) -> OptConfig:
     return OptConfig(
         base_lr=config.base_lr,
@@ -517,8 +524,8 @@ def _stl_row_specs(
                               opt_config_for(config), seed)
     rows = [(task_id, "test", perf.metric, _scaled(perf), None)
             for task_id, (_, perf) in zip(tasks, trained)]
-    target_model = SharedHeadModel(spec, trained[tasks.index(target)][0])
-    val_perf = nn.evaluate(target_model, family.val(target), target)
+    target_params = trained[tasks.index(target)][0]
+    val_perf = nn.evaluate(spec, target_params, family.val(target), target)
     return rows + [(target, "val", val_perf.metric, _scaled(val_perf), None)]
 
 
@@ -529,16 +536,15 @@ def _atl_row_specs(
     seed: int,
     stl_target: Mapping[int, float],
 ) -> list[tuple[int, str, str, float, float | None]]:
-    model = SharedHeadModel(spec, params)
     target = family.target_id
     rows = []
     for task_id in family.task_ids:
-        perf = nn.evaluate(model, family.test(task_id), task_id)
+        perf = nn.evaluate(spec, params, family.test(task_id), task_id)
         value = _scaled(perf)
         tg = value - stl_target[seed] if (task_id == target
                                           and seed in stl_target) else None
         rows.append((task_id, "test", perf.metric, value, tg))
-    val_perf = nn.evaluate(model, family.val(target), target)
+    val_perf = nn.evaluate(spec, params, family.val(target), target)
     rows.append((target, "val", val_perf.metric, _scaled(val_perf), None))
     return rows
 
@@ -549,21 +555,18 @@ def run_experiment(
 ) -> list[ResultRecord]:
     """Execute the configured method for every seed.
 
-    The resolved output directory (argument, then the environment variable,
-    then the config field) receives an echo of the effective config, named
-    after the method so that every method run into one dir keeps its own, the
-    incrementally appended records CSV, and per-seed merge histories for the
-    fork/merge methods. A diverged seed is recorded as a NaN row and the run
-    moves on to the next seed.
+    The output directory (see `output_dir_for`) receives an echo of the
+    effective config, named after the method so that every method run into
+    one dir keeps its own, the incrementally appended records CSV, and
+    per-seed merge histories for the fork/merge methods. A diverged seed is
+    recorded as a NaN row and the run moves on to the next seed.
 
     A dir that already holds records is resumed: (method, seed) jobs whose
     rows are complete there are skipped, and a skipped single-task job still
     supplies its seed's target value for transfer gain. Only the records
     written by this call are returned.
     """
-    out_dir = Path(
-        output_dir or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir
-    )
+    out_dir = output_dir_for(config, output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = replace(config, output_dir=str(out_dir))
     (out_dir / CONFIG_ECHO_FILENAME.format(method=config.method)).write_text(
@@ -577,8 +580,9 @@ def run_experiment(
     records: list[ResultRecord] = []
     stl_target: dict[int, float] = {}
 
-    # a data_dir family serves every seed: it and its spec load once per run
-    @functools.lru_cache(maxsize=1)
+    # each seed's family and spec are built once per run, however its jobs
+    # interleave with other seeds'; a data_dir family serves every seed
+    @functools.lru_cache(maxsize=len(config.seeds))
     def family_and_spec(seed: int | None) -> tuple[TaskFamily, ModelSpec]:
         family = family_for_seed(config, seed)
         return family, model_spec_for(config, family)
@@ -762,9 +766,8 @@ def run_tg_gcs_sweep(
     """Warm a single-task model, then probe one-step gains and gradient
     cosines around it."""
     params, _ = run_stl(family, model_spec, warm_steps, opt_cfg, seed)
-    model = SharedHeadModel(model_spec, params)
     return one_step_tg_gcs_sweep(
-        model, family, lambdas, n_points, RngStream(seed).child("sweep"),
+        model_spec, params, family, lambdas, n_points, RngStream(seed).child("sweep"),
         lr=probe_lr, batch_size=opt_cfg.batch_size,
     )
 
@@ -815,11 +818,11 @@ def run_csd_lambda_sweep(
             )
             one_task = replace(family, splits={0: {**family.splits[0], "train": mixed}})
             [params] = train_branches(
-                init.params, [BranchSpec(TaskWeighting({0: 1.0}), 0)], train_steps,
-                one_task, spec, opt_cfg.state_at(len(init.params), train_steps),
+                init, [BranchSpec(TaskWeighting({0: 1.0}), 0)], train_steps,
+                one_task, spec, opt_cfg.state_at(len(init), train_steps),
                 root.child("csd", "train", str(lam)), opt_cfg.batch_size,
             )
-            value = csd(init.with_params(params), family.val(0), 0)
+            value = csd(spec, params, family.val(0), 0)
             results.append((seed, float(lam), value))
     return results
 

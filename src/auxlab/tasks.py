@@ -89,8 +89,9 @@ class TaskFamilyConfig:
             if len(counts) != self.n_tasks:
                 raise ValueError("per-task n_train needs one entry per task")
             object.__setattr__(self, "n_train", counts)
-        if self.n_val < 1 or self.n_test < 1:
-            raise ValueError("n_val and n_test must be >= 1")
+        train = self.n_train if isinstance(self.n_train, tuple) else (self.n_train,)
+        if min(train) < 1 or self.n_val < 1 or self.n_test < 1:
+            raise ValueError("n_train, n_val and n_test must be >= 1")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
 

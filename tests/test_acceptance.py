@@ -70,14 +70,14 @@ def _random_grads(rng, n_tasks):
     spec = ModelSpec(
         dim, (width,), "tanh", {t: HeadSpec(n_cls) for t in range(n_tasks)}
     )
-    model = init_params(spec, RngStream(int(rng.integers(1 << 30))))
+    params = init_params(spec, RngStream(int(rng.integers(1 << 30))))
     grads = {}
     for t in range(n_tasks):
         batch = Batch(
             rng.normal(size=(8, dim)), rng.integers(0, n_cls, size=8), t
         )
-        grads[t] = loss_and_gradient(model, batch)[1]
-    return model.params, grads
+        grads[t] = loss_and_gradient(spec, params, batch)[1]
+    return params, grads
 
 
 def test_c01_single_aux_merge_identity(gate):
@@ -147,21 +147,21 @@ def test_c03_gradients_match_finite_differences(gate):
         if rng.uniform() < 0.5:
             heads[1] = HeadSpec(2, MEAN_SQUARED_ERROR)
         spec = ModelSpec(dim, hidden, "tanh", heads)
-        model = init_params(spec, RngStream(int(rng.integers(1 << 30))))
+        params = init_params(spec, RngStream(int(rng.integers(1 << 30))))
         task = int(rng.integers(0, len(heads)))
         if heads[task].loss == MEAN_SQUARED_ERROR:
             targets = rng.normal(size=(6, heads[task].output_dim))
         else:
             targets = rng.integers(0, heads[task].output_dim, size=6)
         batch = Batch(rng.normal(size=(6, dim)), targets, task)
-        _, analytic = loss_and_gradient(model, batch)
+        _, analytic = loss_and_gradient(spec, params, batch)
         fd = np.zeros_like(analytic)
         for i in range(len(fd)):
-            bumped = model.params.copy()
+            bumped = params.copy()
             bumped[i] += step_size
-            up = loss_and_gradient(model.with_params(bumped), batch)[0]
+            up = loss_and_gradient(spec, bumped, batch)[0]
             bumped[i] -= 2 * step_size
-            down = loss_and_gradient(model.with_params(bumped), batch)[0]
+            down = loss_and_gradient(spec, bumped, batch)[0]
             fd[i] = (up - down) / (2 * step_size)
         # The 1e-5 floor guards coordinates the batch never touches (both
         # sides exactly zero) from a 0/0 blow-up; everywhere else this is the

@@ -13,7 +13,6 @@ from auxlab.baselines import (
 )
 from auxlab.forkmerge import draw_batch
 from auxlab.nn import HeadSpec, ModelSpec, init_params, loss_and_gradient, param_count
-from auxlab.nn import SharedHeadModel
 from auxlab.optim import OptConfig, TaskWeighting, sgd_step, weighted_gradient
 from auxlab.tasks import TaskFamilyConfig, generate_family
 from auxlab.vectors import RngStream
@@ -70,8 +69,7 @@ def gcs_loop(family, spec, total_steps, opt_cfg, seed):
     """The per-step loop `run_gcs_weighting` ran before it trained through
     `train_branches`: draw, per-task gradients, weights, mix, step."""
     root = RngStream(seed)
-    model = init_params(spec, root.child("init"))
-    params = model.params
+    params = init_params(spec, root.child("init"))
     state = opt_cfg.state_at(len(params), total_steps)
     history = []
     for _ in range(total_steps):
@@ -79,8 +77,8 @@ def gcs_loop(family, spec, total_steps, opt_cfg, seed):
         for task_id in family.task_ids:
             batch = draw_batch(family.train(task_id), root, task_id, state.step_count,
                                opt_cfg.batch_size)
-            _, grads[task_id] = loss_and_gradient(model.with_params(params), batch)
-        weights = instantaneous_gcs_weights(model, grads, family.target_id)
+            _, grads[task_id] = loss_and_gradient(spec, params, batch)
+        weights = instantaneous_gcs_weights(spec, grads, family.target_id)
         history.append(dict(weights))
         weights[family.target_id] = 1.0
         w = TaskWeighting(weights, target_id=family.target_id)
@@ -93,7 +91,7 @@ class TestStl:
         fam = family_for([0.5])
         spec = model_spec_for(fam)
         params, _ = run_stl(fam, spec, 0, OPT, seed=3)
-        expected = init_params(spec, RngStream(3).child("init")).params
+        expected = init_params(spec, RngStream(3).child("init"))
         np.testing.assert_array_equal(params, expected)
 
     def test_learns_separable_classes(self):
@@ -189,38 +187,37 @@ class TestGcsWeights:
     def setup_method(self):
         fam = family_for([0.5], seed=9)
         self.spec = model_spec_for(fam)
-        self.model = init_params(self.spec, RngStream(9).child("init"))
+        params = init_params(self.spec, RngStream(9).child("init"))
         from auxlab.forkmerge import draw_batch
 
         batch = draw_batch(fam.train(0), RngStream(9), 0, 0, 32)
-        _, self.g_tgt = loss_and_gradient(self.model, batch)
+        _, self.g_tgt = loss_and_gradient(self.spec, params, batch)
 
     def test_copy_of_target_gradient_gets_full_weight(self):
         w = instantaneous_gcs_weights(
-            self.model, {0: self.g_tgt, 1: self.g_tgt.copy()}, 0
+            self.spec, {0: self.g_tgt, 1: self.g_tgt.copy()}, 0
         )
         assert w == {1: pytest.approx(1.0, abs=1e-12)}
 
     def test_opposed_gradient_is_muted(self):
-        w = instantaneous_gcs_weights(self.model, {0: self.g_tgt, 1: -self.g_tgt}, 0)
+        w = instantaneous_gcs_weights(self.spec, {0: self.g_tgt, 1: -self.g_tgt}, 0)
         assert w == {1: 0.0}
 
     def test_zero_gradient_is_muted(self):
         w = instantaneous_gcs_weights(
-            self.model, {0: self.g_tgt, 1: np.zeros_like(self.g_tgt)}, 0
+            self.spec, {0: self.g_tgt, 1: np.zeros_like(self.g_tgt)}, 0
         )
         assert w == {1: 0.0}
 
     def test_disjoint_support_without_encoder(self):
         # no shared trunk at all: per-head gradients cannot overlap
         spec = ModelSpec(2, (), "tanh", {0: HeadSpec(3), 1: HeadSpec(3)})
-        model = SharedHeadModel(spec, np.zeros(param_count(spec)))
         n = param_count(spec)
         g0 = np.zeros(n)
         g0[:3] = 1.0
         g1 = np.zeros(n)
         g1[-3:] = 1.0
-        assert instantaneous_gcs_weights(model, {0: g0, 1: g1}, 0) == {1: 0.0}
+        assert instantaneous_gcs_weights(spec, {0: g0, 1: g1}, 0) == {1: 0.0}
 
 
 class TestGcsTraining:

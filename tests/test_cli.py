@@ -122,6 +122,18 @@ class TestExitCodes:
         assert run_cli("report", "--records", str(tmp_path)) == 1
         assert "records.csv" in capsys.readouterr().err
 
+    def test_run_prints_the_env_var_output_dir(self, capsys, tmp_path, monkeypatch):
+        from auxlab.runner import OUTPUT_DIR_ENV
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CFG_SMALL + "compute_tg = false\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env"))
+        assert run_cli("run", "--config", str(cfg)) == 0
+        written = tmp_path / "env" / "records.csv"
+        assert capsys.readouterr().out == f"wrote 3 records to {written}\n"
+        assert written.is_file()
+
     def test_report_on_headers_only(self, tmp_path):
         (tmp_path / "records.csv").write_text(
             "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
@@ -231,6 +243,29 @@ class TestSweeps:
                        "--lambdas", "")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("tg-gcs", "--seeds", "abc"),
+        ("tg-gcs", "--seeds", "0,"),
+        ("tg-gcs", "--lambdas", "0,x"),
+        ("tg-gcs", "--hidden", "0"),
+        ("tg-gcs", "--lr", "-1"),
+        ("tg-gcs", "--batch-size", "0"),
+        ("tg-gcs", "--warm-steps", "-1"),
+        ("tg-gcs", "--points", "0"),
+        ("tg-gcs", "--n-train", "-5"),
+        ("csd-lambda", "--train-steps", "0"),
+        ("csd-lambda", "--n-train", "x"),
+        ("csd-lambda", "--n-train", "100,200"),
+        ("csd-lambda", "--relatedness", "x"),
+        ("csd-lambda", "--relatedness", "0.2,0.5"),
+    ])
+    def test_bad_flag_exits_1_before_any_work(self, capsys, tmp_path, argv):
+        kind, *flags = argv
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", kind, "--out", str(out), *flags) == 1
+        assert capsys.readouterr().err.startswith("auxlab:")
+        assert not out.exists()
+
 
 def _declared_console_script():
     """The ``auxlab`` target declared in this checkout's ``pyproject.toml``."""
@@ -263,3 +298,15 @@ def test_installed_entry_point_matches_pyproject():
     entries = md.entry_points(group="console_scripts")
     ours = [e for e in entries if e.name == "auxlab"]
     assert ours and ours[0].value == _declared_console_script()
+
+
+def test_package_exports_the_readme_python_api():
+    text = PYPROJECT.with_name("README.md").read_text(encoding="utf-8")
+    start = text.index("from auxlab import (")
+    namespace = {}
+    exec(text[start: text.index(")", start) + 1], namespace)
+    import auxlab
+
+    imported = set(namespace) - {"__builtins__"}
+    assert len(imported) == 10
+    assert set(auxlab.__all__) == imported | {"__version__"}

@@ -23,10 +23,8 @@ from auxlab.nn import (
     MEAN_SQUARED_ERROR,
     HeadSpec,
     ModelSpec,
-    SharedHeadModel,
     evaluate,
     init_params,
-    param_count,
 )
 from auxlab.optim import OptConfig, TaskWeighting, initial_state
 from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
@@ -84,7 +82,7 @@ class TestTrainBranch:
     def test_deterministic(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam)
-        start = init_params(spec, RngStream(3).child("init")).params
+        start = init_params(spec, RngStream(3).child("init"))
         opt = initial_state(len(start), 0.1)
         branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.5}), 1)
         a = train_branches(start, [branch], 20, fam, spec, opt, RngStream(3), 32)[0]
@@ -98,19 +96,18 @@ class TestTrainBranch:
 
         fam = family_for([0.4])
         spec = model_spec_for(fam, hidden=(4,))
-        start = init_params(spec, RngStream(5).child("init")).params
+        start = init_params(spec, RngStream(5).child("init"))
         opt = initial_state(len(start), 0.05, momentum_coeff=0.9)
         branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.7}), 1)
         got = train_branches(start, [branch], 10, fam, spec, opt, RngStream(5), 16)[0]
 
         params, state = start, opt
-        model = SharedHeadModel(spec, start)
         for _ in range(10):
             grads = {}
             for task_id in (0, 1):
                 batch = draw_batch(fam.train(task_id), RngStream(5), task_id,
                                    state.step_count, 16)
-                _, grads[task_id] = loss_and_gradient(model.with_params(params), batch)
+                _, grads[task_id] = loss_and_gradient(spec, params, batch)
             g = weighted_gradient(grads, branch.weighting)
             params, state = sgd_step(params, g, state)
         np.testing.assert_array_equal(got, params)
@@ -118,7 +115,7 @@ class TestTrainBranch:
     def test_one_step_merge_identity_on_shared_draws(self):
         fam = family_for([0.6])
         spec = model_spec_for(fam)
-        start = init_params(spec, RngStream(7).child("init")).params
+        start = init_params(spec, RngStream(7).child("init"))
         mk_opt = lambda: initial_state(len(start), 0.1, momentum_coeff=0.0)  # noqa: E731
         root = RngStream(7)
 
@@ -139,7 +136,7 @@ class TestTrainBranch:
         fam = family_for([0.5])
         heads = {0: HeadSpec(1, MEAN_SQUARED_ERROR), 1: HeadSpec(4, CROSS_ENTROPY)}
         spec = ModelSpec(2, (4,), "relu", heads)
-        start = init_params(spec, RngStream(1).child("init")).params
+        start = init_params(spec, RngStream(1).child("init"))
         opt = initial_state(len(start), 1e8, momentum_coeff=0.0)
         branch = BranchSpec(TaskWeighting({0: 1.0}), 0)
         with pytest.raises(NonFiniteError):
@@ -150,7 +147,7 @@ class TestTrainBranches:
     def setup_method(self):
         self.fam = family_for([0.7, 0.3], seed=6)
         self.spec = model_spec_for(self.fam)
-        self.start = init_params(self.spec, RngStream(9).child("init")).params
+        self.start = init_params(self.spec, RngStream(9).child("init"))
         self.opt = initial_state(len(self.start), 0.1, momentum_coeff=0.9,
                                  step_count=3)
 
@@ -197,14 +194,13 @@ class TestTrainBranches:
         assert (err.value.branch_id, err.value.step, err.value.round_index) == (2, 0, 0)
         assert isinstance(err.value, NonFiniteError)
         # alone, the target-only branch does get through its first step
-        start = init_params(spec, RngStream(0).child("init")).params
+        start = init_params(spec, RngStream(0).child("init"))
         train_branches(start, branches[:1], 1, fam, spec,
                        opt.state_at(len(start), 40), RngStream(0), 64)
 
 
-def regression_template():
-    spec = ModelSpec(2, (), "relu", {0: HeadSpec(1, MEAN_SQUARED_ERROR)})
-    return SharedHeadModel(spec, np.zeros(param_count(spec)))
+def regression_spec():
+    return ModelSpec(2, (), "relu", {0: HeadSpec(1, MEAN_SQUARED_ERROR)})
 
 
 def regression_val(n=200, seed=0):
@@ -302,35 +298,35 @@ class TestDrawBatch:
 
 class TestGridSearch:
     def test_degenerate_tie_breaks_to_zero(self):
-        template = regression_template()
+        spec = regression_spec()
         val = regression_val()
         theta = np.array([0.5, 0.0, 0.0])
-        out = search_lambda_grid(theta, theta.copy(), (0.0, 0.5, 1.0), val, 0, template)
+        out = search_lambda_grid(theta, theta.copy(), (0.0, 0.5, 1.0), val, 0, spec)
         assert out.coeffs == {0: 1.0, 1: 0.0}
 
     def test_picks_strictly_better_endpoint(self):
-        template = regression_template()
+        spec = regression_spec()
         val = regression_val()
         theta0 = np.array([0.0, 0.0, 0.0])
         theta1 = np.array([1.0, 0.0, 0.0])  # exactly the ideal predictor
-        out = search_lambda_grid(theta0, theta1, (0.0, 1.0), val, 0, template)
+        out = search_lambda_grid(theta0, theta1, (0.0, 1.0), val, 0, spec)
         assert out.coeffs == {0: 0.0, 1: 1.0}
         np.testing.assert_array_equal(out.params, theta1)
 
     def test_matches_brute_force_oracle(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam)
-        template = init_params(spec, RngStream(2).child("init"))
+        start = init_params(spec, RngStream(2).child("init"))
         gen = np.random.default_rng(9)
-        theta0 = template.params + 0.1 * gen.normal(size=len(template.params))
-        theta1 = template.params + 0.1 * gen.normal(size=len(template.params))
+        theta0 = start + 0.1 * gen.normal(size=len(start))
+        theta1 = start + 0.1 * gen.normal(size=len(start))
         grid = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-        out = search_lambda_grid(theta0, theta1, grid, fam.val(0), 0, template)
+        out = search_lambda_grid(theta0, theta1, grid, fam.val(0), 0, spec)
 
         best_lam, best_val = None, -np.inf
         for lam in grid:  # independent loop, argmax with smaller-lambda ties
             combo = (1 - lam) * theta0 + lam * theta1
-            v = evaluate(template.with_params(combo), fam.val(0), 0).value
+            v = evaluate(spec, combo, fam.val(0), 0).value
             if v > best_val:
                 best_lam, best_val = lam, v
         assert out.coeffs[1] == best_lam
@@ -340,26 +336,26 @@ class TestGridSearch:
 
 class TestBinarySearch:
     def test_converges_on_quadratic_peak(self):
-        template = regression_template()
+        spec = regression_spec()
         val = regression_val()
         theta0 = np.array([0.0, 0.0, 0.0])
         theta1 = np.array([2.0, 0.0, 0.0])  # optimum at lambda = 0.5
         for iters in (3, 5, 7):
-            out = search_lambda_binary(theta0, theta1, iters, val, 0, template)
+            out = search_lambda_binary(theta0, theta1, iters, val, 0, spec)
             lam_star = out.coeffs[1]
             assert abs(lam_star - 0.5) <= 2.0 ** (-iters)
 
     def test_degenerate_equals_theta0_perf(self):
-        template = regression_template()
+        spec = regression_spec()
         val = regression_val()
         theta = np.array([0.7, 0.1, 0.0])
-        out = search_lambda_binary(theta, theta.copy(), 4, val, 0, template)
-        assert out.perf.value == evaluate(template.with_params(theta), val, 0).value
+        out = search_lambda_binary(theta, theta.copy(), 4, val, 0, spec)
+        assert out.perf.value == evaluate(spec, theta, val, 0).value
 
     def test_single_iteration_costs_two_evals(self):
-        template = regression_template()
+        spec = regression_spec()
         out = search_lambda_binary(
-            np.zeros(3), np.ones(3), 1, regression_val(), 0, template
+            np.zeros(3), np.ones(3), 1, regression_val(), 0, spec
         )
         assert out.n_evals == 2
         assert len(out.evaluations) == 2
@@ -367,28 +363,27 @@ class TestBinarySearch:
 
 class TestGreedySearch:
     def test_single_candidate(self):
-        template = regression_template()
+        spec = regression_spec()
         out = greedy_search_lambda(
-            [(0, np.array([1.0, 0.0, 0.0]))], (0.0, 0.5, 1.0), regression_val(), 0,
-            template,
+            [(0, np.array([1.0, 0.0, 0.0]))], (0.0, 0.5, 1.0), regression_val(), 0, spec,
         )
         assert out.coeffs == {0: 1.0}
         assert out.n_evals == 1
 
     def test_two_candidates_match_exhaustive_simplex_oracle(self):
-        template = regression_template()
+        spec = regression_spec()
         val = regression_val()
         theta_a = np.array([1.2, 0.0, 0.0])  # better standalone
         theta_b = np.array([0.4, 0.0, 0.0])
         grid = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-        out = greedy_search_lambda([(0, theta_a), (1, theta_b)], grid, val, 0, template)
+        out = greedy_search_lambda([(0, theta_a), (1, theta_b)], grid, val, 0, spec)
 
         # oracle: exhaustively evaluate the same achievable simplex points
         best_perf, best_coeffs = -np.inf, None
         for v in grid:
             coeffs = (1.0 / (1.0 + v), v / (1.0 + v))
             combo = coeffs[0] * theta_a + coeffs[1] * theta_b
-            perf = evaluate(template.with_params(combo), val, 0).value
+            perf = evaluate(spec, combo, val, 0).value
             if perf > best_perf:
                 best_perf, best_coeffs = perf, coeffs
         assert out.perf.value == best_perf
@@ -397,27 +392,25 @@ class TestGreedySearch:
 
         # and it lands within one cell of a much denser simplex search
         dense = max(
-            evaluate(
-                template.with_params((1 - t) * theta_a + t * theta_b), val, 0
-            ).value
+            evaluate(spec, (1 - t) * theta_a + t * theta_b, val, 0).value
             for t in np.linspace(0, 1, 501)
         )
         cells = [g / (1.0 + g) for g in grid]
         neighbor_gap = max(
             abs(
-                evaluate(template.with_params((1 - a) * theta_a + a * theta_b), val, 0).value
-                - evaluate(template.with_params((1 - b) * theta_a + b * theta_b), val, 0).value
+                evaluate(spec, (1 - a) * theta_a + a * theta_b, val, 0).value
+                - evaluate(spec, (1 - b) * theta_a + b * theta_b, val, 0).value
             )
             for a, b in zip(cells, cells[1:])
         )
         assert out.perf.value >= dense - neighbor_gap
 
     def test_identical_candidates_normalized(self):
-        template = regression_template()
+        spec = regression_spec()
         theta = np.array([0.3, 0.0, 0.0])
         out = greedy_search_lambda(
             [(i, theta.copy()) for i in range(3)], (0.0, 0.5, 1.0), regression_val(),
-            0, template,
+            0, spec,
         )
         assert sum(out.coeffs.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(c >= 0 for c in out.coeffs.values())
@@ -426,33 +419,79 @@ class TestGreedySearch:
     def test_eval_budget(self, n_branches):
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
-        template = init_params(spec, RngStream(0).child("init"))
+        start = init_params(spec, RngStream(0).child("init"))
         gen = np.random.default_rng(4)
         candidates = [
-            (i, template.params + 0.05 * gen.normal(size=len(template.params)))
+            (i, start + 0.05 * gen.normal(size=len(start)))
             for i in range(n_branches)
         ]
         grid = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-        out = greedy_search_lambda(candidates, grid, fam.val(0), 0, template)
+        out = greedy_search_lambda(candidates, grid, fam.val(0), 0, spec)
         assert out.n_evals <= (n_branches - 1) * len(grid) + n_branches
 
     def test_final_beats_every_standalone(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
-        template = init_params(spec, RngStream(1).child("init"))
+        start = init_params(spec, RngStream(1).child("init"))
         gen = np.random.default_rng(8)
         candidates = [
-            (i, template.params + 0.05 * gen.normal(size=len(template.params)))
+            (i, start + 0.05 * gen.normal(size=len(start)))
             for i in range(4)
         ]
         out = greedy_search_lambda(
-            candidates, (0.0, 0.25, 0.5, 0.75, 1.0), fam.val(0), 0, template
+            candidates, (0.0, 0.25, 0.5, 0.75, 1.0), fam.val(0), 0, spec
         )
         standalone = [
-            evaluate(template.with_params(p), fam.val(0), 0).value
+            evaluate(spec, p, fam.val(0), 0).value
             for _, p in candidates
         ]
         assert out.perf.value >= max(standalone)
+
+
+class TestSearchCounts:
+    """Every candidate a search scores is one `nn.evaluate` call and one
+    CandidateEval, so `n_evals` and a round's `psearch_evals` count the
+    calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import auxlab.nn as nn_mod
+
+        calls, real = [], nn_mod.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nn_mod, "evaluate", counting)
+        return calls
+
+    @pytest.mark.parametrize("strategy, expected", [
+        ("grid", 3), ("binary", 2 * 4), ("greedy", 3 + 2 * 3),
+    ])
+    def test_search_counts_every_evaluation(self, calls, strategy, expected):
+        spec, val, grid = regression_spec(), regression_val(), (0.0, 0.5, 1.0)
+        thetas = list(np.random.default_rng(3).normal(size=(3, 3)))
+        if strategy == "grid":
+            out = search_lambda_grid(thetas[0], thetas[1], grid, val, 0, spec)
+        elif strategy == "binary":
+            out = search_lambda_binary(thetas[0], thetas[1], 4, val, 0, spec)
+        else:
+            out = greedy_search_lambda(list(enumerate(thetas)), grid, val, 0, spec)
+        assert len(calls) == out.n_evals == len(out.evaluations) == expected
+
+    def test_one_branch_round_counts_its_one_evaluation(self, calls):
+        fam = family_for([0.5])
+        spec = model_spec_for(fam, hidden=(4,))
+        schedule = MergeSchedule(total_steps=20, interval=10)
+        branches = [BranchSpec(TaskWeighting({0: 1.0}), 0)]
+        result = run_forkmerge(fam, spec, schedule, branches, OptConfig(), 0)
+        for record in result.merge_history:
+            assert record.psearch_evals == len(record.candidates) == 1
+            assert record.merge_coeffs == {0: 1.0}
+            assert record.target_only_perf == record.chosen_perf
+        # each round's search, then the final test evaluation
+        assert len(calls) == result.total_psearch_evals + 1 == 3
 
 
 class TestRunForkMerge:

@@ -26,7 +26,6 @@ from auxlab.nn import (
     Batch,
     HeadSpec,
     ModelSpec,
-    SharedHeadModel,
     evaluate,
     init_params,
     loss_and_gradient,
@@ -132,7 +131,7 @@ def random_split(spec, task_id, n, rng):
 
 def trained_like_params(spec, seed):
     # init scale plus noise, so relu units are both on and off and no bias is 0
-    params = init_params(spec, RngStream(seed)).params
+    params = init_params(spec, RngStream(seed))
     return params + 0.3 * np.random.default_rng(seed).normal(size=len(params))
 
 
@@ -145,7 +144,7 @@ def test_loss_and_gradient_match_reference_bitwise(activation, task_id):
         params = trained_like_params(spec, seed)
         split = random_split(spec, task_id, n, rng)
         batch = Batch(split.inputs, split.targets, task_id)
-        loss, grad = loss_and_gradient(SharedHeadModel(spec, params), batch)
+        loss, grad = loss_and_gradient(spec, params, batch)
         ref_loss, ref_grad = reference_loss_and_gradient(spec, params, batch)
         assert loss == ref_loss
         np.testing.assert_array_equal(grad, ref_grad)
@@ -155,7 +154,7 @@ def test_loss_and_gradient_match_reference_bitwise(activation, task_id):
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_evaluations_across_split_sizes_equal_fresh_ones(activation):
     spec = two_layer_spec(activation)
-    model = SharedHeadModel(spec, trained_like_params(spec, 5))
+    params = trained_like_params(spec, 5)
     rng = np.random.default_rng(3)
     for task_id in (0, 2):
         split_a = random_split(spec, task_id, 300, rng)
@@ -163,27 +162,27 @@ def test_evaluations_across_split_sizes_equal_fresh_ones(activation):
         idx = rng.choice(300, size=40, replace=False)
         subsample = DataSplit(split_a.inputs[idx], split_a.targets[idx], task_id)
         for split in (split_a, split_b, subsample, split_a):
-            got = evaluate(model, split, task_id).value
-            assert got == reference_evaluate(spec, model.params, split, task_id)
+            got = evaluate(spec, params, split, task_id).value
+            assert got == reference_evaluate(spec, params, split, task_id)
             # a fresh spec compiles a fresh kernel with empty workspaces
-            fresh = SharedHeadModel(two_layer_spec(activation), model.params)
-            assert got == evaluate(fresh, split, task_id).value
+            fresh = two_layer_spec(activation)
+            assert got == evaluate(fresh, params, split, task_id).value
             if task_id == 0:
-                assert mean_max_confidence(model, split, task_id) == (
-                    reference_confidence(spec, model.params, split, task_id))
+                assert mean_max_confidence(spec, params, split, task_id) == (
+                    reference_confidence(spec, params, split, task_id))
 
 
 def test_returned_gradient_is_not_overwritten_by_next_call():
     spec = two_layer_spec("tanh")
-    model = SharedHeadModel(spec, trained_like_params(spec, 8))
+    params = trained_like_params(spec, 8)
     rng = np.random.default_rng(4)
     first = random_split(spec, 0, 32, rng)
-    _, grad = loss_and_gradient(model, Batch(first.inputs, first.targets, 0))
+    _, grad = loss_and_gradient(spec, params, Batch(first.inputs, first.targets, 0))
     kept = grad.copy()
     for task_id, n in ((0, 32), (2, 200), (0, 3)):
         split = random_split(spec, task_id, n, rng)
-        loss_and_gradient(model, Batch(split.inputs, split.targets, task_id))
-        evaluate(model, split, task_id)
+        loss_and_gradient(spec, params, Batch(split.inputs, split.targets, task_id))
+        evaluate(spec, params, split, task_id)
     np.testing.assert_array_equal(grad, kept)
 
 
@@ -231,8 +230,7 @@ def test_pair_pass_matches_per_pair_gradients_bitwise(activation, hidden, batch_
             losses = stack(batches).copy()
             for i, t in pairs:
                 k = stack.index[i, t]
-                loss, grad = loss_and_gradient(SharedHeadModel(spec, params[i].copy()),
-                                               batches[t])
+                loss, grad = loss_and_gradient(spec, params[i].copy(), batches[t])
                 assert losses[k] == loss
                 np.testing.assert_array_equal(stack.grads[k], grad)
                 assert np.array_equal(np.signbit(stack.grads[k]), np.signbit(grad))
@@ -295,7 +293,7 @@ def test_labels_out_of_range_are_rejected(label):
     with pytest.raises(ValueError, match="class label out of range"):
         stack(batches)
     with pytest.raises(ValueError, match="class label out of range"):
-        loss_and_gradient(SharedHeadModel(spec, params[1]), batches[4])
+        loss_and_gradient(spec, params[1], batches[4])
 
 
 def small_family():
@@ -315,7 +313,7 @@ def test_nan_in_one_batch_names_the_same_step_and_branch(monkeypatch):
     # task 1 is weighted by branch 1 only; its batch at step 7 carries a NaN
     family = small_family()
     spec = family_spec(family)
-    start = init_params(spec, RngStream(2).child("init")).params
+    start = init_params(spec, RngStream(2).child("init"))
     opt = initial_state(len(start), 0.1, momentum_coeff=0.9, step_count=3)
     real_draw = fm.draw_batch
 
@@ -342,7 +340,7 @@ def test_divergence_at_one_step_names_the_earlier_branch(monkeypatch, order):
     # has a non-finite loss; the branch earlier in order is named
     family = small_family()
     spec = family_spec(family)
-    start = init_params(spec, RngStream(4).child("init")).params
+    start = init_params(spec, RngStream(4).child("init"))
     opt = initial_state(len(start), 1e300, momentum_coeff=0.0)
     real_draw = fm.draw_batch
 
@@ -390,26 +388,26 @@ class TestAllocations:
     def test_repeat_evaluation_allocates_less_than_one_activation(self):
         n, hidden = 20_000, 16
         spec = ModelSpec(2, (hidden,), "tanh", {0: HeadSpec(4)})
-        model = SharedHeadModel(spec, trained_like_params(spec, 1))
+        params = trained_like_params(spec, 1)
         rng = np.random.default_rng(0)
         split = DataSplit(rng.normal(size=(n, 2)), rng.integers(0, 4, size=n), 0)
-        evaluate(model, split, 0)  # warm-up: the workspaces grow to n rows
-        assert _peak_bytes(lambda: evaluate(model, split, 0)) < n * hidden * 8
+        evaluate(spec, params, split, 0)  # warm-up: the workspaces grow to n rows
+        assert _peak_bytes(lambda: evaluate(spec, params, split, 0)) < n * hidden * 8
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_repeat_gradient_allocates_less_than_one_activation(self, activation):
         n, hidden = 2048, 16
         spec = ModelSpec(2, (hidden, hidden), activation, {0: HeadSpec(4)})
-        model = SharedHeadModel(spec, trained_like_params(spec, 2))
+        params = trained_like_params(spec, 2)
         rng = np.random.default_rng(1)
         batch = Batch(rng.normal(size=(n, 2)), rng.integers(0, 4, size=n), 0)
-        loss_and_gradient(model, batch)  # warm-up
-        assert _peak_bytes(lambda: loss_and_gradient(model, batch)) < n * hidden * 8
+        loss_and_gradient(spec, params, batch)  # warm-up
+        assert _peak_bytes(lambda: loss_and_gradient(spec, params, batch)) < n * hidden * 8
 
     def test_training_allocates_nothing_that_grows_with_steps(self):
         family = small_family()
         spec = family_spec(family)
-        start = init_params(spec, RngStream(1).child("init")).params
+        start = init_params(spec, RngStream(1).child("init"))
         branches = make_omega_branches(2)
 
         def train(steps):

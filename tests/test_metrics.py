@@ -130,39 +130,38 @@ def train_target_only(family, steps=300, lr=0.1, hidden=(8,), seed=0):
     spec = ModelSpec(
         family.input_dim, hidden, "tanh", {0: HeadSpec(family.n_classes)}
     )
-    model = init_params(spec, RngStream(seed).child("init"))
-    state = initial_state(len(model.params), lr, momentum_coeff=0.9)
+    params = init_params(spec, RngStream(seed).child("init"))
+    state = initial_state(len(params), lr, momentum_coeff=0.9)
     split = family.train(0)
     for step in range(steps):
         gen = RngStream(seed).child("batch", step).generator()
         idx = gen.integers(0, len(split), size=64)
         batch = Batch(split.inputs[idx], split.targets[idx], 0)
-        _, g = loss_and_gradient(model, batch)
-        params, state = sgd_step(model.params, g, state)
-        model = model.with_params(params)
-    return model
+        _, g = loss_and_gradient(spec, params, batch)
+        params, state = sgd_step(params, g, state)
+    return spec, params
 
 
 class TestCsd:
     def test_uniform_model_is_one_minus_inv_c(self):
         spec = ModelSpec(2, (), "relu", {0: HeadSpec(10)})
-        from auxlab.nn import SharedHeadModel, param_count
+        from auxlab.nn import param_count
 
-        model = SharedHeadModel(spec, np.zeros(param_count(spec)))
+        params = np.zeros(param_count(spec))
         fam = generate_family(
             TaskFamilyConfig(n_tasks=1, relatedness=(), n_classes=10, n_train=20,
                              n_val=20, n_test=20, seed=1)
         )
-        assert csd(model, fam.val(0), 0) == pytest.approx(0.9, abs=1e-12)
+        assert csd(spec, params, fam.val(0), 0) == pytest.approx(0.9, abs=1e-12)
 
     def test_shifted_split_scores_higher(self):
         fam = generate_family(
             TaskFamilyConfig(n_tasks=3, relatedness=(0.0, 1.0), n_train=800,
                              n_val=400, n_test=100, noise_std=0.4, seed=5)
         )
-        model = train_target_only(fam)
-        shifted = csd(model, fam.val(1), 0)   # r = 0: far distribution
-        aligned = csd(model, fam.val(2), 0)   # r = 1: same distribution
+        spec, params = train_target_only(fam)
+        shifted = csd(spec, params, fam.val(1), 0)   # r = 0: far distribution
+        aligned = csd(spec, params, fam.val(2), 0)   # r = 1: same distribution
         assert shifted > aligned
 
     def test_bounds(self):
@@ -170,8 +169,8 @@ class TestCsd:
             TaskFamilyConfig(n_tasks=2, relatedness=(0.5,), n_train=100, n_val=50,
                              n_test=50, seed=2)
         )
-        model = train_target_only(fam, steps=50)
-        value = csd(model, fam.val(1), 0)
+        spec, params = train_target_only(fam, steps=50)
+        value = csd(spec, params, fam.val(1), 0)
         assert 0.0 <= value <= 1.0 - 1.0 / fam.n_classes + 1e-12
 
 
@@ -186,22 +185,22 @@ def family():
 @pytest.fixture(scope="module")
 def warm_model(family):
     spec = ModelSpec(2, (8,), "tanh", {0: HeadSpec(4), 1: HeadSpec(4)})
-    model = init_params(spec, RngStream(1).child("init"))
-    state = initial_state(len(model.params), 0.1, momentum_coeff=0.9)
+    params = init_params(spec, RngStream(1).child("init"))
+    state = initial_state(len(params), 0.1, momentum_coeff=0.9)
     split = family.train(0)
     for step in range(150):
         gen = RngStream(1).child("warm", step).generator()
         idx = gen.integers(0, len(split), size=64)
-        _, g = loss_and_gradient(model, Batch(split.inputs[idx], split.targets[idx], 0))
-        params, state = sgd_step(model.params, g, state)
-        model = model.with_params(params)
-    return model
+        batch = Batch(split.inputs[idx], split.targets[idx], 0)
+        _, g = loss_and_gradient(spec, params, batch)
+        params, state = sgd_step(params, g, state)
+    return spec, params
 
 
 class TestOneStepSweep:
     def test_lambda_zero_rows_exactly_zero(self, family, warm_model):
         rows = one_step_tg_gcs_sweep(
-            warm_model, family, [0.0, 0.5, 1.0], n_points=4, rng=RngStream(3)
+            *warm_model, family, [0.0, 0.5, 1.0], n_points=4, rng=RngStream(3)
         )
         zero_rows = [r for r in rows if r.lam == 0.0]
         assert len(zero_rows) == 4
@@ -209,14 +208,14 @@ class TestOneStepSweep:
 
     def test_identical_batches_give_unit_cosine(self, family, warm_model):
         rows = one_step_tg_gcs_sweep(
-            warm_model, family, [0.0, 1.0], n_points=3, rng=RngStream(3), aux_task=0
+            *warm_model, family, [0.0, 1.0], n_points=3, rng=RngStream(3), aux_task=0
         )
         assert all(r.gcs == pytest.approx(1.0, abs=1e-12) for r in rows)
 
     def test_row_count_and_order(self, family, warm_model):
         lams = [0.0, 0.25, 0.5, 1.0]
         rows = one_step_tg_gcs_sweep(
-            warm_model, family, lams, n_points=5, rng=RngStream(4)
+            *warm_model, family, lams, n_points=5, rng=RngStream(4)
         )
         assert len(rows) == 5 * len(lams)
         expected_order = [(p, l) for p in range(5) for l in lams]
@@ -224,7 +223,7 @@ class TestOneStepSweep:
 
     def test_gcs_constant_within_point(self, family, warm_model):
         rows = one_step_tg_gcs_sweep(
-            warm_model, family, [0.0, 0.5, 1.0], n_points=3, rng=RngStream(5)
+            *warm_model, family, [0.0, 0.5, 1.0], n_points=3, rng=RngStream(5)
         )
         for p in range(3):
             values = {r.gcs for r in rows if r.point_id == p}

@@ -183,6 +183,23 @@ class TestRunExperiment:
             (m, s) for m in ("stl", "ew") for s in (0, 1, 2)}
         assert len(loads) == 1
 
+    def test_each_seed_family_generated_once_per_run(self, tmp_path, monkeypatch):
+        import auxlab.runner as runner_mod
+
+        generated = []
+
+        def generate_family(cfg):
+            generated.append(cfg.seed)
+            return real(cfg)
+
+        real = runner_mod.generate_family
+        monkeypatch.setattr(runner_mod, "generate_family", generate_family)
+        records = run_experiment(small_config(), output_dir=tmp_path)
+        assert generated == [0, 1, 2]
+        # the stl jobs of every seed still run before the ew jobs
+        assert list(dict.fromkeys((r.method, r.seed) for r in records)) == [
+            (m, s) for m in ("stl", "ew") for s in (0, 1, 2)]
+
     def test_divergence_recorded_and_run_continues(self, tmp_path, monkeypatch):
         import auxlab.runner as runner_mod
         from auxlab.vectors import NonFiniteError
