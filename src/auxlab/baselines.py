@@ -114,8 +114,8 @@ def run_fixed_lambda(
     lambda_grid: Sequence[float], opt_cfg: OptConfig, seed: int,
 ) -> FixedLambdaResult:
     """One full training run per grid value (every auxiliary task weighted
-    by the same lam), all trained in lockstep; the winner is picked on
-    validation, ties toward the smaller lam."""
+    by the same lam), all trained in lockstep; the winner is the first best
+    on validation, so ties go to the earlier grid value."""
     if not lambda_grid:
         raise ValueError("empty lambda grid")
     weightings = [
@@ -125,19 +125,13 @@ def run_fixed_lambda(
     ]
     trained = _train(family, model_spec, weightings, total_steps, opt_cfg, seed,
                      total_steps)
-    best = None
-    history = []
-    for lam, params in zip(lambda_grid, trained):
-        val_perf = nn.evaluate(model_spec, params, family.val(family.target_id),
-                               family.target_id)
-        history.append((float(lam), val_perf))
-        if best is None or val_perf.value > best[1].value:
-            best = (float(lam), val_perf, params)
-    lam_star, _, params_star = best
-    return FixedLambdaResult(
-        lam_star, params_star, _test_perf(family, model_spec, params_star),
-        tuple(history),
-    )
+    val, target = family.val(family.target_id), family.target_id
+    runs = [(float(lam), params, nn.evaluate(model_spec, params, val, target))
+            for lam, params in zip(lambda_grid, trained)]
+    lam_star, params_star, _ = max(runs, key=lambda run: run[2].value)
+    return FixedLambdaResult(lam_star, params_star,
+                             _test_perf(family, model_spec, params_star),
+                             tuple((lam, perf) for lam, _, perf in runs))
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _family_config(args, seed: int, n_tasks: int) -> TaskFamilyConfig:
+def _family_config(args, seed: int) -> TaskFamilyConfig:
     return TaskFamilyConfig(
-        n_tasks=n_tasks,
+        n_tasks=args.n_tasks,
         relatedness=_parse_float_tuple(args.relatedness),
         input_dim=args.input_dim,
         n_classes=args.n_classes,
@@ -122,7 +122,7 @@ def _family_config(args, seed: int, n_tasks: int) -> TaskFamilyConfig:
 
 def _cmd_gen_data(args) -> int:
     try:
-        family = generate_family(_family_config(args, args.seed, args.n_tasks))
+        family = generate_family(_family_config(args, args.seed))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = Path(args.out)
@@ -158,7 +158,9 @@ def _cmd_sweep(args) -> int:
                              " --warm-steps >= 0")
         opt = OptConfig(base_lr=args.lr, batch_size=args.batch_size)
         # csd-lambda mixes the target with exactly one auxiliary task
-        family_cfg = _family_config(args, seeds[0], 2 if csd_sweep else args.n_tasks)
+        if csd_sweep and args.n_tasks != 2:
+            raise ValueError("csd-lambda expects --n-tasks 2")
+        family_cfg = _family_config(args, seeds[0])
         if csd_sweep and not isinstance(family_cfg.n_train, int):
             raise ValueError("csd-lambda expects a single n-train count")
         heads = {t: HeadSpec(args.n_classes) for t in range(family_cfg.n_tasks)}
@@ -168,12 +170,8 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if csd_sweep:
-        rows = run_csd_lambda_sweep(
-            family_cfg.relatedness[0], lambdas, seeds, args.train_steps, opt,
-            n_classes=args.n_classes, input_dim=args.input_dim,
-            n_train=family_cfg.n_train, n_val=args.n_val, noise_std=args.noise_std,
-            mean_scale=args.mean_scale,
-        )
+        rows = run_csd_lambda_sweep(family_cfg, spec, lambdas, seeds, args.train_steps,
+                                    opt)
         write_csd_rows(rows, out)
     else:
         rows = []

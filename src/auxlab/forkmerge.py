@@ -3,8 +3,9 @@ different task weightings, then recombine them by searching for the convex
 combination that maximizes target validation performance.
 
 The search never leaves the convex hull of the branch parameter vectors, and
-the pure target-only combination is always among the evaluated candidates,
-so a merge can never score below the target-only branch on validation.
+the first best candidate it evaluates wins. The grid and greedy searches
+always evaluate the pure target-only combination, so their merges never
+score below the target-only branch on validation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from math import ceil, isfinite
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "ForkMergeResult",
     "SearchOutcome",
     "BranchDivergedError",
+    "check_branches",
     "make_omega_branches",
     "merge_coeffs_from_task_weights",
     "draw_batch",
@@ -290,6 +292,41 @@ class SearchOutcome:
         return len(self.evaluations)
 
 
+class _Scored(NamedTuple):
+    """One merge candidate: the coefficient it is logged under, its target
+    validation performance and its parameters."""
+
+    coeff: float
+    perf: PerfValue
+    params: np.ndarray
+
+
+def _score(coeff: float, weights: Sequence[float], vectors: Sequence[np.ndarray],
+           val: DataSplit, task_id: int, model_spec: ModelSpec) -> _Scored:
+    """Combine ``vectors`` by ``weights`` and score the result on ``val``.
+
+    Every search picks its winner from these with ``max`` on the
+    performance, which returns the first of equal maxima: ties keep the
+    candidate evaluated first.
+    """
+    params = linear_combination(weights, vectors)
+    return _Scored(coeff, nn.evaluate(model_spec, params, val, task_id), params)
+
+
+def _pair_outcome(scored: Sequence[_Scored], branch_ids: tuple[int, int]) -> SearchOutcome:
+    """The first best of the (1-λ)·θ0 + λ·θ1 candidates, each logged under
+    λ on the second branch."""
+    best = max(scored, key=lambda e: e.perf.value)
+    id0, id1 = branch_ids
+    return SearchOutcome(
+        coeffs={id0: 1.0 - best.coeff, id1: best.coeff},
+        perf=best.perf,
+        params=best.params,
+        evaluations=tuple(CandidateEval(id1, e.coeff, e.perf, e.coeff == best.coeff)
+                          for e in scored),
+    )
+
+
 def search_lambda_grid(
     theta0: np.ndarray,
     theta1: np.ndarray,
@@ -302,23 +339,10 @@ def search_lambda_grid(
     """Evaluate (1-λ)·θ0 + λ·θ1 at every grid point; ties prefer smaller λ."""
     if not grid:
         raise ValueError("empty lambda grid")
-    best = None
-    evals = []
-    for lam in grid:
-        params = linear_combination([1.0 - lam, lam], [theta0, theta1])
-        perf = nn.evaluate(model_spec, params, val, task_id)
-        evals.append((float(lam), perf, params))
-        if best is None or perf.value > best[1].value:
-            best = evals[-1]
-    lam_star, perf_star, params_star = best
-    id0, id1 = branch_ids
-    return SearchOutcome(
-        coeffs={id0: 1.0 - lam_star, id1: lam_star},
-        perf=perf_star,
-        params=params_star,
-        evaluations=tuple(
-            CandidateEval(id1, lam, perf, lam == lam_star) for lam, perf, _ in evals
-        ),
+    return _pair_outcome(
+        [_score(float(lam), [1.0 - lam, lam], [theta0, theta1], val, task_id, model_spec)
+         for lam in grid],
+        branch_ids,
     )
 
 
@@ -332,7 +356,7 @@ def search_lambda_binary(
     branch_ids: tuple[int, int] = (0, 1),
 ) -> SearchOutcome:
     """Interval halving on λ ∈ [0,1]: evaluate both half midpoints, keep the
-    better half (ties keep the lower half), return the best λ seen.
+    better half (ties keep the lower half), return the first best λ seen.
 
     Costs exactly 2·iters evaluations; unlike the grid, λ=0 itself is never
     evaluated, so this strategy carries no exact non-regression guarantee.
@@ -340,37 +364,18 @@ def search_lambda_binary(
     if iters < 1:
         raise ValueError("iters must be >= 1")
     lo, hi = 0.0, 1.0
-    best = None
-    evals = []
-
-    def try_lambda(lam: float):
-        nonlocal best
-        params = linear_combination([1.0 - lam, lam], [theta0, theta1])
-        perf = nn.evaluate(model_spec, params, val, task_id)
-        evals.append((lam, perf, params))
-        if best is None or perf.value > best[1].value:
-            best = evals[-1]
-
+    scored: list[_Scored] = []
     for _ in range(iters):
         quarter = (hi - lo) / 4.0
-        left_mid, right_mid = lo + quarter, hi - quarter
-        try_lambda(left_mid)
-        try_lambda(right_mid)
-        left_perf, right_perf = evals[-2][1].value, evals[-1][1].value
-        if right_perf > left_perf:
+        left, right = [_score(lam, [1.0 - lam, lam], [theta0, theta1], val, task_id,
+                              model_spec)
+                       for lam in (lo + quarter, hi - quarter)]
+        scored += [left, right]
+        if right.perf.value > left.perf.value:
             lo = (lo + hi) / 2.0
         else:
             hi = (lo + hi) / 2.0
-    lam_star, perf_star, params_star = best
-    id0, id1 = branch_ids
-    return SearchOutcome(
-        coeffs={id0: 1.0 - lam_star, id1: lam_star},
-        perf=perf_star,
-        params=params_star,
-        evaluations=tuple(
-            CandidateEval(id1, lam, perf, lam == lam_star) for lam, perf, _ in evals
-        ),
-    )
+    return _pair_outcome(scored, branch_ids)
 
 
 def greedy_search_lambda(
@@ -383,60 +388,45 @@ def greedy_search_lambda(
     """Coordinate-wise greedy search over the branch simplex.
 
     Candidates are ranked by standalone validation performance (B
-    evaluations), the top one starts with raw coefficient 1, and each further
-    candidate b gets a coefficient grid-searched in [0, U] where U is the
-    mean of the coefficients fixed so far; the running combination is
-    L1-normalized before every evaluation. Total evaluations are at most
-    (B-1)·|grid| + B. Setting a trial coefficient to 0 reproduces the
-    previous stage's winner exactly, so the best seen never decreases.
+    evaluations; ties keep the given order), the top one starts with raw
+    coefficient 1, and each further candidate b gets a coefficient
+    grid-searched in [0, U] where U is the mean of the coefficients fixed so
+    far; the running combination is L1-normalized before every evaluation.
+    Total evaluations are at most (B-1)·|grid| + B. Setting a trial
+    coefficient to 0 reproduces the previous stage's winner exactly, so the
+    best seen never decreases.
     """
     if not candidates:
         raise ValueError("no candidate branches to merge")
-    evaluations: list[CandidateEval] = []
-
-    standalone = []
-    for branch_id, params in candidates:
-        perf = nn.evaluate(model_spec, params, val, task_id)
-        standalone.append((branch_id, params, perf))
-    order = sorted(
-        range(len(standalone)), key=lambda i: (-standalone[i][2].value, i)
+    ranked = sorted(
+        ((branch_id, params, nn.evaluate(model_spec, params, val, task_id))
+         for branch_id, params in candidates),
+        key=lambda c: -c[2].value,
     )
-    ranked = [standalone[i] for i in order]
-    for rank, (branch_id, _, perf) in enumerate(ranked):
-        evaluations.append(CandidateEval(branch_id, 1.0, perf, rank == 0))
+    evaluations = [CandidateEval(branch_id, 1.0, perf, rank == 0)
+                   for rank, (branch_id, _, perf) in enumerate(ranked)]
 
     raw = [1.0]
-    chosen_params = ranked[0][1]
-    chosen_perf = ranked[0][2]
+    chosen = _Scored(1.0, ranked[0][2], ranked[0][1])
     for b in range(1, len(ranked)):
         upper = sum(raw) / len(raw)
-        branch_id = ranked[b][0]
         vectors = [p for _, p, _ in ranked[: b + 1]]
-        best_v = 0.0
-        best_eval = None
-        stage: list[tuple[float, PerfValue, np.ndarray]] = []
+        stage = []
         for g in grid_per_coord:
             v = g * upper
-            trial = raw + [v]
-            total = sum(trial)
-            coeffs = [c / total for c in trial]
-            params = linear_combination(coeffs, vectors)
-            perf = nn.evaluate(model_spec, params, val, task_id)
-            stage.append((v, perf, params))
-            if best_eval is None or perf.value > best_eval[1].value:
-                best_eval = stage[-1]
-                best_v = v
-        for v, perf, _ in stage:
-            evaluations.append(CandidateEval(branch_id, v, perf, v == best_v))
-        raw.append(best_v)
-        _, chosen_perf, chosen_params = best_eval
+            total = sum(raw) + v
+            stage.append(_score(v, [c / total for c in raw + [v]], vectors, val, task_id,
+                                model_spec))
+        chosen = max(stage, key=lambda e: e.perf.value)
+        evaluations += [CandidateEval(ranked[b][0], e.coeff, e.perf, e.coeff == chosen.coeff)
+                        for e in stage]
+        raw.append(chosen.coeff)
 
     total = sum(raw)
-    coeffs = {ranked[i][0]: raw[i] / total for i in range(len(ranked))}
     return SearchOutcome(
-        coeffs=coeffs,
-        perf=chosen_perf,
-        params=chosen_params,
+        coeffs={ranked[i][0]: raw[i] / total for i in range(len(ranked))},
+        perf=chosen.perf,
+        params=chosen.params,
         evaluations=tuple(evaluations),
     )
 
@@ -450,6 +440,19 @@ def _subsampled_val(family: TaskFamily, schedule: MergeSchedule, root: RngStream
     gen = root.child("valsub", round_index).generator()
     idx = gen.choice(len(val), size=k, replace=False)
     return DataSplit(val.inputs[idx], val.targets[idx], val.task_id)
+
+
+def check_branches(branches: Sequence[BranchSpec], schedule: MergeSchedule) -> None:
+    """Raise ValueError unless the branch ids are unique, exactly one branch
+    is target-only, and pruning after the first merge keeps fewer branches
+    than there are."""
+    if len({b.branch_id for b in branches}) != len(branches):
+        raise ValueError("branch ids must be unique")
+    n_target_only = sum(b.is_target_only() for b in branches)
+    if n_target_only != 1:
+        raise ValueError(f"need exactly one target-only branch, found {n_target_only}")
+    if (schedule.prune_after_first_merge or 0) >= len(branches):
+        raise ValueError("prune_after_first_merge must be < number of branches")
 
 
 def run_forkmerge(
@@ -470,17 +473,7 @@ def run_forkmerge(
     the target-only branch always survives.
     """
     branches = list(branch_specs)
-    if len({b.branch_id for b in branches}) != len(branches):
-        raise ValueError("branch ids must be unique")
-    target_only = [b for b in branches if b.is_target_only()]
-    if len(target_only) != 1:
-        raise ValueError(
-            f"need exactly one target-only branch, found {len(target_only)}"
-        )
-    if schedule.prune_after_first_merge is not None and not (
-        schedule.prune_after_first_merge < len(branches)
-    ):
-        raise ValueError("prune_after_first_merge must be < number of branches")
+    check_branches(branches, schedule)
 
     root = RngStream(seed)
     params = nn.init_params(model_spec, root.child("init"))
@@ -506,36 +499,27 @@ def run_forkmerge(
         val = _subsampled_val(family, schedule, root, round_index)
         tgt_branch = next(b for b in branches if b.is_target_only())
         tgt_pos = branches.index(tgt_branch)
-
         if len(branches) == 2:
             other_pos = 1 - tgt_pos
             pair_ids = (tgt_branch.branch_id, branches[other_pos].branch_id)
-            if schedule.search_strategy == "binary":
-                outcome = search_lambda_binary(
-                    trained[tgt_pos], trained[other_pos], schedule.binary_iters,
-                    val, family.target_id, model_spec, branch_ids=pair_ids,
-                )
-                # not part of the search set; evaluated for the record only
-                target_only_perf = nn.evaluate(
-                    model_spec, trained[tgt_pos], val, family.target_id
-                )
-            else:
-                outcome = search_lambda_grid(
-                    trained[tgt_pos], trained[other_pos], schedule.lambda_grid,
-                    val, family.target_id, model_spec, branch_ids=pair_ids,
-                )
-                target_only_perf = next(
-                    e.perf for e in outcome.evaluations if e.coeff == 0.0
-                )
+            search, setting = ((search_lambda_binary, schedule.binary_iters)
+                               if schedule.search_strategy == "binary"
+                               else (search_lambda_grid, schedule.lambda_grid))
+            outcome = search(trained[tgt_pos], trained[other_pos], setting, val,
+                             family.target_id, model_spec, branch_ids=pair_ids)
+            target_only_key = (pair_ids[1], 0.0)
         else:
             outcome = greedy_search_lambda(
                 [(b.branch_id, p) for b, p in zip(branches, trained)],
                 schedule.lambda_grid, val, family.target_id, model_spec,
             )
-            target_only_perf = next(
-                e.perf for e in outcome.evaluations
-                if e.branch_id == tgt_branch.branch_id and e.coeff == 1.0
-            )
+            target_only_key = (tgt_branch.branch_id, 1.0)
+        target_only_perf = next((e.perf for e in outcome.evaluations
+                                 if (e.branch_id, e.coeff) == target_only_key), None)
+        if target_only_perf is None:
+            # the binary search never evaluates λ=0; scored for the record only
+            target_only_perf = nn.evaluate(model_spec, trained[tgt_pos], val,
+                                           family.target_id)
 
         params = outcome.params
         done += steps
@@ -576,9 +560,7 @@ def run_forkmerge(
     return ForkMergeResult(params, tuple(history), final_perf)
 
 
-def write_merge_history(
-    history: Sequence[MergeRecord], csv_path, json_path=None
-) -> None:
+def write_merge_history(history: Sequence[MergeRecord], csv_path, json_path) -> None:
     """One CSV row per evaluated candidate, plus a JSON coefficient trajectory."""
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -591,19 +573,18 @@ def write_merge_history(
             )
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    if json_path is not None:
-        payload = {
-            "rounds": [
-                {
-                    "round": r.round_index,
-                    "merge_coeffs": {str(k): v for k, v in r.merge_coeffs.items()},
-                    "target_only_perf": r.target_only_perf.value,
-                    "chosen_perf": r.chosen_perf.value,
-                    "surviving_branch_ids": list(r.surviving_branch_ids),
-                    "psearch_evals": r.psearch_evals,
-                    "wall_s": r.wall_s,
-                }
-                for r in history
-            ]
-        }
-        Path(json_path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    payload = {
+        "rounds": [
+            {
+                "round": r.round_index,
+                "merge_coeffs": {str(k): v for k, v in r.merge_coeffs.items()},
+                "target_only_perf": r.target_only_perf.value,
+                "chosen_perf": r.chosen_perf.value,
+                "surviving_branch_ids": list(r.surviving_branch_ids),
+                "psearch_evals": r.psearch_evals,
+                "wall_s": r.wall_s,
+            }
+            for r in history
+        ]
+    }
+    Path(json_path).write_text(json.dumps(payload, indent=2), encoding="utf-8")

@@ -35,6 +35,7 @@ from .forkmerge import (
     DEFAULT_LAMBDA_GRID,
     BranchSpec,
     MergeSchedule,
+    check_branches,
     make_omega_branches,
     run_forkmerge,
     train_branches,
@@ -144,7 +145,13 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigError("seeds: at least one seed is required")
-        # the family, model, optimizer and schedule configs own their checks
+        for row in self.branch_weights:
+            if len(row) != self.n_tasks:
+                raise ConfigError(
+                    f"branch_weights: each branch needs {self.n_tasks} weights,"
+                    f" got {len(row)}"
+                )
+        # the family, model, optimizer, schedule and branches own their checks
         try:
             _family_config(self, self.data_seed)
             ModelSpec(self.input_dim, self.hidden_dims, self.activation,
@@ -152,20 +159,17 @@ class ExperimentConfig:
             opt_config_for(self)
             # fixed_lambda trains once per value of any grid; the merge
             # search's grid rules bind the fork/merge methods only
-            _schedule_for(self, self.lambda_grid if self.method in FORKMERGE_METHODS
-                          else DEFAULT_LAMBDA_GRID)
+            if self.method in FORKMERGE_METHODS:
+                check_branches(_branches_for(self),
+                               _schedule_for(self, self.lambda_grid))
+            else:
+                _schedule_for(self, DEFAULT_LAMBDA_GRID)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.pre_steps < 0:
             raise ConfigError("pre_steps: must be >= 0")
         if self.method == "post_train" and self.pre_steps > self.total_steps:
             raise ConfigError("pre_steps: must not exceed total_steps")
-        for row in self.branch_weights:
-            if len(row) != self.n_tasks:
-                raise ConfigError(
-                    f"branch_weights: each branch needs {self.n_tasks} weights,"
-                    f" got {len(row)}"
-                )
 
 
 # -- flat key = value codec ------------------------------------------------
@@ -359,26 +363,21 @@ def opt_config_for(config: ExperimentConfig) -> OptConfig:
     )
 
 
-def _branches_for(config: ExperimentConfig, family: TaskFamily) -> list[BranchSpec]:
+def _branches_for(config: ExperimentConfig) -> list[BranchSpec]:
+    """The fork/merge branches of ``config``; task 0 is the target."""
     if config.branch_weights:
         branches = []
         for branch_id, row in enumerate(config.branch_weights):
             weights = {t: float(w) for t, w in enumerate(row) if w != 0.0}
-            weights.setdefault(family.target_id, 1.0)
-            branches.append(
-                BranchSpec(TaskWeighting(weights, target_id=family.target_id),
-                           branch_id)
-            )
+            weights.setdefault(0, 1.0)
+            branches.append(BranchSpec(TaskWeighting(weights), branch_id))
         return branches
     if config.method == "forkmerge_multi":
         return make_omega_branches(config.n_tasks - 1)
     # plain two-branch setup: target alone vs. everything at weight 1
-    all_tasks = TaskWeighting({t: 1.0 for t in family.task_ids},
-                              target_id=family.target_id)
     return [
-        BranchSpec(TaskWeighting({family.target_id: 1.0},
-                                 target_id=family.target_id), 0),
-        BranchSpec(all_tasks, 1),
+        BranchSpec(TaskWeighting({0: 1.0}), 0),
+        BranchSpec(TaskWeighting({t: 1.0 for t in range(config.n_tasks)}), 1),
     ]
 
 
@@ -503,8 +502,7 @@ def _run_method(
     # forkmerge / forkmerge_multi
     result = run_forkmerge(
         family, spec, _schedule_for(config, config.lambda_grid),
-        _branches_for(config, family),
-        opt, seed,
+        _branches_for(config), opt, seed,
     )
     write_merge_history(
         result.merge_history,
@@ -671,14 +669,12 @@ def read_records(path) -> list[ResultRecord]:
 
 
 def aggregate(
-    records: Iterable[ResultRecord],
-    want_delta_m: bool = True,
-    signs: Sequence[int] | None = None,
-    target_id: int = 0,
+    records: Iterable[ResultRecord], want_delta_m: bool = True,
 ) -> dict[str, dict]:
-    """Per-method summary over seeds: mean/std of the target test value, gain
-    statistics, per-task means, and the signed average relative improvement
-    over the single-task rows (in percent). Record order never matters."""
+    """Per-method summary over seeds: mean/std of the target (task 0) test
+    value, gain statistics, per-task means, and the average relative
+    improvement over the single-task rows (in percent; every metric is
+    larger-is-better). Record order never matters."""
     rows = [r for r in records if r.split == "test" and not math.isnan(r.value)]
     if not rows:
         raise ValueError("no finite test records to aggregate")
@@ -698,9 +694,8 @@ def aggregate(
         per_task_mean[method] = {
             t: statistics.fmean(vs) for t, vs in by_task.items()
         }
-        target_vals = sorted(by_task.get(target_id, ()))
-        gains = sorted(r.tg for r in mine
-                       if r.task_id == target_id and r.tg is not None)
+        target_vals = sorted(by_task.get(0, ()))
+        gains = sorted(r.tg for r in mine if r.task_id == 0 and r.tg is not None)
         summary[method] = {
             "n_seeds": len(target_vals),
             "target_mean": statistics.fmean(target_vals) if target_vals else None,
@@ -714,14 +709,14 @@ def aggregate(
     if want_delta_m:
         base = per_task_mean["stl"]
         tasks = sorted(base)
-        z = tuple(signs) if signs is not None else tuple(0 for _ in tasks)
         for method in methods:
             mine = per_task_mean[method]
             if sorted(mine) != tasks:
                 raise ValueError(
                     f"{method}: task set {sorted(mine)} does not match stl {tasks}"
                 )
-            frac = delta_m([base[t] for t in tasks], [mine[t] for t in tasks], z)
+            frac = delta_m([base[t] for t in tasks], [mine[t] for t in tasks],
+                           [0] * len(tasks))
             summary[method]["delta_m_pct"] = 100.0 * frac
     return summary
 
@@ -761,14 +756,13 @@ def run_tg_gcs_sweep(
     n_points: int,
     opt_cfg: OptConfig,
     seed: int,
-    probe_lr: float = 0.01,
 ) -> list[SweepRow]:
     """Warm a single-task model, then probe one-step gains and gradient
-    cosines around it."""
+    cosines around it with steps of size 0.01."""
     params, _ = run_stl(family, model_spec, warm_steps, opt_cfg, seed)
     return one_step_tg_gcs_sweep(
         model_spec, params, family, lambdas, n_points, RngStream(seed).child("sweep"),
-        lr=probe_lr, batch_size=opt_cfg.batch_size,
+        lr=0.01, batch_size=opt_cfg.batch_size,
     )
 
 
@@ -784,32 +778,24 @@ def write_sweep_rows(rows: Sequence[tuple[int, SweepRow]], path) -> None:
 
 
 def run_csd_lambda_sweep(
-    relatedness: float,
+    family_cfg: TaskFamilyConfig,
+    spec: ModelSpec,
     lambdas: Sequence[float],
     seeds: Sequence[int],
     train_steps: int,
     opt_cfg: OptConfig,
-    n_classes: int = 4,
-    input_dim: int = 2,
-    n_train: int = 2000,
-    n_val: int = 500,
-    noise_std: float = 0.5,
-    mean_scale: float = 2.0,
 ) -> list[tuple[int, float, float]]:
-    """Train target-head models on data mixed with the auxiliary distribution
-    at each rate and measure the confidence drop back on clean target data.
+    """Train target-head models of ``spec`` on data mixed with the auxiliary
+    distribution at each rate and measure the confidence drop back on clean
+    target data. Each seed regenerates ``family_cfg``, which has two tasks,
+    under that seed.
 
     Returns (seed, mixing rate, confidence discrepancy) rows.
     """
     results = []
     for seed in seeds:
-        family = generate_family(TaskFamilyConfig(
-            n_tasks=2, relatedness=(relatedness,), input_dim=input_dim,
-            n_classes=n_classes, n_train=n_train, n_val=n_val, n_test=1,
-            noise_std=noise_std, mean_scale=mean_scale, seed=seed,
-        ))
+        family = generate_family(replace(family_cfg, seed=seed))
         root = RngStream(seed)
-        spec = ModelSpec(input_dim, (16,), "tanh", {0: HeadSpec(n_classes)})
         init = nn.init_params(spec, root.child("csd", "init"))
         for lam in lambdas:
             mixed = sample_interpolated(

@@ -73,6 +73,24 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not (out / "records.csv").exists()
 
+    @pytest.mark.parametrize("method, lines", [
+        ("forkmerge", "prune_to = 2"),
+        ("forkmerge", "branch_weights = 0.5,1;1,1"),
+        ("forkmerge", "branch_weights = 1,1;1,0.5"),
+        ("forkmerge_multi", "n_tasks = 1\nrelatedness ="),
+        ("forkmerge", "n_tasks = 1\nrelatedness ="),
+    ], ids=["prune_all", "target_weight_half", "no_target_only", "multi_no_aux",
+            "pair_no_aux"])
+    def test_invalid_branches_exit_1_before_any_work(self, capsys, tmp_path,
+                                                     method, lines):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CFG_SMALL.replace("method = ew", f"method = {method}")
+                       + lines + "\nmerge_interval = 10\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
+        assert capsys.readouterr().err.startswith("auxlab:")
+        assert not (out / "records.csv").exists()
+
     def test_report_skips_torn_last_row(self, capsys, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(CFG_SMALL.replace("seeds = 0", "seeds = 0,1")
@@ -238,6 +256,18 @@ class TestSweeps:
         for row in rows:
             assert 0.0 <= float(row["csd"]) <= 1.0
 
+    def test_csd_lambda_follows_hidden(self, tmp_path):
+        texts = []
+        for hidden in ("4", "32"):
+            out = tmp_path / f"csd{hidden}.csv"
+            assert run_cli(
+                "sweep", "csd-lambda", "--out", str(out), "--lambdas", "0,1",
+                "--train-steps", "30", "--n-train", "200", "--n-val", "80",
+                "--n-test", "10", "--hidden", hidden,
+            ) == 0
+            texts.append(out.read_text())
+        assert texts[0] != texts[1]
+
     def test_sweep_rejects_empty_lambdas(self, capsys, tmp_path):
         code = run_cli("sweep", "tg-gcs", "--out", str(tmp_path / "x.csv"),
                        "--lambdas", "")
@@ -258,6 +288,7 @@ class TestSweeps:
         ("csd-lambda", "--n-train", "100,200"),
         ("csd-lambda", "--relatedness", "x"),
         ("csd-lambda", "--relatedness", "0.2,0.5"),
+        ("csd-lambda", "--n-tasks", "3"),
     ])
     def test_bad_flag_exits_1_before_any_work(self, capsys, tmp_path, argv):
         kind, *flags = argv

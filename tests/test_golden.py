@@ -1,8 +1,9 @@
 """Golden digests: a tiny fixed experiment must keep producing the same bytes.
 
 Refactors and speed-ups of the training loop are meant to leave every record
-bit-identical. These digests pin `records.csv` (without the timing column)
-and the merge-history CSVs of small runs of every trainer: `ew`, a 2-branch
+bit-identical. These digests pin `records.csv` (without the timing column),
+the merge-history CSVs and the merge-history JSON files (without each
+round's timing) of small runs of every trainer: `ew`, a 2-branch
 `forkmerge` with the grid and with the binary search, a 3-task
 `forkmerge_multi` with the full validation split, with a subsample (so
 evaluations run on splits of several row counts) and with a two-layer relu
@@ -20,6 +21,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -55,6 +57,10 @@ GOLDEN = {
             "2086fac6713b7301d74062af2cbdb3b487ea66f039d7433ba19034d8084d3d6c",
         "merge_history_forkmerge_seed1.csv":
             "4b29818e1d616f0897e481ecbb5a457bd3ffa106eeb35b6080401cabc5efee29",
+        "merge_history_forkmerge_seed0.json":
+            "b84c16cfdcb7af2f6b64d0911712096531e10b63eb0221e15a87dc05e694dcaf",
+        "merge_history_forkmerge_seed1.json":
+            "9b8444a44ef3ec4dab40d3d2b715f5abb222209b46d61d367f7369e16c79182d",
     }),
     "forkmerge_binary": ("method = forkmerge\nsearch_strategy = binary", {
         RECORDS_FILENAME:
@@ -63,6 +69,10 @@ GOLDEN = {
             "3996c8f7fbcf8b53cba1040338926516591ea1a2a727cbfa61d81594afaeeb59",
         "merge_history_forkmerge_seed1.csv":
             "0bd010a4f5a4d9d7ff24034e22403022d319e2440f4eb3d838b9d9b80cc74cc7",
+        "merge_history_forkmerge_seed0.json":
+            "d1266f3d0aa584a8c9d243cfde1118367312371aeec82b36ecfac5a368503ecf",
+        "merge_history_forkmerge_seed1.json":
+            "545ad3af646443591c81ff5e554b7edde2b19b1715860a03891733d9f2ea2435",
     }),
     "forkmerge_multi": ("method = forkmerge_multi", {
         RECORDS_FILENAME:
@@ -71,6 +81,10 @@ GOLDEN = {
             "ce56b5c8d69f4cc593a5c2dd7dea814d9d3425d2cf1e88519a3895491197eef9",
         "merge_history_forkmerge_multi_seed1.csv":
             "66966e6367ba79586133081dd261b4c9fb1c46fa631addf7ce1c138e6ca66036",
+        "merge_history_forkmerge_multi_seed0.json":
+            "149662eba595b3dc7a6f4a043490f396df09dd421cd66f57283726f5b4cbc7a2",
+        "merge_history_forkmerge_multi_seed1.json":
+            "b7d6399830e018aebf140f77ac83a6e3e735962e366eac0766d40a5f6c6f6d95",
     }),
     "forkmerge_multi_valsub": ("method = forkmerge_multi\nval_subsample = 120", {
         RECORDS_FILENAME:
@@ -79,6 +93,10 @@ GOLDEN = {
             "b749a62ffe893db0596e7f9cfb1d84cac3cdd67e2de61bdecb86de3c11bee57e",
         "merge_history_forkmerge_multi_seed1.csv":
             "4a51c046daed2a5af255d64d48e6ef9a6ce80b509b2d9f214f97db8017dd1397",
+        "merge_history_forkmerge_multi_seed0.json":
+            "05d4954c6671bdbf0aa0ee9d416a8acb01d954f3dbcf9ff3fba2cb27c7c49f61",
+        "merge_history_forkmerge_multi_seed1.json":
+            "a807e72cd3dcd9dd28605c3c7279615c9b822eaaee56ad2d5089950090b00123",
     }),
     "forkmerge_multi_relu_deep": (
         "method = forkmerge_multi\nactivation = relu\nhidden_dims = 8,8", {
@@ -88,6 +106,10 @@ GOLDEN = {
                 "c5dd8a655eca5f916f1b36524d2be709fdae273980e3ff32911b18fc5aaf88cc",
             "merge_history_forkmerge_multi_seed1.csv":
                 "48ac2509df17d59a444385686fc30cc6a603802d49e7f87b02a510965f63d045",
+            "merge_history_forkmerge_multi_seed0.json":
+                "0efec308f8ecd178fa63d7248c3b0c15bc37038134dc662d36b6d1b065904da1",
+            "merge_history_forkmerge_multi_seed1.json":
+                "7d1f58ee2a436b45294079280d6dac88cf233e86deca9eb0eaabac1a762344bc",
         }),
     "fixed_lambda": ("method = fixed_lambda", {
         RECORDS_FILENAME:
@@ -145,6 +167,13 @@ def _records_without_wall_time(path) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def _history_without_wall_time(path) -> bytes:
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    for round_payload in payload["rounds"]:
+        del round_payload["wall_s"]
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
 def _digests(case: str, out_dir: Path) -> dict[str, str]:
     """Run ``case`` into ``out_dir``; the sha256 of each file it pins."""
     if case in GOLDEN:
@@ -156,8 +185,12 @@ def _digests(case: str, out_dir: Path) -> dict[str, str]:
     got = {}
     for name in digests:
         path = out_dir / name
-        data = (_records_without_wall_time(path) if name == RECORDS_FILENAME
-                else path.read_bytes())
+        if name == RECORDS_FILENAME:
+            data = _records_without_wall_time(path)
+        elif path.suffix == ".json":
+            data = _history_without_wall_time(path)
+        else:
+            data = path.read_bytes()
         got[name] = hashlib.sha256(data).hexdigest()
     return got
 
