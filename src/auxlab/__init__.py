@@ -12,6 +12,15 @@ The package exports the names of the README's Python API; everything else
 is imported from its own module (``auxlab.nn``, ``auxlab.metrics``, ...).
 """
 
+import os
+
+# Set before anything here imports numpy: BLAS reads these when it loads.
+# auxlab's products are thin (a 20 000-row evaluation multiplies 20 000 x 16
+# by 16 x C); a second BLAS thread only burns a core on them, and the kernel
+# is single-threaded by design.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .baselines import run_stl
 from .forkmerge import BranchSpec, MergeSchedule, run_forkmerge
 from .nn import HeadSpec, ModelSpec

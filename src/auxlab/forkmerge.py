@@ -394,7 +394,8 @@ def greedy_search_lambda(
     far; the running combination is L1-normalized before every evaluation.
     Total evaluations are at most (B-1)·|grid| + B. Setting a trial
     coefficient to 0 reproduces the previous stage's winner exactly, so the
-    best seen never decreases.
+    best seen never decreases; that trial is logged with the winner's score
+    and parameters instead of being evaluated again.
     """
     if not candidates:
         raise ValueError("no candidate branches to merge")
@@ -414,6 +415,9 @@ def greedy_search_lambda(
         stage = []
         for g in grid_per_coord:
             v = g * upper
+            if v == 0.0:
+                stage.append(_Scored(v, chosen.perf, chosen.params))
+                continue
             total = sum(raw) + v
             stage.append(_score(v, [c / total for c in raw + [v]], vectors, val, task_id,
                                 model_spec))

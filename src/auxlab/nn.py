@@ -218,8 +218,8 @@ class _Kernel:
         self._logits = np.empty(rows * self._max_out)
         self._probs = np.empty(rows * self._max_out)
         self._col = np.empty((rows, 1))
-        self._argmax = np.empty(rows, dtype=np.intp)
-        self._hits = np.empty(rows, dtype=np.bool_)
+        self._count = np.empty((rows, 1), dtype=np.intp)
+        self._equal = np.empty((rows, 1), dtype=np.bool_)
         self._row_ids = np.arange(rows)
         self._rows = rows
         self._fitted.clear()
@@ -377,14 +377,34 @@ class _Kernel:
         head = self._head(task_id)
         logits = self.logits(views, inputs, task_id)
         if head.loss == CROSS_ENTROPY:
-            labels = np.asarray(split.targets, dtype=np.int64)
-            predicted = np.argmax(logits, axis=1, out=self._argmax[:n])
-            hits = np.equal(predicted, labels, out=self._hits[:n])
-            return PerfValue(float(np.mean(hits)), "accuracy")
+            labels = _checked_targets(split.targets, head)
+            # a count over n is what np.mean of the hit flags gives, bit for bit
+            return PerfValue(self._argmax_hits(logits, labels) / n, "accuracy")
         targets = np.asarray(split.targets, dtype=np.float64).reshape(logits.shape)
         logits -= targets
         np.square(logits, out=logits)
         return PerfValue(-float(np.mean(logits)), "neg_mse")
+
+    def _argmax_hits(self, logits: np.ndarray, labels: np.ndarray) -> int:
+        """Rows of ``logits`` (n, C) whose label is ``np.argmax``'s pick,
+        counted without a row-wise argmax. The row maximum is folded column
+        by column, as in ``_reduce_last``; a row whose maximum occurs exactly
+        once is a hit when its label's logit equals it. The other rows (ties,
+        NaN, repeated infinities) go to ``np.argmax`` alone, which picks the
+        first maximum or the first NaN."""
+        n, c = logits.shape
+        top, count, equal = self._col[:n], self._count[:n], self._equal[:n]
+        _reduce_last(np.maximum, logits, top)
+        np.equal(logits[:, :1], top, out=count)
+        for j in range(1, c):
+            count += np.equal(logits[:, j:j + 1], top, out=equal)
+        unique = count[:, 0] == 1
+        target = np.take(logits.reshape(-1), self._row_ids[:n] * c + labels)
+        hits = np.count_nonzero(unique & (target == top[:, 0]))
+        odd = np.flatnonzero(~unique)
+        if len(odd):
+            hits += np.count_nonzero(np.argmax(logits[odd], axis=1) == labels[odd])
+        return int(hits)
 
     def confidence(self, views, split, task_id: int) -> float:
         if self._head(task_id).loss != CROSS_ENTROPY:

@@ -1,5 +1,8 @@
 import csv
 import importlib.metadata as md
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -341,3 +344,15 @@ def test_package_exports_the_readme_python_api():
     imported = set(namespace) - {"__builtins__"}
     assert len(imported) == 10
     assert set(auxlab.__all__) == imported | {"__version__"}
+
+
+def test_import_pins_blas_to_one_thread():
+    import auxlab
+
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(auxlab.__file__).resolve().parents[1])
+    env = {**os.environ, **dict.fromkeys(blas, "2"), "PYTHONPATH": src}
+    code = f"import os, auxlab; print([os.environ[v] for v in {blas!r}])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "['1', '1', '1']"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import auxlab.forkmerge as fm
 from auxlab.forkmerge import (
     BranchDivergedError,
     BranchSpec,
@@ -24,6 +25,7 @@ from auxlab.nn import (
     HeadSpec,
     ModelSpec,
     evaluate,
+    head_slice,
     init_params,
 )
 from auxlab.optim import OptConfig, TaskWeighting, initial_state
@@ -429,6 +431,71 @@ class TestGreedySearch:
         out = greedy_search_lambda(candidates, grid, fam.val(0), 0, spec)
         assert out.n_evals <= (n_branches - 1) * len(grid) + n_branches
 
+    @pytest.mark.parametrize("n_branches", [2, 3, 5])
+    @pytest.mark.parametrize("head", ["regression", "classification"])
+    def test_zero_trials_equal_their_scores(self, monkeypatch, n_branches, head):
+        """The search logs each stage's coefficient-0 trial with the previous
+        winner instead of scoring it; every candidate it makes, reused or
+        scored, must equal `_score` of its combination."""
+        gen = np.random.default_rng(n_branches)
+        if head == "regression":
+            spec, val = regression_spec(), regression_val()
+            good = np.array([1.0, 0.0, 0.0])
+        else:
+            fam = family_for([0.5])
+            spec, val = model_spec_for(fam, hidden=()), fam.val(0)
+            # a nearest-class-mean classifier as the linear head of task 0
+            train = fam.train(0)
+            means = np.stack([train.inputs[train.targets == k].mean(axis=0)
+                              for k in range(fam.n_classes)])
+            good = np.zeros(len(init_params(spec, RngStream(0))))
+            good[head_slice(spec, 0)] = np.concatenate(
+                [means.T.ravel(), -0.5 * (means ** 2).sum(axis=1)])
+        # the first two branches mix into `good`, so stage 1 picks a mixture,
+        # which the later stages' zero trials then carry
+        offset = gen.normal(size=len(good))
+        thetas = [good + 0.6 * offset, good - 0.6 * offset][:n_branches]
+        thetas += [good + 2.0 * gen.normal(size=len(good)) for _ in range(n_branches - 2)]
+        candidates = list(enumerate(thetas))
+        grid = (0.0, 0.25, 0.5, 1.0)
+
+        made, real = [], fm._Scored
+
+        def recording(*fields):
+            made.append(real(*fields))
+            return made[-1]
+
+        monkeypatch.setattr(fm, "_Scored", recording)
+        out = greedy_search_lambda(candidates, grid, val, 0, spec)
+        monkeypatch.undo()
+
+        ranked = sorted(((i, p, evaluate(spec, p, val, 0)) for i, p in candidates),
+                        key=lambda c: -c[2].value)
+        raw, expected = [1.0], []
+        for b in range(1, n_branches):
+            upper = sum(raw) / len(raw)
+            stage = []
+            for g in grid:
+                v = g * upper
+                total = sum(raw) + v
+                stage.append(fm._score(v, [c / total for c in raw + [v]],
+                                       [p for _, p, _ in ranked[: b + 1]], val, 0, spec))
+            raw.append(max(stage, key=lambda e: e.perf.value).coeff)
+            expected += stage
+        # made[0] is the top-ranked branch the search starts from
+        assert len(made) == 1 + len(expected)
+        carried = [m for m in made[len(grid) + 1:] if m.coeff == 0.0]
+        assert all(not np.array_equal(m.params, made[0].params) for m in carried)
+        for got, want in zip(made[1:], expected):
+            assert got.coeff == want.coeff
+            assert got.perf.value == want.perf.value
+            assert np.array_equal(got.params, want.params)
+        assert [e.perf.value for e in out.evaluations[n_branches:]] == [
+            e.perf.value for e in expected]
+        best = max(expected[-len(grid):], key=lambda e: e.perf.value)
+        assert out.perf.value == best.perf.value
+        assert np.array_equal(out.params, best.params)
+
     def test_final_beats_every_standalone(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
@@ -449,9 +516,10 @@ class TestGreedySearch:
 
 
 class TestSearchCounts:
-    """Every candidate a search scores is one `nn.evaluate` call and one
-    CandidateEval, so `n_evals` and a round's `psearch_evals` count the
-    calls."""
+    """Every candidate a search scores is one CandidateEval, so `n_evals`
+    and a round's `psearch_evals` count candidates. Each candidate is one
+    `nn.evaluate` call, except greedy's zero trials: each of its B-1 stages
+    logs the coefficient 0 with the previous stage's winner, unevaluated."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -478,7 +546,9 @@ class TestSearchCounts:
             out = search_lambda_binary(thetas[0], thetas[1], 4, val, 0, spec)
         else:
             out = greedy_search_lambda(list(enumerate(thetas)), grid, val, 0, spec)
-        assert len(calls) == out.n_evals == len(out.evaluations) == expected
+        assert out.n_evals == len(out.evaluations) == expected
+        reused = 3 - 1 if strategy == "greedy" else 0
+        assert len(calls) == expected - reused
 
     def test_one_branch_round_counts_its_one_evaluation(self, calls):
         fam = family_for([0.5])

@@ -161,7 +161,8 @@ def test_evaluations_across_split_sizes_equal_fresh_ones(activation):
         split_b = random_split(spec, task_id, 70, rng)
         idx = rng.choice(300, size=40, replace=False)
         subsample = DataSplit(split_a.inputs[idx], split_a.targets[idx], task_id)
-        for split in (split_a, split_b, subsample, split_a):
+        large = random_split(spec, task_id, 20_000, rng)
+        for split in (split_a, split_b, subsample, large, split_a):
             got = evaluate(spec, params, split, task_id).value
             assert got == reference_evaluate(spec, params, split, task_id)
             # a fresh spec compiles a fresh kernel with empty workspaces
@@ -280,6 +281,78 @@ def test_wide_class_reductions_keep_numpy_reduce(c):
     assert not np.array_equal(column_fold(np.add, x), expected)
 
 
+def tie_rows(c):
+    """One row per (pair of columns, label): the pair shares the row
+    maximum, and every label is tried, so ties at the first, middle and last
+    column meet labels on, before and after them."""
+    rows, labels = [], []
+    for j in range(c):
+        for k in range(j + 1, c):
+            row = np.arange(c, dtype=np.float64) * -1.0
+            row[j] = row[k] = 5.0
+            for y in range(c):
+                rows.append(row)
+                labels.append(y)
+    return np.array(rows).reshape(-1, c), np.array(labels, dtype=np.int64)
+
+
+def nan_rows(c):
+    """Rows with NaN in the label's column, in another column before or
+    after it, in both, or everywhere, next to a finite maximum."""
+    rows, labels = [], []
+    for y in range(c):
+        for nan_at in [(y,), *((j,) for j in range(c) if j != y), (y, (y + 1) % c),
+                       tuple(range(c))]:
+            row = np.linspace(-1.0, 1.0, c)
+            row[list(nan_at)] = np.nan
+            rows.append(row)
+            labels.append(y)
+    return np.array(rows), np.array(labels, dtype=np.int64)
+
+
+def crafted_logits(c, seed):
+    """(rows, labels) with every case the accuracy count must get right:
+    random logits, integer-valued logits full of ties, the awkward rows
+    (signed zeros, ±inf, NaN, whole rows of one value), tie rows and NaN
+    rows."""
+    rng = np.random.default_rng(seed)
+    parts = [
+        rng.normal(size=(400, c)),
+        rng.integers(-1, 2, size=(400, c)).astype(np.float64),
+        awkward_rows((400,), c, seed),
+        np.array([[np.inf] * c, [-np.inf] * c, ([np.inf, -np.inf] * c)[:c],
+                  [-np.inf] * (c - 1) + [np.inf]]),
+    ]
+    logits = np.concatenate(parts)
+    labels = rng.integers(0, c, size=len(logits))
+    extra = [tie_rows(c), nan_rows(c)]
+    logits = np.concatenate([logits, *(rows for rows, _ in extra)])
+    labels = np.concatenate([labels, *(y for _, y in extra)])
+    return logits, labels
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("c", range(1, 10))
+def test_accuracy_equals_argmax_mean(monkeypatch, c):
+    spec = ModelSpec(2, (3,), "tanh", {0: HeadSpec(c)})
+    params = trained_like_params(spec, c)
+    kernel = spec.kernel
+    real = kernel.logits
+    logits, labels = crafted_logits(c, seed=c)
+
+    def crafted(views, x, task_id):
+        out = real(views, x, task_id)
+        out[...] = logits[: len(out)]
+        return out
+
+    monkeypatch.setattr(kernel, "logits", crafted)
+    inputs = np.zeros((len(logits), 2))
+    for n in (len(logits), 7, len(logits) // 2, 1):
+        split = DataSplit(inputs[:n], labels[:n], 0)
+        expected = np.mean(np.argmax(logits[:n], axis=1) == labels[:n])
+        assert evaluate(spec, params, split, 0).value == expected
+
+
 @pytest.mark.parametrize("label", [2, -1])  # head 4 has 2 classes
 def test_labels_out_of_range_are_rejected(label):
     spec = mixed_head_spec("tanh", (6,))
@@ -294,6 +367,9 @@ def test_labels_out_of_range_are_rejected(label):
         stack(batches)
     with pytest.raises(ValueError, match="class label out of range"):
         loss_and_gradient(spec, params[1], batches[4])
+    # a miss before labels were checked in evaluation; a gather would wrap
+    with pytest.raises(ValueError, match="class label out of range"):
+        evaluate(spec, params[1], DataSplit(split.inputs, labels, 4), 4)
 
 
 def small_family():
