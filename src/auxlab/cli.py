@@ -13,18 +13,21 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .nn import HeadSpec, ModelSpec
-from .optim import OptConfig
 from .runner import (
+    FAMILY_KEYS,
+    _PARSERS,
     ConfigError,
-    _parse_counts,
+    ExperimentConfig,
+    _family_config,
     _parse_float_tuple,
     _parse_int_tuple,
     aggregate,
     load_config,
+    model_spec_for,
+    opt_config_for,
     output_dir_for,
     read_records,
     run_csd_lambda_sweep,
@@ -35,7 +38,7 @@ from .runner import (
     write_sweep_rows,
     RECORDS_FILENAME,
 )
-from .tasks import TaskFamilyConfig, generate_family, write_family
+from .tasks import generate_family, write_family
 
 __all__ = ["main"]
 
@@ -49,18 +52,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_family_flags(parser: argparse.ArgumentParser, n_train_default="2000"):
-    parser.add_argument("--n-tasks", type=int, default=2)
-    parser.add_argument("--relatedness", default="0.5",
-                        help="comma list, one value per auxiliary task")
-    parser.add_argument("--input-dim", type=int, default=2)
-    parser.add_argument("--n-classes", type=int, default=4)
-    parser.add_argument("--n-train", default=n_train_default,
-                        help="shared count, or comma list per task")
-    parser.add_argument("--n-val", type=int, default=500)
-    parser.add_argument("--n-test", type=int, default=1000)
-    parser.add_argument("--noise-std", type=float, default=0.5)
-    parser.add_argument("--mean-scale", type=float, default=2.0)
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+# config keys whose flags are not named after them
+_FLAG_NAMES = {"hidden_dims": "--hidden", "base_lr": "--lr"}
+
+
+def _flag_parser(key: str):
+    """``key``'s config parser; argparse reports a value it rejects under the
+    flag's name."""
+    def parse(text: str):
+        try:
+            return _PARSERS[key](text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from exc
+
+    return parse
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """One flag per config key, with the key's parser and default."""
+    for key in keys:
+        flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+        parser.add_argument(flag, dest=key, type=_flag_parser(key),
+                            default=_DEFAULTS[key], help=f"as config key {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-data", help="write a task family to CSV files")
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--seed", type=int, default=0)
-    _add_family_flags(gen)
+    _add_config_flags(gen, FAMILY_KEYS)
 
     run = sub.add_parser("run", help="execute a config file")
     run.add_argument("--config", required=True, help="path to a key=value file")
@@ -92,10 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tg-gcs: single-task steps before probing")
     sweep.add_argument("--train-steps", type=int, default=300,
                        help="csd-lambda: steps per mixed training run")
-    sweep.add_argument("--hidden", default="16", help="comma list of layer widths")
-    sweep.add_argument("--lr", type=float, default=0.1)
-    sweep.add_argument("--batch-size", type=int, default=64)
-    _add_family_flags(sweep)
+    _add_config_flags(sweep, ("hidden_dims", "base_lr", "batch_size", *FAMILY_KEYS))
+    # the sweeps train with the config's default activation and optimizer
+    sweep.set_defaults(**{key: _DEFAULTS[key]
+                          for key in ("activation", "momentum", "lr_schedule")})
 
     rep = sub.add_parser("report", help="aggregate a results directory")
     rep.add_argument("--records", required=True,
@@ -103,21 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--out", default=None,
                      help="where to write summaries (default: records dir)")
     return parser
-
-
-def _family_config(args, seed: int) -> TaskFamilyConfig:
-    return TaskFamilyConfig(
-        n_tasks=args.n_tasks,
-        relatedness=_parse_float_tuple(args.relatedness),
-        input_dim=args.input_dim,
-        n_classes=args.n_classes,
-        n_train=_parse_counts(args.n_train),
-        n_val=args.n_val,
-        n_test=args.n_test,
-        noise_std=args.noise_std,
-        mean_scale=args.mean_scale,
-        seed=seed,
-    )
 
 
 def _cmd_gen_data(args) -> int:
@@ -156,15 +155,17 @@ def _cmd_sweep(args) -> int:
         if args.points < 1 or args.warm_steps < 0 or args.train_steps < 1:
             raise ValueError("--points and --train-steps must be >= 1,"
                              " --warm-steps >= 0")
-        opt = OptConfig(base_lr=args.lr, batch_size=args.batch_size)
-        # csd-lambda mixes the target with exactly one auxiliary task
-        if csd_sweep and args.n_tasks != 2:
-            raise ValueError("csd-lambda expects --n-tasks 2")
+        # tg-gcs probes auxiliary tasks; csd-lambda mixes the target with
+        # exactly one, at rates >= 0
+        if args.n_tasks < 2:
+            raise ValueError("the sweeps expect --n-tasks >= 2")
+        if csd_sweep and (args.n_tasks != 2 or min(lambdas) < 0):
+            raise ValueError("csd-lambda expects --n-tasks 2 and --lambdas >= 0")
         family_cfg = _family_config(args, seeds[0])
         if csd_sweep and not isinstance(family_cfg.n_train, int):
             raise ValueError("csd-lambda expects a single n-train count")
-        heads = {t: HeadSpec(args.n_classes) for t in range(family_cfg.n_tasks)}
-        spec = ModelSpec(args.input_dim, _parse_int_tuple(args.hidden), "tanh", heads)
+        spec = model_spec_for(args)
+        opt = opt_config_for(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = Path(args.out)
@@ -176,7 +177,7 @@ def _cmd_sweep(args) -> int:
     else:
         rows = []
         for seed in seeds:
-            family = generate_family(replace(family_cfg, seed=seed))
+            family = generate_family(_family_config(args, seed))
             rows += [(seed, row) for row in run_tg_gcs_sweep(
                 family, spec, args.warm_steps, lambdas, args.points, opt, seed
             )]

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import nn
-from .nn import ModelSpec, PerfValue, mean_max_confidence
+from .nn import ModelSpec, PerfValue, check_loss, mean_max_confidence
 from .optim import initial_state, sgd_step
 from .tasks import DataSplit, TaskFamily
 from .vectors import RngStream, dot
@@ -170,24 +170,32 @@ def one_step_tg_gcs_sweep(
     shared block, then for every weighting in ``lambdas`` apply the single
     step theta - lr * (g_tgt + lam * g_aux) and report the validation change
     against the lam = 0 step. Rows are ordered by (point, lambda-position);
-    the lam = 0 rows are exactly zero by construction.
+    the lam = 0 rows are exactly zero by construction. Every gradient comes
+    from stacked passes built once per sweep, one per batch length.
     """
     aux_ids = (aux_task,) if aux_task is not None else family.aux_ids
     if not aux_ids:
         raise ValueError("family has no auxiliary task to probe")
+    tasks = tuple(dict.fromkeys((family.target_id, *aux_ids)))
+    lengths = {t: min(batch_size, len(family.train(t))) for t in tasks}
+    # one stacked pass per batch length, built once; normally one holds every task
+    stacked = np.ascontiguousarray(params)[None]
+    passes = [spec.kernel.pair_pass(stacked, [(0, t) for t in tasks if lengths[t] == n], n)
+              for n in sorted(set(lengths.values()))]
     val = family.val(family.target_id)
     rows: list[SweepRow] = []
     for point in range(n_points):
-        tgt_batch = _batch_from(
-            family.train(family.target_id),
-            rng.child("point", point, family.target_id),
-            batch_size,
-        )
-        _, g_tgt = nn.loss_and_gradient(spec, params, tgt_batch)
-        aux_grads = []
-        for aid in aux_ids:
-            batch = _batch_from(family.train(aid), rng.child("point", point, aid), batch_size)
-            aux_grads.append(nn.loss_and_gradient(spec, params, batch)[1])
+        batches = {t: _batch_from(family.train(t), rng.child("point", point, t), batch_size)
+                   for t in tasks}
+        grads = {}
+        for pair_pass in passes:
+            losses = pair_pass(batches)
+            for (_, t), k in pair_pass.index.items():
+                check_loss(losses[k], t)
+                # the next point's pass overwrites ``grads``
+                grads[t] = pair_pass.grads[k].copy()
+        g_tgt = grads[family.target_id]
+        aux_grads = [grads[aid] for aid in aux_ids]
         g_aux = aux_grads[0] if len(aux_grads) == 1 else np.mean(aux_grads, axis=0)
         cos = gcs(shared_gradient_block(spec, g_tgt), shared_gradient_block(spec, g_aux))
 

@@ -11,8 +11,9 @@ and gradient mixing are plain vector arithmetic. Layout, in order:
 ``ModelSpec.layout`` holds the exact slice for every block, built once per
 spec; all branches of a fork share this single layout, which is what makes
 merged vectors meaningful. ``ModelSpec.kernel`` compiles the spec once into
-the only forward/backward implementation, which reuses its workspaces across
-calls. A model is its spec plus one parameter vector: the module-level
+a kernel that reuses its workspaces across calls. Its stacked pass over
+(branch, task) pairs is the only forward/backward implementation;
+``loss_and_gradient`` is that pass over one pair. A model is its spec plus one parameter vector: the module-level
 functions take both and return fresh values.
 """
 
@@ -348,23 +349,6 @@ class _Kernel:
             np.add.reduce(d, axis=-2, out=gb)
             delta = d
 
-    def loss_and_gradient(self, views, batch: Batch, grad_views) -> float:
-        """Mean loss on ``batch``; writes its gradient into ``grad_views``.
-
-        Only the encoder blocks and ``batch.task_id``'s head blocks are
-        written, so a gradient buffer that is zero in the other heads' blocks
-        stays so. A non-finite loss raises before the backward pass.
-        """
-        head = self._head(batch.task_id)
-        targets = _checked_targets(batch.targets, head)
-        acts = self._encode(views[0], batch.inputs)
-        w, b = views[1][batch.task_id]
-        loss, grad = self._loss(acts[-1], w, b, head, targets)
-        check_loss(loss, batch.task_id)
-        gw, gb = grad_views[1][batch.task_id]
-        self._backward(acts, views[0], grad_views[0], [(slice(None), w, gw, gb, grad)])
-        return float(loss)
-
     def pair_pass(self, params: np.ndarray, pairs: Sequence[tuple[int, int]],
                   batch_size: int) -> "_PairPass":
         """One stacked forward/backward per step for the (row of ``params``,
@@ -589,16 +573,19 @@ def _inputs(split) -> np.ndarray:
 def loss_and_gradient(spec: ModelSpec, params: np.ndarray,
                       batch: Batch) -> tuple[float, np.ndarray]:
     """Mean per-example loss and its exact gradient as a fresh full-length
-    vector.
+    vector: a one-pair stacked pass over ``params``.
 
     Head blocks not belonging to ``batch.task_id`` are exactly zero. A
     non-finite loss raises: that signals divergence and the caller is
     expected to abort the run with a diagnostic.
     """
-    kernel = spec.kernel
-    grad = np.zeros(kernel.n_params)
-    loss = kernel.loss_and_gradient(kernel.views(params), batch, kernel.views(grad))
-    return loss, grad
+    if len(params) != param_count(spec):
+        raise ValueError(f"vector length {len(params)} != {param_count(spec)}")
+    one_pair = spec.kernel.pair_pass(np.ascontiguousarray(params)[None],
+                                     [(0, batch.task_id)], len(batch.inputs))
+    [loss] = one_pair({batch.task_id: batch})
+    check_loss(loss, batch.task_id)
+    return float(loss), one_pair.grads[0]
 
 
 @dataclass(frozen=True)

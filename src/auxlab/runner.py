@@ -81,6 +81,8 @@ METHODS = (
     "forkmerge_multi",
 )
 FORKMERGE_METHODS = ("forkmerge", "forkmerge_multi")
+# the config keys, and CLI flags, that make up a task family
+FAMILY_KEYS = tuple(f.name for f in fields(TaskFamilyConfig) if f.name != "seed")
 
 OUTPUT_DIR_ENV = "AUXLAB_OUTPUT_DIR"
 RECORDS_FILENAME = "records.csv"
@@ -154,11 +156,10 @@ class ExperimentConfig:
         # the family, model, optimizer, schedule and branches own their checks
         try:
             _family_config(self, self.data_seed)
-            ModelSpec(self.input_dim, self.hidden_dims, self.activation,
-                      {0: HeadSpec(self.n_classes)})
+            model_spec_for(self)
             opt_config_for(self)
-            # fixed_lambda trains once per value of any grid; the merge
-            # search's grid rules bind the fork/merge methods only
+            # fixed_lambda trains once per value of any grid of weights >= 0;
+            # the merge search's grid rules bind the fork/merge methods only
             if self.method in FORKMERGE_METHODS:
                 check_branches(_branches_for(self),
                                _schedule_for(self, self.lambda_grid))
@@ -166,6 +167,8 @@ class ExperimentConfig:
                 _schedule_for(self, DEFAULT_LAMBDA_GRID)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.method == "fixed_lambda" and min(self.lambda_grid, default=-1) < 0:
+            raise ConfigError("lambda_grid: fixed_lambda needs one or more values >= 0")
         if self.pre_steps < 0:
             raise ConfigError("pre_steps: must be >= 0")
         if self.method == "post_train" and self.pre_steps > self.total_steps:
@@ -319,19 +322,11 @@ class ResultRecord:
     wall_s: float
 
 
-def _family_config(config: ExperimentConfig, seed: int) -> TaskFamilyConfig:
-    return TaskFamilyConfig(
-        n_tasks=config.n_tasks,
-        relatedness=config.relatedness,
-        input_dim=config.input_dim,
-        n_classes=config.n_classes,
-        n_train=config.n_train,
-        n_val=config.n_val,
-        n_test=config.n_test,
-        noise_std=config.noise_std,
-        mean_scale=config.mean_scale,
-        seed=seed,
-    )
+def _family_config(config, seed: int) -> TaskFamilyConfig:
+    """The family of ``config``, any object with the ``FAMILY_KEYS``
+    attributes (an ``ExperimentConfig`` or parsed CLI flags), under ``seed``."""
+    return TaskFamilyConfig(**{key: getattr(config, key) for key in FAMILY_KEYS},
+                            seed=seed)
 
 
 def family_for_seed(config: ExperimentConfig, seed: int) -> TaskFamily:
@@ -342,9 +337,11 @@ def family_for_seed(config: ExperimentConfig, seed: int) -> TaskFamily:
     return generate_family(_family_config(config, config.data_seed + seed))
 
 
-def model_spec_for(config: ExperimentConfig, family: TaskFamily) -> ModelSpec:
-    heads = {t: HeadSpec(family.n_classes) for t in family.task_ids}
-    return ModelSpec(family.input_dim, config.hidden_dims, config.activation, heads)
+def model_spec_for(config) -> ModelSpec:
+    """One ``n_classes`` head per task of ``config``, as generated and loaded
+    families have them, on a ``hidden_dims`` encoder."""
+    heads = {t: HeadSpec(config.n_classes) for t in range(config.n_tasks)}
+    return ModelSpec(config.input_dim, config.hidden_dims, config.activation, heads)
 
 
 def output_dir_for(config: ExperimentConfig,
@@ -354,7 +351,7 @@ def output_dir_for(config: ExperimentConfig,
     return Path(output_dir or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir)
 
 
-def opt_config_for(config: ExperimentConfig) -> OptConfig:
+def opt_config_for(config) -> OptConfig:
     return OptConfig(
         base_lr=config.base_lr,
         momentum_coeff=config.momentum,
@@ -578,15 +575,14 @@ def run_experiment(
     records: list[ResultRecord] = []
     stl_target: dict[int, float] = {}
 
-    # each seed's family and spec are built once per run, however its jobs
-    # interleave with other seeds'; a data_dir family serves every seed
-    @functools.lru_cache(maxsize=len(config.seeds))
-    def family_and_spec(seed: int | None) -> tuple[TaskFamily, ModelSpec]:
-        family = family_for_seed(config, seed)
-        return family, model_spec_for(config, family)
+    # each seed's family is built once per run, however its jobs interleave
+    # with other seeds'; a data_dir family serves every seed
+    family_of = functools.lru_cache(maxsize=len(config.seeds))(
+        functools.partial(family_for_seed, config))
+    spec = model_spec_for(config)
 
     def one_job(method: str, seed: int):
-        family, spec = family_and_spec(None if config.data_dir else seed)
+        family = family_of(None if config.data_dir else seed)
         start = time.perf_counter()
         try:
             if method == "stl":

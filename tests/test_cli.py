@@ -82,8 +82,10 @@ class TestExitCodes:
         ("forkmerge", "branch_weights = 1,1;1,0.5"),
         ("forkmerge_multi", "n_tasks = 1\nrelatedness ="),
         ("forkmerge", "n_tasks = 1\nrelatedness ="),
+        ("fixed_lambda", "lambda_grid = 0,-0.5,1"),
+        ("fixed_lambda", "lambda_grid ="),
     ], ids=["prune_all", "target_weight_half", "no_target_only", "multi_no_aux",
-            "pair_no_aux"])
+            "pair_no_aux", "fixed_negative_grid", "fixed_empty_grid"])
     def test_invalid_branches_exit_1_before_any_work(self, capsys, tmp_path,
                                                      method, lines):
         cfg = tmp_path / "bad.cfg"
@@ -93,6 +95,17 @@ class TestExitCodes:
         assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
         assert capsys.readouterr().err.startswith("auxlab:")
         assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("command", [("gen-data",), ("sweep", "tg-gcs"),
+                                         ("sweep", "csd-lambda")])
+    @pytest.mark.parametrize("flag", ["--n-train", "--relatedness"])
+    def test_bad_flag_value_names_flag_and_value(self, capsys, tmp_path, command, flag):
+        out = tmp_path / "out"
+        assert run_cli(*command, "--out", str(out), flag, "x") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"auxlab: argument {flag}: ")
+        assert "'x'" in err and "_parse" not in err
+        assert not out.exists()
 
     def test_report_skips_torn_last_row(self, capsys, tmp_path):
         cfg = tmp_path / "small.cfg"
@@ -292,6 +305,8 @@ class TestSweeps:
         ("csd-lambda", "--relatedness", "x"),
         ("csd-lambda", "--relatedness", "0.2,0.5"),
         ("csd-lambda", "--n-tasks", "3"),
+        ("tg-gcs", "--n-tasks", "1", "--relatedness", ""),
+        ("csd-lambda", "--lambdas", "0,-1"),
     ])
     def test_bad_flag_exits_1_before_any_work(self, capsys, tmp_path, argv):
         kind, *flags = argv

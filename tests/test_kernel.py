@@ -3,9 +3,9 @@
 `reference_loss_and_gradient` and `reference_logits` below are a plain-numpy
 forward/backward that allocates every intermediate, written out once here as
 the slow path. The kernel in `auxlab.nn` runs the same operations in the same
-order into reused workspaces, so the two must agree bit for bit. The stacked
-pass over (branch, task) pairs must in turn equal the kernel's single-batch
-`loss_and_gradient` for every pair, bit for bit.
+order into reused workspaces, so the two must agree bit for bit: both for
+`loss_and_gradient`, which is a one-pair stacked pass, and for every pair of
+a stacked pass over many (branch, task) pairs.
 """
 
 import tracemalloc
@@ -231,7 +231,8 @@ def test_pair_pass_matches_per_pair_gradients_bitwise(activation, hidden, batch_
             losses = stack(batches).copy()
             for i, t in pairs:
                 k = stack.index[i, t]
-                loss, grad = loss_and_gradient(spec, params[i].copy(), batches[t])
+                loss, grad = reference_loss_and_gradient(spec, params[i].copy(),
+                                                         batches[t])
                 assert losses[k] == loss
                 np.testing.assert_array_equal(stack.grads[k], grad)
                 assert np.array_equal(np.signbit(stack.grads[k]), np.signbit(grad))

@@ -8,15 +8,18 @@ from auxlab.metrics import (
     STRONG_NEGATIVE,
     WEAK_NEGATIVE,
     PerfValue,
+    SweepRow,
     TransferReport,
     classify_transfer,
     csd,
     delta_m,
     gcs,
     one_step_tg_gcs_sweep,
+    shared_gradient_block,
     transfer_gain,
 )
-from auxlab.nn import Batch, HeadSpec, ModelSpec, init_params, loss_and_gradient
+from auxlab.nn import (Batch, HeadSpec, ModelSpec, evaluate, init_params,
+                       loss_and_gradient)
 from auxlab.optim import initial_state, sgd_step
 from auxlab.tasks import TaskFamilyConfig, generate_family
 from auxlab.vectors import RngStream
@@ -228,3 +231,47 @@ class TestOneStepSweep:
         for p in range(3):
             values = {r.gcs for r in rows if r.point_id == p}
             assert len(values) == 1
+
+
+def reference_sweep(spec, params, family, lambdas, n_points, rng, lr, batch_size,
+                    aux_ids):
+    """The tg-gcs sweep with one `loss_and_gradient` call per task and point."""
+    rows = []
+    for point in range(n_points):
+        grads = {}
+        for t in (0, *aux_ids):
+            split = family.train(t)
+            gen = rng.child("point", point, t).generator()
+            idx = gen.integers(0, len(split), size=min(batch_size, len(split)))
+            batch = Batch(split.inputs[idx], split.targets[idx], t)
+            grads[t] = loss_and_gradient(spec, params, batch)[1]
+        g_tgt = grads[0]
+        g_aux = np.mean([grads[t] for t in aux_ids], axis=0)
+        cos = gcs(shared_gradient_block(spec, g_tgt), shared_gradient_block(spec, g_aux))
+
+        def perf_after(lam):
+            state = initial_state(len(params), base_lr=lr, momentum_coeff=0.0)
+            stepped, _ = sgd_step(params, g_tgt + lam * g_aux, state)
+            return evaluate(spec, stepped, family.val(0), 0).value
+
+        base = perf_after(0.0)
+        rows += [SweepRow(point, lam, cos, 0.0 if lam == 0.0 else perf_after(lam) - base)
+                 for lam in lambdas]
+    return rows
+
+
+@pytest.mark.parametrize("aux_task, aux_ids", [(None, (1, 2)), (1, (1,)), (2, (2,))])
+def test_sweep_matches_per_task_gradients(aux_task, aux_ids):
+    # task 1 has fewer rows than a batch, so the sweep runs two batch lengths
+    fam = generate_family(TaskFamilyConfig(
+        n_tasks=3, relatedness=(0.7, 0.2), n_train=(300, 40, 300), n_val=200,
+        n_test=10, seed=4))
+    spec = ModelSpec(2, (8,), "tanh", {t: HeadSpec(4) for t in range(3)})
+    params = init_params(spec, RngStream(2))
+    params += 0.2 * np.random.default_rng(2).normal(size=len(params))
+    lambdas = [0.0, 0.5, 1.0, 2.0]
+    rows = one_step_tg_gcs_sweep(spec, params, fam, lambdas, 4, RngStream(6),
+                                 lr=0.05, batch_size=64, aux_task=aux_task)
+    assert rows == reference_sweep(spec, params, fam, lambdas, 4, RngStream(6),
+                                   0.05, 64, aux_ids)
+    assert len({row.gcs for row in rows}) == 4

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from auxlab.optim import OptConfig
 from auxlab.runner import (
+    FAMILY_KEYS,
     ConfigError,
     ExperimentConfig,
     ResultRecord,
@@ -13,6 +15,7 @@ from auxlab.runner import (
     read_records,
     run_experiment,
 )
+from auxlab.tasks import TaskFamilyConfig
 
 BASE_TEXT = """
 # a small, fast setup shared by most tests below
@@ -365,6 +368,16 @@ class TestAggregate:
 
 
 class TestConfigValidation:
+    def test_defaults_match_the_library_defaults(self):
+        config = ExperimentConfig(method="ew", seeds=(0,))
+        family = {f.name: f.default for f in dataclasses.fields(TaskFamilyConfig)
+                  if f.name in FAMILY_KEYS and f.default is not dataclasses.MISSING}
+        assert len(family) == len(FAMILY_KEYS) - 2  # n_tasks, relatedness
+        assert {key: getattr(config, key) for key in family} == family
+        opt = OptConfig()
+        assert ((config.base_lr, config.momentum, config.lr_schedule, config.batch_size)
+                == (opt.base_lr, opt.momentum_coeff, opt.schedule, opt.batch_size))
+
     def test_branch_weights_arity(self):
         with pytest.raises(ConfigError, match="branch_weights"):
             ExperimentConfig(method="forkmerge", seeds=(0,),
