@@ -10,7 +10,6 @@ All diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import MISSING, fields
@@ -33,12 +32,10 @@ from .runner import (
     run_csd_lambda_sweep,
     run_experiment,
     run_tg_gcs_sweep,
-    write_csd_rows,
     write_summary,
-    write_sweep_rows,
     RECORDS_FILENAME,
 )
-from .tasks import generate_family, write_family
+from .tasks import generate_family, write_family, write_rows
 
 __all__ = ["main"]
 
@@ -139,7 +136,10 @@ def _cmd_run(args) -> int:
         config = load_config(path)
     except ConfigError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    records = run_experiment(config, output_dir=args.output_dir)
+    try:
+        records = run_experiment(config, output_dir=args.output_dir)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from exc
     out_dir = output_dir_for(config, args.output_dir)
     print(f"wrote {len(records)} records to {out_dir / RECORDS_FILENAME}")
     return 0
@@ -152,6 +152,8 @@ def _cmd_sweep(args) -> int:
         lambdas = _parse_float_tuple(args.lambdas)
         if not seeds or not lambdas:
             raise ValueError("--seeds and --lambdas must be non-empty")
+        if len(set(seeds)) != len(seeds):
+            raise ValueError(f"--seeds repeats a seed: {args.seeds}")
         if args.points < 1 or args.warm_steps < 0 or args.train_steps < 1:
             raise ValueError("--points and --train-steps must be >= 1,"
                              " --warm-steps >= 0")
@@ -168,21 +170,16 @@ def _cmd_sweep(args) -> int:
         opt = opt_config_for(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if csd_sweep:
+        columns = ("seed", "lambda", "csd")
         rows = run_csd_lambda_sweep(family_cfg, spec, lambdas, seeds, args.train_steps,
                                     opt)
-        write_csd_rows(rows, out)
     else:
-        rows = []
-        for seed in seeds:
-            family = generate_family(_family_config(args, seed))
-            rows += [(seed, row) for row in run_tg_gcs_sweep(
-                family, spec, args.warm_steps, lambdas, args.points, opt, seed
-            )]
-        write_sweep_rows(rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
+        columns = ("seed", "point_id", "lambda", "gcs", "tg")
+        rows = run_tg_gcs_sweep(family_cfg, spec, args.warm_steps, lambdas, args.points,
+                                opt, seeds)
+    write_rows(args.out, columns, rows)
+    print(f"wrote {len(rows)} rows to {Path(args.out)}")
     return 0
 
 
@@ -211,11 +208,8 @@ def _cmd_report(args) -> int:
                     history_path.stem, round_payload["round"], branch_id, coeff
                 ))
     if trajectory_rows:
-        with open(out / "lambda_trajectories.csv", "w", newline="",
-                  encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("source", "round", "branch_id", "merge_coeff"))
-            writer.writerows(trajectory_rows)
+        write_rows(out / "lambda_trajectories.csv",
+                   ("source", "round", "branch_id", "merge_coeff"), trajectory_rows)
     print(f"wrote summary for {len(summary)} methods to {out}")
     return 0
 

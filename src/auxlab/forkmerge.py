@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from .nn import Batch, ModelSpec, PerfValue
 from .optim import OptConfig, OptState, TaskWeighting, sgd_step_into
-from .tasks import DataSplit, TaskFamily
+from .tasks import DataSplit, TaskFamily, write_rows
 from .vectors import NonFiniteError, RngStream, linear_combination, linear_combination_into
 
 __all__ = [
@@ -566,16 +566,10 @@ def run_forkmerge(
 
 def write_merge_history(history: Sequence[MergeRecord], csv_path, json_path) -> None:
     """One CSV row per evaluated candidate, plus a JSON coefficient trajectory."""
-    csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["round,branch_id,candidate_lambda_or_coeff,val_perf,chosen"]
-    for record in history:
-        for cand in record.candidates:
-            lines.append(
-                f"{record.round_index},{cand.branch_id},{cand.coeff!r},"
-                f"{cand.perf.value!r},{int(cand.chosen)}"
-            )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = ("round", "branch_id", "candidate_lambda_or_coeff", "val_perf", "chosen")
+    write_rows(csv_path, columns, [
+        (record.round_index, cand.branch_id, cand.coeff, cand.perf.value, int(cand.chosen))
+        for record in history for cand in record.candidates])
 
     payload = {
         "rounds": [

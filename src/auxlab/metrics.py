@@ -17,7 +17,6 @@ from .vectors import RngStream, dot
 
 __all__ = [
     "PerfValue",
-    "TransferReport",
     "SweepRow",
     "POSITIVE",
     "WEAK_NEGATIVE",
@@ -65,24 +64,6 @@ def classify_transfer(tg_by_lambda: Mapping[float, float]) -> str:
     if min(tg_by_lambda.values()) < 0:
         return WEAK_NEGATIVE
     return POSITIVE
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    tg_by_lambda: Mapping[float, float]
-    classification: str
-
-    def __post_init__(self):
-        expected = classify_transfer(self.tg_by_lambda)
-        if self.classification != expected:
-            raise ValueError(
-                f"classification {self.classification!r} inconsistent with gains "
-                f"(expected {expected!r})"
-            )
-
-    @classmethod
-    def from_gains(cls, tg_by_lambda: Mapping[float, float]) -> "TransferReport":
-        return cls(dict(tg_by_lambda), classify_transfer(tg_by_lambda))
 
 
 def gcs(g_i: np.ndarray, g_j: np.ndarray) -> float:

@@ -16,7 +16,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -41,15 +41,17 @@ from .forkmerge import (
     train_branches,
     write_merge_history,
 )
-from .metrics import SweepRow, csd, delta_m, one_step_tg_gcs_sweep
+from .metrics import csd, delta_m, one_step_tg_gcs_sweep
 from .nn import HeadSpec, ModelSpec
 from .optim import OptConfig, TaskWeighting
 from .tasks import (
     TaskFamily,
     TaskFamilyConfig,
+    csv_text,
     generate_family,
     load_family,
     sample_interpolated,
+    write_rows,
 )
 from .vectors import NonFiniteError, RngStream
 
@@ -68,7 +70,6 @@ __all__ = [
     "run_experiment",
     "run_tg_gcs_sweep",
     "write_summary",
-    "write_sweep_rows",
 ]
 
 METHODS = (
@@ -147,6 +148,8 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigError("seeds: at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds: a seed is repeated in {_dump(self.seeds)}")
         for row in self.branch_weights:
             if len(row) != self.n_tasks:
                 raise ConfigError(
@@ -330,10 +333,15 @@ def _family_config(config, seed: int) -> TaskFamilyConfig:
 
 
 def family_for_seed(config: ExperimentConfig, seed: int) -> TaskFamily:
+    """``seed``'s family, or the ``data_dir`` family, which serves every seed
+    and raises ConfigError if the loader rejects it."""
     if config.data_dir:
-        return load_family(
-            config.data_dir, config.n_tasks, config.input_dim, config.n_classes
-        )
+        try:
+            return load_family(
+                config.data_dir, config.n_tasks, config.input_dim, config.n_classes
+            )
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"data_dir: {exc}") from exc
     return generate_family(_family_config(config, config.data_seed + seed))
 
 
@@ -403,37 +411,19 @@ class _RecordWriter:
     dropped by an atomic rewrite before the first append."""
 
     def __init__(self, path: Path, kept: Sequence[ResultRecord]):
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(
-            [RECORD_COLUMNS, *map(_record_row, kept)])
-        text = buffer.getvalue()
+        text = csv_text([RECORD_COLUMNS, *map(astuple, kept)])
         if not path.exists() or path.read_text(encoding="utf-8") != text:
             partial = path.with_name(path.name + ".partial")
             partial.write_text(text, encoding="utf-8")
             os.replace(partial, path)
         self._handle = open(path, "a", newline="", encoding="utf-8")
-        self._writer = csv.writer(self._handle, lineterminator="\n")
 
     def append(self, record: ResultRecord):
-        self._writer.writerow(_record_row(record))
+        self._handle.write(csv_text([astuple(record)]))
         self._handle.flush()
 
     def close(self):
         self._handle.close()
-
-
-def _record_row(record: ResultRecord) -> list:
-    return [
-        record.method,
-        record.seed,
-        record.task_id,
-        record.split,
-        record.metric,
-        repr(record.value),
-        "" if record.tg is None else repr(record.tg),
-        record.psearch_evals,
-        repr(record.wall_s),
-    ]
 
 
 def _finished_jobs(path: Path) -> list[list[ResultRecord]]:
@@ -477,69 +467,58 @@ def _run_method(
     spec: ModelSpec,
     seed: int,
     out_dir: Path,
-) -> tuple[np.ndarray, int]:
-    """Train one (method, seed) job; returns final params and the number of
-    validation evaluations the method spent on weight search."""
+) -> tuple[dict[int, np.ndarray], int]:
+    """Train one (method, seed) job; returns each task's final parameters and
+    the number of validation evaluations the method spent on weight search.
+    ``stl`` trains one model per task, every other method one for all."""
     opt = opt_config_for(config)
     total = config.total_steps
+    tasks = family.task_ids
+    if method == "stl":
+        trained = run_single_task(family, spec, tasks, total, opt, seed)
+        return {t: params for t, (params, _) in zip(tasks, trained)}, 0
+    psearch = 0
     if method == "ew":
         params, _ = run_ew(family, spec, total, opt, seed)
-        return params, 0
-    if method == "fixed_lambda":
+    elif method == "fixed_lambda":
         res = run_fixed_lambda(family, spec, total, config.lambda_grid, opt, seed)
-        return res.params, len(res.val_history)
-    if method == "gcs":
-        res = run_gcs_weighting(family, spec, total, opt, seed)
-        return res.params, 0
-    if method == "post_train":
+        params, psearch = res.params, len(res.val_history)
+    elif method == "gcs":
+        params = run_gcs_weighting(family, spec, total, opt, seed).params
+    elif method == "post_train":
         params, _ = run_post_train(
             family, spec, config.pre_steps, total - config.pre_steps, opt, seed
         )
-        return params, 0
-    # forkmerge / forkmerge_multi
-    result = run_forkmerge(
-        family, spec, _schedule_for(config, config.lambda_grid),
-        _branches_for(config), opt, seed,
-    )
-    write_merge_history(
-        result.merge_history,
-        out_dir / f"merge_history_{method}_seed{seed}.csv",
-        out_dir / f"merge_history_{method}_seed{seed}.json",
-    )
-    return result.final_params, result.total_psearch_evals
+    else:  # forkmerge / forkmerge_multi
+        result = run_forkmerge(
+            family, spec, _schedule_for(config, config.lambda_grid),
+            _branches_for(config), opt, seed,
+        )
+        write_merge_history(
+            result.merge_history,
+            out_dir / f"merge_history_{method}_seed{seed}.csv",
+            out_dir / f"merge_history_{method}_seed{seed}.json",
+        )
+        params, psearch = result.final_params, result.total_psearch_evals
+    return dict.fromkeys(tasks, params), psearch
 
 
-def _stl_row_specs(
-    config: ExperimentConfig, family: TaskFamily, spec: ModelSpec, seed: int,
-) -> list[tuple[int, str, str, float, float | None]]:
-    """One single-task model per task, trained in lockstep, so per-task rows
-    are true single-task references rather than read-outs of untrained heads."""
-    tasks, target = family.task_ids, family.target_id
-    trained = run_single_task(family, spec, tasks, config.total_steps,
-                              opt_config_for(config), seed)
-    rows = [(task_id, "test", perf.metric, _scaled(perf), None)
-            for task_id, (_, perf) in zip(tasks, trained)]
-    target_params = trained[tasks.index(target)][0]
-    val_perf = nn.evaluate(spec, target_params, family.val(target), target)
-    return rows + [(target, "val", val_perf.metric, _scaled(val_perf), None)]
-
-
-def _atl_row_specs(
+def _row_specs(
     family: TaskFamily,
     spec: ModelSpec,
-    params: np.ndarray,
-    seed: int,
-    stl_target: Mapping[int, float],
+    params: Mapping[int, np.ndarray],
+    stl_value: float | None,
 ) -> list[tuple[int, str, str, float, float | None]]:
+    """Each task's test row, then the target's val row; the target's test
+    row carries its gain over ``stl_value``, the seed's stl score, if given."""
     target = family.target_id
     rows = []
     for task_id in family.task_ids:
-        perf = nn.evaluate(spec, params, family.test(task_id), task_id)
+        perf = nn.evaluate(spec, params[task_id], family.test(task_id), task_id)
         value = _scaled(perf)
-        tg = value - stl_target[seed] if (task_id == target
-                                          and seed in stl_target) else None
+        tg = value - stl_value if task_id == target and stl_value is not None else None
         rows.append((task_id, "test", perf.metric, value, tg))
-    val_perf = nn.evaluate(spec, params, family.val(target), target)
+    val_perf = nn.evaluate(spec, params[target], family.val(target), target)
     rows.append((target, "val", val_perf.metric, _scaled(val_perf), None))
     return rows
 
@@ -559,14 +538,23 @@ def run_experiment(
     A dir that already holds records is resumed: (method, seed) jobs whose
     rows are complete there are skipped, and a skipped single-task job still
     supplies its seed's target value for transfer gain. Only the records
-    written by this call are returned.
+    written by this call are returned. A config that differs from the dir's
+    echo of its method, or a ``data_dir`` the loader rejects, raises
+    ConfigError before anything is written.
     """
     out_dir = output_dir_for(config, output_dir)
+    echo_path = out_dir / CONFIG_ECHO_FILENAME.format(method=config.method)
+    echo = _echo_for(config, out_dir, echo_path)
+    # each seed's family is built once per run, however its jobs interleave
+    # with other seeds'; a data_dir family serves every seed, and is loaded
+    # before anything is written
+    family_of = functools.lru_cache(maxsize=len(config.seeds))(
+        functools.partial(family_for_seed, config))
+    if config.data_dir:
+        family_of(None)
+    spec = model_spec_for(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo = replace(config, output_dir=str(out_dir))
-    (out_dir / CONFIG_ECHO_FILENAME.format(method=config.method)).write_text(
-        config_to_text(echo), encoding="utf-8"
-    )
+    echo_path.write_text(config_to_text(echo), encoding="utf-8")
 
     path = out_dir / RECORDS_FILENAME
     finished = _finished_jobs(path)
@@ -575,25 +563,12 @@ def run_experiment(
     records: list[ResultRecord] = []
     stl_target: dict[int, float] = {}
 
-    # each seed's family is built once per run, however its jobs interleave
-    # with other seeds'; a data_dir family serves every seed
-    family_of = functools.lru_cache(maxsize=len(config.seeds))(
-        functools.partial(family_for_seed, config))
-    spec = model_spec_for(config)
-
     def one_job(method: str, seed: int):
         family = family_of(None if config.data_dir else seed)
         start = time.perf_counter()
         try:
-            if method == "stl":
-                row_specs, psearch = _stl_row_specs(config, family, spec,
-                                                    seed), 0
-            else:
-                params, psearch = _run_method(
-                    config, method, family, spec, seed, out_dir
-                )
-                row_specs = _atl_row_specs(family, spec, params, seed,
-                                           stl_target)
+            params, psearch = _run_method(config, method, family, spec, seed, out_dir)
+            row_specs = _row_specs(family, spec, params, stl_target.get(seed))
         except NonFiniteError:
             wall = time.perf_counter() - start
             rows = [ResultRecord(
@@ -624,6 +599,30 @@ def run_experiment(
     finally:
         writer.close()
     return records
+
+
+def _echo_for(config: ExperimentConfig, out_dir: Path, path: Path) -> ExperimentConfig:
+    """The echo a run of ``config`` into ``out_dir`` writes to ``path``. An
+    echo already there must match in every key but ``seeds`` and
+    ``output_dir`` (the same dir, maybe spelled another way), or one echo
+    would not reproduce the dir's rows: ConfigError. The new echo then names
+    the seeds of both."""
+    echo = replace(config, output_dir=str(out_dir))
+    if not path.exists():
+        return echo
+    try:
+        old = load_config(path)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    differ = [f.name for f in fields(ExperimentConfig)
+              if f.name not in ("seeds", "output_dir")
+              and getattr(old, f.name) != getattr(echo, f.name)]
+    if differ:
+        raise ConfigError(
+            f"{path}: the dir holds {config.method} rows of another config"
+            f" (it differs in {', '.join(differ)}); use a fresh output dir"
+        )
+    return replace(echo, seeds=tuple(dict.fromkeys(old.seeds + config.seeds)))
 
 
 # -- aggregation -------------------------------------------------------------
@@ -720,15 +719,8 @@ def aggregate(
 def write_summary(summary: Mapping[str, dict], csv_path, json_path) -> None:
     columns = ("method", "n_seeds", "target_mean", "target_std", "tg_mean",
                "tg_median", "delta_m_pct")
-    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for method in sorted(summary):
-            stats = summary[method]
-            writer.writerow([method] + [
-                "" if stats.get(c) is None else stats.get(c)
-                for c in columns[1:]
-            ])
+    write_rows(csv_path, columns, [[method, *map(summary[method].get, columns[1:])]
+                                   for method in sorted(summary)])
     payload = {
         method: {
             **{k: v for k, v in stats.items() if k != "per_task_mean"},
@@ -745,32 +737,27 @@ def write_summary(summary: Mapping[str, dict], csv_path, json_path) -> None:
 # -- analysis sweeps ---------------------------------------------------------
 
 def run_tg_gcs_sweep(
-    family: TaskFamily,
+    family_cfg: TaskFamilyConfig,
     model_spec: ModelSpec,
     warm_steps: int,
     lambdas: Sequence[float],
     n_points: int,
     opt_cfg: OptConfig,
-    seed: int,
-) -> list[SweepRow]:
-    """Warm a single-task model, then probe one-step gains and gradient
-    cosines around it with steps of size 0.01."""
-    params, _ = run_stl(family, model_spec, warm_steps, opt_cfg, seed)
-    return one_step_tg_gcs_sweep(
-        model_spec, params, family, lambdas, n_points, RngStream(seed).child("sweep"),
-        lr=0.01, batch_size=opt_cfg.batch_size,
-    )
-
-
-def write_sweep_rows(rows: Sequence[tuple[int, SweepRow]], path) -> None:
-    """Write (seed, sweep row) pairs, one CSV row each."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("seed", "point_id", "lambda", "gcs", "tg"))
-        for seed, row in rows:
-            writer.writerow(
-                (seed, row.point_id, repr(row.lam), repr(row.gcs), repr(row.tg))
-            )
+    seeds: Sequence[int],
+) -> list[tuple[int, int, float, float, float]]:
+    """For each seed, regenerate ``family_cfg`` under it, warm a single-task
+    model, then probe one-step gains and gradient cosines around it with
+    steps of size 0.01. Returns (seed, point, lambda, cosine, gain) rows."""
+    rows = []
+    for seed in seeds:
+        family = generate_family(replace(family_cfg, seed=seed))
+        params, _ = run_stl(family, model_spec, warm_steps, opt_cfg, seed)
+        rows += [(seed, row.point_id, row.lam, row.gcs, row.tg)
+                 for row in one_step_tg_gcs_sweep(
+                     model_spec, params, family, lambdas, n_points,
+                     RngStream(seed).child("sweep"), lr=0.01,
+                     batch_size=opt_cfg.batch_size)]
+    return rows
 
 
 def run_csd_lambda_sweep(
@@ -807,11 +794,3 @@ def run_csd_lambda_sweep(
             value = csd(spec, params, family.val(0), 0)
             results.append((seed, float(lam), value))
     return results
-
-
-def write_csd_rows(rows: Sequence[tuple[int, float, float]], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("seed", "lambda", "csd"))
-        for seed, lam, value in rows:
-            writer.writerow((seed, repr(lam), repr(value)))

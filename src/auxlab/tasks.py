@@ -19,10 +19,11 @@ centers are maximally displaced and half the labels are systematically wrong.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -38,7 +39,9 @@ __all__ = [
     "generate_family",
     "sample_interpolated",
     "load_csv",
+    "csv_text",
     "write_csv",
+    "write_rows",
     "load_family",
     "write_family",
 ]
@@ -351,15 +354,30 @@ def _read_rows(path: Path, input_dim: int, n_classes: int, task_id: int) -> Data
                      np.asarray(labels, dtype=np.int64), task_id)
 
 
-def write_csv(split: DataSplit, path) -> None:
-    """Inverse of load_csv: floats via repr so values round-trip exactly."""
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """``rows`` as CSV lines, by the one cell rule of every CSV auxlab writes:
+    a float is ``repr(float(v))``, which reads back exactly, None is an empty
+    cell, and anything else is left to ``csv``."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        ["" if v is None else repr(float(v)) if isinstance(v, (float, np.floating))
+         else v for v in row] for row in rows)
+    return buffer.getvalue()
+
+
+def write_rows(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` by `csv_text`; the
+    directory is made if missing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_expected_header(split.inputs.shape[1]))
-        for x, y in zip(split.inputs, split.targets):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+    path.write_text(csv_text([header, *rows]), encoding="utf-8", newline="")
+
+
+def write_csv(split: DataSplit, path) -> None:
+    """Inverse of load_csv: its floats read back exactly."""
+    labels = split.targets.astype(np.int64).tolist()
+    write_rows(path, _expected_header(split.inputs.shape[1]),
+               (x + [y] for x, y in zip(split.inputs.tolist(), labels)))
 
 
 def _split_path(directory: Path, task_id: int, name: str) -> Path:

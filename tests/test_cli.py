@@ -64,6 +64,7 @@ class TestExitCodes:
         ("val_subsample", "0"),
         ("momentum", "1.0"),
         ("hidden_dims", "0"),
+        ("seeds", "0,1,0"),
     ])
     def test_invalid_value_exits_1_before_any_work(self, capsys, tmp_path,
                                                    key, value):
@@ -95,6 +96,40 @@ class TestExitCodes:
         assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
         assert capsys.readouterr().err.startswith("auxlab:")
         assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("case", ["missing_dir", "too_few_tasks", "input_dim"])
+    def test_rejected_data_dir_exits_1_and_writes_nothing(self, capsys, tmp_path, case):
+        data_dir = tmp_path / "fam"
+        if case != "missing_dir":
+            input_dim = "3" if case == "input_dim" else "2"
+            assert run_cli("gen-data", "--out", str(data_dir), "--n-train", "50",
+                           "--n-val", "20", "--n-test", "20",
+                           "--input-dim", input_dim) == 0
+        lines = "n_tasks = 3\nrelatedness = 0.5,0.5\n" if case == "too_few_tasks" else ""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CFG_SMALL + lines + f"data_dir = {data_dir}\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("auxlab:") and "data_dir" in err
+        missing = {"missing_dir": "task0_train.csv", "too_few_tasks": "task2_train.csv",
+                   "input_dim": "task0_train.csv"}[case]
+        assert missing in err
+        assert not out.exists()
+
+    def test_differing_echo_exits_1_and_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first.write_text(CFG_SMALL.replace("total_steps = 20", "total_steps = 10"))
+        second.write_text(CFG_SMALL)
+        assert run_cli("run", "--config", str(first), "--output-dir", str(out)) == 0
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(second), "--output-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "config_echo_ew.cfg" in err and "total_steps" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
     @pytest.mark.parametrize("command", [("gen-data",), ("sweep", "tg-gcs"),
                                          ("sweep", "csd-lambda")])
@@ -307,6 +342,8 @@ class TestSweeps:
         ("csd-lambda", "--n-tasks", "3"),
         ("tg-gcs", "--n-tasks", "1", "--relatedness", ""),
         ("csd-lambda", "--lambdas", "0,-1"),
+        ("tg-gcs", "--seeds", "0,0"),
+        ("csd-lambda", "--seeds", "1,2,1"),
     ])
     def test_bad_flag_exits_1_before_any_work(self, capsys, tmp_path, argv):
         kind, *flags = argv

@@ -9,7 +9,6 @@ from auxlab.metrics import (
     WEAK_NEGATIVE,
     PerfValue,
     SweepRow,
-    TransferReport,
     classify_transfer,
     csd,
     delta_m,
@@ -67,12 +66,6 @@ class TestClassifyTransfer:
     def test_never_positive_with_any_negative_gain(self):
         # a negative gain at lambda=0 would be odd but must not read as positive
         assert classify_transfer({0.0: -0.1, 1.0: 0.5}) == WEAK_NEGATIVE
-
-    def test_report_consistency_enforced(self):
-        gains = {0.5: -1.0, 1.0: -2.0}
-        assert TransferReport.from_gains(gains).classification == STRONG_NEGATIVE
-        with pytest.raises(ValueError):
-            TransferReport(gains, POSITIVE)
 
 
 class TestGcs:

@@ -285,6 +285,13 @@ class TestRerunIntoSameDir:
         methods = [r.method for r in read_records(tmp_path / "records.csv")]
         assert methods == ["stl"] * 3 + ["ew"] * 3 + ["gcs"] * 3
 
+    def test_echo_names_every_seed_in_the_dir(self, tmp_path):
+        from auxlab.runner import load_config
+
+        run_experiment(small_config(seeds=(1,), compute_tg=False), output_dir=tmp_path)
+        run_experiment(small_config(seeds=(0, 2), compute_tg=False), output_dir=tmp_path)
+        assert load_config(tmp_path / "config_echo_ew.cfg").seeds == (1, 0, 2)
+
     def test_each_methods_echo_reproduces_its_rows(self, tmp_path):
         from auxlab.runner import load_config
 
