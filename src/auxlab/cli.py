@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -21,8 +22,6 @@ from .runner import (
     ConfigError,
     ExperimentConfig,
     _family_config,
-    _parse_float_tuple,
-    _parse_int_tuple,
     aggregate,
     load_config,
     model_spec_for,
@@ -95,8 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run an analysis sweep")
     sweep.add_argument("kind", choices=("tg-gcs", "csd-lambda"))
     sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.add_argument("--seeds", default="0", help="comma list")
-    sweep.add_argument("--lambdas", default="0,0.25,0.5,0.75,1.0")
+    sweep.add_argument("--seeds", type=_flag_parser("seeds"), default="0",
+                       help="comma list")
+    sweep.add_argument("--lambdas", type=_flag_parser("lambda_grid"),
+                       default="0,0.25,0.5,0.75,1.0")
     sweep.add_argument("--points", type=int, default=50,
                        help="tg-gcs: batch draws per weighting")
     sweep.add_argument("--warm-steps", type=int, default=300,
@@ -147,13 +148,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     csd_sweep = args.kind == "csd-lambda"
+    seeds, lambdas = args.seeds, args.lambdas
     try:
-        seeds = _parse_int_tuple(args.seeds)
-        lambdas = _parse_float_tuple(args.lambdas)
         if not seeds or not lambdas:
             raise ValueError("--seeds and --lambdas must be non-empty")
         if len(set(seeds)) != len(seeds):
-            raise ValueError(f"--seeds repeats a seed: {args.seeds}")
+            raise ValueError(f"--seeds repeats a seed: {','.join(map(str, seeds))}")
         if args.points < 1 or args.warm_steps < 0 or args.train_steps < 1:
             raise ValueError("--points and --train-steps must be >= 1,"
                              " --warm-steps >= 0")
@@ -188,11 +188,12 @@ def _cmd_report(args) -> int:
     records_path = records_dir / RECORDS_FILENAME
     if not records_path.is_file():
         raise UsageError(f"no {RECORDS_FILENAME} in {records_dir}")
-    records = read_records(records_path)
-    if not records:
-        raise UsageError(f"{records_path} contains no records")
-    methods = {r.method for r in records}
-    summary = aggregate(records, want_delta_m="stl" in methods)
+    # aggregation skips NaN rows, so diverged stl rows give no ΔM reference
+    finite = [r for r in read_records(records_path)
+              if r.split == "test" and not math.isnan(r.value)]
+    if not finite:
+        raise UsageError(f"{records_path} holds no finite test records")
+    summary = aggregate(finite, want_delta_m=any(r.method == "stl" for r in finite))
     out = Path(args.out) if args.out else records_dir
     out.mkdir(parents=True, exist_ok=True)
     write_summary(summary, out / "summary.csv", out / "summary.json")

@@ -94,6 +94,14 @@ class ModelSpec:
         return _build_layout(self)
 
     @cached_property
+    def head_slices(self) -> dict[int, slice]:
+        """Each task's contiguous slice covering its head's W and b blocks,
+        computed from ``layout`` on first use."""
+        blocks = {name: sl for name, sl, _ in self.layout}
+        return {t: slice(blocks[f"head{t}.W"].start, blocks[f"head{t}.b"].stop)
+                for t in self.heads}
+
+    @cached_property
     def kernel(self) -> "_Kernel":
         """Compiled forward/backward with its workspaces, built on first use
         and kept for the life of the spec."""
@@ -146,14 +154,10 @@ def param_count(spec: ModelSpec) -> int:
 
 def head_slice(spec: ModelSpec, task_id: int) -> slice:
     """Contiguous slice covering task_id's W and b blocks."""
-    start = stop = None
-    for name, sl, _ in spec.layout:
-        if name.startswith(f"head{task_id}."):
-            start = sl.start if start is None else start
-            stop = sl.stop
-    if start is None:
-        raise UnknownTaskError(task_id)
-    return slice(start, stop)
+    try:
+        return spec.head_slices[task_id]
+    except KeyError:
+        raise UnknownTaskError(task_id) from None
 
 
 def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
@@ -450,7 +454,7 @@ class _PairPass:
         for kind in kinds:
             members = [k for k, (_, t) in enumerate(order) if heads[t] == kind]
             part = slice(members[0], members[-1] + 1)
-            head_at = np.array([head_slice(spec, t).start for _, t in order[part]])
+            head_at = np.array([spec.head_slices[t].start for _, t in order[part]])
             shapes = [(spec.encoder_out_dim, kind.output_dim), (kind.output_dim,)]
             size = (spec.encoder_out_dim + 1) * kind.output_dim
             head = _rows_at(self._params, branch_at[part] + head_at, size, self._gathers)

@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -84,14 +84,13 @@ METHODS = (
 FORKMERGE_METHODS = ("forkmerge", "forkmerge_multi")
 # the config keys, and CLI flags, that make up a task family
 FAMILY_KEYS = tuple(f.name for f in fields(TaskFamilyConfig) if f.name != "seed")
+# the config keys stl training reads, all that config_echo_stl.cfg must match
+_STL_KEYS = (*FAMILY_KEYS, "data_seed", "data_dir", "hidden_dims", "activation",
+             "total_steps", "base_lr", "momentum", "lr_schedule", "batch_size")
 
 OUTPUT_DIR_ENV = "AUXLAB_OUTPUT_DIR"
 RECORDS_FILENAME = "records.csv"
 CONFIG_ECHO_FILENAME = "config_echo_{method}.cfg"
-RECORD_COLUMNS = (
-    "method", "seed", "task_id", "split", "metric", "value", "tg",
-    "psearch_evals", "wall_s",
-)
 
 
 class ConfigError(ValueError):
@@ -178,7 +177,22 @@ class ExperimentConfig:
             raise ConfigError("pre_steps: must not exceed total_steps")
 
 
-# -- flat key = value codec ------------------------------------------------
+@dataclass(frozen=True)
+class ResultRecord:
+    """One CSV row: a single evaluated quantity of a single run."""
+
+    method: str
+    seed: int
+    task_id: int
+    split: str
+    metric: str
+    value: float
+    tg: float | None
+    psearch_evals: int
+    wall_s: float
+
+
+# -- text codec: config values and record cells parse by their field's type --
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -189,38 +203,22 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part.strip()) for part in text.split(","))
+def _tuple_of(parse, sep: str = ","):
+    """A parser of ``sep``-separated ``parse`` values, blank text being ()."""
+    def parse_tuple(text: str) -> tuple:
+        return tuple(parse(part.strip()) for part in text.split(sep)) if text.strip() else ()
+    return parse_tuple
 
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(part.strip()) for part in text.split(","))
+def _optional(parse):
+    """``parse``, with blank text or ``none`` read as None."""
+    def parse_optional(text: str):
+        return None if text.strip().lower() in ("", "none") else parse(text)
+    return parse_optional
 
 
 def _parse_counts(text: str) -> int | tuple[int, ...]:
-    if "," in text:
-        return _parse_int_tuple(text)
-    return int(text.strip())
-
-
-def _parse_opt_int(text: str) -> int | None:
-    text = text.strip()
-    if not text or text.lower() == "none":
-        return None
-    return int(text)
-
-
-def _parse_branch_rows(text: str) -> tuple[tuple[float, ...], ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(_parse_float_tuple(part) for part in text.split(";"))
+    return _tuple_of(int)(text) if "," in text else int(text)
 
 
 def _dump(value) -> str:
@@ -235,40 +233,24 @@ def _dump(value) -> str:
     return str(value)
 
 
-_PARSERS = {
-    "method": str,
-    "seeds": _parse_int_tuple,
-    "n_tasks": int,
-    "relatedness": _parse_float_tuple,
-    "input_dim": int,
-    "n_classes": int,
-    "n_train": _parse_counts,
-    "n_val": int,
-    "n_test": int,
-    "noise_std": float,
-    "mean_scale": float,
-    "data_seed": int,
-    "data_dir": str,
-    "hidden_dims": _parse_int_tuple,
-    "activation": str,
-    "total_steps": int,
-    "base_lr": float,
-    "momentum": float,
-    "lr_schedule": str,
-    "batch_size": int,
-    "merge_interval": int,
-    "lambda_grid": _parse_float_tuple,
-    "search_strategy": str,
-    "binary_iters": int,
-    "prune_to": _parse_opt_int,
-    "val_subsample": _parse_opt_int,
-    "branch_weights": _parse_branch_rows,
-    "pre_steps": int,
-    "compute_tg": _parse_bool,
-    "output_dir": str,
+_TYPE_PARSERS = {
+    str: str,
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    tuple[int, ...]: _tuple_of(int),
+    tuple[float, ...]: _tuple_of(float),
+    tuple[tuple[float, ...], ...]: _tuple_of(_tuple_of(float), ";"),
+    int | tuple[int, ...]: _parse_counts,
+    int | None: _optional(int),
+    float | None: _optional(float),
 }
-
-assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+# each config key and record column parses by its field's type; a field of a
+# type without a parser above fails at import
+_PARSERS, _RECORD_PARSERS = (
+    {key: _TYPE_PARSERS[hint] for key, hint in get_type_hints(cls).items()}
+    for cls in (ExperimentConfig, ResultRecord))
+RECORD_COLUMNS = tuple(_RECORD_PARSERS)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -309,21 +291,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 # -- experiment execution ----------------------------------------------------
-
-@dataclass(frozen=True)
-class ResultRecord:
-    """One CSV row: a single evaluated quantity of a single run."""
-
-    method: str
-    seed: int
-    task_id: int
-    split: str
-    metric: str
-    value: float
-    tg: float | None
-    psearch_evals: int
-    wall_s: float
-
 
 def _family_config(config, seed: int) -> TaskFamilyConfig:
     """The family of ``config``, any object with the ``FAMILY_KEYS``
@@ -426,15 +393,15 @@ class _RecordWriter:
         self._handle.close()
 
 
-def _finished_jobs(path: Path) -> list[list[ResultRecord]]:
+def _finished_jobs(path: Path) -> tuple[list[list[ResultRecord]], int]:
     """The rows of every (method, seed) job that ``path`` holds in full, in
-    file order. A job writes its rows together and ends with the target's
-    val row, or, if it diverged, is one NaN row; rows that stop short of
-    that belong to a job that did not finish and are left out. A file cut
-    within its header holds no job."""
+    file order, and the count of rows left out. A job writes its rows
+    together and ends with the target's val row, or, if it diverged, is one
+    NaN row; rows that stop short of that belong to a job that did not
+    finish and are left out. A file cut within its header holds no job."""
     if not path.exists() or ",".join(RECORD_COLUMNS).startswith(
             path.read_text(encoding="utf-8")):
-        return []
+        return [], 0
     records = read_records(path)
     jobs: list[list[ResultRecord]] = []
     rows: list[ResultRecord] = []
@@ -445,11 +412,7 @@ def _finished_jobs(path: Path) -> list[list[ResultRecord]]:
         if record.split == "val" or (len(rows) == 1 and math.isnan(record.value)):
             jobs.append(rows)
             rows = []
-    dropped = len(records) - sum(map(len, jobs))
-    if dropped:
-        print(f"auxlab: {path}: dropping {dropped} row(s) of unfinished jobs",
-              file=sys.stderr)
-    return jobs
+    return jobs, len(records) - sum(map(len, jobs))
 
 
 def _target_test_value(rows: Sequence[ResultRecord]) -> float | None:
@@ -531,20 +494,30 @@ def run_experiment(
 
     The output directory (see `output_dir_for`) receives an echo of the
     effective config, named after the method so that every method run into
-    one dir keeps its own, the incrementally appended records CSV, and
-    per-seed merge histories for the fork/merge methods. A diverged seed is
-    recorded as a NaN row and the run moves on to the next seed.
+    one dir keeps its own (and one of the stl references, if the run trains
+    them), the incrementally appended records CSV, and per-seed merge
+    histories for the fork/merge methods. A diverged seed is recorded as a
+    NaN row and the run moves on to the next seed.
 
     A dir that already holds records is resumed: (method, seed) jobs whose
     rows are complete there are skipped, and a skipped single-task job still
     supplies its seed's target value for transfer gain. Only the records
     written by this call are returned. A config that differs from the dir's
-    echo of its method, or a ``data_dir`` the loader rejects, raises
-    ConfigError before anything is written.
+    echo of a method whose jobs it runs or skips (see `_echo_for`), or a
+    ``data_dir`` the loader rejects, raises ConfigError before anything is
+    written.
     """
     out_dir = output_dir_for(config, output_dir)
-    echo_path = out_dir / CONFIG_ECHO_FILENAME.format(method=config.method)
-    echo = _echo_for(config, out_dir, echo_path)
+    path = out_dir / RECORDS_FILENAME
+    finished, dropped = _finished_jobs(path)
+    done = {(rows[0].method, rows[0].seed): rows for rows in finished}
+    jobs = [(config.method, seed) for seed in config.seeds]
+    if config.method != "stl" and config.compute_tg:
+        jobs = [("stl", seed) for seed in config.seeds] + jobs
+    # the method's own echo is checked first, then that of its stl references
+    echoes = {method: _echo_for(config, method, out_dir,
+                                any(m == method for m, _ in done))
+              for method in dict.fromkeys(m for m, _ in reversed(jobs))}
     # each seed's family is built once per run, however its jobs interleave
     # with other seeds'; a data_dir family serves every seed, and is loaded
     # before anything is written
@@ -554,11 +527,12 @@ def run_experiment(
         family_of(None)
     spec = model_spec_for(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo_path.write_text(config_to_text(echo), encoding="utf-8")
-
-    path = out_dir / RECORDS_FILENAME
-    finished = _finished_jobs(path)
-    done = {(rows[0].method, rows[0].seed): rows for rows in finished}
+    for method, echo in echoes.items():
+        (out_dir / CONFIG_ECHO_FILENAME.format(method=method)).write_text(
+            config_to_text(echo), encoding="utf-8")
+    if dropped:
+        print(f"auxlab: {path}: dropping {dropped} row(s) of unfinished jobs",
+              file=sys.stderr)
     writer = _RecordWriter(path, [r for rows in finished for r in rows])
     records: list[ResultRecord] = []
     stl_target: dict[int, float] = {}
@@ -587,9 +561,6 @@ def run_experiment(
             writer.append(row)
         return rows
 
-    jobs = [(config.method, seed) for seed in config.seeds]
-    if config.method != "stl" and config.compute_tg:
-        jobs = [("stl", seed) for seed in config.seeds] + jobs
     try:
         for method, seed in jobs:
             rows = done.get((method, seed)) or one_job(method, seed)
@@ -601,28 +572,40 @@ def run_experiment(
     return records
 
 
-def _echo_for(config: ExperimentConfig, out_dir: Path, path: Path) -> ExperimentConfig:
-    """The echo a run of ``config`` into ``out_dir`` writes to ``path``. An
-    echo already there must match in every key but ``seeds`` and
-    ``output_dir`` (the same dir, maybe spelled another way), or one echo
-    would not reproduce the dir's rows: ConfigError. The new echo then names
-    the seeds of both."""
-    echo = replace(config, output_dir=str(out_dir))
+def _echo_for(config: ExperimentConfig, method: str, out_dir: Path,
+              has_rows: bool) -> ExperimentConfig:
+    """The echo of ``method``'s rows that a run of ``config`` into ``out_dir``
+    writes: ``config`` itself, or, for the stl references of another method,
+    an stl config with ``config``'s ``_STL_KEYS``. An echo already there must
+    match it in the keys that train those rows (``_STL_KEYS`` for stl, every
+    key but ``seeds`` and ``output_dir`` otherwise; the dir may be spelled
+    another way), and rows of ``method`` in the dir (``has_rows``) need an
+    echo, or no echo would reproduce the dir's rows: ConfigError. The new
+    echo then names the seeds of both."""
+    if method == config.method:
+        echo = replace(config, output_dir=str(out_dir))
+    else:
+        echo = ExperimentConfig(method, config.seeds, output_dir=str(out_dir),
+                                **{key: getattr(config, key) for key in _STL_KEYS})
+    path = out_dir / CONFIG_ECHO_FILENAME.format(method=method)
     if not path.exists():
+        if has_rows:
+            raise ConfigError(f"{path}: missing, but the dir holds {method} rows;"
+                              " use a fresh output dir")
         return echo
     try:
         old = load_config(path)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    differ = [f.name for f in fields(ExperimentConfig)
-              if f.name not in ("seeds", "output_dir")
-              and getattr(old, f.name) != getattr(echo, f.name)]
+    keys = _STL_KEYS if method == "stl" else [
+        key for key in _PARSERS if key not in ("seeds", "output_dir")]
+    differ = [key for key in keys if getattr(old, key) != getattr(echo, key)]
     if differ:
         raise ConfigError(
-            f"{path}: the dir holds {config.method} rows of another config"
+            f"{path}: the dir holds {method} rows of another config"
             f" (it differs in {', '.join(differ)}); use a fresh output dir"
         )
-    return replace(echo, seeds=tuple(dict.fromkeys(old.seeds + config.seeds)))
+    return replace(echo, seeds=tuple(dict.fromkeys(old.seeds + echo.seeds)))
 
 
 # -- aggregation -------------------------------------------------------------
@@ -634,7 +617,7 @@ def read_records(path) -> list[ResultRecord]:
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
         text = handle.read()
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(text), restval="")
     if reader.fieldnames != list(RECORD_COLUMNS):
         raise ValueError(
             f"{path}: unexpected records header {reader.fieldnames}"
@@ -648,17 +631,8 @@ def read_records(path) -> list[ResultRecord]:
     for line, row in rows:
         try:
             records.append(ResultRecord(
-                method=row["method"],
-                seed=int(row["seed"]),
-                task_id=int(row["task_id"]),
-                split=row["split"],
-                metric=row["metric"],
-                value=float(row["value"]),
-                tg=float(row["tg"]) if row["tg"] else None,
-                psearch_evals=int(row["psearch_evals"]),
-                wall_s=float(row["wall_s"]),
-            ))
-        except (TypeError, ValueError) as exc:
+                **{key: parse(row[key]) for key, parse in _RECORD_PARSERS.items()}))
+        except ValueError as exc:
             raise ValueError(f"{path}: line {line}: malformed record: {exc}") from exc
     return records
 

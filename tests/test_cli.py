@@ -131,15 +131,21 @@ class TestExitCodes:
         assert "config_echo_ew.cfg" in err and "total_steps" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
-    @pytest.mark.parametrize("command", [("gen-data",), ("sweep", "tg-gcs"),
-                                         ("sweep", "csd-lambda")])
-    @pytest.mark.parametrize("flag", ["--n-train", "--relatedness"])
-    def test_bad_flag_value_names_flag_and_value(self, capsys, tmp_path, command, flag):
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param(command, flag, value, id=f"{flag}-command{i}")
+        for flag, value in (("--n-train", "x"), ("--relatedness", "x"),
+                            ("--seeds", "abc"), ("--lambdas", "0,x"))
+        for i, command in enumerate((("gen-data",), ("sweep", "tg-gcs"),
+                                     ("sweep", "csd-lambda")))
+        if command[0] == "sweep" or flag in ("--n-train", "--relatedness")
+    ])
+    def test_bad_flag_value_names_flag_and_value(self, capsys, tmp_path, command,
+                                                 flag, value):
         out = tmp_path / "out"
-        assert run_cli(*command, "--out", str(out), flag, "x") == 1
+        assert run_cli(*command, "--out", str(out), flag, value) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"auxlab: argument {flag}: ")
-        assert "'x'" in err and "_parse" not in err
+        assert repr(value) in err and "_parse" not in err
         assert not out.exists()
 
     def test_report_skips_torn_last_row(self, capsys, tmp_path):
@@ -182,6 +188,30 @@ class TestExitCodes:
         (tmp_path / "records.csv").write_text(header + "ew,1,0,test,acc\n" + good)
         assert run_cli("report", "--records", str(tmp_path)) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_report_with_diverged_stl_rows_leaves_delta_m_empty(self, tmp_path):
+        (tmp_path / "records.csv").write_text(
+            "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
+            "stl,0,0,test,accuracy,nan,,0,0.1\n"
+            "ew,0,0,test,accuracy,80.0,,0,0.1\n"
+            "ew,0,1,test,accuracy,70.0,,0,0.1\n"
+            "ew,0,0,val,accuracy,75.0,,0,0.1\n"
+        )
+        assert run_cli("report", "--records", str(tmp_path)) == 0
+        with open(tmp_path / "summary.csv", newline="") as handle:
+            summary = list(csv.DictReader(handle))
+        assert [(r["method"], r["target_mean"], r["delta_m_pct"]) for r in summary] == [
+            ("ew", "80.0", "")]
+
+    def test_report_without_finite_test_rows_exits_1(self, capsys, tmp_path):
+        (tmp_path / "records.csv").write_text(
+            "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
+            "stl,0,0,test,accuracy,nan,,0,0.1\n"
+            "ew,0,0,test,accuracy,nan,,0,0.1\n"
+        )
+        assert run_cli("report", "--records", str(tmp_path)) == 1
+        assert "finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.csv"]
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("run", "--confg", "x") == 1

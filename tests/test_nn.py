@@ -106,6 +106,16 @@ class TestSpecAndInit:
         w0 = params[param_layout(spec)[0][1]]
         assert np.abs(w0).max() <= 1.0 / np.sqrt(100)
 
+    def test_head_slices_tile_the_heads_once_per_spec(self):
+        spec = small_spec(hidden=(6, 3))
+        assert spec.head_slices is spec.head_slices
+        heads = [head_slice(spec, t) for t in spec.task_ids]
+        assert heads == list(spec.head_slices.values())
+        assert [h.stop - h.start for h in heads] == [(3 + 1) * 4, (3 + 1) * 2]
+        assert heads[0].stop == heads[1].start and heads[1].stop == param_count(spec)
+        with pytest.raises(UnknownTaskError):
+            head_slice(spec, 9)
+
     def test_layout_built_once_per_spec(self, monkeypatch):
         import auxlab.nn as nn_mod
 

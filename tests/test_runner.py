@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from auxlab.runner import (
     run_experiment,
 )
 from auxlab.tasks import TaskFamilyConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_TEXT = """
 # a small, fast setup shared by most tests below
@@ -285,6 +288,47 @@ class TestRerunIntoSameDir:
         methods = [r.method for r in read_records(tmp_path / "records.csv")]
         assert methods == ["stl"] * 3 + ["ew"] * 3 + ["gcs"] * 3
 
+    def test_stl_rows_of_another_config_are_refused(self, tmp_path):
+        run_experiment(small_config(seeds=(0,), total_steps=20), output_dir=tmp_path)
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        fork = small_config(method="forkmerge", seeds=(0,), merge_interval=15)
+        with pytest.raises(ConfigError, match=r"config_echo_stl\.cfg.*total_steps"):
+            run_experiment(fork, output_dir=tmp_path)
+        stl = small_config(method="stl", seeds=(0,))
+        with pytest.raises(ConfigError, match=r"config_echo_stl\.cfg.*total_steps"):
+            run_experiment(stl, output_dir=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+    def test_stl_echo_names_every_stl_seed_and_reproduces_them(self, tmp_path):
+        from auxlab.runner import load_config
+
+        shared = tmp_path / "shared"
+        run_experiment(small_config(seeds=(0,)), output_dir=shared)
+        # merge_interval is no key stl training reads: the stl rows are reused
+        fork = small_config(method="forkmerge", seeds=(0, 1), merge_interval=15)
+        added = run_experiment(fork, output_dir=shared)
+        assert list(dict.fromkeys((r.method, r.seed) for r in added)) == [
+            ("stl", 1), ("forkmerge", 0), ("forkmerge", 1)]
+        fresh = run_experiment(fork, output_dir=tmp_path / "fresh")
+        assert _strip_wall(added) == _strip_wall(fresh[3:])
+        echo = load_config(shared / "config_echo_stl.cfg")
+        assert (echo.method, echo.seeds) == ("stl", (0, 1))
+        again = run_experiment(echo, output_dir=tmp_path / "again")
+        rows = _strip_wall(read_records(shared / "records.csv"))
+        assert _strip_wall(again) == [r for r in rows if r.method == "stl"]
+
+    def test_stl_rows_without_an_stl_echo_are_refused(self, tmp_path):
+        run_experiment(small_config(seeds=(0,)), output_dir=tmp_path)
+        (tmp_path / "config_echo_stl.cfg").unlink()
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ConfigError, match=r"config_echo_stl\.cfg"):
+            run_experiment(small_config(method="gcs", seeds=(0,)), output_dir=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+        # a run that neither writes nor skips stl jobs still appends
+        added = run_experiment(small_config(method="gcs", seeds=(0,), compute_tg=False),
+                               output_dir=tmp_path)
+        assert {r.method for r in added} == {"gcs"}
+
     def test_echo_names_every_seed_in_the_dir(self, tmp_path):
         from auxlab.runner import load_config
 
@@ -384,6 +428,16 @@ class TestConfigValidation:
         opt = OptConfig()
         assert ((config.base_lr, config.momentum, config.lr_schedule, config.batch_size)
                 == (opt.base_lr, opt.momentum_coeff, opt.schedule, opt.batch_size))
+
+    def test_readme_config_reference_lists_every_key_with_its_default(self):
+        section = README.read_text(encoding="utf-8").split("## Config reference\n")[1]
+        rows = [line.split("|")[1:3] for line in section.split("\n## ")[0].splitlines()
+                if line.startswith("| `")]
+        documented = [(key.strip().strip("`"), default.strip()) for key, default in rows]
+        echo = config_to_text(ExperimentConfig(method="ew", seeds=(0,)))
+        assert documented == [
+            (key, "—" if key in ("method", "seeds") else "`" + (value or '""') + "`")
+            for key, value in (line.split(" = ", 1) for line in echo.splitlines())]
 
     def test_branch_weights_arity(self):
         with pytest.raises(ConfigError, match="branch_weights"):
