@@ -53,10 +53,9 @@ def _train(
         start_params = nn.init_params(model_spec, root.child("init"))
     if steps == 0:
         return [start_params for _ in weightings]
-    opt = opt_cfg.state_at(len(start_params), total_steps, step_count=start_step)
     branches = [BranchSpec(w, i) for i, w in enumerate(weightings)]
-    return train_branches(start_params, branches, steps, family, model_spec, opt, root,
-                          opt_cfg.batch_size, weigh)
+    return train_branches(start_params, branches, steps, family, model_spec,
+                          opt_cfg.state_at(total_steps, start_step), root, weigh)
 
 
 def _equal_weighting(family: TaskFamily) -> TaskWeighting:

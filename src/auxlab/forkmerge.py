@@ -193,13 +193,10 @@ def train_branch(
     model_spec: ModelSpec,
     opt: OptState,
     root: RngStream,
-    batch_size: int,
 ) -> np.ndarray:
     """`train_branches` of one branch; unused here, but perfbench's tracer
     spans it by name."""
-    return train_branches(
-        start, [branch], steps, family, model_spec, opt, root, batch_size
-    )[0]
+    return train_branches(start, [branch], steps, family, model_spec, opt, root)[0]
 
 
 def train_branches(
@@ -210,13 +207,13 @@ def train_branches(
     model_spec: ModelSpec,
     opt: OptState,
     root: RngStream,
-    batch_size: int,
     weigh: Callable[[dict[int, np.ndarray]], Mapping[int, float]] | None = None,
 ) -> list[np.ndarray]:
     """Train every branch for `steps` weighted-SGD steps from `start`, in
     lockstep; returns the branches' parameters in branch order.
 
-    All branches start from the same parameters and optimizer state. Each
+    All branches start from the same parameters with zero momentum, at
+    ``opt.step_count`` of ``opt``'s schedule, with its batch size. Each
     step draws every used task's batch once, runs one stacked forward and
     backward over every (branch, task) pair with a nonzero weight, mixes each
     branch's gradients, and steps all branches at once, in place, with the
@@ -231,12 +228,13 @@ def train_branches(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     kernel = model_spec.kernel
+    batch_size, momentum = opt.config.batch_size, opt.config.momentum_coeff
     params = np.tile(np.asarray(start, dtype=np.float64), (len(branches), 1))
     tasks = [b.weighting.active_tasks for b in branches]
     stack = kernel.pair_pass(
         params, [(i, t) for i, active in enumerate(tasks) for t in active], batch_size)
     splits = {t: family.train(t) for active in tasks for t in active}
-    momenta = np.tile(np.asarray(opt.momentum_buffer, dtype=np.float64), (len(branches), 1))
+    momenta = np.zeros_like(params)
     # per branch: its (task, pair position) in task order, and its mix
     uses = [[(t, stack.index[i, t]) for t in active] for i, active in enumerate(tasks)]
     flat = params.reshape(-1)
@@ -255,8 +253,7 @@ def train_branches(
                 weights = weigh({t: stack.grads[k] for t, k in use})
                 live = [(weights[t], stack.grads[k]) for t, k in use if weights[t] > 0]
                 linear_combination_into(out, *zip(*live), scratch[0])
-        sgd_step_into(params, momenta, mixed, opt.momentum_coeff, opt.learning_rate(step),
-                      scratch)
+        sgd_step_into(params, momenta, mixed, momentum, opt.learning_rate(step), scratch)
         # a dot product is finite only if every entry is; one that overflows
         # from finite entries sends the exact check through finding nothing
         if not isfinite(losses.dot(losses) + flat.dot(flat)):
@@ -470,31 +467,27 @@ def run_forkmerge(
     """Alternate Δt-step branch training with validation-guided merging.
 
     Branches always start each round from the shared merged parameters with
-    zeroed momentum; the learning-rate schedule position is global. Two
-    branches route to the configured grid/binary search, any other number to
-    the greedy coordinate search. When pruning is configured, after the first
-    merge only the K' strongest branches (by merge coefficient) survive, and
-    the target-only branch always survives.
+    zeroed momentum; the learning-rate schedule position is global. A round
+    of two branches runs the configured search; a round of any other number
+    runs the greedy coordinate search whatever the setting. When pruning is
+    configured, after the first merge only the K' strongest branches (by
+    merge coefficient) survive, and the target-only branch always survives.
     """
     branches = list(branch_specs)
     check_branches(branches, schedule)
 
     root = RngStream(seed)
     params = nn.init_params(model_spec, root.child("init"))
-    n = len(params)
 
     history: list[MergeRecord] = []
     done = 0
     for round_index in range(schedule.n_rounds):
         t_start = time.perf_counter()
         steps = min(schedule.interval, schedule.total_steps - done)
-        opt = opt_cfg.state_at(n, schedule.total_steps, step_count=done)
+        opt = opt_cfg.state_at(schedule.total_steps, step_count=done)
 
         try:
-            trained = train_branches(
-                params, branches, steps, family, model_spec, opt, root,
-                opt_cfg.batch_size,
-            )
+            trained = train_branches(params, branches, steps, family, model_spec, opt, root)
         except BranchDivergedError as exc:
             raise BranchDivergedError(
                 exc.branch_id, exc.step, exc.__cause__, round_index
@@ -503,7 +496,7 @@ def run_forkmerge(
         val = _subsampled_val(family, schedule, root, round_index)
         tgt_branch = next(b for b in branches if b.is_target_only())
         tgt_pos = branches.index(tgt_branch)
-        if len(branches) == 2:
+        if len(branches) == 2 and schedule.search_strategy != "greedy":
             other_pos = 1 - tgt_pos
             pair_ids = (tgt_branch.branch_id, branches[other_pos].branch_id)
             search, setting = ((search_lambda_binary, schedule.binary_iters)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import nn
 from .nn import ModelSpec, PerfValue, check_loss, mean_max_confidence
-from .optim import initial_state, sgd_step
+from .optim import sgd_step
 from .tasks import DataSplit, TaskFamily
 from .vectors import RngStream, dot
 
@@ -157,6 +157,8 @@ def one_step_tg_gcs_sweep(
     aux_ids = (aux_task,) if aux_task is not None else family.aux_ids
     if not aux_ids:
         raise ValueError("family has no auxiliary task to probe")
+    if lr <= 0:
+        raise ValueError("lr must be positive")
     tasks = tuple(dict.fromkeys((family.target_id, *aux_ids)))
     lengths = {t: min(batch_size, len(family.train(t))) for t in tasks}
     # one stacked pass per batch length, built once; normally one holds every task
@@ -181,8 +183,7 @@ def one_step_tg_gcs_sweep(
         cos = gcs(shared_gradient_block(spec, g_tgt), shared_gradient_block(spec, g_aux))
 
         def perf_after(lam: float) -> float:
-            state = initial_state(len(params), base_lr=lr, momentum_coeff=0.0)
-            stepped, _ = sgd_step(params, g_tgt + lam * g_aux, state)
+            stepped, _ = sgd_step(params, np.zeros_like(params), g_tgt + lam * g_aux, 0.0, lr)
             return nn.evaluate(spec, stepped, val, family.target_id).value
 
         base = perf_after(0.0)

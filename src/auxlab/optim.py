@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -13,7 +13,6 @@ __all__ = [
     "TaskWeighting",
     "OptState",
     "OptConfig",
-    "initial_state",
     "weighted_gradient",
     "sgd_step",
     "sgd_step_into",
@@ -22,7 +21,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Trainer-facing optimizer settings; total_steps is supplied at run time."""
+    """Optimizer settings, validated here only; total_steps comes at run time."""
 
     base_lr: float = 0.1
     momentum_coeff: float = 0.9
@@ -39,15 +38,8 @@ class OptConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
-    def state_at(self, n_params: int, total_steps: int, step_count: int = 0) -> "OptState":
-        return initial_state(
-            n_params,
-            base_lr=self.base_lr,
-            momentum_coeff=self.momentum_coeff,
-            schedule=self.schedule,
-            total_steps=total_steps if self.schedule == "cosine" else None,
-            step_count=step_count,
-        )
+    def state_at(self, total_steps: int, step_count: int = 0) -> "OptState":
+        return OptState(self, total_steps, step_count)
 
 
 @dataclass(frozen=True)
@@ -77,55 +69,27 @@ class TaskWeighting:
 
 @dataclass(frozen=True)
 class OptState:
-    """Value-typed optimizer state: stepping returns a new state.
+    """Where one training call starts: its settings, the schedule's length and
+    the absolute step ``step_count``, which callers keep global across
+    fork/merge rounds. Each call starts its momentum at zero."""
 
-    The schedule position is ``step_count``, which callers keep global across
-    fork/merge rounds — only the momentum buffer is reset at a merge.
-    """
-
-    momentum_buffer: np.ndarray = field(repr=False)
+    config: OptConfig
+    total_steps: int
     step_count: int
-    base_lr: float
-    momentum_coeff: float = 0.9
-    schedule: str = "constant"
-    total_steps: int | None = None
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        if not 0.0 <= self.momentum_coeff < 1.0:
-            raise ValueError("momentum_coeff must lie in [0, 1)")
-        if self.schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.schedule == "cosine" and (self.total_steps or 0) < 1:
-            raise ValueError("cosine schedule needs total_steps >= 1")
+        if self.total_steps < 1:
+            raise ValueError("total_steps must be >= 1")
         if self.step_count < 0:
             raise ValueError("step_count must be nonnegative")
 
     def learning_rate(self, step: int | None = None) -> float:
         """η at absolute step ``step``, by default at ``step_count``."""
-        if self.schedule == "constant":
-            return self.base_lr
+        base_lr = self.config.base_lr
+        if self.config.schedule == "constant":
+            return base_lr
         t = self.step_count if step is None else step
-        return self.base_lr * (1.0 + np.cos(np.pi * t / self.total_steps)) / 2.0
-
-
-def initial_state(
-    n_params: int,
-    base_lr: float,
-    momentum_coeff: float = 0.9,
-    schedule: str = "constant",
-    total_steps: int | None = None,
-    step_count: int = 0,
-) -> OptState:
-    return OptState(
-        momentum_buffer=np.zeros(n_params),
-        step_count=step_count,
-        base_lr=base_lr,
-        momentum_coeff=momentum_coeff,
-        schedule=schedule,
-        total_steps=total_steps,
-    )
+        return base_lr * (1.0 + np.cos(np.pi * t / self.total_steps)) / 2.0
 
 
 def weighted_gradient(
@@ -141,21 +105,22 @@ def weighted_gradient(
 
 
 def sgd_step(
-    params: np.ndarray, grad: np.ndarray, state: OptState
-) -> tuple[np.ndarray, OptState]:
-    """One heavy-ball step: buffer ← μ·buffer + g; θ ← θ − η(t)·buffer."""
-    if len(params) != len(grad) or len(grad) != len(state.momentum_buffer):
+    params: np.ndarray, buffer: np.ndarray, grad: np.ndarray,
+    momentum_coeff: float, lr: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One heavy-ball step: buffer ← μ·buffer + g; θ ← θ − η·buffer. Returns
+    the new parameters and buffer; the arguments are left as they were."""
+    if len(params) != len(grad) or len(grad) != len(buffer):
         raise ValueError(
             f"length mismatch: params {len(params)}, grad {len(grad)}, "
-            f"buffer {len(state.momentum_buffer)}"
+            f"buffer {len(buffer)}"
         )
     new_params = np.array(params, dtype=np.float64)
-    buffer = np.array(state.momentum_buffer, dtype=np.float64)
-    sgd_step_into(new_params, buffer, grad, state.momentum_coeff,
-                  state.learning_rate(), np.empty_like(buffer))
+    new_buffer = np.array(buffer, dtype=np.float64)
+    sgd_step_into(new_params, new_buffer, grad, momentum_coeff, lr, np.empty_like(new_buffer))
     if not np.all(np.isfinite(new_params)):
         raise NonFiniteError("parameters diverged to non-finite values during sgd_step")
-    return new_params, replace(state, momentum_buffer=buffer, step_count=state.step_count + 1)
+    return new_params, new_buffer
 
 
 def sgd_step_into(

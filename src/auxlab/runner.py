@@ -630,6 +630,8 @@ def read_records(path) -> list[ResultRecord]:
     records = []
     for line, row in rows:
         try:
+            if None in row:  # DictReader files cells past the header under None
+                raise ValueError(f"{len(row[None])} cell(s) past the last column")
             records.append(ResultRecord(
                 **{key: parse(row[key]) for key, parse in _RECORD_PARSERS.items()}))
         except ValueError as exc:
@@ -761,10 +763,8 @@ def run_csd_lambda_sweep(
             )
             one_task = replace(family, splits={0: {**family.splits[0], "train": mixed}})
             [params] = train_branches(
-                init, [BranchSpec(TaskWeighting({0: 1.0}), 0)], train_steps,
-                one_task, spec, opt_cfg.state_at(len(init), train_steps),
-                root.child("csd", "train", str(lam)), opt_cfg.batch_size,
-            )
+                init, [BranchSpec(TaskWeighting({0: 1.0}), 0)], train_steps, one_task, spec,
+                opt_cfg.state_at(train_steps), root.child("csd", "train", str(lam)))
             value = csd(spec, params, family.val(0), 0)
             results.append((seed, float(lam), value))
     return results

@@ -27,7 +27,7 @@ from auxlab.nn import (
     init_params,
     loss_and_gradient,
 )
-from auxlab.optim import OptConfig, TaskWeighting, sgd_step, weighted_gradient
+from auxlab.optim import TaskWeighting, sgd_step, weighted_gradient
 from auxlab.runner import (
     RECORDS_FILENAME,
     ResultRecord,
@@ -56,10 +56,8 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def _one_step(params, grads, weighting, lr):
-    state = OptConfig(
-        base_lr=lr, momentum_coeff=0.0, schedule="constant"
-    ).state_at(len(params), total_steps=1)
-    new_params, _ = sgd_step(params, weighted_gradient(grads, weighting), state)
+    new_params, _ = sgd_step(params, np.zeros_like(params),
+                             weighted_gradient(grads, weighting), 0.0, lr)
     return new_params
 
 

@@ -70,19 +70,20 @@ def gcs_loop(family, spec, total_steps, opt_cfg, seed):
     `train_branches`: draw, per-task gradients, weights, mix, step."""
     root = RngStream(seed)
     params = init_params(spec, root.child("init"))
-    state = opt_cfg.state_at(len(params), total_steps)
+    state, buffer = opt_cfg.state_at(total_steps), np.zeros_like(params)
     history = []
-    for _ in range(total_steps):
+    for step in range(total_steps):
         grads = {}
         for task_id in family.task_ids:
-            batch = draw_batch(family.train(task_id), root, task_id, state.step_count,
+            batch = draw_batch(family.train(task_id), root, task_id, step,
                                opt_cfg.batch_size)
             _, grads[task_id] = loss_and_gradient(spec, params, batch)
         weights = instantaneous_gcs_weights(spec, grads, family.target_id)
         history.append(dict(weights))
         weights[family.target_id] = 1.0
         w = TaskWeighting(weights, target_id=family.target_id)
-        params, state = sgd_step(params, weighted_gradient(grads, w), state)
+        params, buffer = sgd_step(params, buffer, weighted_gradient(grads, w),
+                                  opt_cfg.momentum_coeff, state.learning_rate(step))
     return params, history
 
 

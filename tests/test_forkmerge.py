@@ -28,7 +28,7 @@ from auxlab.nn import (
     head_slice,
     init_params,
 )
-from auxlab.optim import OptConfig, TaskWeighting, initial_state
+from auxlab.optim import OptConfig, TaskWeighting
 from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
 from auxlab.vectors import NonFiniteError, RngStream, linear_combination
 
@@ -85,10 +85,10 @@ class TestTrainBranch:
         fam = family_for([0.5])
         spec = model_spec_for(fam)
         start = init_params(spec, RngStream(3).child("init"))
-        opt = initial_state(len(start), 0.1)
+        opt = OptConfig(0.1, schedule="constant", batch_size=32).state_at(20)
         branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.5}), 1)
-        a = train_branches(start, [branch], 20, fam, spec, opt, RngStream(3), 32)[0]
-        b = train_branches(start, [branch], 20, fam, spec, opt, RngStream(3), 32)[0]
+        a = train_branches(start, [branch], 20, fam, spec, opt, RngStream(3))[0]
+        b = train_branches(start, [branch], 20, fam, spec, opt, RngStream(3))[0]
         assert np.array_equal(a, b)
 
     def test_matches_hand_rolled_sgd(self):
@@ -99,31 +99,51 @@ class TestTrainBranch:
         fam = family_for([0.4])
         spec = model_spec_for(fam, hidden=(4,))
         start = init_params(spec, RngStream(5).child("init"))
-        opt = initial_state(len(start), 0.05, momentum_coeff=0.9)
+        opt = OptConfig(0.05, momentum_coeff=0.9, schedule="constant",
+                        batch_size=16).state_at(10)
         branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.7}), 1)
-        got = train_branches(start, [branch], 10, fam, spec, opt, RngStream(5), 16)[0]
+        got = train_branches(start, [branch], 10, fam, spec, opt, RngStream(5))[0]
 
-        params, state = start, opt
-        for _ in range(10):
+        params, buffer = start, np.zeros_like(start)
+        for step in range(10):
             grads = {}
             for task_id in (0, 1):
-                batch = draw_batch(fam.train(task_id), RngStream(5), task_id,
-                                   state.step_count, 16)
+                batch = draw_batch(fam.train(task_id), RngStream(5), task_id, step, 16)
                 _, grads[task_id] = loss_and_gradient(spec, params, batch)
             g = weighted_gradient(grads, branch.weighting)
-            params, state = sgd_step(params, g, state)
+            params, buffer = sgd_step(params, buffer, g, 0.9, opt.learning_rate(step))
         np.testing.assert_array_equal(got, params)
+
+    def test_starts_with_zero_momentum(self):
+        # with μ = 0.9, one step from a zero buffer is θ − η(t0)·g
+        from auxlab.nn import loss_and_gradient
+        from auxlab.optim import weighted_gradient
+
+        fam = family_for([0.4])
+        spec = model_spec_for(fam, hidden=(4,))
+        start = init_params(spec, RngStream(5).child("init"))
+        opt = OptConfig(0.05, momentum_coeff=0.9, batch_size=16).state_at(40, step_count=7)
+        branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.7}), 1)
+        [got] = train_branches(start, [branch], 1, fam, spec, opt, RngStream(5))
+
+        grads = {t: loss_and_gradient(spec, start, draw_batch(fam.train(t), RngStream(5),
+                                                             t, 7, 16))[1]
+                 for t in (0, 1)}
+        g = weighted_gradient(grads, branch.weighting)
+        assert 0.0 < opt.learning_rate(7) < 0.05
+        np.testing.assert_array_equal(got, start - opt.learning_rate(7) * g)
 
     def test_one_step_merge_identity_on_shared_draws(self):
         fam = family_for([0.6])
         spec = model_spec_for(fam)
         start = init_params(spec, RngStream(7).child("init"))
-        mk_opt = lambda: initial_state(len(start), 0.1, momentum_coeff=0.0)  # noqa: E731
+        opt = OptConfig(0.1, momentum_coeff=0.0, schedule="constant",
+                        batch_size=32).state_at(1)
         root = RngStream(7)
 
         def branch_after(lam):
             b = BranchSpec(TaskWeighting({0: 1.0, 1: lam}), int(lam * 10))
-            return train_branches(start, [b], 1, fam, spec, mk_opt(), root, 32)[0]
+            return train_branches(start, [b], 1, fam, spec, opt, root)[0]
 
         theta0, theta1 = branch_after(0.0), branch_after(1.0)
         for lam in (0.25, 0.5, 0.8):
@@ -139,10 +159,11 @@ class TestTrainBranch:
         heads = {0: HeadSpec(1, MEAN_SQUARED_ERROR), 1: HeadSpec(4, CROSS_ENTROPY)}
         spec = ModelSpec(2, (4,), "relu", heads)
         start = init_params(spec, RngStream(1).child("init"))
-        opt = initial_state(len(start), 1e8, momentum_coeff=0.0)
+        opt = OptConfig(1e8, momentum_coeff=0.0, schedule="constant",
+                        batch_size=16).state_at(20)
         branch = BranchSpec(TaskWeighting({0: 1.0}), 0)
         with pytest.raises(NonFiniteError):
-            train_branches(start, [branch], 20, fam, spec, opt, RngStream(1), 16)
+            train_branches(start, [branch], 20, fam, spec, opt, RngStream(1))
 
 
 class TestTrainBranches:
@@ -150,17 +171,17 @@ class TestTrainBranches:
         self.fam = family_for([0.7, 0.3], seed=6)
         self.spec = model_spec_for(self.fam)
         self.start = init_params(self.spec, RngStream(9).child("init"))
-        self.opt = initial_state(len(self.start), 0.1, momentum_coeff=0.9,
-                                 step_count=3)
+        self.opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant",
+                             batch_size=32).state_at(20, step_count=3)
 
     def test_lockstep_matches_branches_trained_alone(self):
         branches = make_omega_branches(2)
         together = train_branches(self.start, branches, 15, self.fam, self.spec,
-                                  self.opt, RngStream(9), 32)
+                                  self.opt, RngStream(9))
         assert len(together) == len(branches)
         for branch, got in zip(branches, together):
             [alone] = train_branches(self.start, [branch], 15, self.fam, self.spec,
-                                     self.opt, RngStream(9), 32)
+                                     self.opt, RngStream(9))
             np.testing.assert_array_equal(got, alone)
 
     def test_each_task_batch_drawn_once_per_step(self, monkeypatch):
@@ -174,7 +195,7 @@ class TestTrainBranches:
 
         monkeypatch.setattr(fm, "draw_batch", counting_draw)
         train_branches(self.start, make_omega_branches(2), 4, self.fam,
-                       self.spec, self.opt, RngStream(9), 32)
+                       self.spec, self.opt, RngStream(9))
         # 3 tasks over 5 branch-task uses per step: one draw per (task, step)
         assert sorted(drawn) == [(t, s) for t in (0, 1, 2) for s in range(3, 7)]
 
@@ -197,8 +218,7 @@ class TestTrainBranches:
         assert isinstance(err.value, NonFiniteError)
         # alone, the target-only branch does get through its first step
         start = init_params(spec, RngStream(0).child("init"))
-        train_branches(start, branches[:1], 1, fam, spec,
-                       opt.state_at(len(start), 40), RngStream(0), 64)
+        train_branches(start, branches[:1], 1, fam, spec, opt.state_at(40), RngStream(0))
 
 
 def regression_spec():
@@ -573,6 +593,19 @@ class TestRunForkMerge:
             fam, spec, schedule, make_omega_branches(1), OptConfig(base_lr=0.05), 0
         )
         assert len(result.merge_history) == 3  # 4 + 4 + 2 steps
+
+    def test_greedy_strategy_runs_greedy_on_two_branches(self):
+        # greedy logs each of the B branches alone (coefficient 1), then
+        # B-1 stages of |G| trials: 2 + 6 candidates per round, not the grid's 6
+        fam = family_for([0.5])
+        spec = model_spec_for(fam, hidden=(4,))
+        schedule = MergeSchedule(total_steps=20, interval=10, search_strategy="greedy")
+        result = run_forkmerge(fam, spec, schedule, make_omega_branches(1),
+                               OptConfig(base_lr=0.05), 0)
+        for record in result.merge_history:
+            assert record.psearch_evals == len(record.candidates) == 2 + 6
+            assert {(c.branch_id, c.coeff) for c in record.candidates[:2]} == {
+                (0, 1.0), (1, 1.0)}
 
     def test_single_branch_equals_stl(self):
         from auxlab.baselines import run_stl

@@ -33,7 +33,7 @@ from auxlab.nn import (
     param_layout,
 )
 from auxlab.nn import _reduce_last
-from auxlab.optim import TaskWeighting, initial_state
+from auxlab.optim import OptConfig, TaskWeighting
 from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
 from auxlab.vectors import RngStream
 
@@ -391,7 +391,8 @@ def test_nan_in_one_batch_names_the_same_step_and_branch(monkeypatch):
     family = small_family()
     spec = family_spec(family)
     start = init_params(spec, RngStream(2).child("init"))
-    opt = initial_state(len(start), 0.1, momentum_coeff=0.9, step_count=3)
+    opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant",
+                    batch_size=32).state_at(13, step_count=3)
     real_draw = fm.draw_batch
 
     def poisoned_draw(split, root, task_id, step, batch_size):
@@ -404,8 +405,7 @@ def test_nan_in_one_batch_names_the_same_step_and_branch(monkeypatch):
 
     monkeypatch.setattr(fm, "draw_batch", poisoned_draw)
     with pytest.raises(BranchDivergedError) as err:
-        train_branches(start, make_omega_branches(2), 10, family, spec, opt,
-                       RngStream(2), 32)
+        train_branches(start, make_omega_branches(2), 10, family, spec, opt, RngStream(2))
     assert (err.value.branch_id, err.value.step) == (1, 7)
 
 
@@ -418,7 +418,7 @@ def test_divergence_at_one_step_names_the_earlier_branch(monkeypatch, order):
     family = small_family()
     spec = family_spec(family)
     start = init_params(spec, RngStream(4).child("init"))
-    opt = initial_state(len(start), 1e300, momentum_coeff=0.0)
+    opt = OptConfig(1e300, momentum_coeff=0.0, schedule="constant", batch_size=16).state_at(3)
     real_draw = fm.draw_batch
 
     def poisoned_draw(split, root, task_id, step, batch_size):
@@ -439,7 +439,7 @@ def test_divergence_at_one_step_names_the_earlier_branch(monkeypatch, order):
         branches = [poisoned, overflowing]
         expected = "branch 1 diverged at step 0: non-finite loss on task 1: diverged"
     with pytest.raises(BranchDivergedError) as err:
-        train_branches(start, branches, 3, family, spec, opt, RngStream(4), 16)
+        train_branches(start, branches, 3, family, spec, opt, RngStream(4))
     assert str(err.value) == expected
     assert (err.value.step, err.value.round_index) == (0, None)
 
@@ -488,9 +488,8 @@ class TestAllocations:
         branches = make_omega_branches(2)
 
         def train(steps):
-            opt = initial_state(len(start), 0.1, momentum_coeff=0.9)
-            train_branches(start, branches, steps, family, spec, opt,
-                           RngStream(1), 64)
+            opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant").state_at(steps)
+            train_branches(start, branches, steps, family, spec, opt, RngStream(1))
 
         train(1)  # warm-up: the kernel's workspaces grow to the batch size
         tracemalloc.start()

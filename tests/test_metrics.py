@@ -19,7 +19,7 @@ from auxlab.metrics import (
 )
 from auxlab.nn import (Batch, HeadSpec, ModelSpec, evaluate, init_params,
                        loss_and_gradient)
-from auxlab.optim import initial_state, sgd_step
+from auxlab.optim import sgd_step
 from auxlab.tasks import TaskFamilyConfig, generate_family
 from auxlab.vectors import RngStream
 
@@ -127,14 +127,14 @@ def train_target_only(family, steps=300, lr=0.1, hidden=(8,), seed=0):
         family.input_dim, hidden, "tanh", {0: HeadSpec(family.n_classes)}
     )
     params = init_params(spec, RngStream(seed).child("init"))
-    state = initial_state(len(params), lr, momentum_coeff=0.9)
+    buffer = np.zeros_like(params)
     split = family.train(0)
     for step in range(steps):
         gen = RngStream(seed).child("batch", step).generator()
         idx = gen.integers(0, len(split), size=64)
         batch = Batch(split.inputs[idx], split.targets[idx], 0)
         _, g = loss_and_gradient(spec, params, batch)
-        params, state = sgd_step(params, g, state)
+        params, buffer = sgd_step(params, buffer, g, 0.9, lr)
     return spec, params
 
 
@@ -182,14 +182,14 @@ def family():
 def warm_model(family):
     spec = ModelSpec(2, (8,), "tanh", {0: HeadSpec(4), 1: HeadSpec(4)})
     params = init_params(spec, RngStream(1).child("init"))
-    state = initial_state(len(params), 0.1, momentum_coeff=0.9)
+    buffer = np.zeros_like(params)
     split = family.train(0)
     for step in range(150):
         gen = RngStream(1).child("warm", step).generator()
         idx = gen.integers(0, len(split), size=64)
         batch = Batch(split.inputs[idx], split.targets[idx], 0)
         _, g = loss_and_gradient(spec, params, batch)
-        params, state = sgd_step(params, g, state)
+        params, buffer = sgd_step(params, buffer, g, 0.9, 0.1)
     return spec, params
 
 
@@ -243,8 +243,7 @@ def reference_sweep(spec, params, family, lambdas, n_points, rng, lr, batch_size
         cos = gcs(shared_gradient_block(spec, g_tgt), shared_gradient_block(spec, g_aux))
 
         def perf_after(lam):
-            state = initial_state(len(params), base_lr=lr, momentum_coeff=0.0)
-            stepped, _ = sgd_step(params, g_tgt + lam * g_aux, state)
+            stepped, _ = sgd_step(params, np.zeros_like(params), g_tgt + lam * g_aux, 0.0, lr)
             return evaluate(spec, stepped, family.val(0), 0).value
 
         base = perf_after(0.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auxlab.optim import OptState, TaskWeighting, initial_state, sgd_step, weighted_gradient
+from auxlab.optim import OptConfig, TaskWeighting, sgd_step, weighted_gradient
 from auxlab.vectors import linear_combination
 
 
@@ -71,44 +71,45 @@ class TestSgdStep:
     def test_plain_gradient_descent(self):
         params = np.array([1.0, 2.0])
         grad = np.array([0.5, -1.0])
-        state = initial_state(2, base_lr=0.1, momentum_coeff=0.0)
-        new, state2 = sgd_step(params, grad, state)
+        new, _ = sgd_step(params, np.zeros(2), grad, 0.0, 0.1)
         np.testing.assert_array_equal(new, params - 0.1 * grad)
-        assert state2.step_count == 1
 
     def test_cosine_endpoint_freezes(self):
-        state = initial_state(2, base_lr=0.5, schedule="cosine", total_steps=10, step_count=10)
+        state = OptConfig(base_lr=0.5, schedule="cosine").state_at(10, step_count=10)
         params = np.array([3.0, -3.0])
-        new, _ = sgd_step(params, np.ones(2), state)
+        new, _ = sgd_step(params, np.zeros(2), np.ones(2), state.config.momentum_coeff,
+                          state.learning_rate())
         np.testing.assert_allclose(new, params, atol=1e-16)
 
     def test_cosine_halfway(self):
-        state = initial_state(1, base_lr=1.0, schedule="cosine", total_steps=4, step_count=2)
+        state = OptConfig(base_lr=1.0, schedule="cosine").state_at(4, step_count=2)
         assert state.learning_rate() == pytest.approx(0.5)
 
     def test_momentum_matches_hand_unroll(self):
         grad = np.array([1.0, -2.0])
         params = np.zeros(2)
-        state = initial_state(2, base_lr=0.1, momentum_coeff=0.9)
+        buffer = np.zeros(2)
         for _ in range(3):
-            params, state = sgd_step(params, grad, state)
+            params, buffer = sgd_step(params, buffer, grad, 0.9, 0.1)
         # hand recurrence: b1=g, b2=1.9g, b3=2.71g; θ = −0.1(b1+b2+b3)
         expected = -0.1 * (1.0 + 1.9 + 2.71) * grad
         np.testing.assert_allclose(params, expected, rtol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            sgd_step(np.zeros(3), np.zeros(2), initial_state(3, 0.1))
+            sgd_step(np.zeros(3), np.zeros(3), np.zeros(2), 0.9, 0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            initial_state(2, base_lr=0.0)
+            OptConfig(base_lr=0.0)
         with pytest.raises(ValueError):
-            initial_state(2, base_lr=0.1, momentum_coeff=1.0)
+            OptConfig(base_lr=0.1, momentum_coeff=1.0)
         with pytest.raises(ValueError):
-            initial_state(2, base_lr=0.1, schedule="cosine")
+            OptConfig(base_lr=0.1, schedule="cosine").state_at(0)
         with pytest.raises(ValueError):
-            initial_state(2, base_lr=0.1, schedule="warmup")
+            OptConfig(base_lr=0.1, schedule="warmup")
+        with pytest.raises(ValueError):
+            OptConfig(base_lr=0.1).state_at(10, step_count=-1)
 
 
 class TestOneStepMergeIdentities:
@@ -126,8 +127,8 @@ class TestOneStepMergeIdentities:
         grads = {0: g_tgt, 1: g_aux}
 
         def one_step(weighting):
-            state = initial_state(24, base_lr=0.05, momentum_coeff=0.0)
-            new, _ = sgd_step(theta, weighted_gradient(grads, weighting), state)
+            new, _ = sgd_step(theta, np.zeros(24), weighted_gradient(grads, weighting),
+                              0.0, 0.05)
             return new
 
         direct = one_step(TaskWeighting({0: 1.0, 1: lam}))
@@ -148,16 +149,16 @@ class TestOneStepMergeIdentities:
         grads = {i: rng.normal(size=20) for i in range(k + 1)}
         raw = rng.uniform(0, 1, size=k)
         lam = raw / max(raw.sum(), 1.0)  # enforce Σ λ_k ≤ 1
-        state = lambda: initial_state(20, base_lr=0.03, momentum_coeff=0.0)  # noqa: E731
+        step = lambda g: sgd_step(theta, np.zeros(20), g, 0.0, 0.03)[0]  # noqa: E731
 
         weights = {0: 1.0, **{i + 1: float(lam[i]) for i in range(k)}}
-        direct, _ = sgd_step(theta, weighted_gradient(grads, TaskWeighting(weights)), state())
+        direct = step(weighted_gradient(grads, TaskWeighting(weights)))
 
         # branch updates under pair weightings {target, k}
-        branch_params = [sgd_step(theta, grads[0], state())[0]]
+        branch_params = [step(grads[0])]
         for i in range(1, k + 1):
             g = weighted_gradient(grads, TaskWeighting({0: 1.0, i: 1.0}))
-            branch_params.append(sgd_step(theta, g, state())[0])
+            branch_params.append(step(g))
         coeffs = [1.0 - float(lam.sum()), *[float(v) for v in lam]]
         merged = linear_combination(coeffs, branch_params)
         np.testing.assert_allclose(direct, merged, rtol=1e-12, atol=1e-12)

@@ -366,6 +366,20 @@ def record(method, seed, task_id, value, tg=None, split="test"):
                         0.0)
 
 
+class TestReadRecords:
+    HEADER = "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
+
+    @pytest.mark.parametrize("row", [
+        "ew,0,0,test,accuracy,90.0,,0,0.1,EXTRA,MORE",
+        "ew,0,0,test,accuracy,90.0,,0,0.1,",
+    ], ids=["two_extra_cells", "one_empty_extra_cell"])
+    def test_row_with_extra_cells_is_malformed(self, tmp_path, row):
+        path = tmp_path / "records.csv"
+        path.write_text(self.HEADER + row + "\n" + "ew,1,0,test,accuracy,80.0,,0,0.1\n")
+        with pytest.raises(ValueError, match="line 2: malformed record"):
+            read_records(path)
+
+
 class TestAggregate:
     def test_single_method_single_seed_zero_std(self):
         summary = aggregate([record("stl", 0, 0, 80.0)])
