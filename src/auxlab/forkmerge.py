@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import nn
-from .nn import Batch, ModelSpec, PerfValue
+from .nn import ModelSpec, PerfValue
 from .optim import OptConfig, OptState, TaskWeighting, sgd_step_into
 from .tasks import DataSplit, TaskFamily, write_rows
 from .vectors import NonFiniteError, RngStream, linear_combination, linear_combination_into
@@ -115,6 +115,10 @@ class CandidateEval:
 
 @dataclass(frozen=True)
 class MergeRecord:
+    """One fork/merge round. Its times are seconds of wall clock: ``train_s``
+    for the `train_branches` call, ``search_s`` for the merge search and the
+    target-only scoring, and ``wall_s`` for the whole round."""
+
     round_index: int
     candidates: tuple[CandidateEval, ...]
     merge_coeffs: Mapping[int, float]
@@ -122,6 +126,8 @@ class MergeRecord:
     chosen_perf: PerfValue
     surviving_branch_ids: tuple[int, ...]
     psearch_evals: int
+    train_s: float
+    search_s: float
     wall_s: float
 
     def __post_init__(self):
@@ -171,8 +177,9 @@ def merge_coeffs_from_task_weights(aux_weights: Sequence[float]) -> list[float]:
 
 def draw_batch(
     split: DataSplit, root: RngStream, task_id: int, step: int, batch_size: int
-) -> Batch:
-    """Mini-batch keyed by (stream, task, absolute step), not by branch.
+) -> np.ndarray:
+    """Row indices into ``split`` of the mini-batch keyed by (stream, task,
+    absolute step), not by branch.
 
     Every branch therefore sees the same draw for the same task at the same
     step — the property that makes one-step merges exactly equal direct
@@ -181,8 +188,7 @@ def draw_batch(
     the indices are those of a fresh ``generator()`` on the same stream.
     """
     gen = root.child("batch", task_id, step).reused_generator()
-    idx = gen.integers(0, len(split), size=batch_size)
-    return Batch(split.inputs[idx], split.targets[idx], task_id)
+    return gen.integers(0, len(split), size=batch_size)
 
 
 def train_branch(
@@ -213,7 +219,8 @@ def train_branches(
     lockstep; returns the branches' parameters in branch order.
 
     All branches start from the same parameters with zero momentum, at
-    ``opt.step_count`` of ``opt``'s schedule, with its batch size. Each
+    ``opt.step_count`` of ``opt``'s schedule, with its batch size. Every
+    used task's train split is checked once, before the first draw. Each
     step draws every used task's batch once, runs one stacked forward and
     backward over every (branch, task) pair with a nonzero weight, mixes each
     branch's gradients, and steps all branches at once, in place, with the
@@ -231,9 +238,10 @@ def train_branches(
     batch_size, momentum = opt.config.batch_size, opt.config.momentum_coeff
     params = np.tile(np.asarray(start, dtype=np.float64), (len(branches), 1))
     tasks = [b.weighting.active_tasks for b in branches]
-    stack = kernel.pair_pass(
-        params, [(i, t) for i, active in enumerate(tasks) for t in active], batch_size)
     splits = {t: family.train(t) for active in tasks for t in active}
+    stack = kernel.pair_pass(
+        params, [(i, t) for i, active in enumerate(tasks) for t in active], splits,
+        batch_size)
     momenta = np.zeros_like(params)
     # per branch: its (task, pair position) in task order, and its mix
     uses = [[(t, stack.index[i, t]) for t in active] for i, active in enumerate(tasks)]
@@ -492,6 +500,7 @@ def run_forkmerge(
             raise BranchDivergedError(
                 exc.branch_id, exc.step, exc.__cause__, round_index
             ) from exc.__cause__
+        t_trained = time.perf_counter()
 
         val = _subsampled_val(family, schedule, root, round_index)
         tgt_branch = next(b for b in branches if b.is_target_only())
@@ -517,6 +526,7 @@ def run_forkmerge(
             # the binary search never evaluates λ=0; scored for the record only
             target_only_perf = nn.evaluate(model_spec, trained[tgt_pos], val,
                                            family.target_id)
+        t_searched = time.perf_counter()
 
         params = outcome.params
         done += steps
@@ -546,6 +556,8 @@ def run_forkmerge(
                 chosen_perf=outcome.perf,
                 surviving_branch_ids=tuple(b.branch_id for b in surviving),
                 psearch_evals=outcome.n_evals,
+                train_s=t_trained - t_start,
+                search_s=t_searched - t_trained,
                 wall_s=time.perf_counter() - t_start,
             )
         )
@@ -573,6 +585,8 @@ def write_merge_history(history: Sequence[MergeRecord], csv_path, json_path) -> 
                 "chosen_perf": r.chosen_perf.value,
                 "surviving_branch_ids": list(r.surviving_branch_ids),
                 "psearch_evals": r.psearch_evals,
+                "train_s": r.train_s,
+                "search_s": r.search_s,
                 "wall_s": r.wall_s,
             }
             for r in history

@@ -114,12 +114,6 @@ class SweepRow:
     tg: float
 
 
-def _batch_from(split: DataSplit, stream: RngStream, batch_size: int) -> nn.Batch:
-    gen = stream.generator()
-    idx = gen.integers(0, len(split), size=min(batch_size, len(split)))
-    return nn.Batch(split.inputs[idx], split.targets[idx], split.task_id)
-
-
 def shared_gradient_block(spec: ModelSpec, g: np.ndarray) -> np.ndarray:
     """Restrict a gradient to the encoder block the tasks actually share.
 
@@ -152,7 +146,8 @@ def one_step_tg_gcs_sweep(
     step theta - lr * (g_tgt + lam * g_aux) and report the validation change
     against the lam = 0 step. Rows are ordered by (point, lambda-position);
     the lam = 0 rows are exactly zero by construction. Every gradient comes
-    from stacked passes built once per sweep, one per batch length.
+    from stacked passes over the train splits, built once per sweep, one per
+    batch length; each point hands them its drawn row indices.
     """
     aux_ids = (aux_task,) if aux_task is not None else family.aux_ids
     if not aux_ids:
@@ -160,16 +155,18 @@ def one_step_tg_gcs_sweep(
     if lr <= 0:
         raise ValueError("lr must be positive")
     tasks = tuple(dict.fromkeys((family.target_id, *aux_ids)))
-    lengths = {t: min(batch_size, len(family.train(t))) for t in tasks}
+    splits = {t: family.train(t) for t in tasks}
+    lengths = {t: min(batch_size, len(split)) for t, split in splits.items()}
     # one stacked pass per batch length, built once; normally one holds every task
     stacked = np.ascontiguousarray(params)[None]
-    passes = [spec.kernel.pair_pass(stacked, [(0, t) for t in tasks if lengths[t] == n], n)
+    passes = [spec.kernel.pair_pass(stacked, [(0, t) for t in tasks if lengths[t] == n],
+                                    splits, n)
               for n in sorted(set(lengths.values()))]
     val = family.val(family.target_id)
     rows: list[SweepRow] = []
     for point in range(n_points):
-        batches = {t: _batch_from(family.train(t), rng.child("point", point, t), batch_size)
-                   for t in tasks}
+        batches = {t: rng.child("point", point, t).generator().integers(
+                       0, len(splits[t]), size=lengths[t]) for t in tasks}
         grads = {}
         for pair_pass in passes:
             losses = pair_pass(batches)

@@ -12,9 +12,10 @@ and gradient mixing are plain vector arithmetic. Layout, in order:
 spec; all branches of a fork share this single layout, which is what makes
 merged vectors meaningful. ``ModelSpec.kernel`` compiles the spec once into
 a kernel that reuses its workspaces across calls. Its stacked pass over
-(branch, task) pairs is the only forward/backward implementation;
-``loss_and_gradient`` is that pass over one pair. A model is its spec plus one parameter vector: the module-level
-functions take both and return fresh values.
+(branch, task) pairs, which binds the splits it reads and takes row indices
+per step, is the only forward/backward; ``loss_and_gradient`` is that pass
+over one split. A model is its spec plus one parameter vector: the
+module-level functions take both and return fresh values.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .tasks import DataSplit, class_labels
 from .vectors import NonFiniteError, RngStream
 
 CROSS_ENTROPY = "softmax_cross_entropy"
@@ -39,7 +41,7 @@ class UnknownTaskError(KeyError):
 
 
 class EmptySplitError(ValueError):
-    """Evaluation was asked for on a split with no rows."""
+    """A pass or an evaluation was asked to read a split with no rows."""
 
 
 @dataclass(frozen=True)
@@ -106,21 +108,6 @@ class ModelSpec:
         """Compiled forward/backward with its workspaces, built on first use
         and kept for the life of the spec."""
         return _Kernel(self)
-
-
-@dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray
-    targets: np.ndarray
-    task_id: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
-        object.__setattr__(self, "targets", np.asarray(self.targets))
-        if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
-            raise ValueError("inputs must be a nonempty (n, input_dim) matrix")
-        if self.targets.shape[0] != self.inputs.shape[0]:
-            raise ValueError("inputs and targets row counts differ")
 
 
 def _build_layout(spec: ModelSpec) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
@@ -354,10 +341,10 @@ class _Kernel:
             delta = d
 
     def pair_pass(self, params: np.ndarray, pairs: Sequence[tuple[int, int]],
-                  batch_size: int) -> "_PairPass":
+                  splits: Mapping[int, DataSplit], batch_size: int) -> "_PairPass":
         """One stacked forward/backward per step for the (row of ``params``,
-        task id) ``pairs``; see ``_PairPass``."""
-        return _PairPass(self, params, pairs, batch_size)
+        task id) ``pairs`` on rows of ``splits``; see ``_PairPass``."""
+        return _PairPass(self, params, pairs, splits, batch_size)
 
     def evaluate(self, views, split, task_id: int) -> "PerfValue":
         inputs = _inputs(split)
@@ -413,7 +400,9 @@ class _PairPass:
     """One stacked forward/backward per step over (branch, task) pairs.
 
     ``params`` is a C-contiguous array with one branch's parameter vector
-    per row, which the caller may update in place between steps. Pair (i, t)
+    per row, which the caller may update in place between steps. Each task's
+    split in ``splits`` is checked once, here; a step gathers the rows it
+    names straight into the pass's buffers. Pair (i, t)
     runs task t's batch through row i's encoder and head t, and its gradient
     goes to ``grads[index[(i, t)]]``, a full-length vector that stays zero
     outside the encoder and head t. The pair axis is ordered by head kind,
@@ -425,7 +414,8 @@ class _PairPass:
     """
 
     def __init__(self, kernel: _Kernel, params: np.ndarray,
-                 pairs: Sequence[tuple[int, int]], batch_size: int):
+                 pairs: Sequence[tuple[int, int]], splits: Mapping[int, DataSplit],
+                 batch_size: int):
         if not params.flags.c_contiguous:
             raise ValueError("params must be C-contiguous, one branch per row")
         spec, depth, n = kernel.spec, kernel._depth, kernel.n_params
@@ -447,8 +437,9 @@ class _PairPass:
         enc = _rows_at(self._params, branch_at, enc_size, self._gathers)
         self._enc = _stacked_blocks(enc, enc_shapes)
         self._genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes, bias_rows=False)
-        # per task: its head and the (inputs, targets) rows of its pairs
-        self._feeds: dict[int, tuple[HeadSpec, list]] = {}
+        # per task: its split's inputs and checked targets, and its pairs' buffers
+        self._feeds = {t: (_inputs(splits[t]), _checked_targets(splits[t].targets, head), [])
+                       for t, head in heads.items()}
         self._kinds = []
         start = 0
         for kind in kinds:
@@ -467,8 +458,7 @@ class _PairPass:
             else:
                 targets = np.empty((len(members), batch_size, kind.output_dim))
             for k, y in zip(members, targets):
-                t = order[k][1]
-                self._feeds.setdefault(t, (kind, []))[1].append((self._x[k], y))
+                self._feeds[order[k][1]][2].append((self._x[k], y))
             self._kinds.append((part, kind, w, b, targets, gw, gb, start))
             start += len(members) * batch_size * kind.output_dim
         if len(order) == 1:
@@ -478,17 +468,16 @@ class _PairPass:
             _, kind, *operands, start = self._kinds[0]
             self._kinds = [(slice(None), kind, *(a[0] for a in operands), start)]
 
-    def __call__(self, batches: Mapping[int, Batch]) -> np.ndarray:
-        """Every pair's loss on this step's batches (one per task id), in
-        pair order, and its gradient into ``grads``. The gradient of a pair
-        whose loss is non-finite is meaningless."""
+    def __call__(self, rows: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Every pair's loss on this step's rows (``batch_size`` indices into
+        each task's split), in pair order, and its gradient into ``grads``.
+        The gradient of a pair whose loss is non-finite is meaningless."""
         kernel = self._kernel
-        for t, (head, feeds) in self._feeds.items():
-            batch = batches[t]
-            targets = _checked_targets(batch.targets, head)
+        for t, (inputs, targets, feeds) in self._feeds.items():
+            at = rows[t]
             for x, y in feeds:
-                x[...] = batch.inputs
-                y[...] = targets
+                inputs.take(at, 0, x)
+                targets.take(at, 0, y)
         for at, out in self._gathers:
             np.take(self._params, at, out=out)
         acts = kernel._encode(self._enc, self._x)
@@ -556,39 +545,36 @@ def check_loss(loss, task_id: int) -> None:
 
 
 def _checked_targets(targets, head: HeadSpec) -> np.ndarray:
-    """Labels in [0, C) as int64 for a classification head, else (n, C)
-    float64 regression targets."""
+    """Labels as int64 for a classification head, by `class_labels`, else
+    (n, C) float64 regression targets."""
     if head.loss == CROSS_ENTROPY:
-        labels = np.asarray(targets, dtype=np.int64)
-        # one bound: negative labels wrap to huge unsigned values
-        if np.maximum.reduce(labels.view(np.uint64)) >= head.output_dim:
-            raise ValueError("class label out of range for head")
-        return labels
+        return class_labels(targets, head.output_dim)
     return np.asarray(targets, dtype=np.float64).reshape(-1, head.output_dim)
 
 
 def _inputs(split) -> np.ndarray:
     inputs = np.asarray(split.inputs, dtype=np.float64)
     if inputs.shape[0] == 0:
-        raise EmptySplitError("cannot evaluate an empty split")
+        raise EmptySplitError("cannot read a split with no rows")
     return inputs
 
 
 def loss_and_gradient(spec: ModelSpec, params: np.ndarray,
-                      batch: Batch) -> tuple[float, np.ndarray]:
-    """Mean per-example loss and its exact gradient as a fresh full-length
-    vector: a one-pair stacked pass over ``params``.
+                      split: DataSplit) -> tuple[float, np.ndarray]:
+    """Mean per-example loss over ``split`` and its exact gradient as a fresh
+    full-length vector: a one-pair stacked pass over ``params``.
 
-    Head blocks not belonging to ``batch.task_id`` are exactly zero. A
+    Head blocks not belonging to ``split.task_id`` are exactly zero. A
     non-finite loss raises: that signals divergence and the caller is
     expected to abort the run with a diagnostic.
     """
     if len(params) != param_count(spec):
         raise ValueError(f"vector length {len(params)} != {param_count(spec)}")
-    one_pair = spec.kernel.pair_pass(np.ascontiguousarray(params)[None],
-                                     [(0, batch.task_id)], len(batch.inputs))
-    [loss] = one_pair({batch.task_id: batch})
-    check_loss(loss, batch.task_id)
+    t = split.task_id
+    one_pair = spec.kernel.pair_pass(np.ascontiguousarray(params)[None], [(0, t)],
+                                     {t: split}, len(split))
+    [loss] = one_pair({t: np.arange(len(split))})
+    check_loss(loss, t)
     return float(loss), one_pair.grads[0]
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "TaskFamily",
     "FamilyGeometry",
     "CsvFormatError",
+    "class_labels",
     "family_geometry",
     "generate_family",
     "sample_interpolated",
@@ -122,6 +123,24 @@ class DataSplit:
         return self.inputs.shape[0]
 
 
+def class_labels(targets, n_classes: int) -> np.ndarray:
+    """``targets`` as int64 class labels; ValueError unless each one is an
+    integer in [0, n_classes). Integer arrays are range-checked without a
+    copy; only other dtypes pay for the integrality test."""
+    labels = np.asarray(targets)
+    if labels.dtype.kind not in "iu":
+        values = labels.astype(np.float64)
+        if (np.floor(values) != values).any():  # NaN is not integral either
+            raise ValueError("class label is not an integer")
+        # clipped so the cast is exact and a label out of range stays out
+        labels = np.clip(values, -1, n_classes).astype(np.int64)
+    labels = labels.astype(np.int64, copy=False)
+    # one bound: negative labels wrap to huge unsigned values
+    if labels.view(np.uint64).max(initial=0) >= n_classes:
+        raise ValueError("class label out of range")
+    return labels
+
+
 @dataclass(frozen=True)
 class TaskFamily:
     """Per-task train/val/test splits; task 0 is the target."""
@@ -139,9 +158,10 @@ class TaskFamily:
                 split = per_split[name]
                 if split.inputs.shape[1] != self.input_dim:
                     raise ValueError(f"task {task_id} {name}: wrong input_dim")
-                labels = np.asarray(split.targets, dtype=np.int64)
-                if len(split) and (labels.min() < 0 or labels.max() >= self.n_classes):
-                    raise ValueError(f"task {task_id} {name}: label out of range")
+                try:
+                    class_labels(split.targets, self.n_classes)
+                except ValueError as exc:
+                    raise ValueError(f"task {task_id} {name}: {exc}") from None
         if self.target_id not in self.splits:
             raise ValueError("target task missing from family")
 

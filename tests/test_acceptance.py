@@ -20,7 +20,6 @@ import pytest
 from auxlab import cli
 from auxlab.forkmerge import merge_coeffs_from_task_weights
 from auxlab.nn import (
-    Batch,
     HeadSpec,
     MEAN_SQUARED_ERROR,
     ModelSpec,
@@ -34,6 +33,7 @@ from auxlab.runner import (
     aggregate,
     read_records,
 )
+from auxlab.tasks import DataSplit
 from auxlab.vectors import RngStream, linear_combination
 
 
@@ -71,7 +71,7 @@ def _random_grads(rng, n_tasks):
     params = init_params(spec, RngStream(int(rng.integers(1 << 30))))
     grads = {}
     for t in range(n_tasks):
-        batch = Batch(
+        batch = DataSplit(
             rng.normal(size=(8, dim)), rng.integers(0, n_cls, size=8), t
         )
         grads[t] = loss_and_gradient(spec, params, batch)[1]
@@ -151,7 +151,7 @@ def test_c03_gradients_match_finite_differences(gate):
             targets = rng.normal(size=(6, heads[task].output_dim))
         else:
             targets = rng.integers(0, heads[task].output_dim, size=6)
-        batch = Batch(rng.normal(size=(6, dim)), targets, task)
+        batch = DataSplit(rng.normal(size=(6, dim)), targets, task)
         _, analytic = loss_and_gradient(spec, params, batch)
         fd = np.zeros_like(analytic)
         for i in range(len(fd)):

@@ -14,7 +14,7 @@ from auxlab.baselines import (
 from auxlab.forkmerge import draw_batch
 from auxlab.nn import HeadSpec, ModelSpec, init_params, loss_and_gradient, param_count
 from auxlab.optim import OptConfig, TaskWeighting, sgd_step, weighted_gradient
-from auxlab.tasks import TaskFamilyConfig, generate_family
+from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
 from auxlab.vectors import RngStream
 
 
@@ -75,8 +75,9 @@ def gcs_loop(family, spec, total_steps, opt_cfg, seed):
     for step in range(total_steps):
         grads = {}
         for task_id in family.task_ids:
-            batch = draw_batch(family.train(task_id), root, task_id, step,
-                               opt_cfg.batch_size)
+            split = family.train(task_id)
+            idx = draw_batch(split, root, task_id, step, opt_cfg.batch_size)
+            batch = DataSplit(split.inputs[idx], split.targets[idx], task_id)
             _, grads[task_id] = loss_and_gradient(spec, params, batch)
         weights = instantaneous_gcs_weights(spec, grads, family.target_id)
         history.append(dict(weights))
@@ -191,7 +192,9 @@ class TestGcsWeights:
         params = init_params(self.spec, RngStream(9).child("init"))
         from auxlab.forkmerge import draw_batch
 
-        batch = draw_batch(fam.train(0), RngStream(9), 0, 0, 32)
+        split = fam.train(0)
+        idx = draw_batch(split, RngStream(9), 0, 0, 32)
+        batch = DataSplit(split.inputs[idx], split.targets[idx], 0)
         _, self.g_tgt = loss_and_gradient(self.spec, params, batch)
 
     def test_copy_of_target_gradient_gets_full_weight(self):

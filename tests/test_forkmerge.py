@@ -108,7 +108,9 @@ class TestTrainBranch:
         for step in range(10):
             grads = {}
             for task_id in (0, 1):
-                batch = draw_batch(fam.train(task_id), RngStream(5), task_id, step, 16)
+                split = fam.train(task_id)
+                idx = draw_batch(split, RngStream(5), task_id, step, 16)
+                batch = DataSplit(split.inputs[idx], split.targets[idx], task_id)
                 _, grads[task_id] = loss_and_gradient(spec, params, batch)
             g = weighted_gradient(grads, branch.weighting)
             params, buffer = sgd_step(params, buffer, g, 0.9, opt.learning_rate(step))
@@ -126,9 +128,12 @@ class TestTrainBranch:
         branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.7}), 1)
         [got] = train_branches(start, [branch], 1, fam, spec, opt, RngStream(5))
 
-        grads = {t: loss_and_gradient(spec, start, draw_batch(fam.train(t), RngStream(5),
-                                                             t, 7, 16))[1]
-                 for t in (0, 1)}
+        grads = {}
+        for t in (0, 1):
+            split = fam.train(t)
+            idx = draw_batch(split, RngStream(5), t, 7, 16)
+            batch = DataSplit(split.inputs[idx], split.targets[idx], t)
+            grads[t] = loss_and_gradient(spec, start, batch)[1]
         g = weighted_gradient(grads, branch.weighting)
         assert 0.0 < opt.learning_rate(7) < 0.05
         np.testing.assert_array_equal(got, start - opt.learning_rate(7) * g)
@@ -239,7 +244,7 @@ def reference_draw(split, root, task_id, step, batch_size):
 
 
 def index_split(n):
-    # row i holds i, so a batch's targets are its indices
+    # row i holds i
     return DataSplit(np.arange(n, dtype=np.float64).reshape(n, 1), np.arange(n), 0)
 
 
@@ -254,11 +259,9 @@ class TestDrawBatch:
         split = index_split(n)
         root = RngStream(seed)
         for task_id, step in ((0, 0), (3, 17), (1, 2**40)):
-            batch = draw_batch(split, root, task_id, step, batch_size)
+            got = draw_batch(split, root, task_id, step, batch_size)
             expected = reference_draw(split, root, task_id, step, batch_size)
-            np.testing.assert_array_equal(batch.targets, expected)
-            np.testing.assert_array_equal(batch.inputs[:, 0], expected)
-            assert batch.task_id == task_id
+            np.testing.assert_array_equal(got, expected)
 
     def test_interleaved_keys(self):
         split = index_split(2000)
@@ -267,7 +270,7 @@ class TestDrawBatch:
         rng = np.random.default_rng(0)
         for k in rng.permutation(len(keys)).tolist() + [0, 0, 5, 0]:
             root, t, step = keys[k]
-            np.testing.assert_array_equal(draw_batch(split, root, t, step, 64).targets,
+            np.testing.assert_array_equal(draw_batch(split, root, t, step, 64),
                                           reference_draw(split, root, t, step, 64))
 
     def test_a_held_generator_is_not_disturbed(self):
@@ -275,10 +278,9 @@ class TestDrawBatch:
         stream = RngStream(3).child("batch", 0, 4)
         held, replay = stream.generator(), stream.generator()
         first = held.integers(0, 2000, size=10)
-        batch = draw_batch(split, RngStream(3), 0, 4, 64)
+        got = draw_batch(split, RngStream(3), 0, 4, 64)
         np.testing.assert_array_equal(first, replay.integers(0, 2000, size=10))
-        np.testing.assert_array_equal(batch.targets,
-                                      reference_draw(split, RngStream(3), 0, 4, 64))
+        np.testing.assert_array_equal(got, reference_draw(split, RngStream(3), 0, 4, 64))
         np.testing.assert_array_equal(held.normal(size=5), replay.normal(size=5))
 
     def test_threads_draw_independently(self):
@@ -291,7 +293,7 @@ class TestDrawBatch:
         def draw_many(seed):
             root = RngStream(seed)
             for step in range(200):
-                got = draw_batch(split, root, 1, step, 64).targets
+                got = draw_batch(split, root, 1, step, 64)
                 if not np.array_equal(got, reference_draw(split, root, 1, step, 64)):
                     mismatches.append((seed, step))
             finished.append(seed)
@@ -722,9 +724,9 @@ class TestMergeRecordValidation:
 
         perf = PerfValue(0.5, "accuracy")
         with pytest.raises(ValueError):
-            MergeRecord(0, (), {0: 0.5, 1: 0.2}, perf, perf, (0, 1), 1, 0.0)
+            MergeRecord(0, (), {0: 0.5, 1: 0.2}, perf, perf, (0, 1), 1, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            MergeRecord(0, (), {0: 1.5, 1: -0.5}, perf, perf, (0, 1), 1, 0.0)
+            MergeRecord(0, (), {0: 1.5, 1: -0.5}, perf, perf, (0, 1), 1, 0.0, 0.0, 0.0)
 
 
 class TestMergeHistoryOutput:
@@ -753,3 +755,21 @@ class TestMergeHistoryOutput:
         payload = json.loads(json_path.read_text())
         assert len(payload["rounds"]) == 2
         assert set(payload["rounds"][0]["merge_coeffs"]) == {"0", "1"}
+
+    @pytest.mark.parametrize("n_aux, strategy", [(1, "grid"), (1, "binary"), (2, "grid")])
+    def test_each_round_splits_its_time_into_train_and_search(self, tmp_path, n_aux,
+                                                                strategy):
+        fam = family_for([0.5] * n_aux)
+        spec = model_spec_for(fam, hidden=(4,))
+        schedule = MergeSchedule(total_steps=30, interval=10, search_strategy=strategy)
+        result = run_forkmerge(fam, spec, schedule, make_omega_branches(n_aux),
+                               OptConfig(base_lr=0.1), 1)
+        json_path = tmp_path / "traj.json"
+        write_merge_history(result.merge_history, tmp_path / "history.csv", json_path)
+        rounds = json.loads(json_path.read_text())["rounds"]
+        assert len(rounds) == 3
+        for record, payload in zip(result.merge_history, rounds):
+            times = (record.train_s, record.search_s, record.wall_s)
+            assert times == (payload["train_s"], payload["search_s"], payload["wall_s"])
+            assert record.train_s >= 0 and record.search_s >= 0
+            assert record.train_s + record.search_s <= record.wall_s

@@ -170,7 +170,8 @@ def _records_without_wall_time(path) -> bytes:
 def _history_without_wall_time(path) -> bytes:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     for round_payload in payload["rounds"]:
-        del round_payload["wall_s"]
+        for key in ("train_s", "search_s", "wall_s"):
+            del round_payload[key]
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 

@@ -23,7 +23,6 @@ from auxlab.forkmerge import (
 from auxlab.nn import (
     CROSS_ENTROPY,
     MEAN_SQUARED_ERROR,
-    Batch,
     HeadSpec,
     ModelSpec,
     evaluate,
@@ -143,9 +142,8 @@ def test_loss_and_gradient_match_reference_bitwise(activation, task_id):
     for seed, n in ((1, 16), (2, 5), (3, 64), (4, 1)):
         params = trained_like_params(spec, seed)
         split = random_split(spec, task_id, n, rng)
-        batch = Batch(split.inputs, split.targets, task_id)
-        loss, grad = loss_and_gradient(spec, params, batch)
-        ref_loss, ref_grad = reference_loss_and_gradient(spec, params, batch)
+        loss, grad = loss_and_gradient(spec, params, split)
+        ref_loss, ref_grad = reference_loss_and_gradient(spec, params, split)
         assert loss == ref_loss
         np.testing.assert_array_equal(grad, ref_grad)
         assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
@@ -178,11 +176,11 @@ def test_returned_gradient_is_not_overwritten_by_next_call():
     params = trained_like_params(spec, 8)
     rng = np.random.default_rng(4)
     first = random_split(spec, 0, 32, rng)
-    _, grad = loss_and_gradient(spec, params, Batch(first.inputs, first.targets, 0))
+    _, grad = loss_and_gradient(spec, params, first)
     kept = grad.copy()
     for task_id, n in ((0, 32), (2, 200), (0, 3)):
         split = random_split(spec, task_id, n, rng)
-        loss_and_gradient(spec, params, Batch(split.inputs, split.targets, task_id))
+        loss_and_gradient(spec, params, split)
         evaluate(spec, params, split, task_id)
     np.testing.assert_array_equal(grad, kept)
 
@@ -220,19 +218,23 @@ def test_pair_pass_matches_per_pair_gradients_bitwise(activation, hidden, batch_
     rng = np.random.default_rng(7)
     for pairs in pair_sets():
         params = np.stack([trained_like_params(spec, seed) for seed in range(4)])
-        stack = kernel.pair_pass(params, pairs, batch_size)
-        for _ in range(2):
+        # splits longer than a batch, so that every step gathers its rows
+        splits = {t: random_split(spec, t, 2 * batch_size + 3, rng)
+                  for t in sorted({t for _, t in pairs})}
+        stack = kernel.pair_pass(params, pairs, splits, batch_size)
+        for _ in range(3):
             # in-place updates between steps, as training makes them
             params += 0.05 * rng.normal(size=params.shape)
-            batches = {}
-            for t in sorted({t for _, t in pairs}):
-                split = random_split(spec, t, batch_size, rng)
-                batches[t] = Batch(split.inputs, split.targets, t)
-            losses = stack(batches).copy()
+            rows = {t: rng.integers(0, len(split), size=batch_size)
+                    for t, split in splits.items()}
+            for at in rows.values():
+                at[-1] = at[0]  # a row drawn twice in one batch
+            losses = stack(rows).copy()
             for i, t in pairs:
                 k = stack.index[i, t]
-                loss, grad = reference_loss_and_gradient(spec, params[i].copy(),
-                                                         batches[t])
+                split, at = splits[t], rows[t]
+                batch = DataSplit(split.inputs[at], split.targets[at], t)
+                loss, grad = reference_loss_and_gradient(spec, params[i].copy(), batch)
                 assert losses[k] == loss
                 np.testing.assert_array_equal(stack.grads[k], grad)
                 assert np.array_equal(np.signbit(stack.grads[k]), np.signbit(grad))
@@ -358,16 +360,15 @@ def test_accuracy_equals_argmax_mean(monkeypatch, c):
 def test_labels_out_of_range_are_rejected(label):
     spec = mixed_head_spec("tanh", (6,))
     params = np.stack([trained_like_params(spec, seed) for seed in range(2)])
-    stack = spec.kernel.pair_pass(params, [(0, 0), (1, 0), (1, 4)], 8)
     rng = np.random.default_rng(2)
     split = random_split(spec, 0, 8, rng)
     labels = split.targets.copy()
     labels[3] = label
-    batches = {0: Batch(split.inputs, split.targets, 0), 4: Batch(split.inputs, labels, 4)}
+    splits = {0: split, 4: DataSplit(split.inputs, labels, 4)}
     with pytest.raises(ValueError, match="class label out of range"):
-        stack(batches)
+        spec.kernel.pair_pass(params, [(0, 0), (1, 0), (1, 4)], splits, 8)
     with pytest.raises(ValueError, match="class label out of range"):
-        loss_and_gradient(spec, params[1], batches[4])
+        loss_and_gradient(spec, params[1], splits[4])
     # a miss before labels were checked in evaluation; a gather would wrap
     with pytest.raises(ValueError, match="class label out of range"):
         evaluate(spec, params[1], DataSplit(split.inputs, labels, 4), 4)
@@ -385,25 +386,48 @@ def family_spec(family, hidden=(16,)):
     return ModelSpec(family.input_dim, hidden, "tanh", heads)
 
 
+@pytest.mark.parametrize("label", [2, -1])
+def test_bad_label_fails_before_any_batch_is_drawn(monkeypatch, label):
+    family = generate_family(TaskFamilyConfig(
+        n_tasks=3, relatedness=(0.7, 0.3), n_classes=2, n_train=300, n_val=100,
+        n_test=100, seed=6,
+    ))
+    family.train(1).targets[3] = label  # after the family checked its labels
+    spec = family_spec(family)
+    start = init_params(spec, RngStream(2).child("init"))
+    opt = OptConfig(0.1, schedule="constant", batch_size=16).state_at(5)
+    draws = []
+    real_draw = fm.draw_batch
+
+    def counting_draw(*args):
+        draws.append(args)
+        return real_draw(*args)
+
+    monkeypatch.setattr(fm, "draw_batch", counting_draw)
+    with pytest.raises(ValueError, match="class label out of range"):
+        train_branches(start, make_omega_branches(2), 5, family, spec, opt, RngStream(2))
+    assert draws == []
+
+
+def poison_train_row(family, task_id, step, column, root, opt):
+    """Put a NaN in column ``column`` of a row of ``task_id``'s train split
+    that its batch at ``step`` draws and no earlier step of ``opt`` does."""
+    split = family.train(task_id)
+    earlier = {int(row) for s in range(opt.step_count, step)
+               for row in fm.draw_batch(split, root, task_id, s, opt.config.batch_size)}
+    drawn = fm.draw_batch(split, root, task_id, step, opt.config.batch_size)
+    split.inputs[next(int(row) for row in drawn if row not in earlier), column] = np.nan
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_in_one_batch_names_the_same_step_and_branch(monkeypatch):
+def test_nan_in_one_batch_names_the_same_step_and_branch():
     # task 1 is weighted by branch 1 only; its batch at step 7 carries a NaN
     family = small_family()
     spec = family_spec(family)
     start = init_params(spec, RngStream(2).child("init"))
     opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant",
                     batch_size=32).state_at(13, step_count=3)
-    real_draw = fm.draw_batch
-
-    def poisoned_draw(split, root, task_id, step, batch_size):
-        batch = real_draw(split, root, task_id, step, batch_size)
-        if (task_id, step) == (1, 7):
-            inputs = batch.inputs.copy()
-            inputs[5, 1] = np.nan
-            return Batch(inputs, batch.targets, task_id)
-        return batch
-
-    monkeypatch.setattr(fm, "draw_batch", poisoned_draw)
+    poison_train_row(family, 1, 7, 1, RngStream(2), opt)
     with pytest.raises(BranchDivergedError) as err:
         train_branches(start, make_omega_branches(2), 10, family, spec, opt, RngStream(2))
     assert (err.value.branch_id, err.value.step) == (1, 7)
@@ -411,7 +435,7 @@ def test_nan_in_one_batch_names_the_same_step_and_branch(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("order", ["params_first", "loss_first"])
-def test_divergence_at_one_step_names_the_earlier_branch(monkeypatch, order):
+def test_divergence_at_one_step_names_the_earlier_branch(order):
     # at step 0 the branch weighting task 2 by 1e300 steps its parameters to
     # inf, while task 1's batch carries a NaN, so the branch weighting task 1
     # has a non-finite loss; the branch earlier in order is named
@@ -419,17 +443,7 @@ def test_divergence_at_one_step_names_the_earlier_branch(monkeypatch, order):
     spec = family_spec(family)
     start = init_params(spec, RngStream(4).child("init"))
     opt = OptConfig(1e300, momentum_coeff=0.0, schedule="constant", batch_size=16).state_at(3)
-    real_draw = fm.draw_batch
-
-    def poisoned_draw(split, root, task_id, step, batch_size):
-        batch = real_draw(split, root, task_id, step, batch_size)
-        if task_id == 1:
-            inputs = batch.inputs.copy()
-            inputs[0, 0] = np.nan
-            return Batch(inputs, batch.targets, task_id)
-        return batch
-
-    monkeypatch.setattr(fm, "draw_batch", poisoned_draw)
+    poison_train_row(family, 1, 0, 0, RngStream(4), opt)
     overflowing = BranchSpec(TaskWeighting({0: 1.0, 2: 1e300}), 2)
     poisoned = BranchSpec(TaskWeighting({0: 1.0, 1: 1.0}), 1)
     if order == "params_first":
@@ -477,7 +491,7 @@ class TestAllocations:
         spec = ModelSpec(2, (hidden, hidden), activation, {0: HeadSpec(4)})
         params = trained_like_params(spec, 2)
         rng = np.random.default_rng(1)
-        batch = Batch(rng.normal(size=(n, 2)), rng.integers(0, 4, size=n), 0)
+        batch = DataSplit(rng.normal(size=(n, 2)), rng.integers(0, 4, size=n), 0)
         loss_and_gradient(spec, params, batch)  # warm-up
         assert _peak_bytes(lambda: loss_and_gradient(spec, params, batch)) < n * hidden * 8
 

@@ -17,10 +17,9 @@ from auxlab.metrics import (
     shared_gradient_block,
     transfer_gain,
 )
-from auxlab.nn import (Batch, HeadSpec, ModelSpec, evaluate, init_params,
-                       loss_and_gradient)
+from auxlab.nn import HeadSpec, ModelSpec, evaluate, init_params, loss_and_gradient
 from auxlab.optim import sgd_step
-from auxlab.tasks import TaskFamilyConfig, generate_family
+from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
 from auxlab.vectors import RngStream
 
 # Published DomainNet accuracies used as a fixed-point check for delta_m.
@@ -132,7 +131,7 @@ def train_target_only(family, steps=300, lr=0.1, hidden=(8,), seed=0):
     for step in range(steps):
         gen = RngStream(seed).child("batch", step).generator()
         idx = gen.integers(0, len(split), size=64)
-        batch = Batch(split.inputs[idx], split.targets[idx], 0)
+        batch = DataSplit(split.inputs[idx], split.targets[idx], 0)
         _, g = loss_and_gradient(spec, params, batch)
         params, buffer = sgd_step(params, buffer, g, 0.9, lr)
     return spec, params
@@ -187,7 +186,7 @@ def warm_model(family):
     for step in range(150):
         gen = RngStream(1).child("warm", step).generator()
         idx = gen.integers(0, len(split), size=64)
-        batch = Batch(split.inputs[idx], split.targets[idx], 0)
+        batch = DataSplit(split.inputs[idx], split.targets[idx], 0)
         _, g = loss_and_gradient(spec, params, batch)
         params, buffer = sgd_step(params, buffer, g, 0.9, 0.1)
     return spec, params
@@ -236,7 +235,7 @@ def reference_sweep(spec, params, family, lambdas, n_points, rng, lr, batch_size
             split = family.train(t)
             gen = rng.child("point", point, t).generator()
             idx = gen.integers(0, len(split), size=min(batch_size, len(split)))
-            batch = Batch(split.inputs[idx], split.targets[idx], t)
+            batch = DataSplit(split.inputs[idx], split.targets[idx], t)
             grads[t] = loss_and_gradient(spec, params, batch)[1]
         g_tgt = grads[0]
         g_aux = np.mean([grads[t] for t in aux_ids], axis=0)

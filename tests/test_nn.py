@@ -4,7 +4,6 @@ import pytest
 from auxlab.nn import (
     CROSS_ENTROPY,
     MEAN_SQUARED_ERROR,
-    Batch,
     EmptySplitError,
     HeadSpec,
     ModelSpec,
@@ -18,6 +17,7 @@ from auxlab.nn import (
     param_count,
     param_layout,
 )
+from auxlab.tasks import DataSplit
 from auxlab.vectors import NonFiniteError, RngStream
 
 
@@ -45,7 +45,7 @@ def random_batch(spec, task_id, rng, n=6):
         y = rng.integers(0, head.output_dim, size=n)
     else:
         y = rng.normal(size=(n, head.output_dim))
-    return Batch(x, y, task_id)
+    return DataSplit(x, y, task_id)
 
 
 def finite_difference_grad(spec, params, batch, step=1e-5):
@@ -162,7 +162,7 @@ class TestLossAndGradient:
     def test_zero_linear_model_mse_at_minimum(self):
         spec = ModelSpec(2, (), "relu", {0: HeadSpec(1, MEAN_SQUARED_ERROR)})
         params = np.zeros(param_count(spec))
-        batch = Batch(np.array([[1.0, 2.0], [3.0, -1.0]]), np.zeros((2, 1)), 0)
+        batch = DataSplit(np.array([[1.0, 2.0], [3.0, -1.0]]), np.zeros((2, 1)), 0)
         loss, grad = loss_and_gradient(spec, params, batch)
         assert loss == 0.0
         assert np.all(grad == 0.0)
@@ -170,7 +170,7 @@ class TestLossAndGradient:
     def test_uniform_logits_cross_entropy_is_log_c(self):
         spec = ModelSpec(3, (), "relu", {0: HeadSpec(7)})
         params = np.zeros(param_count(spec))
-        batch = Batch(np.random.default_rng(0).normal(size=(5, 3)), [0, 6, 3, 2, 1], 0)
+        batch = DataSplit(np.random.default_rng(0).normal(size=(5, 3)), [0, 6, 3, 2, 1], 0)
         loss, _ = loss_and_gradient(spec, params, batch)
         assert loss == pytest.approx(np.log(7), rel=1e-12)
 
@@ -208,13 +208,41 @@ class TestLossAndGradient:
         spec = small_spec()
         params = init_params(spec, RngStream(0))
         with pytest.raises(UnknownTaskError):
-            loss_and_gradient(spec, params, Batch(np.zeros((1, 3)), [0], 9))
+            loss_and_gradient(spec, params, DataSplit(np.zeros((1, 3)), [0], 9))
 
     def test_label_out_of_range(self):
         spec = small_spec()
         params = init_params(spec, RngStream(0))
         with pytest.raises(ValueError):
-            loss_and_gradient(spec, params, Batch(np.zeros((1, 3)), [4], 0))
+            loss_and_gradient(spec, params, DataSplit(np.zeros((1, 3)), [4], 0))
+
+
+class TestFractionalLabels:
+    """A class label must be an integer: 1.5 is not read as class 1."""
+
+    spec = ModelSpec(2, (), "relu", {0: HeadSpec(3)})
+    split = DataSplit(np.zeros((3, 2)), np.array([0.0, 1.5, 2.9]), 0)
+
+    def test_evaluate_rejects_them(self):
+        params = np.zeros(param_count(self.spec))
+        with pytest.raises(ValueError, match="class label is not an integer"):
+            evaluate(self.spec, params, self.split, 0)
+
+    def test_loss_and_gradient_rejects_them(self):
+        params = np.zeros(param_count(self.spec))
+        with pytest.raises(ValueError, match="class label is not an integer"):
+            loss_and_gradient(self.spec, params, self.split)
+
+    def test_integral_floats_score_as_ints(self):
+        params = init_params(self.spec, RngStream(1))
+        x = np.random.default_rng(1).normal(size=(6, 2))
+        ints = DataSplit(x, np.array([0, 1, 2, 2, 1, 0]), 0)
+        floats = DataSplit(x, ints.targets.astype(np.float64), 0)
+        assert evaluate(self.spec, params, floats, 0) == evaluate(self.spec, params, ints, 0)
+        loss, grad = loss_and_gradient(self.spec, params, floats)
+        int_loss, int_grad = loss_and_gradient(self.spec, params, ints)
+        assert loss == int_loss
+        np.testing.assert_array_equal(grad, int_grad)
 
 
 class TestEvaluate:
@@ -287,6 +315,8 @@ class TestEvaluate:
         params = init_params(spec, RngStream(0))
         with pytest.raises(EmptySplitError):
             evaluate(spec, params, Split(np.zeros((0, 3)), []), 0)
+        with pytest.raises(EmptySplitError):
+            loss_and_gradient(spec, params, DataSplit(np.zeros((0, 3)), np.zeros(0), 0))
 
     def test_perf_value_rejects_nan(self):
         with pytest.raises(NonFiniteError):

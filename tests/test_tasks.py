@@ -5,7 +5,9 @@ import auxlab.tasks as tasks
 from auxlab.tasks import (
     CsvFormatError,
     DataSplit,
+    TaskFamily,
     TaskFamilyConfig,
+    class_labels,
     family_geometry,
     generate_family,
     load_csv,
@@ -56,6 +58,41 @@ class TestGeometry:
         radii = np.linalg.norm(geo.target_means[:, :2], axis=1)
         np.testing.assert_allclose(radii, 3.0, rtol=1e-12)
         assert np.all(geo.target_means[:, 2:] == 0.0)
+
+
+class TestClassLabels:
+    """One label rule, shared by families and the model: every label is an
+    integer in [0, C)."""
+
+    @pytest.mark.parametrize("targets, message", [
+        ([0.0, 1.5, 2.9], "not an integer"),
+        ([0.0, np.nan, 1.0], "not an integer"),
+        ([0, 1, 3], "out of range"),
+        ([-1, 0, 1], "out of range"),
+        ([0.0, np.inf, 1.0], "out of range"),
+        ([-1.0, 0.0, 1.0], "out of range"),
+        (np.array([0, 2**63], dtype=np.uint64), "out of range"),
+    ])
+    def test_rejected(self, targets, message):
+        with pytest.raises(ValueError, match=message):
+            class_labels(np.asarray(targets), 3)
+        split = DataSplit(np.zeros((len(targets), 2)), targets, 0)
+        with pytest.raises(ValueError, match=f"task 0 train: class label .*{message}"):
+            TaskFamily({0: {"train": split, "val": split, "test": split}}, 3, 2)
+
+    @pytest.mark.parametrize("targets", [[0, 1, 2], [0.0, 1.0, 2.0], [True, False, True]])
+    def test_integral_labels_read_as_int64(self, targets):
+        labels = class_labels(np.asarray(targets), 3)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, np.asarray(targets, dtype=np.int64))
+
+    def test_int64_labels_are_not_copied(self):
+        targets = np.array([2, 0, 1])
+        assert class_labels(targets, 3) is targets
+
+    def test_an_empty_split_has_no_bad_label(self):
+        assert len(class_labels(np.zeros(0, dtype=np.int64), 3)) == 0
+        assert len(class_labels(np.zeros(0), 3)) == 0
 
 
 class TestGenerateFamily:
