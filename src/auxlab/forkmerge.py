@@ -176,19 +176,27 @@ def merge_coeffs_from_task_weights(aux_weights: Sequence[float]) -> list[float]:
 
 
 def draw_batch(
-    split: DataSplit, root: RngStream, task_id: int, step: int, batch_size: int
+    split: DataSplit, root: RngStream, task_id: int, steps: range, batch_size: int
 ) -> np.ndarray:
-    """Row indices into ``split`` of the mini-batch keyed by (stream, task,
-    absolute step), not by branch.
+    """Row indices into ``split`` of the mini-batches keyed by (stream, task,
+    absolute step), not by branch: a (len(steps), batch_size) array whose
+    row i is what a fresh ``root.child("batch", task_id, steps[i])``
+    generator's ``integers(0, len(split), size=batch_size)`` draws.
 
     Every branch therefore sees the same draw for the same task at the same
     step — the property that makes one-step merges exactly equal direct
     weighted updates, and makes results independent of worker count. The
-    draw re-keys this thread's reused generator rather than building one;
-    the indices are those of a fresh ``generator()`` on the same stream.
+    rows are replayed for all of ``steps`` at once by
+    `RngStream.child_integers`, which builds no generator.
     """
-    gen = root.child("batch", task_id, step).reused_generator()
-    return gen.integers(0, len(split), size=batch_size)
+    return root.child_integers((("batch", task_id, step) for step in steps), len(steps),
+                               len(split), batch_size)
+
+
+_CHUNK = 64
+"""Steps whose batches `train_branches` draws in one `draw_batch` call per
+task: enough to spread a call's fixed cost, few enough that the held
+batches stay small."""
 
 
 def train_branch(
@@ -220,10 +228,11 @@ def train_branches(
 
     All branches start from the same parameters with zero momentum, at
     ``opt.step_count`` of ``opt``'s schedule, with its batch size. Every
-    used task's train split is checked once, before the first draw. Each
-    step draws every used task's batch once, runs one stacked forward and
-    backward over every (branch, task) pair with a nonzero weight, mixes each
-    branch's gradients, and steps all branches at once, in place, with the
+    used task's train split is checked once, before the first draw, and its
+    batches are drawn `_CHUNK` steps at a time, one `draw_batch` call per
+    task and chunk. Each step runs one stacked forward and backward over
+    every (branch, task) pair with a nonzero weight, mixes each branch's
+    gradients, and steps all branches at once, in place, with the
     arithmetic of `weighted_gradient` and `sgd_step`; each result is
     therefore bit-identical to training that branch alone. The first
     non-finite loss or parameter raises BranchDivergedError naming the
@@ -250,9 +259,9 @@ def train_branches(
     mixes = [(out, [b.weighting.weights[t] for t in active],
               [stack.grads[k] for _, k in use], scratch[0])
              for out, b, active, use in zip(mixed, branches, tasks, uses)]
-    for step in range(opt.step_count, opt.step_count + steps):
-        losses = stack({t: draw_batch(splits[t], root, t, step, batch_size)
-                        for t in sorted(splits)})
+    for step, rows in _batches(splits, root, range(opt.step_count, opt.step_count + steps),
+                               batch_size):
+        losses = stack(rows)
         if weigh is None:
             for mix in mixes:
                 linear_combination_into(*mix)
@@ -267,6 +276,19 @@ def train_branches(
         if not isfinite(losses.dot(losses) + flat.dot(flat)):
             _raise_first_divergence(branches, uses, losses, params, step)
     return list(params)
+
+
+def _batches(splits: Mapping[int, DataSplit], root: RngStream, steps: range,
+             batch_size: int):
+    """Each of ``steps`` with its {task: row indices}, drawn `_CHUNK` steps
+    at a time into one buffer per task."""
+    drawn = {t: np.empty((_CHUNK, batch_size), dtype=np.int64) for t in sorted(splits)}
+    for first in range(steps.start, steps.stop, _CHUNK):
+        chunk = range(first, min(first + _CHUNK, steps.stop))
+        for t, rows in drawn.items():
+            rows[: len(chunk)] = draw_batch(splits[t], root, t, chunk, batch_size)
+        for i, step in enumerate(chunk):
+            yield step, {t: rows[i] for t, rows in drawn.items()}
 
 
 def _raise_first_divergence(branches, uses, losses, params, step: int) -> None:

@@ -147,7 +147,8 @@ def one_step_tg_gcs_sweep(
     against the lam = 0 step. Rows are ordered by (point, lambda-position);
     the lam = 0 rows are exactly zero by construction. Every gradient comes
     from stacked passes over the train splits, built once per sweep, one per
-    batch length; each point hands them its drawn row indices.
+    batch length; each point hands them its row indices, which one
+    `RngStream.child_integers` call per task draws for every point up front.
     """
     aux_ids = (aux_task,) if aux_task is not None else family.aux_ids
     if not aux_ids:
@@ -163,13 +164,14 @@ def one_step_tg_gcs_sweep(
                                     splits, n)
               for n in sorted(set(lengths.values()))]
     val = family.val(family.target_id)
+    # point p's batch of task t: the draw of stream ("point", p, t)
+    drawn = {t: rng.child_integers((("point", p, t) for p in range(n_points)), n_points,
+                                   len(splits[t]), lengths[t]) for t in tasks}
     rows: list[SweepRow] = []
     for point in range(n_points):
-        batches = {t: rng.child("point", point, t).generator().integers(
-                       0, len(splits[t]), size=lengths[t]) for t in tasks}
         grads = {}
         for pair_pass in passes:
-            losses = pair_pass(batches)
+            losses = pair_pass({t: batches[point] for t, batches in drawn.items()})
             for (_, t), k in pair_pass.index.items():
                 check_loss(losses[k], t)
                 # the next point's pass overwrites ``grads``

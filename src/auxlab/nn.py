@@ -401,8 +401,11 @@ class _PairPass:
 
     ``params`` is a C-contiguous array with one branch's parameter vector
     per row, which the caller may update in place between steps. Each task's
-    split in ``splits`` is checked once, here; a step gathers the rows it
-    names straight into the pass's buffers. Pair (i, t)
+    split in ``splits`` is checked once, here, and the splits' inputs are
+    copied back to back into one table, as are each head kind's targets, on
+    the same row offsets. A step offsets each task's row indices into that
+    table and gathers every pair's inputs with one ``take``, and its targets
+    with one more per head kind, straight into the pass's buffers. Pair (i, t)
     runs task t's batch through row i's encoder and head t, and its gradient
     goes to ``grads[index[(i, t)]]``, a full-length vector that stays zero
     outside the encoder and head t. The pair axis is ordered by head kind,
@@ -430,16 +433,24 @@ class _PairPass:
         self._params = params.reshape(-1)
         self._gathers: list[tuple[np.ndarray, np.ndarray]] = []
         self._scatters: list[tuple[np.ndarray, np.ndarray]] = []
-        self._x = np.empty((len(order), batch_size, spec.input_dim))
+        self._xs = self._x = np.empty((len(order), batch_size, spec.input_dim))
         branch_at = np.array([i for i, _ in order]) * n
         enc_shapes = [shape for _, _, shape in spec.layout[: 2 * depth]]
         enc_size = sum(math.prod(shape) for shape in enc_shapes)
         enc = _rows_at(self._params, branch_at, enc_size, self._gathers)
         self._enc = _stacked_blocks(enc, enc_shapes)
         self._genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes, bias_rows=False)
-        # per task: its split's inputs and checked targets, and its pairs' buffers
-        self._feeds = {t: (_inputs(splits[t]), _checked_targets(splits[t].targets, head), [])
-                       for t, head in heads.items()}
+        # row r of task t's split is row offset[t] + r of every table
+        tasks = sorted(heads)
+        inputs = [_inputs(splits[t]) for t in tasks]
+        targets = {t: _checked_targets(splits[t].targets, heads[t]) for t in tasks}
+        offsets = np.cumsum([0] + [len(x) for x in inputs[:-1]]).tolist()
+        self._inputs = np.concatenate(inputs)
+        self._task_rows = np.empty((len(tasks), batch_size), dtype=np.int64)
+        self._offsets = list(zip(tasks, offsets, self._task_rows))
+        self._pair_tasks = np.array([tasks.index(t) for _, t in order])
+        self._rows = np.empty((len(order), batch_size), dtype=np.int64)
+        self._targets = []  # per head kind: (its target table, its pairs, their buffer)
         self._kinds = []
         start = 0
         for kind in kinds:
@@ -453,13 +464,15 @@ class _PairPass:
             grad_at = np.arange(part.start, part.stop) * n + head_at
             ghead = _rows_at(self._grads_flat, grad_at, size, self._scatters)
             (gw, gb), = _stacked_blocks(ghead, shapes, bias_rows=False)
-            if kind.loss == CROSS_ENTROPY:
-                targets = np.empty((len(members), batch_size), dtype=np.int64)
-            else:
-                targets = np.empty((len(members), batch_size, kind.output_dim))
-            for k, y in zip(members, targets):
-                self._feeds[order[k][1]][2].append((self._x[k], y))
-            self._kinds.append((part, kind, w, b, targets, gw, gb, start))
+            # rows of another kind's tasks stay zero; no pair of this kind reads them
+            like = targets[order[members[0]][1]]
+            table = np.zeros((len(self._inputs), *like.shape[1:]), like.dtype)
+            for t, at in zip(tasks, offsets):
+                if heads[t] == kind:
+                    table[at: at + len(targets[t])] = targets[t]
+            y = np.empty((len(members), batch_size, *like.shape[1:]), like.dtype)
+            self._targets.append((table, part, y))
+            self._kinds.append((part, kind, w, b, y, gw, gb, start))
             start += len(members) * batch_size * kind.output_dim
         if len(order) == 1:
             self._x = self._x[0]
@@ -469,17 +482,19 @@ class _PairPass:
             self._kinds = [(slice(None), kind, *(a[0] for a in operands), start)]
 
     def __call__(self, rows: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Every pair's loss on this step's rows (``batch_size`` indices into
-        each task's split), in pair order, and its gradient into ``grads``.
-        The gradient of a pair whose loss is non-finite is meaningless."""
+        """Every pair's loss on this step's rows (``batch_size`` indices in
+        [0, len(split)) into each task's split), in pair order, and its
+        gradient into ``grads``. The gradient of a pair whose loss is
+        non-finite is meaningless."""
         kernel = self._kernel
-        for t, (inputs, targets, feeds) in self._feeds.items():
-            at = rows[t]
-            for x, y in feeds:
-                inputs.take(at, 0, x)
-                targets.take(at, 0, y)
+        for t, offset, at in self._offsets:
+            np.add(rows[t], offset, out=at)
+        at = self._task_rows.take(self._pair_tasks, 0, self._rows)
+        self._inputs.take(at, 0, self._xs)
+        for table, part, y in self._targets:
+            table.take(at[part], 0, y)
         for at, out in self._gathers:
-            np.take(self._params, at, out=out)
+            self._params.take(at, None, out)
         acts = kernel._encode(self._enc, self._x)
         heads = []
         for part, kind, w, b, targets, gw, gb, start in self._kinds:

@@ -8,9 +8,9 @@ are bit-identical across runs and across worker counts.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -116,30 +116,100 @@ class RngStream:
         key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def reused_generator(self) -> np.random.Generator:
-        """This thread's one reused generator, re-keyed to the start of this
-        stream: it yields what :meth:`generator` would, without building a
-        Philox, whose constructor also reads OS entropy that the key then
-        discards. Valid until the thread's next call."""
-        # the 128-bit key of generator() as two words, low word first
-        return _REUSED.rekeyed((self.stream_id & _MASK64, self.seed & _MASK64))
+    def child_integers(self, labels: Iterable[tuple], count: int, high: int,
+                       size: int) -> np.ndarray:
+        """(count, size) int64 whose row i is, bit for bit, what
+        ``self.child(*label_i).generator().integers(0, high, size)`` draws,
+        for the first ``count`` of ``labels``.
+
+        The rows are replayed without a generator: Philox4x64-10 words for
+        every stream at once (see ``_philox``), cut into 32-bit halves low
+        half first and scaled by Lemire's method, as numpy's
+        ``Generator.integers`` does for a range below 2**32. A row that
+        method would reject a word of is drawn again by a real generator,
+        and so is every row when ``high >= 2**32``. The rows are computed
+        for a multiple of ``_PAD`` streams, so every call of up to ``_PAD``
+        rows allocates the same.
+        """
+        if high < 1:
+            raise ValueError("high <= 0")
+        padded = -(-count // _PAD) * _PAD
+        ids = np.fromiter(chain((_derive_stream_id(self.stream_id, labels_i)
+                                 for labels_i in labels), repeat(0)),
+                          np.uint64, padded)
+        words = (size + 1) // 2  # 64-bit words per row
+        raw = _philox(self.seed, ids, -(-words // 4))[:, :words]
+        halves = np.empty((padded, words, 2), np.uint64)
+        np.bitwise_and(raw, _LOW32, out=halves[:, :, 0])
+        np.right_shift(raw, _SHIFT32, out=halves[:, :, 1])
+        draws = halves.reshape(padded, 2 * words)[:count, :size]
+        out = np.empty((padded, size), np.int64)[:count]
+        redraw = np.ones(count, bool)
+        if high < 2**32:
+            draws *= np.uint64(high)
+            np.right_shift(draws, _SHIFT32, out=out, casting="unsafe")
+            draws &= _LOW32
+            np.any(draws < np.uint64(2**32 % high), axis=1, out=redraw)
+        for i in np.flatnonzero(redraw):
+            out[i] = RngStream(self.seed, int(ids[i])).generator().integers(
+                0, high, size=size)
+        return out
 
 
-class _Reused(threading.local):
-    """Per thread: one Philox, its generator, and the state that re-keys it
-    to a stream's start (zero counter, empty buffer). Built on first use, so
-    importing this module does not load ``numpy.random``."""
-
-    generator = None
-
-    def rekeyed(self, key: tuple[int, int]) -> np.random.Generator:
-        if self.generator is None:
-            self.bit_generator = np.random.Philox(0)  # any seed: each use re-keys it
-            self.generator = np.random.Generator(self.bit_generator)
-            self.state = self.bit_generator.state
-        self.state["state"]["key"] = key
-        self.bit_generator.state = self.state
-        return self.generator
+_PAD = 64
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
-_REUSED = _Reused()
+def _philox(seed: int, stream_ids: np.ndarray, blocks: int) -> np.ndarray:
+    """(len(stream_ids), 4 * blocks) uint64: the first ``blocks`` Philox4x64-10
+    blocks of each stream, in the order numpy's ``Philox`` returns its words.
+
+    Stream i is keyed (stream_ids[i], seed), key word 0 first, and its
+    counter runs 1, 2, ..., since numpy's counter starts at 0 and steps
+    before each block. A 64-bit product is split into 32-bit halves so that
+    uint64 arithmetic gives its high word.
+    """
+    k, n = len(stream_ids), len(stream_ids) * blocks
+    # words 0 and 2 of every block, back to back, with their multipliers;
+    # the key is held as [key word 1 | key word 0], the order a round needs
+    x = np.zeros(2 * n, np.uint64)
+    x[:n] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), k)
+    key = np.empty(2 * n, np.uint64)
+    key[:n] = seed & _MASK64
+    key[n:] = np.repeat(stream_ids, blocks)
+    bump = np.repeat(np.array(_PHILOX_BUMP[::-1], np.uint64), n)
+    mul = np.repeat(np.array(_PHILOX_MUL, np.uint64), n)
+    mul_lo, mul_hi = mul & _LOW32, mul >> _SHIFT32
+    low, last = np.empty_like(x), np.zeros_like(x)
+    x_lo, x_hi, t, u, v, high = (np.empty_like(x) for _ in range(6))
+    for r in range(10):
+        if r:
+            key += bump
+        np.multiply(x, mul, out=low)
+        np.bitwise_and(x, _LOW32, out=x_lo)
+        np.right_shift(x, _SHIFT32, out=x_hi)
+        # high word of x * mul from the four 32 x 32-bit partial products
+        np.multiply(x_lo, mul_lo, out=t)
+        t >>= _SHIFT32
+        np.multiply(x_hi, mul_lo, out=u)
+        u += t
+        np.multiply(x_lo, mul_hi, out=v)
+        np.bitwise_and(u, _LOW32, out=t)
+        v += t
+        np.multiply(x_hi, mul_hi, out=high)
+        u >>= _SHIFT32
+        high += u
+        v >>= _SHIFT32
+        high += v
+        # word 0 <- high(2) ^ word 1 ^ key 0, word 2 <- high(0) ^ word 3 ^ key 1,
+        # where words 1 and 3 are the last round's low(2) and low(0)
+        high ^= last
+        high ^= key
+        x[:n], x[n:] = high[n:], high[:n]
+        low, last = last, low
+    out = np.empty((k, blocks, 4), np.uint64)
+    for j, word in enumerate((x[:n], last[n:], x[n:], last[:n])):
+        out[:, :, j] = word.reshape(k, blocks)
+    return out.reshape(k, 4 * blocks)

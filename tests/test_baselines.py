@@ -76,7 +76,8 @@ def gcs_loop(family, spec, total_steps, opt_cfg, seed):
         grads = {}
         for task_id in family.task_ids:
             split = family.train(task_id)
-            idx = draw_batch(split, root, task_id, step, opt_cfg.batch_size)
+            idx = draw_batch(split, root, task_id, range(step, step + 1),
+                             opt_cfg.batch_size)[0]
             batch = DataSplit(split.inputs[idx], split.targets[idx], task_id)
             _, grads[task_id] = loss_and_gradient(spec, params, batch)
         weights = instantaneous_gcs_weights(spec, grads, family.target_id)
@@ -193,7 +194,7 @@ class TestGcsWeights:
         from auxlab.forkmerge import draw_batch
 
         split = fam.train(0)
-        idx = draw_batch(split, RngStream(9), 0, 0, 32)
+        idx = draw_batch(split, RngStream(9), 0, range(0, 1), 32)[0]
         batch = DataSplit(split.inputs[idx], split.targets[idx], 0)
         _, self.g_tgt = loss_and_gradient(self.spec, params, batch)
 

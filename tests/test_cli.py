@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.metadata as md
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from auxlab.cli import main
-from auxlab.runner import read_records
+from auxlab.runner import parse_config_text, read_records, run_experiment
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -438,3 +439,25 @@ def test_import_pins_blas_to_one_thread():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "['1', '1', '1']"
+
+
+def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # numpy is imported before auxlab, so BLAS keeps the two threads it
+    # loads with and the package's pin to one thread cannot apply
+    text = ("method = forkmerge_multi\nseeds = 0\nn_tasks = 3\nrelatedness = 0.8,0.2\n"
+            "n_train = 300\nn_val = 4000\nn_test = 4000\ntotal_steps = 90\n"
+            "merge_interval = 30\nbatch_size = 32\ncompute_tg = false\n")
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **dict.fromkeys(blas, "2"), "PYTHONPATH": src}
+    code = ("import numpy\n"
+            "from auxlab.runner import parse_config_text, run_experiment\n"
+            f"run_experiment(parse_config_text({text!r}), {str(tmp_path / 'two')!r})\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    run_experiment(parse_config_text(text), tmp_path / "one")
+
+    def without_wall(name):
+        records = read_records(tmp_path / name / "records.csv")
+        return [dataclasses.replace(r, wall_s=0.0) for r in records]
+
+    assert without_wall("two") == without_wall("one") != []

@@ -109,7 +109,7 @@ class TestTrainBranch:
             grads = {}
             for task_id in (0, 1):
                 split = fam.train(task_id)
-                idx = draw_batch(split, RngStream(5), task_id, step, 16)
+                idx = draw_batch(split, RngStream(5), task_id, range(step, step + 1), 16)[0]
                 batch = DataSplit(split.inputs[idx], split.targets[idx], task_id)
                 _, grads[task_id] = loss_and_gradient(spec, params, batch)
             g = weighted_gradient(grads, branch.weighting)
@@ -131,7 +131,7 @@ class TestTrainBranch:
         grads = {}
         for t in (0, 1):
             split = fam.train(t)
-            idx = draw_batch(split, RngStream(5), t, 7, 16)
+            idx = draw_batch(split, RngStream(5), t, range(7, 8), 16)[0]
             batch = DataSplit(split.inputs[idx], split.targets[idx], t)
             grads[t] = loss_and_gradient(spec, start, batch)[1]
         g = weighted_gradient(grads, branch.weighting)
@@ -194,15 +194,20 @@ class TestTrainBranches:
 
         drawn = []
 
-        def counting_draw(split, root, task_id, step, batch_size):
-            drawn.append((task_id, step))
-            return draw_batch(split, root, task_id, step, batch_size)
+        def counting_draw(split, root, task_id, steps, batch_size):
+            drawn.extend((task_id, step) for step in steps)
+            return draw_batch(split, root, task_id, steps, batch_size)
 
         monkeypatch.setattr(fm, "draw_batch", counting_draw)
         train_branches(self.start, make_omega_branches(2), 4, self.fam,
                        self.spec, self.opt, RngStream(9))
         # 3 tasks over 5 branch-task uses per step: one draw per (task, step)
         assert sorted(drawn) == [(t, s) for t in (0, 1, 2) for s in range(3, 7)]
+        # across chunks, and never for task 1, which no branch uses
+        drawn.clear()
+        train_branches(self.start, make_omega_branches(2)[::2], 70, self.fam,
+                       self.spec, self.opt, RngStream(9))
+        assert sorted(drawn) == [(t, s) for t in (0, 2) for s in range(3, 73)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_earliest_step_then_lowest_position(self):
@@ -248,9 +253,48 @@ def index_split(n):
     return DataSplit(np.arange(n, dtype=np.float64).reshape(n, 1), np.arange(n), 0)
 
 
+class Rows:
+    """A split of ``n`` rows, as far as ``draw_batch`` reads one."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
 class TestDrawBatch:
-    """``draw_batch`` re-keys one reused generator per thread; every draw must
-    equal a fresh generator's, bit for bit."""
+    """``draw_batch`` replays the Philox streams of many steps at once; every
+    row must equal a fresh generator's draw, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5], ids=["0", "-1", "2^64+5"])
+    @pytest.mark.parametrize("child", [False, True], ids=["root", "child"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 2000, 20_000, 65_537, 2**31 + 1,
+                                   2**32 - 1, 2**32, 2**33 + 5])
+    def test_every_row_equals_a_fresh_generator(self, monkeypatch, seed, child, n):
+        root = RngStream(seed).child("sweep") if child else RngStream(seed)
+        real, built = RngStream.generator, []
+
+        def counting(stream):
+            built.append(stream)
+            return real(stream)
+
+        # the last range crosses the training chunk's 64-step boundary
+        for steps in (range(3), range(2**40, 2**40 + 3), range(30, 100)):
+            for batch_size in (1, 7, 63, 64, 65):
+                with monkeypatch.context() as patched:
+                    patched.setattr(RngStream, "generator", counting)
+                    got = draw_batch(Rows(n), root, 2, steps, batch_size)
+                assert got.shape == (len(steps), batch_size)
+                for row, step in zip(got, steps):
+                    np.testing.assert_array_equal(
+                        row, reference_draw(Rows(n), root, 2, step, batch_size))
+        if n == 2**31 + 1:
+            assert built  # about half of the words are rejected and redrawn
+
+    def test_empty_split_raises(self):
+        with pytest.raises(ValueError):
+            draw_batch(Rows(0), RngStream(0), 0, range(2), 4)
 
     @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5], ids=["0", "-1", "2^64+5"])
     @pytest.mark.parametrize("n", [1, 2000, 20_000])
@@ -259,7 +303,7 @@ class TestDrawBatch:
         split = index_split(n)
         root = RngStream(seed)
         for task_id, step in ((0, 0), (3, 17), (1, 2**40)):
-            got = draw_batch(split, root, task_id, step, batch_size)
+            got = draw_batch(split, root, task_id, range(step, step + 1), batch_size)[0]
             expected = reference_draw(split, root, task_id, step, batch_size)
             np.testing.assert_array_equal(got, expected)
 
@@ -270,15 +314,16 @@ class TestDrawBatch:
         rng = np.random.default_rng(0)
         for k in rng.permutation(len(keys)).tolist() + [0, 0, 5, 0]:
             root, t, step = keys[k]
-            np.testing.assert_array_equal(draw_batch(split, root, t, step, 64),
-                                          reference_draw(split, root, t, step, 64))
+            np.testing.assert_array_equal(
+                draw_batch(split, root, t, range(step, step + 1), 64)[0],
+                reference_draw(split, root, t, step, 64))
 
     def test_a_held_generator_is_not_disturbed(self):
         split = index_split(2000)
         stream = RngStream(3).child("batch", 0, 4)
         held, replay = stream.generator(), stream.generator()
         first = held.integers(0, 2000, size=10)
-        got = draw_batch(split, RngStream(3), 0, 4, 64)
+        got = draw_batch(split, RngStream(3), 0, range(4, 5), 64)[0]
         np.testing.assert_array_equal(first, replay.integers(0, 2000, size=10))
         np.testing.assert_array_equal(got, reference_draw(split, RngStream(3), 0, 4, 64))
         np.testing.assert_array_equal(held.normal(size=5), replay.normal(size=5))
@@ -293,7 +338,7 @@ class TestDrawBatch:
         def draw_many(seed):
             root = RngStream(seed)
             for step in range(200):
-                got = draw_batch(split, root, 1, step, 64)
+                got = draw_batch(split, root, 1, range(step, step + 1), 64)[0]
                 if not np.array_equal(got, reference_draw(split, root, 1, step, 64)):
                     mismatches.append((seed, step))
             finished.append(seed)
@@ -317,7 +362,7 @@ class TestDrawBatch:
             raise AssertionError("draw_batch built a generator")
 
         monkeypatch.setattr(RngStream, "generator", refuse)
-        draw_batch(index_split(10), RngStream(0), 0, 0, 4)
+        draw_batch(index_split(10), RngStream(0), 0, range(0, 1), 4)
 
 
 class TestGridSearch:

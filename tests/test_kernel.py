@@ -414,8 +414,10 @@ def poison_train_row(family, task_id, step, column, root, opt):
     that its batch at ``step`` draws and no earlier step of ``opt`` does."""
     split = family.train(task_id)
     earlier = {int(row) for s in range(opt.step_count, step)
-               for row in fm.draw_batch(split, root, task_id, s, opt.config.batch_size)}
-    drawn = fm.draw_batch(split, root, task_id, step, opt.config.batch_size)
+               for row in fm.draw_batch(split, root, task_id, range(s, s + 1),
+                                        opt.config.batch_size)[0]}
+    drawn = fm.draw_batch(split, root, task_id, range(step, step + 1),
+                          opt.config.batch_size)[0]
     split.inputs[next(int(row) for row in drawn if row not in earlier), column] = np.nan
 
 
