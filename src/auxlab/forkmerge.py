@@ -187,7 +187,8 @@ def draw_batch(
     step — the property that makes one-step merges exactly equal direct
     weighted updates, and makes results independent of worker count. The
     rows are replayed for all of ``steps`` at once by
-    `RngStream.child_integers`, which builds no generator.
+    `RngStream.child_integers`, which builds a generator only to redraw a
+    row that Lemire's method would reject.
     """
     return root.child_integers((("batch", task_id, step) for step in steps), len(steps),
                                len(split), batch_size)
