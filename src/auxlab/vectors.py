@@ -206,8 +206,8 @@ def _philox(seed: int, stream_ids: np.ndarray, blocks: int) -> np.ndarray:
         # word 0 <- high(2) ^ word 1 ^ key 0, word 2 <- high(0) ^ word 3 ^ key 1,
         # where words 1 and 3 are the last round's low(2) and low(0)
         high ^= last
-        high ^= key
-        x[:n], x[n:] = high[n:], high[:n]
+        np.bitwise_xor(high[n:], key[n:], out=x[:n])
+        np.bitwise_xor(high[:n], key[:n], out=x[n:])
         low, last = last, low
     out = np.empty((k, blocks, 4), np.uint64)
     for j, word in enumerate((x[:n], last[n:], x[n:], last[:n])):
