@@ -125,8 +125,8 @@ class RngStream:
         The rows are replayed without a generator: Philox4x64-10 words for
         every stream at once (see ``_philox``), cut into 32-bit halves low
         half first and scaled by Lemire's method, as numpy's
-        ``Generator.integers`` does for a range below 2**32. A row that
-        method would reject a word of is drawn again by a real generator,
+        ``Generator.integers`` does for a range below 2**32. A row in which
+        that method would reject a word is drawn again by a real generator,
         and so is every row when ``high >= 2**32``. The rows are computed
         for a multiple of ``_PAD`` streams, so every call of up to ``_PAD``
         rows allocates the same.
