@@ -186,18 +186,32 @@ def draw_batch(
     Every branch therefore sees the same draw for the same task at the same
     step — the property that makes one-step merges exactly equal direct
     weighted updates, and makes results independent of worker count. The
-    rows are replayed for all of ``steps`` at once by
-    `RngStream.child_integers`, which builds a generator only to redraw a
-    row that Lemire's method would reject.
+    rows come from one `RngStream.child_integers` call, which re-keys a
+    single numpy ``Philox`` bit generator to each step's stream and builds a
+    generator only to redraw a row that Lemire's method would reject.
     """
-    return root.child_integers((("batch", task_id, step) for step in steps), len(steps),
-                               len(split), batch_size)
+    return root.child_integers(_BatchLabels(task_id, steps), len(split), batch_size)
+
+
+@dataclass(frozen=True)
+class _BatchLabels(Sequence):
+    """The stream labels ("batch", task_id, step) of ``steps``, made one at a
+    time: a list of them would make a draw's peak memory grow with its steps."""
+
+    task_id: int
+    steps: range
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __getitem__(self, i: int) -> tuple:
+        return ("batch", self.task_id, self.steps[i])
 
 
 _CHUNK = 64
 """Steps whose batches `train_branches` draws in one `draw_batch` call per
 task: enough to spread a call's fixed cost, few enough that the held
-batches stay small."""
+batches stay small; at most `vectors._PAD`, so every call allocates the same."""
 
 
 def train_branch(

@@ -164,8 +164,7 @@ def one_step_tg_gcs_sweep(
                                     splits, n)
               for n in sorted(set(lengths.values()))]
     val = family.val(family.target_id)
-    # point p's batch of task t: the draw of stream ("point", p, t)
-    drawn = {t: rng.child_integers((("point", p, t) for p in range(n_points)), n_points,
+    drawn = {t: rng.child_integers([("point", p, t) for p in range(n_points)],
                                    len(splits[t]), lengths[t]) for t in tasks}
     rows: list[SweepRow] = []
     for point in range(n_points):

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,100 +115,48 @@ class RngStream:
         key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child_integers(self, labels: Iterable[tuple], count: int, high: int,
-                       size: int) -> np.ndarray:
-        """(count, size) int64 whose row i is, bit for bit, what
-        ``self.child(*label_i).generator().integers(0, high, size)`` draws,
-        for the first ``count`` of ``labels``.
+    def child_integers(self, labels: Sequence[tuple], high: int, size: int) -> np.ndarray:
+        """(len(labels), size) int64 whose row i is, bit for bit, what
+        ``self.child(*labels[i]).generator().integers(0, high, size)`` draws.
 
-        The rows are replayed without a generator: Philox4x64-10 words for
-        every stream at once (see ``_philox``), cut into 32-bit halves low
-        half first and scaled by Lemire's method, as numpy's
-        ``Generator.integers`` does for a range below 2**32. A row in which
-        that method would reject a word is drawn again by a real generator,
-        and so is every row when ``high >= 2**32``. The rows are computed
-        for a multiple of ``_PAD`` streams, so every call of up to ``_PAD``
-        rows allocates the same.
+        One ``np.random.Philox`` is built per call and re-keyed for each
+        stream; its raw 64-bit words are cut into 32-bit halves, low half
+        first, and scaled by Lemire's method, as numpy's ``Generator.integers``
+        does for a range below 2**32. A row in which that method would reject
+        a word is drawn again by a real generator, and so is every row when
+        ``high >= 2**32``. The rows are computed for a multiple of ``_PAD``
+        streams, so every call of up to ``_PAD`` rows allocates the same.
         """
         if high < 1:
             raise ValueError("high <= 0")
+        count = len(labels)
         padded = -(-count // _PAD) * _PAD
-        ids = np.fromiter(chain((_derive_stream_id(self.stream_id, labels_i)
-                                 for labels_i in labels), repeat(0)),
-                          np.uint64, padded)
         words = (size + 1) // 2  # 64-bit words per row
-        raw = _philox(self.seed, ids, -(-words // 4))[:, :words]
+        raw = np.zeros((padded, words), np.uint64)
+        bits = np.random.Philox(0)
+        # lists, not arrays: the setter reads them item by item, lists faster
+        key = [0, self.seed & _MASK64]
+        state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for i, labels_i in enumerate(labels):
+            key[0] = _derive_stream_id(self.stream_id, labels_i)
+            bits.state = state
+            raw[i] = bits.random_raw(words)
         halves = np.empty((padded, words, 2), np.uint64)
         np.bitwise_and(raw, _LOW32, out=halves[:, :, 0])
         np.right_shift(raw, _SHIFT32, out=halves[:, :, 1])
-        draws = halves.reshape(padded, 2 * words)[:count, :size]
-        out = np.empty((padded, size), np.int64)[:count]
-        redraw = np.ones(count, bool)
+        draws = halves.reshape(padded, 2 * words)[:, :size]
+        out = np.empty((padded, size), np.int64)
+        redraw = np.ones(padded, bool)
         if high < 2**32:
             draws *= np.uint64(high)
             np.right_shift(draws, _SHIFT32, out=out, casting="unsafe")
             draws &= _LOW32
             np.any(draws < np.uint64(2**32 % high), axis=1, out=redraw)
-        for i in np.flatnonzero(redraw):
-            out[i] = RngStream(self.seed, int(ids[i])).generator().integers(
-                0, high, size=size)
-        return out
+        for i in np.flatnonzero(redraw[:count]):
+            out[i] = self.child(*labels[i]).generator().integers(0, high, size=size)
+        return out[:count]
 
 
 _PAD = 64
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-def _philox(seed: int, stream_ids: np.ndarray, blocks: int) -> np.ndarray:
-    """(len(stream_ids), 4 * blocks) uint64: the first ``blocks`` Philox4x64-10
-    blocks of each stream, in the order numpy's ``Philox`` returns its words.
-
-    Stream i is keyed (stream_ids[i], seed), key word 0 first, and its
-    counter runs 1, 2, ..., since numpy's counter starts at 0 and steps
-    before each block. A 64-bit product is split into 32-bit halves so that
-    uint64 arithmetic gives its high word.
-    """
-    k, n = len(stream_ids), len(stream_ids) * blocks
-    # words 0 and 2 of every block, back to back, with their multipliers;
-    # the key is held as [key word 1 | key word 0], the order a round needs
-    x = np.zeros(2 * n, np.uint64)
-    x[:n] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), k)
-    key = np.empty(2 * n, np.uint64)
-    key[:n] = seed & _MASK64
-    key[n:] = np.repeat(stream_ids, blocks)
-    bump = np.repeat(np.array(_PHILOX_BUMP[::-1], np.uint64), n)
-    mul = np.repeat(np.array(_PHILOX_MUL, np.uint64), n)
-    mul_lo, mul_hi = mul & _LOW32, mul >> _SHIFT32
-    low, last = np.empty_like(x), np.zeros_like(x)
-    x_lo, x_hi, t, u, v, high = (np.empty_like(x) for _ in range(6))
-    for r in range(10):
-        if r:
-            key += bump
-        np.multiply(x, mul, out=low)
-        np.bitwise_and(x, _LOW32, out=x_lo)
-        np.right_shift(x, _SHIFT32, out=x_hi)
-        # high word of x * mul from the four 32 x 32-bit partial products
-        np.multiply(x_lo, mul_lo, out=t)
-        t >>= _SHIFT32
-        np.multiply(x_hi, mul_lo, out=u)
-        u += t
-        np.multiply(x_lo, mul_hi, out=v)
-        np.bitwise_and(u, _LOW32, out=t)
-        v += t
-        np.multiply(x_hi, mul_hi, out=high)
-        u >>= _SHIFT32
-        high += u
-        v >>= _SHIFT32
-        high += v
-        # word 0 <- high(2) ^ word 1 ^ key 0, word 2 <- high(0) ^ word 3 ^ key 1,
-        # where words 1 and 3 are the last round's low(2) and low(0)
-        high ^= last
-        np.bitwise_xor(high[n:], key[n:], out=x[:n])
-        np.bitwise_xor(high[:n], key[:n], out=x[n:])
-        low, last = last, low
-    out = np.empty((k, blocks, 4), np.uint64)
-    for j, word in enumerate((x[:n], last[n:], x[n:], last[:n])):
-        out[:, :, j] = word.reshape(k, blocks)
-    return out.reshape(k, 4 * blocks)

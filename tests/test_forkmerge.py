@@ -264,8 +264,9 @@ class Rows:
 
 
 class TestDrawBatch:
-    """``draw_batch`` replays the Philox streams of many steps at once; every
-    row must equal a fresh generator's draw, bit for bit."""
+    """``draw_batch`` reads the raw Philox words of many steps' streams from
+    one re-keyed bit generator and scales them itself; every row must equal
+    a fresh generator's draw, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5], ids=["0", "-1", "2^64+5"])
     @pytest.mark.parametrize("child", [False, True], ids=["root", "child"])
@@ -363,6 +364,22 @@ class TestDrawBatch:
 
         monkeypatch.setattr(RngStream, "generator", refuse)
         draw_batch(index_split(10), RngStream(0), 0, range(0, 1), 4)
+
+    def test_builds_one_bit_generator_per_call(self, monkeypatch):
+        # 2**32 % 1024 == 0, so no word is rejected and no row is redrawn
+        real, built = np.random.Philox, []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        got = draw_batch(Rows(1024), RngStream(6), 1, range(100, 164), 64)
+        monkeypatch.undo()
+        assert len(built) == 1
+        for row, step in zip(got, range(100, 164)):
+            np.testing.assert_array_equal(
+                row, reference_draw(Rows(1024), RngStream(6), 1, step, 64))
 
 
 class TestGridSearch:

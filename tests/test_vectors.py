@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,3 +150,31 @@ class TestRngStream:
         s = RngStream(seed=1)
         with pytest.raises(AttributeError):
             s.seed = 2
+
+    def test_child_integers_row_count_is_the_label_count(self):
+        root = RngStream(seed=4)
+        labels = [("point", p, 1) for p in range(3)]
+        got = root.child_integers(labels, 500, 7)
+        assert got.shape == (3, 7)
+        for row, label in zip(got, labels):
+            np.testing.assert_array_equal(
+                row, root.child(*label).generator().integers(0, 500, size=7))
+
+    def test_child_integers_allocates_the_same_up_to_64_rows(self):
+        # the rows are computed for a multiple of 64 streams; only the labels,
+        # built before measuring, grow with the call
+        root = RngStream(seed=3)
+        labels = [("batch", 0, step) for step in range(64)]
+        few = labels[:10]
+        root.child_integers(labels, 2000, 64)  # warm-up
+        peaks = []
+        tracemalloc.start()
+        try:
+            for rows in (few, labels):
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                root.child_integers(rows, 2000, 64)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1024
