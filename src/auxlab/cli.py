@@ -87,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to a key=value file")
     run.add_argument("--output-dir", default=None,
                      help="overrides the config and the environment variable")
-    run.add_argument("--threads", type=int, default=0,
-                     help="accepted for compatibility and ignored: branches "
-                          "train in lockstep on one thread")
 
     sweep = sub.add_parser("sweep", help="run an analysis sweep")
     sweep.add_argument("kind", choices=("tg-gcs", "csd-lambda"))

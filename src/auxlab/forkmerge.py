@@ -185,7 +185,8 @@ def draw_batch(
 
     Every branch therefore sees the same draw for the same task at the same
     step — the property that makes one-step merges exactly equal direct
-    weighted updates, and makes results independent of worker count. The
+    weighted updates, and makes a branch's results independent of the other
+    branches it trains beside and of whether its run was resumed. The
     rows come from one `RngStream.child_integers` call, which re-keys a
     single numpy ``Philox`` bit generator to each step's stream and builds a
     generator only to redraw a row that Lemire's method would reject.

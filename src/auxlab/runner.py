@@ -338,12 +338,8 @@ def opt_config_for(config) -> OptConfig:
 def _branches_for(config: ExperimentConfig) -> list[BranchSpec]:
     """The fork/merge branches of ``config``; task 0 is the target."""
     if config.branch_weights:
-        branches = []
-        for branch_id, row in enumerate(config.branch_weights):
-            weights = {t: float(w) for t, w in enumerate(row) if w != 0.0}
-            weights.setdefault(0, 1.0)
-            branches.append(BranchSpec(TaskWeighting(weights), branch_id))
-        return branches
+        return [BranchSpec(TaskWeighting(dict(enumerate(row))), branch_id)
+                for branch_id, row in enumerate(config.branch_weights)]
     if config.method == "forkmerge_multi":
         return make_omega_branches(config.n_tasks - 1)
     # plain two-branch setup: target alone vs. everything at weight 1

@@ -2,7 +2,8 @@
 
 A parameter vector is a plain 1-D float64 ``numpy.ndarray``. Every operation
 here is pure, validates finiteness, and sums in a fixed order so that results
-are bit-identical across runs and across worker counts.
+are bit-identical across runs: whatever branches train alongside, whether a
+run is resumed, and however many BLAS threads numpy uses.
 """
 
 from __future__ import annotations

@@ -42,6 +42,15 @@ class TestExitCodes:
         assert run_cli("run", "--config", str(bad)) == 1
         assert "turbo" in capsys.readouterr().err
 
+    def test_removed_threads_flag_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CFG_SMALL)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out),
+                       "--threads", "2") == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("method", ["ew", "forkmerge"])
     def test_diverged_seeds_become_nan_rows(self, tmp_path, method):
@@ -86,8 +95,10 @@ class TestExitCodes:
         ("forkmerge", "n_tasks = 1\nrelatedness ="),
         ("fixed_lambda", "lambda_grid = 0,-0.5,1"),
         ("fixed_lambda", "lambda_grid ="),
+        ("forkmerge", "branch_weights = 0,1;1,0"),
     ], ids=["prune_all", "target_weight_half", "no_target_only", "multi_no_aux",
-            "pair_no_aux", "fixed_negative_grid", "fixed_empty_grid"])
+            "pair_no_aux", "fixed_negative_grid", "fixed_empty_grid",
+            "target_weight_zero"])
     def test_invalid_branches_exit_1_before_any_work(self, capsys, tmp_path,
                                                      method, lines):
         cfg = tmp_path / "bad.cfg"
@@ -262,8 +273,7 @@ class TestPipeline:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(CFG_SMALL + f"data_dir = {data_dir}\n")
         out = tmp_path / "out"
-        assert run_cli("run", "--config", str(cfg),
-                       "--output-dir", str(out), "--threads", "1") == 0
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
         assert (out / "records.csv").is_file()
         assert (out / "config_echo_ew.cfg").is_file()
 
