@@ -16,8 +16,8 @@ import os
 
 # Set before anything here imports numpy: BLAS reads these when it loads.
 # auxlab's products are thin (a 20 000-row evaluation multiplies 20 000 x 16
-# by 16 x C); a second BLAS thread only burns a core on them, and the kernel
-# is single-threaded by design.
+# by 16 x C); a second BLAS thread only burns a core on them. The merge
+# searches use the other cores for whole candidates instead.
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 

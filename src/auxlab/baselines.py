@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .forkmerge import BranchSpec, train_branches
+from .forkmerge import BranchSpec, across_cores, train_branches
 from .metrics import shared_gradient_block, gcs
 from .nn import ModelSpec, PerfValue
 from .optim import OptConfig, TaskWeighting
@@ -113,8 +113,9 @@ def run_fixed_lambda(
     lambda_grid: Sequence[float], opt_cfg: OptConfig, seed: int,
 ) -> FixedLambdaResult:
     """One full training run per grid value (every auxiliary task weighted
-    by the same lam), all trained in lockstep; the winner is the first best
-    on validation, so ties go to the earlier grid value."""
+    by the same lam), all trained in lockstep; the runs are scored on
+    validation across cores, and the winner is the first best, so ties go
+    to the earlier grid value."""
     if not lambda_grid:
         raise ValueError("empty lambda grid")
     weightings = [
@@ -125,8 +126,10 @@ def run_fixed_lambda(
     trained = _train(family, model_spec, weightings, total_steps, opt_cfg, seed,
                      total_steps)
     val, target = family.val(family.target_id), family.target_id
-    runs = [(float(lam), params, nn.evaluate(model_spec, params, val, target))
-            for lam, params in zip(lambda_grid, trained)]
+    perfs = across_cores(lambda params: nn.evaluate(model_spec, params, val, target),
+                         trained, len(val))
+    runs = [(float(lam), params, perf)
+            for lam, params, perf in zip(lambda_grid, trained, perfs)]
     lam_star, params_star, _ = max(runs, key=lambda run: run[2].value)
     return FixedLambdaResult(lam_star, params_star,
                              _test_perf(family, model_spec, params_star),

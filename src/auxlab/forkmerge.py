@@ -3,19 +3,27 @@ different task weightings, then recombine them by searching for the convex
 combination that maximizes target validation performance.
 
 The search never leaves the convex hull of the branch parameter vectors, and
-the first best candidate it evaluates wins. The grid and greedy searches
-always evaluate the pure target-only combination, so their merges never
-score below the target-only branch on validation.
+the first best candidate in evaluation order wins. The grid and greedy
+searches always evaluate the pure target-only combination, so their merges
+never score below the target-only branch on validation. Candidates are
+independent, so on a validation split of `_MIN_ROWS` rows or more
+`across_cores` scores whole candidates on every core the process may use:
+the calling thread takes a share and each other core runs one pool thread
+with its own kernel. Results come back in evaluation order, so merges do
+not depend on the core count.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, isfinite
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -41,6 +49,7 @@ __all__ = [
     "search_lambda_grid",
     "search_lambda_binary",
     "greedy_search_lambda",
+    "across_cores",
     "run_forkmerge",
     "write_merge_history",
 ]
@@ -335,6 +344,63 @@ class SearchOutcome:
         return len(self.evaluations)
 
 
+_WORKERS = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
+"""Pool threads that score beside the calling thread in `across_cores`: one
+per core the process may run on, less the caller's."""
+
+_MIN_ROWS = 5000
+"""Fewest rows per item for `across_cores` to use its pool. Below it the
+threads spend longer passing the interpreter lock than they save: on one
+2-core machine, with one model size (2->16->4 tanh), a 21-point grid search
+took 1.3x as long with one pool thread as without on 3000 validation rows,
+1.05x on 4000, 0.73x on 5000 and 0.53x on 20 000."""
+
+_POOL = ThreadPoolExecutor(max_workers=max(_WORKERS, 1), thread_name_prefix="auxlab-score")
+"""`across_cores`' threads; the executor starts each only when first needed."""
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+
+def across_cores(score: Callable[[_Item], _Result], items: Sequence[_Item],
+                 rows: int) -> list[_Result]:
+    """``[score(item) for item in items]``, computed on every usable core
+    when each call scores ``rows`` rows, at least `_MIN_ROWS`.
+
+    The calling thread and up to `_WORKERS` pool threads each take the next
+    unscored item until none is left; one usable core, or fewer rows, means
+    no pool thread and a plain loop. Results come back in item order. If
+    calls raise, the exception of the first such item in order is raised:
+    the one the plain loop raises. ``score`` must be safe to run on any
+    thread; `nn.evaluate` is, since each thread gets its own kernel.
+    """
+    helpers = min(_WORKERS, len(items) - 1) if rows >= _MIN_ROWS else 0
+    if helpers < 1:
+        return [score(item) for item in items]
+    results: list = [None] * len(items)
+    failures: dict[int, Exception] = {}
+    todo, lock = iter(range(len(items))), threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = score(items[i])
+            except Exception as exc:  # raised below, in item order
+                failures[i] = exc
+
+    shares = [_POOL.submit(work) for _ in range(helpers)]
+    work()
+    for share in shares:
+        share.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 class _Scored(NamedTuple):
     """One merge candidate: the coefficient it is logged under, its target
     validation performance and its parameters."""
@@ -344,16 +410,30 @@ class _Scored(NamedTuple):
     params: np.ndarray
 
 
-def _score(coeff: float, weights: Sequence[float], vectors: Sequence[np.ndarray],
-           val: DataSplit, task_id: int, model_spec: ModelSpec) -> _Scored:
-    """Combine ``vectors`` by ``weights`` and score the result on ``val``.
+def _score_all(combos: Sequence[tuple[Sequence[float], Sequence[np.ndarray]]],
+               val: DataSplit, task_id: int, model_spec: ModelSpec
+               ) -> list[tuple[PerfValue, np.ndarray]]:
+    """Each (weights, vectors) merge candidate's performance on ``val`` and
+    its parameters, ``vectors`` combined by ``weights``; scored across
+    cores, returned in order.
 
-    Every search picks its winner from these with ``max`` on the
-    performance, which returns the first of equal maxima: ties keep the
-    candidate evaluated first.
+    Every search logs these as `_Scored` in evaluation order and picks its
+    winner with ``max`` on the performance, which returns the first of equal
+    maxima: ties keep the candidate evaluated first.
     """
-    params = linear_combination(weights, vectors)
-    return _Scored(coeff, nn.evaluate(model_spec, params, val, task_id), params)
+    def combine_and_evaluate(combo):
+        params = linear_combination(*combo)
+        return nn.evaluate(model_spec, params, val, task_id), params
+
+    return across_cores(combine_and_evaluate, combos, len(val))
+
+
+def _pair_scores(lams: Sequence[float], theta0: np.ndarray, theta1: np.ndarray,
+                 val: DataSplit, task_id: int, model_spec: ModelSpec) -> list[_Scored]:
+    """The (1-λ)·θ0 + λ·θ1 candidates of ``lams``, scored by `_score_all`."""
+    scored = _score_all([([1.0 - lam, lam], [theta0, theta1]) for lam in lams],
+                        val, task_id, model_spec)
+    return [_Scored(float(lam), *s) for lam, s in zip(lams, scored)]
 
 
 def _pair_outcome(scored: Sequence[_Scored], branch_ids: tuple[int, int]) -> SearchOutcome:
@@ -382,11 +462,8 @@ def search_lambda_grid(
     """Evaluate (1-λ)·θ0 + λ·θ1 at every grid point; ties prefer smaller λ."""
     if not grid:
         raise ValueError("empty lambda grid")
-    return _pair_outcome(
-        [_score(float(lam), [1.0 - lam, lam], [theta0, theta1], val, task_id, model_spec)
-         for lam in grid],
-        branch_ids,
-    )
+    return _pair_outcome(_pair_scores(grid, theta0, theta1, val, task_id, model_spec),
+                         branch_ids)
 
 
 def search_lambda_binary(
@@ -410,9 +487,8 @@ def search_lambda_binary(
     scored: list[_Scored] = []
     for _ in range(iters):
         quarter = (hi - lo) / 4.0
-        left, right = [_score(lam, [1.0 - lam, lam], [theta0, theta1], val, task_id,
-                              model_spec)
-                       for lam in (lo + quarter, hi - quarter)]
+        left, right = _pair_scores((lo + quarter, hi - quarter), theta0, theta1, val,
+                                   task_id, model_spec)
         scored += [left, right]
         if right.perf.value > left.perf.value:
             lo = (lo + hi) / 2.0
@@ -438,15 +514,16 @@ def greedy_search_lambda(
     Total evaluations are at most (B-1)·|grid| + B. Setting a trial
     coefficient to 0 reproduces the previous stage's winner exactly, so the
     best seen never decreases; that trial is logged with the winner's score
-    and parameters instead of being evaluated again.
+    and parameters instead of being evaluated again. The standalone scores,
+    and then each stage's trials, are scored across cores.
     """
     if not candidates:
         raise ValueError("no candidate branches to merge")
-    ranked = sorted(
-        ((branch_id, params, nn.evaluate(model_spec, params, val, task_id))
-         for branch_id, params in candidates),
-        key=lambda c: -c[2].value,
-    )
+    perfs = across_cores(lambda params: nn.evaluate(model_spec, params, val, task_id),
+                         [params for _, params in candidates], len(val))
+    ranked = sorted(((branch_id, params, perf)
+                     for (branch_id, params), perf in zip(candidates, perfs)),
+                    key=lambda c: -c[2].value)
     evaluations = [CandidateEval(branch_id, 1.0, perf, rank == 0)
                    for rank, (branch_id, _, perf) in enumerate(ranked)]
 
@@ -455,15 +532,12 @@ def greedy_search_lambda(
     for b in range(1, len(ranked)):
         upper = sum(raw) / len(raw)
         vectors = [p for _, p, _ in ranked[: b + 1]]
-        stage = []
-        for g in grid_per_coord:
-            v = g * upper
-            if v == 0.0:
-                stage.append(_Scored(v, chosen.perf, chosen.params))
-                continue
-            total = sum(raw) + v
-            stage.append(_score(v, [c / total for c in raw + [v]], vectors, val, task_id,
-                                model_spec))
+        trials = [g * upper for g in grid_per_coord]
+        scored = iter(_score_all(
+            [([c / (sum(raw) + v) for c in raw + [v]], vectors) for v in trials if v != 0.0],
+            val, task_id, model_spec))
+        stage = [_Scored(v, *(next(scored) if v != 0.0 else (chosen.perf, chosen.params)))
+                 for v in trials]
         chosen = max(stage, key=lambda e: e.perf.value)
         evaluations += [CandidateEval(ranked[b][0], e.coeff, e.perf, e.coeff == chosen.coeff)
                         for e in stage]

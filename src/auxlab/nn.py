@@ -10,17 +10,19 @@ and gradient mixing are plain vector arithmetic. Layout, in order:
 
 ``ModelSpec.layout`` holds the exact slice for every block, built once per
 spec; all branches of a fork share this single layout, which is what makes
-merged vectors meaningful. ``ModelSpec.kernel`` compiles the spec once into
-a kernel that reuses its workspaces across calls. Its stacked pass over
-(branch, task) pairs, which binds the splits it reads and takes row indices
-per step, is the only forward/backward; ``loss_and_gradient`` is that pass
-over one split. A model is its spec plus one parameter vector: the
-module-level functions take both and return fresh values.
+merged vectors meaningful. ``ModelSpec.kernel`` compiles the spec once per
+thread into a kernel that reuses its workspaces across calls, so any thread
+may evaluate or train a model. Its stacked pass over (branch, task) pairs,
+which binds the splits it reads and takes row indices per step, is the only
+forward/backward; ``loss_and_gradient`` is that pass over one split. A model
+is its spec plus one parameter vector: the module-level functions take both
+and return fresh values.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -104,10 +106,19 @@ class ModelSpec:
                 for t in self.heads}
 
     @cached_property
+    def _kernels(self) -> threading.local:
+        return threading.local()
+
+    @property
     def kernel(self) -> "_Kernel":
-        """Compiled forward/backward with its workspaces, built on first use
-        and kept for the life of the spec."""
-        return _Kernel(self)
+        """The calling thread's compiled forward/backward with its
+        workspaces, built on the thread's first use and kept for the life of
+        the spec. Each thread has its own, so any number of threads may run
+        `evaluate` or a pass on one spec at once."""
+        kernels = self._kernels
+        if not hasattr(kernels, "kernel"):
+            kernels.kernel = _Kernel(self)
+        return kernels.kernel
 
 
 def _build_layout(spec: ModelSpec) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
@@ -185,8 +196,9 @@ class _Kernel:
     workspace view returned by ``logits`` or ``log_probs`` is valid only
     until the next call. The operations and their order are those of a
     plain allocating implementation, so results do not depend on which calls
-    came before or on which pairs are stacked together. One kernel serves one
-    thread at a time.
+    came before or on which pairs are stacked together. A kernel belongs to
+    the thread that ``ModelSpec.kernel`` built it for, and it keeps one
+    one-pair pass of ``loss_and_gradient`` per task (``one_pair``).
     """
 
     def __init__(self, spec: ModelSpec):
@@ -197,6 +209,7 @@ class _Kernel:
         self._max_out = max(head.output_dim for head in spec.heads.values())
         self._rows = 0
         self._fitted: dict[tuple[int, ...], _Fitted] = {}
+        self._one_pairs: dict[int, tuple[np.ndarray, _PairPass, np.ndarray]] = {}
 
     def _reserve(self, rows: int) -> None:
         if rows <= self._rows:
@@ -346,6 +359,24 @@ class _Kernel:
         task id) ``pairs`` on rows of ``splits``; see ``_PairPass``."""
         return _PairPass(self, params, pairs, splits, batch_size)
 
+    def one_pair(self, params: np.ndarray, split: DataSplit) -> "_PairPass":
+        """A one-pair pass loaded with ``params`` and every row of ``split``,
+        called on those rows. Each task keeps one pass, built for the row
+        count of its last split and refilled from the arguments while the
+        count stays the same."""
+        t, n = split.task_id, len(split)
+        cached = self._one_pairs.get(t)
+        if cached is None or len(cached[2]) != n:
+            stacked = np.array(params, dtype=np.float64)[None]
+            cached = self._one_pairs[t] = (
+                stacked, _PairPass(self, stacked, [(0, t)], {t: split}, n), np.arange(n))
+        else:
+            cached[0][0] = params
+            cached[1].load({t: split})
+        _, one_pair, rows = cached
+        one_pair({t: rows})
+        return one_pair
+
     def evaluate(self, views, split, task_id: int) -> "PerfValue":
         inputs = _inputs(split)
         n = inputs.shape[0]
@@ -401,19 +432,21 @@ class _PairPass:
 
     ``params`` is a C-contiguous array with one branch's parameter vector
     per row, which the caller may update in place between steps. Each task's
-    split in ``splits`` is checked once, here, and the splits' inputs are
-    copied back to back into one table, as are each head kind's targets, on
-    the same row offsets. A step offsets each task's row indices into that
-    table and gathers every pair's inputs with one ``take``, and its targets
-    with one more per head kind, straight into the pass's buffers. Pair (i, t)
-    runs task t's batch through row i's encoder and head t, and its gradient
-    goes to ``grads[index[(i, t)]]``, a full-length vector that stays zero
-    outside the encoder and head t. The pair axis is ordered by head kind,
-    so each kind's heads are one slice of it; a single pair drops the axis
-    and runs as one ``(n, d)`` batch. The pairs' parameter blocks are read
-    through a strided view of ``params`` when they sit evenly spaced in it
-    (one pair, or one branch on consecutive heads) and gathered per step
-    otherwise; head gradients are written in place or scattered likewise.
+    split in ``splits`` is checked once, by ``load`` when the pass is built,
+    and the splits' inputs are copied back to back into one table, as are
+    each head kind's targets, on the same row offsets; ``load`` may refill
+    the tables from other splits of the same row counts. A step offsets each
+    task's row indices into that table and gathers every pair's inputs with
+    one ``take``, and its targets with one more per head kind, straight into
+    the pass's buffers. Pair (i, t) runs task t's batch through row i's
+    encoder and head t, and its gradient goes to ``grads[index[(i, t)]]``, a
+    full-length vector that stays zero outside the encoder and head t. The
+    pair axis is ordered by head kind, so each kind's heads are one slice of
+    it; a single pair drops the axis and runs as one ``(n, d)`` batch. The
+    pairs' parameter blocks are read through a strided view of ``params``
+    when they sit evenly spaced in it (one pair, or one branch on
+    consecutive heads) and gathered per step otherwise; head gradients are
+    written in place or scattered likewise.
     """
 
     def __init__(self, kernel: _Kernel, params: np.ndarray,
@@ -442,16 +475,16 @@ class _PairPass:
         self._genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes, bias_rows=False)
         # row r of task t's split is row offset[t] + r of every table
         tasks = sorted(heads)
-        inputs = [_inputs(splits[t]) for t in tasks]
-        targets = {t: _checked_targets(splits[t].targets, heads[t]) for t in tasks}
-        offsets = np.cumsum([0] + [len(x) for x in inputs[:-1]]).tolist()
-        self._inputs = np.concatenate(inputs)
+        lengths = [len(_inputs(splits[t])) for t in tasks]
+        offsets = np.cumsum([0] + lengths[:-1]).tolist()
+        self._inputs = np.empty((sum(lengths), spec.input_dim))
         self._task_rows = np.empty((len(tasks), batch_size), dtype=np.int64)
         self._offsets = list(zip(tasks, offsets, self._task_rows))
         self._pair_tasks = np.array([tasks.index(t) for _, t in order])
         self._rows = np.empty((len(order), batch_size), dtype=np.int64)
         self._targets = []  # per head kind: (its target table, its pairs, their buffer)
         self._kinds = []
+        self._loads = []  # per task: (task, its head, offset, row count, its kind's table)
         start = 0
         for kind in kinds:
             members = [k for k, (_, t) in enumerate(order) if heads[t] == kind]
@@ -465,21 +498,30 @@ class _PairPass:
             ghead = _rows_at(self._grads_flat, grad_at, size, self._scatters)
             (gw, gb), = _stacked_blocks(ghead, shapes, bias_rows=False)
             # rows of another kind's tasks stay zero; no pair of this kind reads them
-            like = targets[order[members[0]][1]]
-            table = np.zeros((len(self._inputs), *like.shape[1:]), like.dtype)
-            for t, at in zip(tasks, offsets):
-                if heads[t] == kind:
-                    table[at: at + len(targets[t])] = targets[t]
-            y = np.empty((len(members), batch_size, *like.shape[1:]), like.dtype)
+            shape, dtype = (((), np.int64) if kind.loss == CROSS_ENTROPY
+                            else ((kind.output_dim,), np.float64))
+            table = np.zeros((len(self._inputs), *shape), dtype)
+            self._loads += [(t, kind, at, rows, table)
+                            for t, at, rows in zip(tasks, offsets, lengths) if heads[t] == kind]
+            y = np.empty((len(members), batch_size, *shape), dtype)
             self._targets.append((table, part, y))
             self._kinds.append((part, kind, w, b, y, gw, gb, start))
             start += len(members) * batch_size * kind.output_dim
+        self.load(splits)
         if len(order) == 1:
             self._x = self._x[0]
             self._enc, self._genc = ([(w[0], b[0]) for w, b in blocks]
                                      for blocks in (self._enc, self._genc))
             _, kind, *operands, start = self._kinds[0]
             self._kinds = [(slice(None), kind, *(a[0] for a in operands), start)]
+
+    def load(self, splits: Mapping[int, DataSplit]) -> None:
+        """Check each task's split in ``splits`` and copy its inputs and
+        targets into the tables; each split must have the row count of the
+        one the pass was built with."""
+        for t, head, at, rows, table in self._loads:
+            self._inputs[at: at + rows] = _inputs(splits[t])
+            table[at: at + rows] = _checked_targets(splits[t].targets, head)
 
     def __call__(self, rows: Mapping[int, np.ndarray]) -> np.ndarray:
         """Every pair's loss on this step's rows (``batch_size`` indices in
@@ -577,7 +619,8 @@ def _inputs(split) -> np.ndarray:
 def loss_and_gradient(spec: ModelSpec, params: np.ndarray,
                       split: DataSplit) -> tuple[float, np.ndarray]:
     """Mean per-example loss over ``split`` and its exact gradient as a fresh
-    full-length vector: a one-pair stacked pass over ``params``.
+    full-length vector: a one-pair stacked pass over ``params``, which the
+    calling thread's kernel keeps per task between calls.
 
     Head blocks not belonging to ``split.task_id`` are exactly zero. A
     non-finite loss raises: that signals divergence and the caller is
@@ -585,12 +628,10 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray,
     """
     if len(params) != param_count(spec):
         raise ValueError(f"vector length {len(params)} != {param_count(spec)}")
-    t = split.task_id
-    one_pair = spec.kernel.pair_pass(np.ascontiguousarray(params)[None], [(0, t)],
-                                     {t: split}, len(split))
-    [loss] = one_pair({t: np.arange(len(split))})
-    check_loss(loss, t)
-    return float(loss), one_pair.grads[0]
+    one_pair = spec.kernel.one_pair(params, split)
+    [loss] = one_pair.losses
+    check_loss(loss, split.task_id)
+    return float(loss), one_pair.grads[0].copy()
 
 
 @dataclass(frozen=True)

@@ -301,12 +301,12 @@ def _family_config(config, seed: int) -> TaskFamilyConfig:
 
 def family_for_seed(config: ExperimentConfig, seed: int) -> TaskFamily:
     """``seed``'s family, or the ``data_dir`` family, which serves every seed
-    and raises ConfigError if the loader rejects it."""
+    and raises ConfigError if the loader rejects it. No method reads an
+    auxiliary task's val split, so that file is checked but not parsed."""
     if config.data_dir:
         try:
-            return load_family(
-                config.data_dir, config.n_tasks, config.input_dim, config.n_classes
-            )
+            return load_family(config.data_dir, config.n_tasks, config.input_dim,
+                               config.n_classes)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data_dir: {exc}") from exc
     return generate_family(_family_config(config, config.data_seed + seed))

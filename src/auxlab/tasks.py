@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -143,7 +144,8 @@ def class_labels(targets, n_classes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TaskFamily:
-    """Per-task train/val/test splits; task 0 is the target."""
+    """Per-task train/val/test splits; task 0 is the target. An auxiliary
+    task may lack its val split, which no method reads."""
 
     splits: Mapping[int, Mapping[str, DataSplit]]
     n_classes: int
@@ -154,6 +156,8 @@ class TaskFamily:
         for task_id, per_split in self.splits.items():
             for name in SPLIT_NAMES:
                 if name not in per_split:
+                    if name == "val" and task_id != self.target_id:
+                        continue
                     raise ValueError(f"task {task_id} is missing its {name} split")
                 split = per_split[name]
                 if split.inputs.shape[1] != self.input_dim:
@@ -333,7 +337,10 @@ def _parse_rows(path: Path, input_dim: int):
             return None
 
 
-def _read_rows(path: Path, input_dim: int, n_classes: int, task_id: int) -> DataSplit:
+@contextmanager
+def _open_rows(path: Path, input_dim: int):
+    """A ``csv.reader`` over the rows of ``path`` below its header; raises if
+    the file is missing or its header is not the documented one."""
     if not path.exists():
         raise FileNotFoundError(f"no such data file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
@@ -347,6 +354,11 @@ def _read_rows(path: Path, input_dim: int, n_classes: int, task_id: int) -> Data
             raise CsvFormatError(
                 f"{path}: header {header!r} does not match expected {expected!r}"
             )
+        yield reader
+
+
+def _read_rows(path: Path, input_dim: int, n_classes: int, task_id: int) -> DataSplit:
+    with _open_rows(path, input_dim) as reader:
         rows, labels = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -405,22 +417,33 @@ def _split_path(directory: Path, task_id: int, name: str) -> Path:
 
 
 def write_family(family: TaskFamily, directory) -> list[Path]:
+    """Write every split ``family`` holds into ``directory``, one file each.
+    A family read back by `load_family` has no auxiliary val splits, so
+    none of theirs are written."""
     directory = Path(directory)
     written = []
     for task_id in family.task_ids:
         for name in SPLIT_NAMES:
-            path = _split_path(directory, task_id, name)
-            write_csv(family.split(task_id, name), path)
-            written.append(path)
+            if name in family.splits[task_id]:
+                path = _split_path(directory, task_id, name)
+                write_csv(family.split(task_id, name), path)
+                written.append(path)
     return written
 
 
 def load_family(directory, n_tasks: int, input_dim: int, n_classes: int) -> TaskFamily:
+    """The family written by `write_family` into ``directory``, without the
+    auxiliary tasks' val splits, which no method reads: each of those files
+    is only checked to exist and start with the header."""
     directory = Path(directory)
     splits: dict[int, dict[str, DataSplit]] = {}
     for task_id in range(n_tasks):
-        splits[task_id] = {
-            name: load_csv(_split_path(directory, task_id, name), input_dim, n_classes, task_id)
-            for name in SPLIT_NAMES
-        }
+        splits[task_id] = {}
+        for name in SPLIT_NAMES:
+            path = _split_path(directory, task_id, name)
+            if task_id == 0 or name != "val":
+                splits[task_id][name] = load_csv(path, input_dim, n_classes, task_id)
+            else:
+                with _open_rows(path, input_dim):
+                    pass
     return TaskFamily(splits, n_classes, input_dim)

@@ -109,7 +109,8 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("auxlab:")
         assert not (out / "records.csv").exists()
 
-    @pytest.mark.parametrize("case", ["missing_dir", "too_few_tasks", "input_dim"])
+    @pytest.mark.parametrize("case", ["missing_dir", "too_few_tasks", "input_dim",
+                                      "missing_aux_val", "aux_val_header"])
     def test_rejected_data_dir_exits_1_and_writes_nothing(self, capsys, tmp_path, case):
         data_dir = tmp_path / "fam"
         if case != "missing_dir":
@@ -117,6 +118,11 @@ class TestExitCodes:
             assert run_cli("gen-data", "--out", str(data_dir), "--n-train", "50",
                            "--n-val", "20", "--n-test", "20",
                            "--input-dim", input_dim) == 0
+        # no method reads an auxiliary val split, but its file is checked
+        if case == "missing_aux_val":
+            (data_dir / "task1_val.csv").unlink()
+        if case == "aux_val_header":
+            (data_dir / "task1_val.csv").write_text("f0,f1,f2,label\n0,0,0,1\n")
         lines = "n_tasks = 3\nrelatedness = 0.5,0.5\n" if case == "too_few_tasks" else ""
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(CFG_SMALL + lines + f"data_dir = {data_dir}\n")
@@ -126,7 +132,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("auxlab:") and "data_dir" in err
         missing = {"missing_dir": "task0_train.csv", "too_few_tasks": "task2_train.csv",
-                   "input_dim": "task0_train.csv"}[case]
+                   "input_dim": "task0_train.csv", "missing_aux_val": "task1_val.csv",
+                   "aux_val_header": "task1_val.csv"}[case]
         assert missing in err
         assert not out.exists()
 
@@ -297,6 +304,42 @@ class TestPipeline:
             rows = list(csv.DictReader(handle))
         assert {r["round"] for r in rows} == {"0", "1"}
         assert {r["branch_id"] for r in rows} == {"0", "1"}
+
+    def test_gen_data_and_report_start_no_thread(self, tmp_path, monkeypatch):
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        import auxlab.forkmerge as fm
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CFG_SMALL.replace("method = ew", "method = forkmerge")
+                       + "merge_interval = 10\ncompute_tg = false\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        # a pool that has started no thread yet: a merge search would start one
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="auxlab-score")
+        monkeypatch.setattr(fm, "_POOL", pool)
+        monkeypatch.setattr(fm, "_WORKERS", 1)
+        monkeypatch.setattr(fm, "_MIN_ROWS", 0)
+        try:
+            assert run_cli("gen-data", "--out", str(tmp_path / "fam"), "--n-train", "50",
+                           "--n-val", "20", "--n-test", "20") == 0
+            assert run_cli("report", "--records", str(out)) == 0
+            assert started == []
+            # the check sees the thread a fork/merge run starts
+            assert run_cli("run", "--config", str(cfg),
+                           "--output-dir", str(tmp_path / "again")) == 0
+            assert started == ["auxlab-score_0"]
+        finally:
+            pool.shutdown()
 
 
 class TestSweeps:

@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -520,7 +523,7 @@ class TestGreedySearch:
     def test_zero_trials_equal_their_scores(self, monkeypatch, n_branches, head):
         """The search logs each stage's coefficient-0 trial with the previous
         winner instead of scoring it; every candidate it makes, reused or
-        scored, must equal `_score` of its combination."""
+        scored, must equal `_score_all`'s score of its combination."""
         gen = np.random.default_rng(n_branches)
         if head == "regression":
             spec, val = regression_spec(), regression_val()
@@ -562,8 +565,9 @@ class TestGreedySearch:
             for g in grid:
                 v = g * upper
                 total = sum(raw) + v
-                stage.append(fm._score(v, [c / total for c in raw + [v]],
-                                       [p for _, p, _ in ranked[: b + 1]], val, 0, spec))
+                [scored] = fm._score_all([([c / total for c in raw + [v]],
+                                           [p for _, p, _ in ranked[: b + 1]])], val, 0, spec)
+                stage.append(fm._Scored(v, *scored))
             raw.append(max(stage, key=lambda e: e.perf.value).coeff)
             expected += stage
         # made[0] is the top-ranked branch the search starts from
@@ -646,6 +650,155 @@ class TestSearchCounts:
             assert record.target_only_perf == record.chosen_perf
         # each round's search, then the final test evaluation
         assert len(calls) == result.total_psearch_evals + 1 == 3
+
+
+class TestAcrossCores:
+    """`across_cores` scores merge candidates on the calling thread and on
+    `fm._WORKERS` pool threads. The tests pin that count by monkeypatch, so
+    the pool runs on a machine of any core count, and let it run on splits
+    of any size."""
+
+    @pytest.fixture(autouse=True)
+    def any_rows(self, monkeypatch):
+        monkeypatch.setattr(fm, "_MIN_ROWS", 0)
+
+    @pytest.mark.parametrize("search", ["grid", "binary", "greedy", "fixed_lambda"])
+    def test_outcomes_do_not_depend_on_the_worker_count(self, monkeypatch, search):
+        from auxlab.baselines import run_fixed_lambda
+
+        fam = family_for([0.5, 0.2], n_val=3000)
+        spec = model_spec_for(fam, hidden=(6,))
+        start = init_params(spec, RngStream(5).child("init"))
+        gen = np.random.default_rng(5)
+        thetas = [start + 0.4 * gen.normal(size=len(start)) for _ in range(3)]
+        grid = tuple(i / 20 for i in range(21))
+        val = fam.val(0)
+
+        def run():
+            if search == "grid":
+                return search_lambda_grid(thetas[0], thetas[1], grid, val, 0, spec)
+            if search == "binary":
+                return search_lambda_binary(thetas[0], thetas[1], 6, val, 0, spec)
+            if search == "greedy":
+                return greedy_search_lambda(list(enumerate(thetas)), grid[::4], val, 0, spec)
+            return run_fixed_lambda(fam, spec, 30, [0.0, 0.5, 1.0],
+                                    OptConfig(base_lr=0.1, batch_size=32), seed=2)
+
+        outcomes = []
+        for workers in (0, 1):
+            monkeypatch.setattr(fm, "_WORKERS", workers)
+            outcomes.append(run())
+        alone, pooled = outcomes
+        assert alone.params.tobytes() == pooled.params.tobytes()
+        assert alone.perf == pooled.perf
+        if search == "fixed_lambda":
+            assert alone.lam == pooled.lam
+            assert alone.val_history == pooled.val_history
+        else:
+            assert alone.coeffs == pooled.coeffs
+            # coefficients, scores and flags, in evaluation order
+            assert alone.evaluations == pooled.evaluations
+            assert len({e.perf.value for e in alone.evaluations}) > 2
+
+    def test_a_pool_thread_scores_beside_the_caller(self, monkeypatch):
+        monkeypatch.setattr(fm, "_WORKERS", 1)
+        monkeypatch.setattr(fm, "_MIN_ROWS", 5000)
+        second_done = threading.Event()
+        threads = {}
+
+        def score(i):
+            threads[i] = threading.get_ident()
+            if i == 0:  # returns only once another thread has scored item 1
+                assert second_done.wait(timeout=30)
+            else:
+                second_done.set()
+            return -i
+
+        assert fm.across_cores(score, [0, 1], 5000) == [0, -1]
+        assert threads[0] != threads[1]
+
+    def test_the_first_failure_in_order_is_raised(self, monkeypatch):
+        monkeypatch.setattr(fm, "_WORKERS", 1)
+        later_failed = threading.Event()
+
+        def score(i):
+            if i == 1:  # fails only after item 3 has failed, on the other thread
+                later_failed.wait(timeout=30)
+                raise ValueError("item 1")
+            if i == 3:
+                later_failed.set()
+                raise ValueError("item 3")
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            fm.across_cores(score, [0, 1, 2, 3, 4], 1)
+        assert later_failed.is_set()
+
+    def test_small_items_stay_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(fm, "_WORKERS", 1)
+        monkeypatch.setattr(fm, "_MIN_ROWS", 5000)
+        threads = set()
+
+        def score(i):
+            threads.add(threading.get_ident())
+            time.sleep(0.005)  # time enough for a pool thread to take items
+            return i
+
+        assert fm.across_cores(score, list(range(6)), 4999) == list(range(6))
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_a_search_raises_the_sequential_first_error(self, monkeypatch, workers):
+        monkeypatch.setattr(fm, "_WORKERS", workers)
+        real = fm.linear_combination
+
+        def failing_at_some(weights, vectors):
+            if weights[1] in (0.4, 0.8):
+                raise NonFiniteError(f"combination at {weights[1]} overflowed")
+            return real(weights, vectors)
+
+        monkeypatch.setattr(fm, "linear_combination", failing_at_some)
+        thetas = np.random.default_rng(3).normal(size=(2, 3))
+        with pytest.raises(NonFiniteError, match="at 0.4 "):
+            search_lambda_grid(*thetas, (0.0, 0.2, 0.4, 0.6, 0.8, 1.0), regression_val(),
+                               0, regression_spec())
+
+    def test_concurrent_searches_on_more_threads_than_cores(self, monkeypatch):
+        """Three callers share one pool of four threads, switching as often
+        as the interpreter allows; every search must equal the same search
+        run alone."""
+        fam = family_for([0.5], n_val=2000)
+        spec = model_spec_for(fam, hidden=(6,))
+        start = init_params(spec, RngStream(8).child("init"))
+        gen = np.random.default_rng(8)
+        pairs = [start + 0.4 * gen.normal(size=(2, len(start))) for _ in range(3)]
+        grid = tuple(i / 10 for i in range(11))
+        monkeypatch.setattr(fm, "_WORKERS", 0)
+        alone = [search_lambda_grid(*pair, grid, fam.val(0), 0, spec) for pair in pairs]
+
+        monkeypatch.setattr(fm, "_WORKERS", 4)
+        got = [[] for _ in pairs]
+
+        def search_many(k):
+            for _ in range(5):
+                got[k].append(search_lambda_grid(*pairs[k], grid, fam.val(0), 0, spec))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=search_many, args=(k,)) for k in range(3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for want, outcomes in zip(alone, got):
+            assert len(outcomes) == 5
+            for outcome in outcomes:
+                assert outcome.evaluations == want.evaluations
+                assert outcome.params.tobytes() == want.params.tobytes()
 
 
 class TestRunForkMerge:

@@ -9,7 +9,10 @@ round's timing) of small runs of every trainer: `ew`, a 2-branch
 evaluations run on splits of several row counts) and with a two-layer relu
 encoder, `fixed_lambda`, `post_train` and `gcs`; and the CSV files of small
 `sweep tg-gcs` and `sweep csd-lambda` runs. A change that is meant to alter
-results refreshes them and says so.
+results refreshes them and says so. Each case runs twice: with the merge
+searches' candidates scored beside one pool thread, and then on the calling
+thread alone, on splits of any size, so a machine of any core count checks
+both.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from auxlab import forkmerge
 from auxlab.cli import main
 from auxlab.runner import RECORDS_FILENAME, parse_config_text, run_experiment
 
@@ -197,9 +201,13 @@ def _digests(case: str, out_dir: Path) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN) + sorted(SWEEP_GOLDEN))
-def test_golden_digests(tmp_path, case):
+def test_golden_digests(tmp_path, monkeypatch, case):
     expected = {**GOLDEN, **SWEEP_GOLDEN}[case][1]
-    assert _digests(case, tmp_path) == expected
+    # merge candidates scored beside one pool thread, then by the caller alone
+    monkeypatch.setattr(forkmerge, "_MIN_ROWS", 0)
+    for workers in (1, 0):
+        monkeypatch.setattr(forkmerge, "_WORKERS", workers)
+        assert _digests(case, tmp_path / f"workers{workers}") == expected
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ order into reused workspaces, so the two must agree bit for bit: both for
 a stacked pass over many (branch, task) pairs.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -139,7 +140,8 @@ def trained_like_params(spec, seed):
 def test_loss_and_gradient_match_reference_bitwise(activation, task_id):
     spec = two_layer_spec(activation)
     rng = np.random.default_rng(11)
-    for seed, n in ((1, 16), (2, 5), (3, 64), (4, 1)):
+    # a new row count rebuilds the task's one-pair pass; the same count reuses it
+    for seed, n in ((1, 16), (2, 16), (3, 5), (4, 64), (5, 64), (6, 1), (7, 16)):
         params = trained_like_params(spec, seed)
         split = random_split(spec, task_id, n, rng)
         loss, grad = loss_and_gradient(spec, params, split)
@@ -147,6 +149,8 @@ def test_loss_and_gradient_match_reference_bitwise(activation, task_id):
         assert loss == ref_loss
         np.testing.assert_array_equal(grad, ref_grad)
         assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+    # one pass per task, however many row counts it has seen
+    assert list(spec.kernel._one_pairs) == [task_id]
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -169,6 +173,17 @@ def test_evaluations_across_split_sizes_equal_fresh_ones(activation):
             if task_id == 0:
                 assert mean_max_confidence(spec, params, split, task_id) == (
                     reference_confidence(spec, params, split, task_id))
+
+
+def test_each_thread_has_its_own_kernel():
+    spec = two_layer_spec("tanh")
+    other = []
+    thread = threading.Thread(target=lambda: other.append(spec.kernel))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert spec.kernel is spec.kernel
+    assert other[0] is not spec.kernel and other[0].spec is spec
 
 
 def test_returned_gradient_is_not_overwritten_by_next_call():

@@ -189,6 +189,20 @@ class TestRunExperiment:
             (m, s) for m in ("stl", "ew") for s in (0, 1, 2)}
         assert len(loads) == 1
 
+    def test_data_dir_run_does_not_parse_aux_val_splits(self, tmp_path):
+        import auxlab.runner as runner_mod
+        from auxlab.tasks import generate_family, write_family
+
+        cfg = small_config(data_dir=str(tmp_path / "fam"))
+        write_family(generate_family(runner_mod._family_config(cfg, 0)), cfg.data_dir)
+        intact = run_experiment(cfg, output_dir=tmp_path / "intact")
+        # a header over rows no parser accepts: no method reads these splits
+        for t in (1, 2):
+            (tmp_path / "fam" / f"task{t}_val.csv").write_text("f0,f1,label\nnot,a,row\n")
+        again = run_experiment(cfg, output_dir=tmp_path / "again")
+        strip = lambda r: dataclasses.replace(r, wall_s=0.0)  # noqa: E731
+        assert [strip(r) for r in again] == [strip(r) for r in intact] != []
+
     def test_each_seed_family_generated_once_per_run(self, tmp_path, monkeypatch):
         import auxlab.runner as runner_mod
 

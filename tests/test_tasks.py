@@ -281,4 +281,28 @@ class TestCsv:
         write_family(fam, tmp_path)
         back = load_family(tmp_path, n_tasks=3, input_dim=2, n_classes=4)
         assert back.task_ids == fam.task_ids
-        np.testing.assert_array_equal(back.val(2).inputs, fam.val(2).inputs)
+        np.testing.assert_array_equal(back.val(0).inputs, fam.val(0).inputs)
+        np.testing.assert_array_equal(back.train(2).inputs, fam.train(2).inputs)
+
+    def test_loaded_family_writes_back_without_aux_val_splits(self, tmp_path):
+        write_family(generate_family(cfg([0.4, 0.8])), tmp_path / "a")
+        back = load_family(tmp_path / "a", 3, 2, 4)
+        written = write_family(back, tmp_path / "b")
+        assert sorted(p.name for p in written) == sorted(
+            p.name for p in (tmp_path / "a").iterdir() if p.name not in (
+                "task1_val.csv", "task2_val.csv"))
+        for path in written:
+            assert path.read_bytes() == (tmp_path / "a" / path.name).read_bytes()
+
+    def test_aux_val_splits_are_checked_not_read(self, tmp_path):
+        fam = generate_family(cfg([0.4, 0.8]))
+        write_family(fam, tmp_path)
+        (tmp_path / "task2_val.csv").write_text("f0,f1,label\nnot,a,row\n")
+        back = load_family(tmp_path, 3, 2, 4)
+        assert [sorted(back.splits[t]) for t in back.task_ids] == [
+            ["test", "train", "val"], ["test", "train"], ["test", "train"]]
+        np.testing.assert_array_equal(back.val(0).inputs, fam.val(0).inputs)
+        np.testing.assert_array_equal(back.test(2).inputs, fam.test(2).inputs)
+        (tmp_path / "task1_val.csv").write_text("x,y,label\n")
+        with pytest.raises(CsvFormatError, match="task1_val.csv"):
+            load_family(tmp_path, 3, 2, 4)
