@@ -13,8 +13,9 @@ spec; all branches of a fork share this single layout, which is what makes
 merged vectors meaningful. ``ModelSpec.kernel`` compiles the spec once per
 thread into a kernel that reuses its workspaces across calls, so any thread
 may evaluate or train a model. Its stacked pass over (branch, task) pairs,
-which binds the splits it reads and takes row indices per step, is the only
-forward/backward; ``loss_and_gradient`` is that pass over one split. A model
+which is built once, bound to its parameters and the splits it reads, and
+then called with row indices per step, is the only forward/backward;
+``loss_and_gradient`` builds one such pass over one split per call. A model
 is its spec plus one parameter vector: the module-level functions take both
 and return fresh values.
 """
@@ -197,8 +198,7 @@ class _Kernel:
     until the next call. The operations and their order are those of a
     plain allocating implementation, so results do not depend on which calls
     came before or on which pairs are stacked together. A kernel belongs to
-    the thread that ``ModelSpec.kernel`` built it for, and it keeps one
-    one-pair pass of ``loss_and_gradient`` per task (``one_pair``).
+    the thread that ``ModelSpec.kernel`` built it for and keeps no pass.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -209,7 +209,6 @@ class _Kernel:
         self._max_out = max(head.output_dim for head in spec.heads.values())
         self._rows = 0
         self._fitted: dict[tuple[int, ...], _Fitted] = {}
-        self._one_pairs: dict[int, tuple[np.ndarray, _PairPass, np.ndarray]] = {}
 
     def _reserve(self, rows: int) -> None:
         if rows <= self._rows:
@@ -359,24 +358,6 @@ class _Kernel:
         task id) ``pairs`` on rows of ``splits``; see ``_PairPass``."""
         return _PairPass(self, params, pairs, splits, batch_size)
 
-    def one_pair(self, params: np.ndarray, split: DataSplit) -> "_PairPass":
-        """A one-pair pass loaded with ``params`` and every row of ``split``,
-        called on those rows. Each task keeps one pass, built for the row
-        count of its last split and refilled from the arguments while the
-        count stays the same."""
-        t, n = split.task_id, len(split)
-        cached = self._one_pairs.get(t)
-        if cached is None or len(cached[2]) != n:
-            stacked = np.array(params, dtype=np.float64)[None]
-            cached = self._one_pairs[t] = (
-                stacked, _PairPass(self, stacked, [(0, t)], {t: split}, n), np.arange(n))
-        else:
-            cached[0][0] = params
-            cached[1].load({t: split})
-        _, one_pair, rows = cached
-        one_pair({t: rows})
-        return one_pair
-
     def evaluate(self, views, split, task_id: int) -> "PerfValue":
         inputs = _inputs(split)
         n = inputs.shape[0]
@@ -430,31 +411,34 @@ class _Kernel:
 class _PairPass:
     """One stacked forward/backward per step over (branch, task) pairs.
 
-    ``params`` is a C-contiguous array with one branch's parameter vector
-    per row, which the caller may update in place between steps. Each task's
-    split in ``splits`` is checked once, by ``load`` when the pass is built,
-    and the splits' inputs are copied back to back into one table, as are
-    each head kind's targets, on the same row offsets; ``load`` may refill
-    the tables from other splits of the same row counts. A step offsets each
-    task's row indices into that table and gathers every pair's inputs with
-    one ``take``, and its targets with one more per head kind, straight into
-    the pass's buffers. Pair (i, t) runs task t's batch through row i's
-    encoder and head t, and its gradient goes to ``grads[index[(i, t)]]``, a
-    full-length vector that stays zero outside the encoder and head t. The
-    pair axis is ordered by head kind, so each kind's heads are one slice of
-    it; a single pair drops the axis and runs as one ``(n, d)`` batch. The
-    pairs' parameter blocks are read through a strided view of ``params``
-    when they sit evenly spaced in it (one pair, or one branch on
-    consecutive heads) and gathered per step otherwise; head gradients are
-    written in place or scattered likewise.
+    ``params`` is a C-contiguous (branches, ``kernel.n_params``) array with
+    one branch's parameter vector per row, which the caller may update in
+    place between steps. Each task's split in ``splits`` is checked once,
+    when the pass is built, and the splits' inputs are copied back to back
+    into one table, as are each head kind's targets, on the same row
+    offsets. A step offsets each task's row indices into that table and
+    gathers every pair's inputs with one ``take``, and its targets with one
+    more per head kind, straight into the pass's buffers. Pair (i, t) runs
+    task t's batch through row i's encoder and head t, and its gradient goes
+    to ``grads[index[(i, t)]]``, a full-length vector that stays zero outside
+    the encoder and head t. The pair axis is ordered by head kind, so each
+    kind's heads are one slice of it; a single pair drops the axis and runs
+    as one ``(n, d)`` batch. The pairs' parameter blocks are read through a
+    strided view of ``params`` when they sit evenly spaced in it (one pair,
+    or one branch on consecutive heads) and gathered per step otherwise;
+    head gradients are written in place or scattered likewise.
     """
 
     def __init__(self, kernel: _Kernel, params: np.ndarray,
                  pairs: Sequence[tuple[int, int]], splits: Mapping[int, DataSplit],
                  batch_size: int):
+        spec, depth, n = kernel.spec, kernel._depth, kernel.n_params
+        if params.ndim != 2 or params.shape[1] != n:
+            raise ValueError(f"params of shape {params.shape} are not rows of length {n}")
         if not params.flags.c_contiguous:
             raise ValueError("params must be C-contiguous, one branch per row")
-        spec, depth, n = kernel.spec, kernel._depth, kernel.n_params
+        if not pairs:
+            raise ValueError("a pass needs at least one (branch, task) pair")
         heads = {t: kernel._head(t) for _, t in pairs}
         kinds = list(dict.fromkeys(heads[t] for t in sorted(heads)))
         order = sorted(pairs, key=lambda pair: (kinds.index(heads[pair[1]]), pair))
@@ -475,16 +459,16 @@ class _PairPass:
         self._genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes, bias_rows=False)
         # row r of task t's split is row offset[t] + r of every table
         tasks = sorted(heads)
-        lengths = [len(_inputs(splits[t])) for t in tasks]
+        inputs = [_inputs(splits[t]) for t in tasks]
+        lengths = [len(x) for x in inputs]
         offsets = np.cumsum([0] + lengths[:-1]).tolist()
-        self._inputs = np.empty((sum(lengths), spec.input_dim))
+        self._inputs = np.concatenate(inputs, out=np.empty((sum(lengths), spec.input_dim)))
         self._task_rows = np.empty((len(tasks), batch_size), dtype=np.int64)
         self._offsets = list(zip(tasks, offsets, self._task_rows))
         self._pair_tasks = np.array([tasks.index(t) for _, t in order])
         self._rows = np.empty((len(order), batch_size), dtype=np.int64)
         self._targets = []  # per head kind: (its target table, its pairs, their buffer)
         self._kinds = []
-        self._loads = []  # per task: (task, its head, offset, row count, its kind's table)
         start = 0
         for kind in kinds:
             members = [k for k, (_, t) in enumerate(order) if heads[t] == kind]
@@ -501,27 +485,19 @@ class _PairPass:
             shape, dtype = (((), np.int64) if kind.loss == CROSS_ENTROPY
                             else ((kind.output_dim,), np.float64))
             table = np.zeros((len(self._inputs), *shape), dtype)
-            self._loads += [(t, kind, at, rows, table)
-                            for t, at, rows in zip(tasks, offsets, lengths) if heads[t] == kind]
+            for t, at, rows in zip(tasks, offsets, lengths):
+                if heads[t] == kind:
+                    table[at: at + rows] = _checked_targets(splits[t].targets, kind)
             y = np.empty((len(members), batch_size, *shape), dtype)
             self._targets.append((table, part, y))
             self._kinds.append((part, kind, w, b, y, gw, gb, start))
             start += len(members) * batch_size * kind.output_dim
-        self.load(splits)
         if len(order) == 1:
             self._x = self._x[0]
             self._enc, self._genc = ([(w[0], b[0]) for w, b in blocks]
                                      for blocks in (self._enc, self._genc))
             _, kind, *operands, start = self._kinds[0]
             self._kinds = [(slice(None), kind, *(a[0] for a in operands), start)]
-
-    def load(self, splits: Mapping[int, DataSplit]) -> None:
-        """Check each task's split in ``splits`` and copy its inputs and
-        targets into the tables; each split must have the row count of the
-        one the pass was built with."""
-        for t, head, at, rows, table in self._loads:
-            self._inputs[at: at + rows] = _inputs(splits[t])
-            table[at: at + rows] = _checked_targets(splits[t].targets, head)
 
     def __call__(self, rows: Mapping[int, np.ndarray]) -> np.ndarray:
         """Every pair's loss on this step's rows (``batch_size`` indices in
@@ -619,19 +595,19 @@ def _inputs(split) -> np.ndarray:
 def loss_and_gradient(spec: ModelSpec, params: np.ndarray,
                       split: DataSplit) -> tuple[float, np.ndarray]:
     """Mean per-example loss over ``split`` and its exact gradient as a fresh
-    full-length vector: a one-pair stacked pass over ``params``, which the
-    calling thread's kernel keeps per task between calls.
+    full-length vector: a one-pair stacked pass over ``params`` and every
+    row of ``split``, built for this call and called once.
 
     Head blocks not belonging to ``split.task_id`` are exactly zero. A
     non-finite loss raises: that signals divergence and the caller is
     expected to abort the run with a diagnostic.
     """
-    if len(params) != param_count(spec):
-        raise ValueError(f"vector length {len(params)} != {param_count(spec)}")
-    one_pair = spec.kernel.one_pair(params, split)
-    [loss] = one_pair.losses
-    check_loss(loss, split.task_id)
-    return float(loss), one_pair.grads[0].copy()
+    t, n = split.task_id, len(split)
+    single = spec.kernel.pair_pass(np.array(params, dtype=np.float64)[None], [(0, t)],
+                                   {t: split}, n)
+    [loss] = single({t: np.arange(n)})
+    check_loss(loss, t)
+    return float(loss), single.grads[0]
 
 
 @dataclass(frozen=True)

@@ -434,7 +434,9 @@ def write_family(family: TaskFamily, directory) -> list[Path]:
 def load_family(directory, n_tasks: int, input_dim: int, n_classes: int) -> TaskFamily:
     """The family written by `write_family` into ``directory``, without the
     auxiliary tasks' val splits, which no method reads: each of those files
-    is only checked to exist and start with the header."""
+    is only checked to exist and start with the header. Every split it
+    parses must have a row; `CsvFormatError` names the file of one that
+    has none."""
     directory = Path(directory)
     splits: dict[int, dict[str, DataSplit]] = {}
     for task_id in range(n_tasks):
@@ -442,7 +444,9 @@ def load_family(directory, n_tasks: int, input_dim: int, n_classes: int) -> Task
         for name in SPLIT_NAMES:
             path = _split_path(directory, task_id, name)
             if task_id == 0 or name != "val":
-                splits[task_id][name] = load_csv(path, input_dim, n_classes, task_id)
+                split = splits[task_id][name] = load_csv(path, input_dim, n_classes, task_id)
+                if not len(split):
+                    raise CsvFormatError(f"{path}: no rows below the header")
             else:
                 with _open_rows(path, input_dim):
                     pass

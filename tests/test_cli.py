@@ -110,7 +110,8 @@ class TestExitCodes:
         assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize("case", ["missing_dir", "too_few_tasks", "input_dim",
-                                      "missing_aux_val", "aux_val_header"])
+                                      "missing_aux_val", "aux_val_header",
+                                      "header_only_train"])
     def test_rejected_data_dir_exits_1_and_writes_nothing(self, capsys, tmp_path, case):
         data_dir = tmp_path / "fam"
         if case != "missing_dir":
@@ -123,6 +124,8 @@ class TestExitCodes:
             (data_dir / "task1_val.csv").unlink()
         if case == "aux_val_header":
             (data_dir / "task1_val.csv").write_text("f0,f1,f2,label\n0,0,0,1\n")
+        if case == "header_only_train":
+            (data_dir / "task1_train.csv").write_text("f0,f1,label\n")
         lines = "n_tasks = 3\nrelatedness = 0.5,0.5\n" if case == "too_few_tasks" else ""
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(CFG_SMALL + lines + f"data_dir = {data_dir}\n")
@@ -133,7 +136,8 @@ class TestExitCodes:
         assert err.startswith("auxlab:") and "data_dir" in err
         missing = {"missing_dir": "task0_train.csv", "too_few_tasks": "task2_train.csv",
                    "input_dim": "task0_train.csv", "missing_aux_val": "task1_val.csv",
-                   "aux_val_header": "task1_val.csv"}[case]
+                   "aux_val_header": "task1_val.csv",
+                   "header_only_train": "task1_train.csv"}[case]
         assert missing in err
         assert not out.exists()
 
@@ -480,6 +484,17 @@ def test_package_exports_the_readme_python_api():
     imported = set(namespace) - {"__builtins__"}
     assert len(imported) == 10
     assert set(auxlab.__all__) == imported | {"__version__"}
+
+
+def test_readme_python_api_block_runs():
+    text = PYPROJECT.with_name("README.md").read_text(encoding="utf-8")
+    block = text.split("## Python API\n")[1].split("```python\n")[1].split("```")[0]
+    src = str(PYPROJECT.with_name("src"))
+    out = subprocess.run([sys.executable, "-c", block], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    [line] = out.stdout.splitlines()
+    assert line.startswith("TG = ")
 
 
 def test_import_pins_blas_to_one_thread():
