@@ -8,7 +8,8 @@ round's timing) of small runs of every trainer: `ew`, a 2-branch
 `forkmerge_multi` with the full validation split, with a subsample (so
 evaluations run on splits of several row counts) and with a two-layer relu
 encoder, `fixed_lambda`, `post_train` and `gcs`; and the CSV files of small
-`sweep tg-gcs` and `sweep csd-lambda` runs. A change that is meant to alter
+`sweep tg-gcs` and `sweep csd-lambda` runs; and every data file of two small
+`gen-data` families, one at `--input-dim 3`. A change that is meant to alter
 results refreshes them and says so. Each case runs twice: with the merge
 searches' candidates scored beside one pool thread, and then on the calling
 thread alone, on splits of any size, so a machine of any core count checks
@@ -151,6 +152,56 @@ SWEEP_GOLDEN = {
         }),
 }
 
+GEN_DATA_FAMILY = ["--seed", "4", "--n-tasks", "3", "--relatedness", "0.8,0.2",
+                   "--n-train", "40,30,20", "--n-val", "25", "--n-test", "15"]
+
+# case id -> (`auxlab gen-data` arguments, {file name: sha256}); every file
+# the command writes is pinned
+GEN_DATA_GOLDEN = {
+    "gen_data": (GEN_DATA_FAMILY, {
+        "task0_train.csv":
+            "d88045e4e88a04e54e2475770b1e1cdae58a8f3bd8aacb69dadde63061684dcf",
+        "task0_val.csv":
+            "8d34439f35e60f6d6ec5c7c7bb01ed6828d8ae889e50a10f9ae7dbf1112fc84e",
+        "task0_test.csv":
+            "cd6ac96c6d1d7c289930d23a435e187119f416801173e340ccf7564b27f4771f",
+        "task1_train.csv":
+            "ffccafeb52156dd4c6f9d899024613b737ca6190567a2fe0b2ecf815ca4e2318",
+        "task1_val.csv":
+            "543b067333c97f1565676abf1c46f144fb0e0db43cbf9244a078588207467d11",
+        "task1_test.csv":
+            "5ef4eea32224976f7a3378de6e343cc11288f5d6692a2d0cc502c9c0b846915e",
+        "task2_train.csv":
+            "fa262cea93f66dee8ed0aedc44eee5ee7fff1b92500a38d9148120b8cf1f5293",
+        "task2_val.csv":
+            "9ac4830ecf83aca09fec57da52a6ad36102dc98c86831d2e3602d39e41aeef4f",
+        "task2_test.csv":
+            "62373b94c7ad92d8146b80ebc9d61bff3c020422a287d058d2fbecba7548504d",
+    }),
+    "gen_data_dim3": ([*GEN_DATA_FAMILY, "--input-dim", "3"], {
+        "task0_train.csv":
+            "7dd6dd17c7de8506598e57cea2edd70888845da30fb13ddde8e4b821e21e6333",
+        "task0_val.csv":
+            "d687f49ea11378f19a2341e04b639c9ca94b9d46bd5f053056c6a0637ae1cd3e",
+        "task0_test.csv":
+            "5f1a222df20762bb9e9baccb3cde7bccf6a89312fdb6d7b075c57a61a7ddc64e",
+        "task1_train.csv":
+            "b5c75195311d9b5672c52f4e464551eefa46112b1a44098a623d76c9545f9870",
+        "task1_val.csv":
+            "5ea803ffbedf136f16916aa18380c16766bd300928a34fbd774d2117d96e4482",
+        "task1_test.csv":
+            "bd72e45f378652054dd5cff516dfbdde17653c124f6a2ddedacb94bf803268cc",
+        "task2_train.csv":
+            "e6804f94bb565dd4e56d23342b8be047915fb1b7240165095c1b7453f970c5e5",
+        "task2_val.csv":
+            "60ba8fa0e9b9ae393fe0c90333653a30ae9b41131de24b00a56ea3f1e2b7b2e0",
+        "task2_test.csv":
+            "02884272e43c39b5a743a53c30f9e290dc1a50180b3bd917226c831a4c338003",
+    }),
+}
+
+ALL_CASES = sorted(GOLDEN) + sorted(SWEEP_GOLDEN) + sorted(GEN_DATA_GOLDEN)
+
 
 def _config_text(lines: str) -> str:
     """GOLDEN_CONFIG with the case's lines added; a case line replaces the
@@ -184,9 +235,13 @@ def _digests(case: str, out_dir: Path) -> dict[str, str]:
     if case in GOLDEN:
         lines, digests = GOLDEN[case]
         run_experiment(parse_config_text(_config_text(lines)), output_dir=out_dir)
-    else:
+    elif case in SWEEP_GOLDEN:
         argv, digests = SWEEP_GOLDEN[case]
         assert main(["sweep", *argv, "--out", str(out_dir / SWEEP_FILENAME)]) == 0
+    else:
+        argv, digests = GEN_DATA_GOLDEN[case]
+        assert main(["gen-data", *argv, "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(digests)
     got = {}
     for name in digests:
         path = out_dir / name
@@ -200,9 +255,9 @@ def _digests(case: str, out_dir: Path) -> dict[str, str]:
     return got
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN) + sorted(SWEEP_GOLDEN))
+@pytest.mark.parametrize("case", ALL_CASES)
 def test_golden_digests(tmp_path, monkeypatch, case):
-    expected = {**GOLDEN, **SWEEP_GOLDEN}[case][1]
+    expected = {**GOLDEN, **SWEEP_GOLDEN, **GEN_DATA_GOLDEN}[case][1]
     # merge candidates scored beside one pool thread, then by the caller alone
     monkeypatch.setattr(forkmerge, "_MIN_ROWS", 0)
     for workers in (1, 0):
@@ -212,8 +267,8 @@ def test_golden_digests(tmp_path, monkeypatch, case):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(GOLDEN) + sorted(SWEEP_GOLDEN):
-            with contextlib.redirect_stdout(io.StringIO()):  # the sweeps' "wrote" lines
+        for case in ALL_CASES:
+            with contextlib.redirect_stdout(io.StringIO()):  # the commands' "wrote" lines
                 got = _digests(case, Path(tmp) / case)
             for name, digest in got.items():
                 print(f"{case}  {name}  {digest}")
