@@ -34,7 +34,7 @@ from .runner import (
     write_summary,
     RECORDS_FILENAME,
 )
-from .tasks import generate_family, write_family, write_rows
+from .tasks import generate_family, write_family, write_table
 
 __all__ = ["main"]
 
@@ -175,7 +175,7 @@ def _cmd_sweep(args) -> int:
         columns = ("seed", "point_id", "lambda", "gcs", "tg")
         rows = run_tg_gcs_sweep(family_cfg, spec, args.warm_steps, lambdas, args.points,
                                 opt, seeds)
-    write_rows(args.out, columns, rows)
+    write_table(args.out, columns, zip(*rows))
     print(f"wrote {len(rows)} rows to {Path(args.out)}")
     return 0
 
@@ -206,8 +206,8 @@ def _cmd_report(args) -> int:
                     history_path.stem, round_payload["round"], branch_id, coeff
                 ))
     if trajectory_rows:
-        write_rows(out / "lambda_trajectories.csv",
-                   ("source", "round", "branch_id", "merge_coeff"), trajectory_rows)
+        write_table(out / "lambda_trajectories.csv",
+                    ("source", "round", "branch_id", "merge_coeff"), zip(*trajectory_rows))
     print(f"wrote summary for {len(summary)} methods to {out}")
     return 0
 

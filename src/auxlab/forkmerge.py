@@ -30,7 +30,7 @@ import numpy as np
 from . import nn
 from .nn import ModelSpec, PerfValue
 from .optim import OptConfig, OptState, TaskWeighting, sgd_step_into
-from .tasks import DataSplit, TaskFamily, write_rows
+from .tasks import DataSplit, TaskFamily, write_table
 from .vectors import NonFiniteError, RngStream, linear_combination, linear_combination_into
 
 __all__ = [
@@ -684,9 +684,9 @@ def run_forkmerge(
 def write_merge_history(history: Sequence[MergeRecord], csv_path, json_path) -> None:
     """One CSV row per evaluated candidate, plus a JSON coefficient trajectory."""
     columns = ("round", "branch_id", "candidate_lambda_or_coeff", "val_perf", "chosen")
-    write_rows(csv_path, columns, [
+    write_table(csv_path, columns, zip(*[
         (record.round_index, cand.branch_id, cand.coeff, cand.perf.value, int(cand.chosen))
-        for record in history for cand in record.candidates])
+        for record in history for cand in record.candidates]))
 
     payload = {
         "rounds": [

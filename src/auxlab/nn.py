@@ -439,6 +439,10 @@ class _PairPass:
             raise ValueError("params must be C-contiguous, one branch per row")
         if not pairs:
             raise ValueError("a pass needs at least one (branch, task) pair")
+        for i, t in pairs:
+            if not 0 <= i < params.shape[0]:
+                raise ValueError(f"pair ({i}, {t}) names branch {i}, but params has"
+                                 f" {params.shape[0]} rows")
         heads = {t: kernel._head(t) for _, t in pairs}
         kinds = list(dict.fromkeys(heads[t] for t in sorted(heads)))
         order = sorted(pairs, key=lambda pair: (kinds.index(heads[pair[1]]), pair))

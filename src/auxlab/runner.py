@@ -51,7 +51,7 @@ from .tasks import (
     generate_family,
     load_family,
     sample_interpolated,
-    write_rows,
+    write_table,
 )
 from .vectors import NonFiniteError, RngStream
 
@@ -374,7 +374,7 @@ class _RecordWriter:
     dropped by an atomic rewrite before the first append."""
 
     def __init__(self, path: Path, kept: Sequence[ResultRecord]):
-        text = csv_text([RECORD_COLUMNS, *map(astuple, kept)])
+        text = csv_text(RECORD_COLUMNS, zip(*map(astuple, kept)))
         if not path.exists() or path.read_text(encoding="utf-8") != text:
             partial = path.with_name(path.name + ".partial")
             partial.write_text(text, encoding="utf-8")
@@ -382,7 +382,7 @@ class _RecordWriter:
         self._handle = open(path, "a", newline="", encoding="utf-8")
 
     def append(self, record: ResultRecord):
-        self._handle.write(csv_text([astuple(record)]))
+        self._handle.write(csv_text(None, zip(astuple(record))))
         self._handle.flush()
 
     def close(self):
@@ -691,8 +691,8 @@ def aggregate(
 def write_summary(summary: Mapping[str, dict], csv_path, json_path) -> None:
     columns = ("method", "n_seeds", "target_mean", "target_std", "tg_mean",
                "tg_median", "delta_m_pct")
-    write_rows(csv_path, columns, [[method, *map(summary[method].get, columns[1:])]
-                                   for method in sorted(summary)])
+    write_table(csv_path, columns, zip(*[[method, *map(summary[method].get, columns[1:])]
+                                         for method in sorted(summary)]))
     payload = {
         method: {
             **{k: v for k, v in stats.items() if k != "per_task_mean"},

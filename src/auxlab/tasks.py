@@ -24,7 +24,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ __all__ = [
     "load_csv",
     "csv_text",
     "write_csv",
-    "write_rows",
+    "write_table",
     "load_family",
     "write_family",
 ]
@@ -386,30 +386,47 @@ def _read_rows(path: Path, input_dim: int, n_classes: int, task_id: int) -> Data
                      np.asarray(labels, dtype=np.int64), task_id)
 
 
-def csv_text(rows: Iterable[Iterable]) -> str:
-    """``rows`` as CSV lines, by the one cell rule of every CSV auxlab writes:
-    a float is ``repr(float(v))``, which reads back exactly, None is an empty
-    cell, and anything else is left to ``csv``."""
+def csv_text(header: Iterable[str] | None, columns: Iterable[Sequence]) -> str:
+    """The table ``columns`` as CSV lines below a ``header`` line (none if
+    None), by the one cell rule of every CSV auxlab writes: a float is
+    ``repr(float(v))``, which reads back exactly, None is an empty cell, and
+    anything else is left to ``csv``. Each column is converted once. Cells
+    of numpy number columns never need quoting, so a table of those alone is
+    written with one ``str.format`` per row; any other goes through
+    ``csv.writer``."""
+    columns = list(columns)
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(
-        ["" if v is None else repr(float(v)) if isinstance(v, (float, np.floating))
-         else v for v in row] for row in rows)
+    writer = csv.writer(buffer, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    if columns and all(isinstance(c, np.ndarray) and c.dtype.kind in "fiu" for c in columns):
+        floats = [c.dtype.kind == "f" for c in columns]
+        line = ",".join("{!r}" if f else "{}" for f in floats) + "\n"
+        # as Python floats and ints: {!r} of one is repr(float(v))
+        values = ((c.astype(np.float64) if f else c).tolist() for c, f in zip(columns, floats))
+        buffer.writelines(map(line.format, *values))
+    else:
+        writer.writerows(zip(*(map(_cell, c) for c in columns)))
     return buffer.getvalue()
 
 
-def write_rows(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write ``header`` and then ``rows`` to ``path`` by `csv_text`; the
-    directory is made if missing."""
+def _cell(v):
+    return "" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else v
+
+
+def write_table(path, header: Iterable[str], columns: Iterable[Sequence]) -> None:
+    """Write ``header`` and then the table ``columns`` to ``path`` by
+    `csv_text`; the directory is made if missing. A caller holding rows
+    passes ``zip(*rows)``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(csv_text([header, *rows]), encoding="utf-8", newline="")
+    path.write_text(csv_text(header, columns), encoding="utf-8", newline="")
 
 
 def write_csv(split: DataSplit, path) -> None:
     """Inverse of load_csv: its floats read back exactly."""
-    labels = split.targets.astype(np.int64).tolist()
-    write_rows(path, _expected_header(split.inputs.shape[1]),
-               (x + [y] for x, y in zip(split.inputs.tolist(), labels)))
+    write_table(path, _expected_header(split.inputs.shape[1]),
+                [*split.inputs.T, split.targets.astype(np.int64)])
 
 
 def _split_path(directory: Path, task_id: int, name: str) -> Path:
@@ -417,17 +434,18 @@ def _split_path(directory: Path, task_id: int, name: str) -> Path:
 
 
 def write_family(family: TaskFamily, directory) -> list[Path]:
-    """Write every split ``family`` holds into ``directory``, one file each.
-    A family read back by `load_family` has no auxiliary val splits, so
-    none of theirs are written."""
+    """Write every split of ``family`` into ``directory``, one file each. An
+    auxiliary val split the family lacks (a family read back by
+    `load_family` has none) is written header-only, which `load_family`
+    accepts."""
     directory = Path(directory)
+    missing = DataSplit(np.empty((0, family.input_dim)), np.empty(0, dtype=np.int64))
     written = []
     for task_id in family.task_ids:
         for name in SPLIT_NAMES:
-            if name in family.splits[task_id]:
-                path = _split_path(directory, task_id, name)
-                write_csv(family.split(task_id, name), path)
-                written.append(path)
+            path = _split_path(directory, task_id, name)
+            write_csv(family.splits[task_id].get(name, missing), path)
+            written.append(path)
     return written
 
 

@@ -386,6 +386,16 @@ def test_labels_out_of_range_are_rejected(label):
         evaluate(spec, params[1], DataSplit(split.inputs, labels, 4), 4)
 
 
+@pytest.mark.parametrize("branch", [2, 5, -1])
+def test_pair_pass_rejects_a_branch_outside_params(branch):
+    spec = mixed_head_spec("tanh", (6,))
+    params = np.stack([trained_like_params(spec, seed) for seed in range(2)])
+    splits = {0: random_split(spec, 0, 8, np.random.default_rng(2))}
+    for pairs in ([(branch, 0)], [(0, 0), (branch, 0)]):
+        with pytest.raises(ValueError, match="branch"):
+            spec.kernel.pair_pass(params, pairs, splits, 4)
+
+
 def small_family():
     return generate_family(TaskFamilyConfig(
         n_tasks=3, relatedness=(0.7, 0.3), n_train=300, n_val=100, n_test=100,

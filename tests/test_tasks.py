@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from auxlab.tasks import (
     TaskFamily,
     TaskFamilyConfig,
     class_labels,
+    csv_text,
     family_geometry,
     generate_family,
     load_csv,
@@ -188,6 +192,68 @@ class TestSampleInterpolated:
             sample_interpolated(tgt, bad, 0.5, 10, RngStream(0))
 
 
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, np.nan, np.inf, -np.inf]
+
+
+def reference_csv(header, rows) -> str:
+    """The writer's text, cell by cell and row by row through ``csv.writer``:
+    a float is repr(float(v)), None is an empty cell, anything else is left
+    to ``csv``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        ["" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else v
+         for v in row] for row in rows)
+    return buffer.getvalue()
+
+
+def reference_split_csv(inputs, labels) -> str:
+    header = [f"f{i}" for i in range(inputs.shape[1])] + ["label"]
+    return reference_csv(header, [[*x, int(y)] for x, y in zip(inputs, labels)])
+
+
+class TestWriter:
+    """`csv_text` and `write_csv` against the row-by-row reference above."""
+
+    @pytest.mark.parametrize("input_dim", [1, 2, 5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_split_matches_reference(self, tmp_path, input_dim, dtype):
+        rng = np.random.default_rng(input_dim)
+        inputs = rng.normal(size=(40, input_dim)) * 10.0 ** rng.integers(-8, 9, (40, input_dim))
+        for j in range(input_dim):  # every edge value in every column
+            inputs[j: j + len(EDGE_FLOATS), j] = EDGE_FLOATS
+        inputs = inputs.astype(dtype)
+        labels = rng.integers(0, 4, size=40)
+        want = reference_split_csv(inputs, labels)
+        path = tmp_path / "split.csv"
+        write_csv(DataSplit(inputs, labels), path)
+        assert path.read_text(encoding="utf-8") == want
+        header = [f"f{i}" for i in range(input_dim)] + ["label"]
+        assert csv_text(header, [*inputs.T, labels]) == want
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+    def test_other_float_cells_read_as_python_floats(self, dtype):
+        column = np.array([0.1, 1 / 3, 1e4, -0.0, np.nan], dtype=dtype)
+        assert csv_text(["x"], [column]).splitlines()[1:] == [
+            repr(float(v)) for v in column]
+
+    @pytest.mark.parametrize("input_dim", [1, 2, 5])
+    def test_header_only_split(self, tmp_path, input_dim):
+        path = tmp_path / "empty.csv"
+        write_csv(DataSplit(np.empty((0, input_dim)), np.empty(0, dtype=np.int64)), path)
+        assert path.read_text(encoding="utf-8") == reference_split_csv(
+            np.empty((0, input_dim)), [])
+
+    def test_mixed_table_matches_reference(self):
+        rows = [("a,b", 1, 0.1 + 0.2, None, np.float32(0.1)),
+                ('say "hi"', np.int64(-3), np.nan, 2.5, np.float64(-0.0)),
+                ("line\nbreak", 0, 1e16, None, np.float64(5e-324))]
+        header = ("name", "count", "value", "maybe", "scalar")
+        assert csv_text(header, zip(*rows)) == reference_csv(header, rows)
+        assert csv_text(header, zip(*[])) == reference_csv(header, [])
+
+
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
         fam = generate_family(cfg([0.3]))
@@ -285,14 +351,23 @@ class TestCsv:
         np.testing.assert_array_equal(back.train(2).inputs, fam.train(2).inputs)
 
     def test_loaded_family_writes_back_without_aux_val_splits(self, tmp_path):
+        # the auxiliary val splits it lacks are written header-only, so the
+        # copy loads as a family again
         write_family(generate_family(cfg([0.4, 0.8])), tmp_path / "a")
         back = load_family(tmp_path / "a", 3, 2, 4)
         written = write_family(back, tmp_path / "b")
         assert sorted(p.name for p in written) == sorted(
-            p.name for p in (tmp_path / "a").iterdir() if p.name not in (
-                "task1_val.csv", "task2_val.csv"))
+            p.name for p in (tmp_path / "a").iterdir())
         for path in written:
-            assert path.read_bytes() == (tmp_path / "a" / path.name).read_bytes()
+            if path.name in ("task1_val.csv", "task2_val.csv"):
+                assert path.read_text(encoding="utf-8") == "f0,f1,label\n"
+            else:
+                assert path.read_bytes() == (tmp_path / "a" / path.name).read_bytes()
+        again = load_family(tmp_path / "b", 3, 2, 4)
+        for t in back.task_ids:
+            assert sorted(again.splits[t]) == sorted(back.splits[t])
+            for name, split in back.splits[t].items():
+                np.testing.assert_array_equal(again.split(t, name).inputs, split.inputs)
 
     def test_aux_val_splits_are_checked_not_read(self, tmp_path):
         fam = generate_family(cfg([0.4, 0.8]))
