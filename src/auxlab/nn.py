@@ -413,7 +413,7 @@ class _PairPass:
 
     ``params`` is a C-contiguous (branches, ``kernel.n_params``) array with
     one branch's parameter vector per row, which the caller may update in
-    place between steps. Each task's split in ``splits`` is checked once,
+    place between steps; every pair's branch must be one of its rows. Each task's split in ``splits`` is checked once,
     when the pass is built, and the splits' inputs are copied back to back
     into one table, as are each head kind's targets, on the same row
     offsets. A step offsets each task's row indices into that table and

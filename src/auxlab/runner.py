@@ -382,7 +382,7 @@ class _RecordWriter:
         self._handle = open(path, "a", newline="", encoding="utf-8")
 
     def append(self, record: ResultRecord):
-        self._handle.write(csv_text(None, zip(astuple(record))))
+        self._handle.write(csv_text(None, zip(*[astuple(record)])))
         self._handle.flush()
 
     def close(self):
