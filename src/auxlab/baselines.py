@@ -4,6 +4,8 @@ grid search, per-step gradient-cosine weighting, and pretrain-then-finetune.
 All of them are continuous trainers (no forking) run by the fork/merge
 loop's lockstep `train_branches`, one branch per run, so degenerate settings
 (single target-only branch, zero momentum) coincide bit-for-bit with it.
+Each returns parameters and never reads a test split; only `fixed_lambda`
+scores anything, its runs on target validation data, to pick one.
 """
 
 from __future__ import annotations
@@ -62,28 +64,21 @@ def _equal_weighting(family: TaskFamily) -> TaskWeighting:
     return TaskWeighting({t: 1.0 for t in family.task_ids}, target_id=family.target_id)
 
 
-def _test_perf(family: TaskFamily, model_spec: ModelSpec, params) -> PerfValue:
-    target = family.target_id
-    return nn.evaluate(model_spec, params, family.test(target), target)
-
-
 def run_single_task(
     family: TaskFamily, model_spec: ModelSpec, task_ids: Sequence[int],
     total_steps: int, opt_cfg: OptConfig, seed: int,
-) -> list[tuple[np.ndarray, PerfValue]]:
+) -> list[np.ndarray]:
     """Train one head alone for the whole budget, for each of ``task_ids``;
-    returns each model's parameters and its task's test performance."""
+    returns each model's parameters, in ``task_ids`` order."""
     weightings = [TaskWeighting({t: 1.0}, target_id=t) for t in task_ids]
-    trained = _train(family, model_spec, weightings, total_steps, opt_cfg, seed,
-                     total_steps)
-    return [(params, nn.evaluate(model_spec, params, family.test(t), t))
-            for t, params in zip(task_ids, trained)]
+    return _train(family, model_spec, weightings, total_steps, opt_cfg, seed,
+                  total_steps)
 
 
 def run_stl(
     family: TaskFamily, model_spec: ModelSpec, total_steps: int,
     opt_cfg: OptConfig, seed: int,
-) -> tuple[np.ndarray, PerfValue]:
+) -> np.ndarray:
     """Train the target head alone for the whole budget."""
     return run_single_task(
         family, model_spec, [family.target_id], total_steps, opt_cfg, seed
@@ -93,18 +88,16 @@ def run_stl(
 def run_ew(
     family: TaskFamily, model_spec: ModelSpec, total_steps: int,
     opt_cfg: OptConfig, seed: int,
-) -> tuple[np.ndarray, PerfValue]:
+) -> np.ndarray:
     """Joint training with every task weighted 1."""
-    [params] = _train(family, model_spec, [_equal_weighting(family)], total_steps,
-                      opt_cfg, seed, total_steps)
-    return params, _test_perf(family, model_spec, params)
+    return _train(family, model_spec, [_equal_weighting(family)], total_steps,
+                  opt_cfg, seed, total_steps)[0]
 
 
 @dataclass(frozen=True)
 class FixedLambdaResult:
     lam: float
     params: np.ndarray = field(repr=False)
-    perf: PerfValue
     val_history: tuple[tuple[float, PerfValue], ...]
 
 
@@ -132,14 +125,12 @@ def run_fixed_lambda(
             for lam, params, perf in zip(lambda_grid, trained, perfs)]
     lam_star, params_star, _ = max(runs, key=lambda run: run[2].value)
     return FixedLambdaResult(lam_star, params_star,
-                             _test_perf(family, model_spec, params_star),
                              tuple((lam, perf) for lam, _, perf in runs))
 
 
 @dataclass(frozen=True)
 class GcsResult:
     params: np.ndarray = field(repr=False)
-    perf: PerfValue
     lambda_history: tuple[dict[int, float], ...]
 
 
@@ -179,14 +170,13 @@ def run_gcs_weighting(
 
     [params] = _train(family, model_spec, [_equal_weighting(family)], total_steps,
                       opt_cfg, seed, total_steps, weigh=weigh)
-    return GcsResult(params, _test_perf(family, model_spec, params),
-                     tuple(lambda_history))
+    return GcsResult(params, tuple(lambda_history))
 
 
 def run_post_train(
     family: TaskFamily, model_spec: ModelSpec, pre_steps: int, finetune_steps: int,
     opt_cfg: OptConfig, seed: int,
-) -> tuple[np.ndarray, PerfValue]:
+) -> np.ndarray:
     """Equal-weight pretraining followed by target-only fine-tuning of all
     parameters (nothing frozen). One cosine schedule spans both phases;
     momentum restarts at the phase boundary."""
@@ -194,6 +184,5 @@ def run_post_train(
     stl = TaskWeighting({family.target_id: 1.0}, target_id=family.target_id)
     [params] = _train(family, model_spec, [_equal_weighting(family)], pre_steps,
                       opt_cfg, seed, total)
-    [params] = _train(family, model_spec, [stl], finetune_steps, opt_cfg, seed, total,
-                      start_params=params, start_step=pre_steps)
-    return params, _test_perf(family, model_spec, params)
+    return _train(family, model_spec, [stl], finetune_steps, opt_cfg, seed, total,
+                  start_params=params, start_step=pre_steps)[0]

@@ -185,12 +185,11 @@ def _cmd_report(args) -> int:
     records_path = records_dir / RECORDS_FILENAME
     if not records_path.is_file():
         raise UsageError(f"no {RECORDS_FILENAME} in {records_dir}")
-    # aggregation skips NaN rows, so diverged stl rows give no ΔM reference
     finite = [r for r in read_records(records_path)
               if r.split == "test" and not math.isnan(r.value)]
     if not finite:
         raise UsageError(f"{records_path} holds no finite test records")
-    summary = aggregate(finite, want_delta_m=any(r.method == "stl" for r in finite))
+    summary = aggregate(finite)
     out = Path(args.out) if args.out else records_dir
     out.mkdir(parents=True, exist_ok=True)
     write_summary(summary, out / "summary.csv", out / "summary.json")

@@ -152,7 +152,6 @@ class MergeRecord:
 class ForkMergeResult:
     final_params: np.ndarray = field(repr=False)
     merge_history: tuple[MergeRecord, ...]
-    final_perf: PerfValue
 
     @property
     def total_psearch_evals(self) -> int:
@@ -592,6 +591,7 @@ def run_forkmerge(
     runs the greedy coordinate search whatever the setting. When pruning is
     configured, after the first merge only the K' strongest branches (by
     merge coefficient) survive, and the target-only branch always survives.
+    Only validation data is scored here; the caller scores the result.
     """
     branches = list(branch_specs)
     check_branches(branches, schedule)
@@ -675,10 +675,7 @@ def run_forkmerge(
         )
         branches = surviving
 
-    final_perf = nn.evaluate(
-        model_spec, params, family.test(family.target_id), family.target_id
-    )
-    return ForkMergeResult(params, tuple(history), final_perf)
+    return ForkMergeResult(params, tuple(history))
 
 
 def write_merge_history(history: Sequence[MergeRecord], csv_path, json_path) -> None:

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import statistics
 import sys
 import time
@@ -254,10 +255,12 @@ RECORD_COLUMNS = tuple(_RECORD_PARSERS)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse `key = value` lines; # starts a comment; unknown keys are errors."""
+    """Parse `key = value` lines; a # at the start of a line or after
+    whitespace starts a comment (one inside a value is kept); unknown keys
+    are errors."""
     pairs: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -394,9 +397,8 @@ def _finished_jobs(path: Path) -> tuple[list[list[ResultRecord]], int]:
     file order, and the count of rows left out. A job writes its rows
     together and ends with the target's val row, or, if it diverged, is one
     NaN row; rows that stop short of that belong to a job that did not
-    finish and are left out. A file cut within its header holds no job."""
-    if not path.exists() or ",".join(RECORD_COLUMNS).startswith(
-            path.read_text(encoding="utf-8")):
+    finish and are left out."""
+    if not path.exists():
         return [], 0
     records = read_records(path)
     jobs: list[list[ResultRecord]] = []
@@ -434,18 +436,17 @@ def _run_method(
     total = config.total_steps
     tasks = family.task_ids
     if method == "stl":
-        trained = run_single_task(family, spec, tasks, total, opt, seed)
-        return {t: params for t, (params, _) in zip(tasks, trained)}, 0
+        return dict(zip(tasks, run_single_task(family, spec, tasks, total, opt, seed))), 0
     psearch = 0
     if method == "ew":
-        params, _ = run_ew(family, spec, total, opt, seed)
+        params = run_ew(family, spec, total, opt, seed)
     elif method == "fixed_lambda":
         res = run_fixed_lambda(family, spec, total, config.lambda_grid, opt, seed)
         params, psearch = res.params, len(res.val_history)
     elif method == "gcs":
         params = run_gcs_weighting(family, spec, total, opt, seed).params
     elif method == "post_train":
-        params, _ = run_post_train(
+        params = run_post_train(
             family, spec, config.pre_steps, total - config.pre_steps, opt, seed
         )
     else:  # forkmerge / forkmerge_multi
@@ -609,10 +610,13 @@ def _echo_for(config: ExperimentConfig, method: str, out_dir: Path,
 def read_records(path) -> list[ResultRecord]:
     """Parse a records CSV. Rows are appended whole and newline-terminated,
     so a last row without its newline was cut off mid-write: it is skipped
-    with a note on stderr. Any other malformed row raises."""
+    with a note on stderr. A file whose whole text is a prefix of the header
+    was cut before any row, and holds none. Any other malformed row raises."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
         text = handle.read()
+    if ",".join(RECORD_COLUMNS).startswith(text):
+        return []
     reader = csv.DictReader(io.StringIO(text), restval="")
     if reader.fieldnames != list(RECORD_COLUMNS):
         raise ValueError(
@@ -635,21 +639,15 @@ def read_records(path) -> list[ResultRecord]:
     return records
 
 
-def aggregate(
-    records: Iterable[ResultRecord], want_delta_m: bool = True,
-) -> dict[str, dict]:
+def aggregate(records: Iterable[ResultRecord]) -> dict[str, dict]:
     """Per-method summary over seeds: mean/std of the target (task 0) test
-    value, gain statistics, per-task means, and the average relative
-    improvement over the single-task rows (in percent; every metric is
-    larger-is-better). Record order never matters."""
+    value, gain statistics, per-task means, and, when finite stl rows are
+    present, the average relative improvement over them (``delta_m_pct``, in
+    percent; every metric is larger-is-better). Record order never matters."""
     rows = [r for r in records if r.split == "test" and not math.isnan(r.value)]
     if not rows:
         raise ValueError("no finite test records to aggregate")
     methods = sorted({r.method for r in rows})
-    if want_delta_m and "stl" not in methods:
-        raise ValueError(
-            "relative-improvement summary requested but no stl records present"
-        )
 
     per_task_mean: dict[str, dict[int, float]] = {}
     summary: dict[str, dict] = {}
@@ -673,7 +671,7 @@ def aggregate(
             "per_task_mean": per_task_mean[method],
         }
 
-    if want_delta_m:
+    if "stl" in methods:
         base = per_task_mean["stl"]
         tasks = sorted(base)
         for method in methods:
@@ -723,7 +721,7 @@ def run_tg_gcs_sweep(
     rows = []
     for seed in seeds:
         family = generate_family(replace(family_cfg, seed=seed))
-        params, _ = run_stl(family, model_spec, warm_steps, opt_cfg, seed)
+        params = run_stl(family, model_spec, warm_steps, opt_cfg, seed)
         rows += [(seed, row.point_id, row.lam, row.gcs, row.tg)
                  for row in one_step_tg_gcs_sweep(
                      model_spec, params, family, lambdas, n_points,

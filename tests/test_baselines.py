@@ -12,7 +12,8 @@ from auxlab.baselines import (
     run_stl,
 )
 from auxlab.forkmerge import draw_batch
-from auxlab.nn import HeadSpec, ModelSpec, init_params, loss_and_gradient, param_count
+from auxlab.nn import (HeadSpec, ModelSpec, evaluate, init_params, loss_and_gradient,
+                       param_count)
 from auxlab.optim import OptConfig, TaskWeighting, sgd_step, weighted_gradient
 from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
 from auxlab.vectors import RngStream
@@ -93,24 +94,24 @@ class TestStl:
     def test_zero_steps_returns_init(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam)
-        params, _ = run_stl(fam, spec, 0, OPT, seed=3)
+        params = run_stl(fam, spec, 0, OPT, seed=3)
         expected = init_params(spec, RngStream(3).child("init"))
         np.testing.assert_array_equal(params, expected)
 
     def test_learns_separable_classes(self):
         fam = family_for([0.5], n_classes=2, noise_std=0.15, seed=1)
         spec = model_spec_for(fam)
-        _, perf = run_stl(fam, spec, 400, OPT, seed=1)
+        params = run_stl(fam, spec, 400, OPT, seed=1)
+        perf = evaluate(spec, params, fam.test(0), 0)
         assert perf.metric == "accuracy"
         assert perf.value >= 0.95
 
     def test_deterministic(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam)
-        a, pa = run_stl(fam, spec, 50, OPT, seed=7)
-        b, pb = run_stl(fam, spec, 50, OPT, seed=7)
-        np.testing.assert_array_equal(a, b)
-        assert pa.value == pb.value
+        a = run_stl(fam, spec, 50, OPT, seed=7)
+        b = run_stl(fam, spec, 50, OPT, seed=7)
+        assert_bitwise_equal(a, b)
 
 
     def test_lockstep_models_equal_each_trained_alone(self, monkeypatch):
@@ -120,21 +121,19 @@ class TestStl:
         trained = run_single_task(fam, spec, fam.task_ids, 30, OPT, seed=4)
         assert [len(branches) for _, branches, _, _ in calls] == [3]
         assert_each_branch_trains_alone_to_the_same_bits(calls, real)
-        for task_id, (params, perf) in zip(fam.task_ids, trained):
-            [(alone, alone_perf)] = run_single_task(fam, spec, [task_id], 30, OPT, seed=4)
+        for task_id, params in zip(fam.task_ids, trained):
+            [alone] = run_single_task(fam, spec, [task_id], 30, OPT, seed=4)
             assert_bitwise_equal(params, alone)
-            assert perf == alone_perf
-        assert_bitwise_equal(trained[0][0], run_stl(fam, spec, 30, OPT, seed=4)[0])
+        assert_bitwise_equal(trained[0], run_stl(fam, spec, 30, OPT, seed=4))
 
 
 class TestEw:
     def test_no_auxiliaries_degenerates_to_stl(self):
         fam = family_for([])  # a single-task family
         spec = model_spec_for(fam)
-        ew_params, ew_perf = run_ew(fam, spec, 60, OPT, seed=5)
-        stl_params, stl_perf = run_stl(fam, spec, 60, OPT, seed=5)
-        np.testing.assert_array_equal(ew_params, stl_params)
-        assert ew_perf.value == stl_perf.value
+        ew_params = run_ew(fam, spec, 60, OPT, seed=5)
+        stl_params = run_stl(fam, spec, 60, OPT, seed=5)
+        assert_bitwise_equal(ew_params, stl_params)
 
 
 class TestFixedLambda:
@@ -142,7 +141,7 @@ class TestFixedLambda:
         fam = family_for([0.5])
         spec = model_spec_for(fam)
         res = run_fixed_lambda(fam, spec, 40, [0.0], OPT, seed=2)
-        stl_params, _ = run_stl(fam, spec, 40, OPT, seed=2)
+        stl_params = run_stl(fam, spec, 40, OPT, seed=2)
         assert res.lam == 0.0
         np.testing.assert_array_equal(res.params, stl_params)
 
@@ -150,7 +149,7 @@ class TestFixedLambda:
         fam = family_for([0.5])
         spec = model_spec_for(fam)
         res = run_fixed_lambda(fam, spec, 40, [1.0], OPT, seed=2)
-        ew_params, _ = run_ew(fam, spec, 40, OPT, seed=2)
+        ew_params = run_ew(fam, spec, 40, OPT, seed=2)
         assert res.lam == 1.0
         np.testing.assert_array_equal(res.params, ew_params)
 
@@ -243,7 +242,7 @@ class TestGcsTraining:
             {t: HeadSpec(fam.n_classes) for t in fam.task_ids},
         )
         res = run_gcs_weighting(fam, spec, 50, OPT, seed=8)
-        stl_params, _ = run_stl(fam, spec, 50, OPT, seed=8)
+        stl_params = run_stl(fam, spec, 50, OPT, seed=8)
         assert all(w == {1: 0.0} for w in res.lambda_history)
         np.testing.assert_array_equal(res.params, stl_params)
 
@@ -272,24 +271,23 @@ class TestPostTrain:
     def test_no_pretraining_is_stl(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam)
-        pt_params, pt_perf = run_post_train(fam, spec, 0, 40, OPT, seed=6)
-        stl_params, stl_perf = run_stl(fam, spec, 40, OPT, seed=6)
-        np.testing.assert_array_equal(pt_params, stl_params)
-        assert pt_perf.value == stl_perf.value
+        pt_params = run_post_train(fam, spec, 0, 40, OPT, seed=6)
+        stl_params = run_stl(fam, spec, 40, OPT, seed=6)
+        assert_bitwise_equal(pt_params, stl_params)
 
     def test_no_finetuning_is_ew(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam)
-        pt_params, _ = run_post_train(fam, spec, 40, 0, OPT, seed=6)
-        ew_params, _ = run_ew(fam, spec, 40, OPT, seed=6)
+        pt_params = run_post_train(fam, spec, 40, 0, OPT, seed=6)
+        ew_params = run_ew(fam, spec, 40, OPT, seed=6)
         np.testing.assert_array_equal(pt_params, ew_params)
 
     def test_phases_share_one_schedule(self):
         # a 20+20 split must differ from 40 steps of either pure method
         fam = family_for([0.9])
         spec = model_spec_for(fam)
-        pt_params, _ = run_post_train(fam, spec, 20, 20, OPT, seed=6)
-        stl_params, _ = run_stl(fam, spec, 40, OPT, seed=6)
-        ew_params, _ = run_ew(fam, spec, 40, OPT, seed=6)
+        pt_params = run_post_train(fam, spec, 20, 20, OPT, seed=6)
+        stl_params = run_stl(fam, spec, 40, OPT, seed=6)
+        ew_params = run_ew(fam, spec, 40, OPT, seed=6)
         assert not np.array_equal(pt_params, stl_params)
         assert not np.array_equal(pt_params, ew_params)

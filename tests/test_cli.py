@@ -256,6 +256,14 @@ class TestExitCodes:
         assert capsys.readouterr().out == f"wrote 3 records to {written}\n"
         assert written.is_file()
 
+    @pytest.mark.parametrize("keep", [0, 1, 17, 62], ids=["empty", "one_char",
+                                                        "mid_column", "no_newline"])
+    def test_report_on_a_header_cut_short(self, capsys, tmp_path, keep):
+        header = "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
+        (tmp_path / "records.csv").write_text(header[:keep])
+        assert run_cli("report", "--records", str(tmp_path)) == 1
+        assert "holds no finite test records" in capsys.readouterr().err
+
     def test_report_on_headers_only(self, tmp_path):
         (tmp_path / "records.csv").write_text(
             "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"

@@ -75,6 +75,12 @@ class TestConfigParsing:
         assert cfg.method == "ew"
         assert cfg.seeds == (0, 1, 2)
 
+    def test_hash_starts_a_comment_only_after_whitespace(self):
+        cfg = parse_config_text("method = stl #x\nseeds = 1\t# y\n"
+                                "output_dir = a#b # c#d\n#data_dir = gone")
+        assert (cfg.method, cfg.seeds, cfg.output_dir, cfg.data_dir) == (
+            "stl", (1,), "a#b", "")
+
     def test_echo_round_trip(self):
         cfg = parse_config_text(BASE_TEXT)
         assert parse_config_text(config_to_text(cfg)) == cfg
@@ -83,10 +89,11 @@ class TestConfigParsing:
         cfg = parse_config_text(
             "method = forkmerge\nseeds = 1\nbranch_weights = 1,0;1,1;1,0.5\n"
             "prune_to = 2\nn_train = 200,2000\nhidden_dims = \n"
-            "val_subsample = 50"
+            "val_subsample = 50\ndata_dir = data/#3\noutput_dir = runs/#3"
         )
         again = parse_config_text(config_to_text(cfg))
         assert again == cfg
+        assert (again.data_dir, again.output_dir) == ("data/#3", "runs/#3")
         assert again.branch_weights == ((1.0, 0.0), (1.0, 1.0), (1.0, 0.5))
         assert again.hidden_dims == ()
         assert again.n_train == (200, 2000)
@@ -114,6 +121,50 @@ class TestRunExperiment:
                 assert r.tg is not None
             else:
                 assert r.tg is None
+
+    @pytest.mark.parametrize("method", ["stl", "ew", "fixed_lambda", "gcs", "post_train",
+                                        "forkmerge", "forkmerge_multi"])
+    def test_each_job_scores_each_split_once(self, tmp_path, monkeypatch, method):
+        """A job scores each task's test split once and the target's val split
+        once, for its rows, plus what its own weight search scores on val."""
+        import auxlab.nn as nn_mod
+        import auxlab.runner as runner_mod
+
+        names, calls, job = {}, {}, []
+
+        def family_for_seed(*args):
+            family = real_family(*args)
+            names.update({id(split): (name, t) for t, per in family.splits.items()
+                          for name, split in per.items()})
+            return family
+
+        def run_method(config, method, family, spec, seed, out_dir):
+            job[:] = [(method, seed)]
+            return real_run_method(config, method, family, spec, seed, out_dir)
+
+        def evaluate(spec, params, split, task_id):
+            key = names.get(id(split), ("other", task_id))
+            counts = calls.setdefault(job[0], {})
+            counts[key] = counts.get(key, 0) + 1
+            return real_evaluate(spec, params, split, task_id)
+
+        real_family, real_run_method, real_evaluate = (
+            runner_mod.family_for_seed, runner_mod._run_method, nn_mod.evaluate)
+        monkeypatch.setattr(runner_mod, "family_for_seed", family_for_seed)
+        monkeypatch.setattr(runner_mod, "_run_method", run_method)
+        monkeypatch.setattr(nn_mod, "evaluate", evaluate)
+        cfg = small_config(method=method, seeds=(0, 1), n_tasks=3, relatedness=(0.5, 0.2),
+                           total_steps=20, merge_interval=10, pre_steps=10)
+        records = run_experiment(cfg, output_dir=tmp_path)
+        jobs = list(dict.fromkeys((r.method, r.seed) for r in records))
+        assert jobs == list(calls) and len(jobs) == (2 if method == "stl" else 4)
+        for method_, seed in jobs:
+            [psearch] = {r.psearch_evals for r in records if (r.method, r.seed) == (method_, seed)}
+            if method_ == "forkmerge_multi":
+                # each greedy stage logs its zero trial unevaluated (TestSearchCounts)
+                psearch -= (3 - 1) * 2
+            assert calls[method_, seed] == {("test", 0): 1, ("test", 1): 1, ("test", 2): 1,
+                                            ("val", 0): 1 + psearch}
 
     def test_compute_tg_off_skips_stl(self, tmp_path):
         records = run_experiment(
@@ -383,6 +434,18 @@ def record(method, seed, task_id, value, tg=None, split="test"):
 class TestReadRecords:
     HEADER = "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
 
+    @pytest.mark.parametrize("keep", [0, 5, len(HEADER) - 1])
+    def test_file_cut_within_its_header_holds_no_records(self, tmp_path, keep):
+        path = tmp_path / "records.csv"
+        path.write_text(self.HEADER[:keep])
+        assert read_records(path) == []
+
+    def test_text_past_the_header_is_not_a_cut_header(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(self.HEADER[:-1] + ",extra\n")
+        with pytest.raises(ValueError, match="unexpected records header"):
+            read_records(path)
+
     @pytest.mark.parametrize("row", [
         "ew,0,0,test,accuracy,90.0,,0,0.1,EXTRA,MORE",
         "ew,0,0,test,accuracy,90.0,,0,0.1,",
@@ -420,10 +483,11 @@ class TestAggregate:
         assert forward == backward
 
     def test_delta_m_requires_stl(self):
-        with pytest.raises(ValueError, match="stl"):
-            aggregate([record("ew", 0, 0, 80.0)])
-        summary = aggregate([record("ew", 0, 0, 80.0)], want_delta_m=False)
+        summary = aggregate([record("ew", 0, 0, 80.0)])
         assert "delta_m_pct" not in summary["ew"]
+        # a diverged (NaN) stl row is no reference either
+        summary = aggregate([record("stl", 0, 0, float("nan")), record("ew", 0, 0, 80.0)])
+        assert list(summary) == ["ew"] and "delta_m_pct" not in summary["ew"]
 
     def test_nan_rows_excluded(self):
         records = [record("stl", 0, 0, 80.0), record("stl", 1, 0, float("nan"))]
