@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .runner import (
@@ -21,11 +20,9 @@ from .runner import (
     _PARSERS,
     ConfigError,
     ExperimentConfig,
-    _family_config,
     aggregate,
+    family_for_seed,
     load_config,
-    model_spec_for,
-    opt_config_for,
     output_dir_for,
     read_records,
     run_csd_lambda_sweep,
@@ -34,13 +31,14 @@ from .runner import (
     write_summary,
     RECORDS_FILENAME,
 )
-from .tasks import generate_family, write_family, write_table
+from .tasks import write_family, write_table
 
 __all__ = ["main"]
 
 
 class UsageError(Exception):
-    """Bad invocation or bad inputs the user can fix; maps to exit code 1."""
+    """Bad invocation or bad inputs the user can fix; maps to exit code 1, as
+    a ConfigError does."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
 # config keys whose flags are not named after them
 _FLAG_NAMES = {"hidden_dims": "--hidden", "base_lr": "--lr"}
 
@@ -66,11 +63,19 @@ def _flag_parser(key: str):
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
-    """One flag per config key, with the key's parser and default."""
+    """One flag per config key, with the key's parser; a flag not given
+    leaves its key to the config's default."""
     for key in keys:
         flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
         parser.add_argument(flag, dest=key, type=_flag_parser(key),
-                            default=_DEFAULTS[key], help=f"as config key {key}")
+                            default=argparse.SUPPRESS, help=f"as config key {key}")
+
+
+def _flag_config(args, **keys) -> ExperimentConfig:
+    """The stl config of the config-key flags in ``args`` and ``keys``;
+    every other key takes its default."""
+    flags = {key: value for key, value in vars(args).items() if key in _PARSERS}
+    return ExperimentConfig("stl", **flags, **keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--train-steps", type=int, default=300,
                        help="csd-lambda: steps per mixed training run")
     _add_config_flags(sweep, ("hidden_dims", "base_lr", "batch_size", *FAMILY_KEYS))
-    # the sweeps train with the config's default activation and optimizer
-    sweep.set_defaults(**{key: _DEFAULTS[key]
-                          for key in ("activation", "momentum", "lr_schedule")})
 
     rep = sub.add_parser("report", help="aggregate a results directory")
     rep.add_argument("--records", required=True,
@@ -115,10 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
-    try:
-        family = generate_family(_family_config(args, args.seed))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    family = family_for_seed(_flag_config(args, seeds=(args.seed,)), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = write_family(family, out)
@@ -134,47 +133,32 @@ def _cmd_run(args) -> int:
         config = load_config(path)
     except ConfigError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    try:
-        records = run_experiment(config, output_dir=args.output_dir)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    records = run_experiment(config, output_dir=args.output_dir)
     out_dir = output_dir_for(config, args.output_dir)
     print(f"wrote {len(records)} records to {out_dir / RECORDS_FILENAME}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    csd_sweep = args.kind == "csd-lambda"
-    seeds, lambdas = args.seeds, args.lambdas
-    try:
-        if not seeds or not lambdas:
-            raise ValueError("--seeds and --lambdas must be non-empty")
-        if len(set(seeds)) != len(seeds):
-            raise ValueError(f"--seeds repeats a seed: {','.join(map(str, seeds))}")
-        if args.points < 1 or args.warm_steps < 0 or args.train_steps < 1:
-            raise ValueError("--points and --train-steps must be >= 1,"
-                             " --warm-steps >= 0")
-        # tg-gcs probes auxiliary tasks; csd-lambda mixes the target with
-        # exactly one, at rates >= 0
-        if args.n_tasks < 2:
-            raise ValueError("the sweeps expect --n-tasks >= 2")
-        if csd_sweep and (args.n_tasks != 2 or min(lambdas) < 0):
-            raise ValueError("csd-lambda expects --n-tasks 2 and --lambdas >= 0")
-        family_cfg = _family_config(args, seeds[0])
-        if csd_sweep and not isinstance(family_cfg.n_train, int):
-            raise ValueError("csd-lambda expects a single n-train count")
-        spec = model_spec_for(args)
-        opt = opt_config_for(args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if csd_sweep:
+    config = _flag_config(args)
+    lambdas = args.lambdas
+    # tg-gcs probes auxiliary tasks; csd-lambda mixes the target with exactly
+    # one, at rates >= 0, over one training set size
+    if not lambdas:
+        raise UsageError("--lambdas must be non-empty")
+    if args.points < 1 or args.warm_steps < 0 or args.train_steps < 1:
+        raise UsageError("--points and --train-steps must be >= 1, --warm-steps >= 0")
+    if config.n_tasks < 2:
+        raise UsageError("the sweeps expect --n-tasks >= 2")
+    if args.kind == "csd-lambda":
+        if config.n_tasks != 2 or min(lambdas) < 0 or not isinstance(config.n_train, int):
+            raise UsageError("csd-lambda expects --n-tasks 2, --lambdas >= 0"
+                             " and a single --n-train count")
         columns = ("seed", "lambda", "csd")
-        rows = run_csd_lambda_sweep(family_cfg, spec, lambdas, seeds, args.train_steps,
-                                    opt)
+        rows = run_csd_lambda_sweep(config, lambdas, args.train_steps)
     else:
         columns = ("seed", "point_id", "lambda", "gcs", "tg")
-        rows = run_tg_gcs_sweep(family_cfg, spec, args.warm_steps, lambdas, args.points,
-                                opt, seeds)
+        rows = run_tg_gcs_sweep(config, args.warm_steps, lambdas, args.points)
     write_table(args.out, columns, zip(*rows))
     print(f"wrote {len(rows)} rows to {Path(args.out)}")
     return 0
@@ -228,7 +212,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"auxlab: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure: report, don't traceback

@@ -146,6 +146,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"method: {self.method!r} is not one of {', '.join(METHODS)}"
             )
+        # text an echo line could not carry would read back as other text
+        for key, value in vars(self).items():
+            if isinstance(value, str) and (value != value.strip() or _COMMENT.search(value)
+                                           or len(value.splitlines()) > 1):
+                raise ConfigError(f"{key}: {value!r} cannot be echoed: it has a line break,"
+                                  " leading or trailing whitespace, or # after whitespace")
         if not self.seeds:
             raise ConfigError("seeds: at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
@@ -252,6 +258,8 @@ _PARSERS, _RECORD_PARSERS = (
     {key: _TYPE_PARSERS[hint] for key, hint in get_type_hints(cls).items()}
     for cls in (ExperimentConfig, ResultRecord))
 RECORD_COLUMNS = tuple(_RECORD_PARSERS)
+# a # at the start of a config line or after whitespace starts a comment
+_COMMENT = re.compile(r"(?<!\S)#")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -260,7 +268,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     are errors."""
     pairs: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -295,9 +303,8 @@ def load_config(path) -> ExperimentConfig:
 
 # -- experiment execution ----------------------------------------------------
 
-def _family_config(config, seed: int) -> TaskFamilyConfig:
-    """The family of ``config``, any object with the ``FAMILY_KEYS``
-    attributes (an ``ExperimentConfig`` or parsed CLI flags), under ``seed``."""
+def _family_config(config: ExperimentConfig, seed: int) -> TaskFamilyConfig:
+    """The family of ``config`` under ``seed``."""
     return TaskFamilyConfig(**{key: getattr(config, key) for key in FAMILY_KEYS},
                             seed=seed)
 
@@ -315,7 +322,7 @@ def family_for_seed(config: ExperimentConfig, seed: int) -> TaskFamily:
     return generate_family(_family_config(config, config.data_seed + seed))
 
 
-def model_spec_for(config) -> ModelSpec:
+def model_spec_for(config: ExperimentConfig) -> ModelSpec:
     """One ``n_classes`` head per task of ``config``, as generated and loaded
     families have them, on a ``hidden_dims`` encoder."""
     heads = {t: HeadSpec(config.n_classes) for t in range(config.n_tasks)}
@@ -329,7 +336,7 @@ def output_dir_for(config: ExperimentConfig,
     return Path(output_dir or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir)
 
 
-def opt_config_for(config) -> OptConfig:
+def opt_config_for(config: ExperimentConfig) -> OptConfig:
     return OptConfig(
         base_lr=config.base_lr,
         momentum_coeff=config.momentum,
@@ -363,33 +370,6 @@ def _schedule_for(config: ExperimentConfig,
         binary_iters=config.binary_iters,
         val_subsample=config.val_subsample,
     )
-
-
-def _scaled(perf: nn.PerfValue) -> float:
-    # accuracies are reported in percent so gains read as points
-    return 100.0 * perf.value if perf.metric == "accuracy" else perf.value
-
-
-class _RecordWriter:
-    """Appends records to CSV as they are produced, so a crash loses at most
-    the run in flight. The file is first made to hold exactly ``kept``, in
-    order: anything else it held (a torn tail, an unfinished job's rows) is
-    dropped by an atomic rewrite before the first append."""
-
-    def __init__(self, path: Path, kept: Sequence[ResultRecord]):
-        text = csv_text(RECORD_COLUMNS, zip(*map(astuple, kept)))
-        if not path.exists() or path.read_text(encoding="utf-8") != text:
-            partial = path.with_name(path.name + ".partial")
-            partial.write_text(text, encoding="utf-8")
-            os.replace(partial, path)
-        self._handle = open(path, "a", newline="", encoding="utf-8")
-
-    def append(self, record: ResultRecord):
-        self._handle.write(csv_text(None, zip(*[astuple(record)])))
-        self._handle.flush()
-
-    def close(self):
-        self._handle.close()
 
 
 def _finished_jobs(path: Path) -> tuple[list[list[ResultRecord]], int]:
@@ -463,23 +443,42 @@ def _run_method(
     return dict.fromkeys(tasks, params), psearch
 
 
-def _row_specs(
+def _job_records(
+    config: ExperimentConfig,
+    method: str,
     family: TaskFamily,
     spec: ModelSpec,
-    params: Mapping[int, np.ndarray],
+    seed: int,
+    out_dir: Path,
     stl_value: float | None,
-) -> list[tuple[int, str, str, float, float | None]]:
-    """Each task's test row, then the target's val row; the target's test
-    row carries its gain over ``stl_value``, the seed's stl score, if given."""
+) -> list[ResultRecord]:
+    """Train and score one (method, seed) job: each task's test row, then the
+    target's val row, accuracies in percent so that gains read as points; the
+    target's test row carries its gain over ``stl_value``, the seed's stl
+    score, if given. A job that diverges is one NaN row."""
+    start = time.perf_counter()
     target = family.target_id
+    try:
+        params, psearch = _run_method(config, method, family, spec, seed, out_dir)
+        scored = [(task_id, "test", nn.evaluate(spec, params[task_id],
+                                                family.test(task_id), task_id))
+                  for task_id in family.task_ids]
+        scored.append((target, "val", nn.evaluate(spec, params[target],
+                                                  family.val(target), target)))
+    except NonFiniteError:  # a diverged job is one NaN row, with no gain
+        psearch, scored = 0, [(target, "test", None)]
+    wall = time.perf_counter() - start
     rows = []
-    for task_id in family.task_ids:
-        perf = nn.evaluate(spec, params[task_id], family.test(task_id), task_id)
-        value = _scaled(perf)
-        tg = value - stl_value if task_id == target and stl_value is not None else None
-        rows.append((task_id, "test", perf.metric, value, tg))
-    val_perf = nn.evaluate(spec, params[target], family.val(target), target)
-    rows.append((target, "val", val_perf.metric, _scaled(val_perf), None))
+    for task_id, split, perf in scored:
+        if perf is None:
+            metric, value, tg = "accuracy", math.nan, None
+        else:
+            metric = perf.metric
+            value = 100.0 * perf.value if metric == "accuracy" else perf.value
+            tg = (value - stl_value if (task_id, split) == (target, "test")
+                  and stl_value is not None else None)
+        rows.append(ResultRecord(method, seed, task_id, split, metric, value, tg,
+                                 psearch, wall))
     return rows
 
 
@@ -530,42 +529,30 @@ def run_experiment(
     if dropped:
         print(f"auxlab: {path}: dropping {dropped} row(s) of unfinished jobs",
               file=sys.stderr)
-    writer = _RecordWriter(path, [r for rows in finished for r in rows])
+    # the file is made to hold exactly the finished jobs, in order: anything
+    # else (a torn tail, an unfinished job's rows) is dropped by an atomic
+    # rewrite; then each job's rows are appended whole, so a crash loses at
+    # most the job in flight
+    kept = csv_text(RECORD_COLUMNS,
+                    zip(*[astuple(r) for rows in finished for r in rows]))
+    if not path.exists() or path.read_text(encoding="utf-8") != kept:
+        partial = path.with_name(path.name + ".partial")
+        partial.write_text(kept, encoding="utf-8")
+        os.replace(partial, path)
     records: list[ResultRecord] = []
-    stl_target: dict[int, float] = {}
-
-    def one_job(method: str, seed: int):
-        family = family_of(None if config.data_dir else seed)
-        start = time.perf_counter()
-        try:
-            params, psearch = _run_method(config, method, family, spec, seed, out_dir)
-            row_specs = _row_specs(family, spec, params, stl_target.get(seed))
-        except NonFiniteError:
-            wall = time.perf_counter() - start
-            rows = [ResultRecord(
-                method, seed, family.target_id, "test", "accuracy",
-                float("nan"), None, 0, wall,
-            )]
-        else:
-            wall = time.perf_counter() - start
-            rows = [
-                ResultRecord(method, seed, task_id, split, metric, value, tg,
-                             psearch, wall)
-                for task_id, split, metric, value, tg in row_specs
-            ]
-        for row in rows:
-            records.append(row)
-            writer.append(row)
-        return rows
-
-    try:
+    stl_target: dict[int, float | None] = {}
+    with open(path, "a", newline="", encoding="utf-8") as handle:
         for method, seed in jobs:
-            rows = done.get((method, seed)) or one_job(method, seed)
-            value = _target_test_value(rows) if method == "stl" else None
-            if value is not None:
-                stl_target[seed] = value
-    finally:
-        writer.close()
+            rows = done.get((method, seed))
+            if rows is None:
+                rows = _job_records(config, method,
+                                    family_of(None if config.data_dir else seed),
+                                    spec, seed, out_dir, stl_target.get(seed))
+                handle.write(csv_text(None, zip(*map(astuple, rows))))
+                handle.flush()
+                records += rows
+            if method == "stl":  # None if the seed's stl job diverged
+                stl_target[seed] = _target_test_value(rows)
     return records
 
 
@@ -707,47 +694,42 @@ def write_summary(summary: Mapping[str, dict], csv_path, json_path) -> None:
 # -- analysis sweeps ---------------------------------------------------------
 
 def run_tg_gcs_sweep(
-    family_cfg: TaskFamilyConfig,
-    model_spec: ModelSpec,
+    config: ExperimentConfig,
     warm_steps: int,
     lambdas: Sequence[float],
     n_points: int,
-    opt_cfg: OptConfig,
-    seeds: Sequence[int],
 ) -> list[tuple[int, int, float, float, float]]:
-    """For each seed, regenerate ``family_cfg`` under it, warm a single-task
-    model, then probe one-step gains and gradient cosines around it with
+    """For each seed of ``config``, warm a single-task model on the seed's
+    family, then probe one-step gains and gradient cosines around it with
     steps of size 0.01. Returns (seed, point, lambda, cosine, gain) rows."""
+    spec, opt = model_spec_for(config), opt_config_for(config)
     rows = []
-    for seed in seeds:
-        family = generate_family(replace(family_cfg, seed=seed))
-        params = run_stl(family, model_spec, warm_steps, opt_cfg, seed)
+    for seed in config.seeds:
+        family = family_for_seed(config, seed)
+        params = run_stl(family, spec, warm_steps, opt, seed)
         rows += [(seed, row.point_id, row.lam, row.gcs, row.tg)
                  for row in one_step_tg_gcs_sweep(
-                     model_spec, params, family, lambdas, n_points,
+                     spec, params, family, lambdas, n_points,
                      RngStream(seed).child("sweep"), lr=0.01,
-                     batch_size=opt_cfg.batch_size)]
+                     batch_size=opt.batch_size)]
     return rows
 
 
 def run_csd_lambda_sweep(
-    family_cfg: TaskFamilyConfig,
-    spec: ModelSpec,
+    config: ExperimentConfig,
     lambdas: Sequence[float],
-    seeds: Sequence[int],
     train_steps: int,
-    opt_cfg: OptConfig,
 ) -> list[tuple[int, float, float]]:
-    """Train target-head models of ``spec`` on data mixed with the auxiliary
-    distribution at each rate and measure the confidence drop back on clean
-    target data. Each seed regenerates ``family_cfg``, which has two tasks,
-    under that seed.
+    """For each seed of ``config``, whose families have two tasks, train
+    target-head models on target data mixed with the auxiliary distribution
+    at each rate and measure the confidence drop back on clean target data.
 
     Returns (seed, mixing rate, confidence discrepancy) rows.
     """
+    spec, opt = model_spec_for(config), opt_config_for(config)
     results = []
-    for seed in seeds:
-        family = generate_family(replace(family_cfg, seed=seed))
+    for seed in config.seeds:
+        family = family_for_seed(config, seed)
         root = RngStream(seed)
         init = nn.init_params(spec, root.child("csd", "init"))
         for lam in lambdas:
@@ -758,7 +740,7 @@ def run_csd_lambda_sweep(
             one_task = replace(family, splits={0: {**family.splits[0], "train": mixed}})
             [params] = train_branches(
                 init, [BranchSpec(TaskWeighting({0: 1.0}), 0)], train_steps, one_task, spec,
-                opt_cfg.state_at(train_steps), root.child("csd", "train", str(lam)))
+                opt.state_at(train_steps), root.child("csd", "train", str(lam)))
             value = csd(spec, params, family.val(0), 0)
             results.append((seed, float(lam), value))
     return results

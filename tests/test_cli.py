@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from auxlab.cli import main
-from auxlab.runner import parse_config_text, read_records, run_experiment
+from auxlab.runner import (
+    OUTPUT_DIR_ENV,
+    ConfigError,
+    ExperimentConfig,
+    parse_config_text,
+    read_records,
+    run_experiment,
+)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -153,6 +160,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config_echo_ew.cfg" in err and "total_steps" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("name", ["out #3", "out\t#3", "out "])
+    def test_output_dir_its_echo_cannot_carry_exits_1(self, capsys, tmp_path,
+                                                      monkeypatch, via, name):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CFG_SMALL)
+        argv = ["run", "--config", str(cfg)]
+        if via == "flag":
+            argv += ["--output-dir", str(tmp_path / name)]
+        else:
+            monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / name))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("auxlab: output_dir: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+    @pytest.mark.parametrize("argv, key, config", [
+        (("sweep", "tg-gcs", "--seeds", "0,0"), "seeds", {"seeds": (0, 0)}),
+        (("gen-data", "--relatedness", "2"), "relatedness",
+         {"seeds": (0,), "relatedness": (2.0,)}),
+    ], ids=["sweep_seeds", "gen_data_relatedness"])
+    def test_config_errors_carry_the_key_name(self, capsys, tmp_path, argv, key, config):
+        with pytest.raises(ConfigError, match=f"^{key}") as expected:
+            ExperimentConfig("stl", **config)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"auxlab: {expected.value}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
         pytest.param(command, flag, value, id=f"{flag}-command{i}")

@@ -3,6 +3,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from auxlab.optim import OptConfig
 from auxlab.runner import (
@@ -97,6 +99,23 @@ class TestConfigParsing:
         assert again.branch_weights == ((1.0, 0.0), (1.0, 1.0), (1.0, 0.5))
         assert again.hidden_dims == ()
         assert again.n_train == (200, 2000)
+
+    @pytest.mark.parametrize("key", ["output_dir", "data_dir"])
+    @pytest.mark.parametrize("value", ["runs #3", "runs\t#3", "#3", " runs", "runs ",
+                                       "a\nb", "a\r\nb", "a\u2028b"])
+    def test_text_an_echo_cannot_carry_is_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig("ew", (0,), **{key: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(["output_dir", "data_dir"]), value=st.text())
+    @example(key="output_dir", value="a #b")
+    def test_echo_carries_any_text_it_accepts(self, key, value):
+        try:
+            cfg = ExperimentConfig("ew", (0,), **{key: value})
+        except ConfigError:
+            return
+        assert parse_config_text(config_to_text(cfg)) == cfg
 
 
 def small_config(**overrides):
@@ -424,6 +443,41 @@ class TestRerunIntoSameDir:
         added = run_experiment(cfg, output_dir=tmp_path)
         assert {(r.method, r.seed) for r in added} == {("ew", 1)}
         assert _strip_wall(read_records(path)) == _strip_wall(complete)
+
+    def test_job_that_raises_leaves_whole_jobs(self, tmp_path, monkeypatch):
+        """An exception inside a job propagates with records.csv closed and
+        holding the finished jobs' rows alone; a re-run completes the dir."""
+        import builtins
+
+        import auxlab.runner as runner_mod
+
+        cfg = small_config(seeds=(0, 1))
+        fresh = _strip_wall(run_experiment(cfg, output_dir=tmp_path / "fresh"))
+        real_run, real_open = runner_mod._run_method, builtins.open
+        calls, handles = [], []
+
+        def run_method(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("the second job fails")
+            return real_run(*args)
+
+        def tracked_open(*args, **kwargs):
+            handles.append(real_open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(runner_mod, "_run_method", run_method)
+        monkeypatch.setattr(runner_mod, "open", tracked_open, raising=False)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="the second job fails"):
+            run_experiment(cfg, output_dir=out)
+        assert handles and all(handle.closed for handle in handles)
+        path = out / "records.csv"
+        assert _strip_wall(read_records(path)) == [
+            r for r in fresh if (r.method, r.seed) == ("stl", 0)]
+        monkeypatch.undo()
+        run_experiment(cfg, output_dir=out)
+        assert _strip_wall(read_records(path)) == fresh
 
 
 def record(method, seed, task_id, value, tg=None, split="test"):
