@@ -40,24 +40,22 @@ def _train(
     family: TaskFamily,
     model_spec: ModelSpec,
     weightings: Sequence[TaskWeighting],
-    steps: int,
+    steps: range,
     opt_cfg: OptConfig,
     seed: int,
     total_steps: int,
     start_params: np.ndarray | None = None,
-    start_step: int = 0,
     weigh=None,
 ) -> list[np.ndarray]:
-    """One run per weighting from one start and batch stream, as lockstep
-    branches of one `train_branches` call; parameters in weighting order."""
+    """One run per weighting over ``steps`` of a ``total_steps``-step schedule,
+    as lockstep branches of one `train_branches` call sharing one start and
+    batch stream; parameters in weighting order."""
     root = RngStream(seed)
     if start_params is None:
         start_params = nn.init_params(model_spec, root.child("init"))
-    if steps == 0:
-        return [start_params for _ in weightings]
     branches = [BranchSpec(w, i) for i, w in enumerate(weightings)]
-    return train_branches(start_params, branches, steps, family, model_spec,
-                          opt_cfg.state_at(total_steps, start_step), root, weigh)
+    return train_branches(start_params, branches, steps, total_steps, family,
+                          model_spec, opt_cfg, root, weigh)
 
 
 def _equal_weighting(family: TaskFamily) -> TaskWeighting:
@@ -71,7 +69,7 @@ def run_single_task(
     """Train one head alone for the whole budget, for each of ``task_ids``;
     returns each model's parameters, in ``task_ids`` order."""
     weightings = [TaskWeighting({t: 1.0}, target_id=t) for t in task_ids]
-    return _train(family, model_spec, weightings, total_steps, opt_cfg, seed,
+    return _train(family, model_spec, weightings, range(total_steps), opt_cfg, seed,
                   total_steps)
 
 
@@ -90,7 +88,7 @@ def run_ew(
     opt_cfg: OptConfig, seed: int,
 ) -> np.ndarray:
     """Joint training with every task weighted 1."""
-    return _train(family, model_spec, [_equal_weighting(family)], total_steps,
+    return _train(family, model_spec, [_equal_weighting(family)], range(total_steps),
                   opt_cfg, seed, total_steps)[0]
 
 
@@ -116,8 +114,8 @@ def run_fixed_lambda(
                        for t in family.task_ids}, target_id=family.target_id)
         for lam in lambda_grid
     ]
-    trained = _train(family, model_spec, weightings, total_steps, opt_cfg, seed,
-                     total_steps)
+    trained = _train(family, model_spec, weightings, range(total_steps), opt_cfg,
+                     seed, total_steps)
     val, target = family.val(family.target_id), family.target_id
     perfs = across_cores(lambda params: nn.evaluate(model_spec, params, val, target),
                          trained, len(val))
@@ -168,8 +166,8 @@ def run_gcs_weighting(
         lambda_history.append(weights)
         return {**weights, family.target_id: 1.0}
 
-    [params] = _train(family, model_spec, [_equal_weighting(family)], total_steps,
-                      opt_cfg, seed, total_steps, weigh=weigh)
+    [params] = _train(family, model_spec, [_equal_weighting(family)],
+                      range(total_steps), opt_cfg, seed, total_steps, weigh=weigh)
     return GcsResult(params, tuple(lambda_history))
 
 
@@ -182,7 +180,7 @@ def run_post_train(
     momentum restarts at the phase boundary."""
     total = pre_steps + finetune_steps
     stl = TaskWeighting({family.target_id: 1.0}, target_id=family.target_id)
-    [params] = _train(family, model_spec, [_equal_weighting(family)], pre_steps,
-                      opt_cfg, seed, total)
-    return _train(family, model_spec, [stl], finetune_steps, opt_cfg, seed, total,
-                  start_params=params, start_step=pre_steps)[0]
+    [params] = _train(family, model_spec, [_equal_weighting(family)],
+                      range(pre_steps), opt_cfg, seed, total)
+    return _train(family, model_spec, [stl], range(pre_steps, total), opt_cfg, seed,
+                  total, start_params=params)[0]

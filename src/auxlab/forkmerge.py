@@ -21,7 +21,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import ceil, isfinite
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import nn
 from .nn import ModelSpec, PerfValue
-from .optim import OptConfig, OptState, TaskWeighting, sgd_step_into
+from .optim import OptConfig, TaskWeighting, sgd_step_into
 from .tasks import DataSplit, TaskFamily, write_table
 from .vectors import NonFiniteError, RngStream, linear_combination, linear_combination_into
 
@@ -108,10 +108,6 @@ class MergeSchedule:
             raise ValueError("binary_iters must be >= 1")
         if self.val_subsample is not None and self.val_subsample < 1:
             raise ValueError("val_subsample must be >= 1")
-
-    @property
-    def n_rounds(self) -> int:
-        return ceil(self.total_steps / self.interval)
 
 
 @dataclass(frozen=True)
@@ -226,49 +222,56 @@ batches stay small; at most `vectors._PAD`, so every call allocates the same."""
 def train_branch(
     start: np.ndarray,
     branch: BranchSpec,
-    steps: int,
+    steps: range,
+    total_steps: int,
     family: TaskFamily,
     model_spec: ModelSpec,
-    opt: OptState,
+    opt: OptConfig,
     root: RngStream,
 ) -> np.ndarray:
-    """`train_branches` of one branch; unused here, but perfbench's tracer
-    spans it by name."""
-    return train_branches(start, [branch], steps, family, model_spec, opt, root)[0]
+    """`train_branches` of one branch. perfbench's tracer spans it by name;
+    nothing calls it, so the ``opt.step_count`` the tracer would read from
+    it (an attribute `OptConfig` lacks) is never read."""
+    return train_branches(start, [branch], steps, total_steps, family, model_spec,
+                          opt, root)[0]
 
 
 def train_branches(
     start: np.ndarray,
     branches: Sequence[BranchSpec],
-    steps: int,
+    steps: range,
+    total_steps: int,
     family: TaskFamily,
     model_spec: ModelSpec,
-    opt: OptState,
+    opt: OptConfig,
     root: RngStream,
     weigh: Callable[[dict[int, np.ndarray]], Mapping[int, float]] | None = None,
 ) -> list[np.ndarray]:
-    """Train every branch for `steps` weighted-SGD steps from `start`, in
-    lockstep; returns the branches' parameters in branch order.
+    """Train every branch from `start` over the absolute `steps` of a
+    `total_steps`-step schedule, in lockstep; returns the branches'
+    parameters in branch order (`start` for each on an empty range).
 
-    All branches start from the same parameters with zero momentum, at
-    ``opt.step_count`` of ``opt``'s schedule, with its batch size. Every
-    used task's train split is checked once, before the first draw, and its
-    batches are drawn `_CHUNK` steps at a time, one `draw_batch` call per
-    task and chunk. Each step runs one stacked forward and backward over
-    every (branch, task) pair with a nonzero weight, mixes each branch's
-    gradients, and steps all branches at once, in place, with the
-    arithmetic of `weighted_gradient` and `sgd_step`; each result is
-    therefore bit-identical to training that branch alone. The first
-    non-finite loss or parameter raises BranchDivergedError naming the
-    earliest step and, within it, the first branch in order.
+    All branches start from the same parameters with zero momentum, with
+    ``opt``'s batch size. Every used task's train split is checked once,
+    before the first draw, and its batches are drawn `_CHUNK` steps at a
+    time, one `draw_batch` call per task and chunk. Each step runs one
+    stacked forward and backward over every (branch, task) pair with a
+    nonzero weight, mixes each branch's gradients, and steps all branches
+    at once, in place, with the arithmetic of `weighted_gradient` and
+    `sgd_step`; each result is therefore bit-identical to training that
+    branch alone. The first non-finite loss or parameter raises
+    BranchDivergedError naming the earliest step and, within it, the first
+    branch in order.
 
     A ``weigh`` hook replaces each branch's weights at every step with
     ``weigh({task id: gradient})``; a task weighted 0 drops out of that mix.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if steps.step != 1 or not 0 <= steps.start <= steps.stop <= total_steps:
+        raise ValueError(f"{steps} is not a run of a {total_steps}-step schedule")
+    if not steps:
+        return [start for _ in branches]
     kernel = model_spec.kernel
-    batch_size, momentum = opt.config.batch_size, opt.config.momentum_coeff
+    batch_size, momentum = opt.batch_size, opt.momentum_coeff
     params = np.tile(np.asarray(start, dtype=np.float64), (len(branches), 1))
     tasks = [b.weighting.active_tasks for b in branches]
     splits = {t: family.train(t) for active in tasks for t in active}
@@ -283,8 +286,7 @@ def train_branches(
     mixes = [(out, [b.weighting.weights[t] for t in active],
               [stack.grads[k] for _, k in use], scratch[0])
              for out, b, active, use in zip(mixed, branches, tasks, uses)]
-    for step, rows in _batches(splits, root, range(opt.step_count, opt.step_count + steps),
-                               batch_size):
+    for step, rows in _batches(splits, root, steps, batch_size):
         losses = stack(rows)
         if weigh is None:
             for mix in mixes:
@@ -294,7 +296,8 @@ def train_branches(
                 weights = weigh({t: stack.grads[k] for t, k in use})
                 live = [(weights[t], stack.grads[k]) for t, k in use if weights[t] > 0]
                 linear_combination_into(out, *zip(*live), scratch[0])
-        sgd_step_into(params, momenta, mixed, momentum, opt.learning_rate(step), scratch)
+        sgd_step_into(params, momenta, mixed, momentum,
+                      opt.learning_rate(step, total_steps), scratch)
         # a dot product is finite only if every entry is; one that overflows
         # from finite entries sends the exact check through finding nothing
         if not isfinite(losses.dot(losses) + flat.dot(flat)):
@@ -600,14 +603,13 @@ def run_forkmerge(
     params = nn.init_params(model_spec, root.child("init"))
 
     history: list[MergeRecord] = []
-    done = 0
-    for round_index in range(schedule.n_rounds):
+    total, interval = schedule.total_steps, schedule.interval
+    for round_index, first in enumerate(range(0, total, interval)):
         t_start = time.perf_counter()
-        steps = min(schedule.interval, schedule.total_steps - done)
-        opt = opt_cfg.state_at(schedule.total_steps, step_count=done)
-
+        steps = range(first, min(first + interval, total))
         try:
-            trained = train_branches(params, branches, steps, family, model_spec, opt, root)
+            trained = train_branches(params, branches, steps, total, family, model_spec,
+                                     opt_cfg, root)
         except BranchDivergedError as exc:
             raise BranchDivergedError(
                 exc.branch_id, exc.step, exc.__cause__, round_index
@@ -641,7 +643,6 @@ def run_forkmerge(
         t_searched = time.perf_counter()
 
         params = outcome.params
-        done += steps
 
         surviving = branches
         if round_index == 0 and schedule.prune_after_first_merge is not None:

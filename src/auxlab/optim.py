@@ -11,7 +11,6 @@ from .vectors import NonFiniteError, linear_combination
 
 __all__ = [
     "TaskWeighting",
-    "OptState",
     "OptConfig",
     "weighted_gradient",
     "sgd_step",
@@ -38,8 +37,13 @@ class OptConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
-    def state_at(self, total_steps: int, step_count: int = 0) -> "OptState":
-        return OptState(self, total_steps, step_count)
+    def learning_rate(self, step: int, total_steps: int) -> float:
+        """η at absolute step ``step`` of a ``total_steps``-step schedule."""
+        if total_steps < 1 or not 0 <= step <= total_steps:
+            raise ValueError(f"step {step} is outside a {total_steps}-step schedule")
+        if self.schedule == "constant":
+            return self.base_lr
+        return self.base_lr * (1.0 + np.cos(np.pi * step / total_steps)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -65,31 +69,6 @@ class TaskWeighting:
     def active_tasks(self) -> tuple[int, ...]:
         """Task ids with nonzero weight, ascending."""
         return tuple(sorted(k for k, v in self.weights.items() if v > 0))
-
-
-@dataclass(frozen=True)
-class OptState:
-    """Where one training call starts: its settings, the schedule's length and
-    the absolute step ``step_count``, which callers keep global across
-    fork/merge rounds. Each call starts its momentum at zero."""
-
-    config: OptConfig
-    total_steps: int
-    step_count: int
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.step_count < 0:
-            raise ValueError("step_count must be nonnegative")
-
-    def learning_rate(self, step: int | None = None) -> float:
-        """η at absolute step ``step``, by default at ``step_count``."""
-        base_lr = self.config.base_lr
-        if self.config.schedule == "constant":
-            return base_lr
-        t = self.step_count if step is None else step
-        return base_lr * (1.0 + np.cos(np.pi * t / self.total_steps)) / 2.0
 
 
 def weighted_gradient(

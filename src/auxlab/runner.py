@@ -129,7 +129,7 @@ class ExperimentConfig:
     batch_size: int = 64
     # fork/merge and grid-search settings
     merge_interval: int = 500
-    lambda_grid: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     search_strategy: str = "grid"
     binary_iters: int = 5
     prune_to: int | None = None
@@ -739,8 +739,8 @@ def run_csd_lambda_sweep(
             )
             one_task = replace(family, splits={0: {**family.splits[0], "train": mixed}})
             [params] = train_branches(
-                init, [BranchSpec(TaskWeighting({0: 1.0}), 0)], train_steps, one_task, spec,
-                opt.state_at(train_steps), root.child("csd", "train", str(lam)))
+                init, [BranchSpec(TaskWeighting({0: 1.0}), 0)], range(train_steps),
+                train_steps, one_task, spec, opt, root.child("csd", "train", str(lam)))
             value = csd(spec, params, family.val(0), 0)
             results.append((seed, float(lam), value))
     return results

@@ -71,7 +71,7 @@ def gcs_loop(family, spec, total_steps, opt_cfg, seed):
     `train_branches`: draw, per-task gradients, weights, mix, step."""
     root = RngStream(seed)
     params = init_params(spec, root.child("init"))
-    state, buffer = opt_cfg.state_at(total_steps), np.zeros_like(params)
+    buffer = np.zeros_like(params)
     history = []
     for step in range(total_steps):
         grads = {}
@@ -86,7 +86,8 @@ def gcs_loop(family, spec, total_steps, opt_cfg, seed):
         weights[family.target_id] = 1.0
         w = TaskWeighting(weights, target_id=family.target_id)
         params, buffer = sgd_step(params, buffer, weighted_gradient(grads, w),
-                                  opt_cfg.momentum_coeff, state.learning_rate(step))
+                                  opt_cfg.momentum_coeff,
+                                  opt_cfg.learning_rate(step, total_steps))
     return params, history
 
 

@@ -88,10 +88,10 @@ class TestTrainBranch:
         fam = family_for([0.5])
         spec = model_spec_for(fam)
         start = init_params(spec, RngStream(3).child("init"))
-        opt = OptConfig(0.1, schedule="constant", batch_size=32).state_at(20)
+        opt = OptConfig(0.1, schedule="constant", batch_size=32)
         branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.5}), 1)
-        a = train_branches(start, [branch], 20, fam, spec, opt, RngStream(3))[0]
-        b = train_branches(start, [branch], 20, fam, spec, opt, RngStream(3))[0]
+        a = train_branches(start, [branch], range(20), 20, fam, spec, opt, RngStream(3))[0]
+        b = train_branches(start, [branch], range(20), 20, fam, spec, opt, RngStream(3))[0]
         assert np.array_equal(a, b)
 
     def test_matches_hand_rolled_sgd(self):
@@ -102,10 +102,9 @@ class TestTrainBranch:
         fam = family_for([0.4])
         spec = model_spec_for(fam, hidden=(4,))
         start = init_params(spec, RngStream(5).child("init"))
-        opt = OptConfig(0.05, momentum_coeff=0.9, schedule="constant",
-                        batch_size=16).state_at(10)
+        opt = OptConfig(0.05, momentum_coeff=0.9, schedule="constant", batch_size=16)
         branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.7}), 1)
-        got = train_branches(start, [branch], 10, fam, spec, opt, RngStream(5))[0]
+        got = train_branches(start, [branch], range(10), 10, fam, spec, opt, RngStream(5))[0]
 
         params, buffer = start, np.zeros_like(start)
         for step in range(10):
@@ -116,7 +115,7 @@ class TestTrainBranch:
                 batch = DataSplit(split.inputs[idx], split.targets[idx], task_id)
                 _, grads[task_id] = loss_and_gradient(spec, params, batch)
             g = weighted_gradient(grads, branch.weighting)
-            params, buffer = sgd_step(params, buffer, g, 0.9, opt.learning_rate(step))
+            params, buffer = sgd_step(params, buffer, g, 0.9, opt.learning_rate(step, 10))
         np.testing.assert_array_equal(got, params)
 
     def test_starts_with_zero_momentum(self):
@@ -127,9 +126,9 @@ class TestTrainBranch:
         fam = family_for([0.4])
         spec = model_spec_for(fam, hidden=(4,))
         start = init_params(spec, RngStream(5).child("init"))
-        opt = OptConfig(0.05, momentum_coeff=0.9, batch_size=16).state_at(40, step_count=7)
+        opt = OptConfig(0.05, momentum_coeff=0.9, batch_size=16)
         branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.7}), 1)
-        [got] = train_branches(start, [branch], 1, fam, spec, opt, RngStream(5))
+        [got] = train_branches(start, [branch], range(7, 8), 40, fam, spec, opt, RngStream(5))
 
         grads = {}
         for t in (0, 1):
@@ -138,20 +137,19 @@ class TestTrainBranch:
             batch = DataSplit(split.inputs[idx], split.targets[idx], t)
             grads[t] = loss_and_gradient(spec, start, batch)[1]
         g = weighted_gradient(grads, branch.weighting)
-        assert 0.0 < opt.learning_rate(7) < 0.05
-        np.testing.assert_array_equal(got, start - opt.learning_rate(7) * g)
+        assert 0.0 < opt.learning_rate(7, 40) < 0.05
+        np.testing.assert_array_equal(got, start - opt.learning_rate(7, 40) * g)
 
     def test_one_step_merge_identity_on_shared_draws(self):
         fam = family_for([0.6])
         spec = model_spec_for(fam)
         start = init_params(spec, RngStream(7).child("init"))
-        opt = OptConfig(0.1, momentum_coeff=0.0, schedule="constant",
-                        batch_size=32).state_at(1)
+        opt = OptConfig(0.1, momentum_coeff=0.0, schedule="constant", batch_size=32)
         root = RngStream(7)
 
         def branch_after(lam):
             b = BranchSpec(TaskWeighting({0: 1.0, 1: lam}), int(lam * 10))
-            return train_branches(start, [b], 1, fam, spec, opt, root)[0]
+            return train_branches(start, [b], range(1), 1, fam, spec, opt, root)[0]
 
         theta0, theta1 = branch_after(0.0), branch_after(1.0)
         for lam in (0.25, 0.5, 0.8):
@@ -167,11 +165,10 @@ class TestTrainBranch:
         heads = {0: HeadSpec(1, MEAN_SQUARED_ERROR), 1: HeadSpec(4, CROSS_ENTROPY)}
         spec = ModelSpec(2, (4,), "relu", heads)
         start = init_params(spec, RngStream(1).child("init"))
-        opt = OptConfig(1e8, momentum_coeff=0.0, schedule="constant",
-                        batch_size=16).state_at(20)
+        opt = OptConfig(1e8, momentum_coeff=0.0, schedule="constant", batch_size=16)
         branch = BranchSpec(TaskWeighting({0: 1.0}), 0)
         with pytest.raises(NonFiniteError):
-            train_branches(start, [branch], 20, fam, spec, opt, RngStream(1))
+            train_branches(start, [branch], range(20), 20, fam, spec, opt, RngStream(1))
 
 
 class TestTrainBranches:
@@ -179,17 +176,18 @@ class TestTrainBranches:
         self.fam = family_for([0.7, 0.3], seed=6)
         self.spec = model_spec_for(self.fam)
         self.start = init_params(self.spec, RngStream(9).child("init"))
-        self.opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant",
-                             batch_size=32).state_at(20, step_count=3)
+        self.opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant", batch_size=32)
+
+    def train(self, branches, steps):
+        return train_branches(self.start, branches, steps, 80, self.fam, self.spec,
+                              self.opt, RngStream(9))
 
     def test_lockstep_matches_branches_trained_alone(self):
         branches = make_omega_branches(2)
-        together = train_branches(self.start, branches, 15, self.fam, self.spec,
-                                  self.opt, RngStream(9))
+        together = self.train(branches, range(3, 18))
         assert len(together) == len(branches)
         for branch, got in zip(branches, together):
-            [alone] = train_branches(self.start, [branch], 15, self.fam, self.spec,
-                                     self.opt, RngStream(9))
+            [alone] = self.train([branch], range(3, 18))
             np.testing.assert_array_equal(got, alone)
 
     def test_each_task_batch_drawn_once_per_step(self, monkeypatch):
@@ -202,14 +200,12 @@ class TestTrainBranches:
             return draw_batch(split, root, task_id, steps, batch_size)
 
         monkeypatch.setattr(fm, "draw_batch", counting_draw)
-        train_branches(self.start, make_omega_branches(2), 4, self.fam,
-                       self.spec, self.opt, RngStream(9))
+        self.train(make_omega_branches(2), range(3, 7))
         # 3 tasks over 5 branch-task uses per step: one draw per (task, step)
         assert sorted(drawn) == [(t, s) for t in (0, 1, 2) for s in range(3, 7)]
         # across chunks, and never for task 1, which no branch uses
         drawn.clear()
-        train_branches(self.start, make_omega_branches(2)[::2], 70, self.fam,
-                       self.spec, self.opt, RngStream(9))
+        self.train(make_omega_branches(2)[::2], range(3, 73))
         assert sorted(drawn) == [(t, s) for t in (0, 2) for s in range(3, 73)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -231,7 +227,7 @@ class TestTrainBranches:
         assert isinstance(err.value, NonFiniteError)
         # alone, the target-only branch does get through its first step
         start = init_params(spec, RngStream(0).child("init"))
-        train_branches(start, branches[:1], 1, fam, spec, opt.state_at(40), RngStream(0))
+        train_branches(start, branches[:1], range(1), 40, fam, spec, opt, RngStream(0))
 
 
 def regression_spec():

@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every public function and class the package defines is read somewhere in it,
+or is listed below with the reason it stays."""
 
 import ast
 from pathlib import Path
@@ -37,3 +39,45 @@ def test_no_unused_imports(module):
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom typing import Sequence, Mapping\n__all__ = ['Mapping']\nos.sep\n"
     assert _unused_imports(source) == ["line 2: Sequence"]
+
+
+def _unread_public_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each public module-level function and class in
+    ``sources`` ({module: source}) whose name no expression in any module
+    reads, bare or as an attribute; ``__all__`` and imports do not count."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in defined if name.split(".")[1] not in read)
+
+
+UNREAD_BY_DESIGN = {
+    "optim.weighted_gradient": "acceptance-gate reference",
+    "nn.loss_and_gradient": "acceptance-gate reference",
+    "forkmerge.merge_coeffs_from_task_weights": "acceptance-gate reference",
+    "nn.param_layout": "perfbench tracer",
+    "forkmerge.train_branch": "perfbench tracer",
+    "metrics.transfer_gain": "README diagnostic",
+    "metrics.classify_transfer": "README diagnostic",
+}
+
+
+def test_every_public_function_and_class_is_read_or_listed():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert _unread_public_names(sources) == sorted(UNREAD_BY_DESIGN)
+
+
+def test_the_check_sees_an_unread_function():
+    sources = {
+        "a": "def used():\n    pass\n\ndef dead():\n    pass\n\nclass _Private:\n    pass\n",
+        "b": "from .a import dead\n__all__ = ['dead']\nimport a\na.used()\n",
+    }
+    assert _unread_public_names(sources) == ["a.dead"]

@@ -431,35 +431,53 @@ def test_bad_label_fails_before_any_batch_is_drawn(draws, label):
     family.train(1).targets[3] = label  # after the family checked its labels
     spec = family_spec(family)
     start = init_params(spec, RngStream(2).child("init"))
-    opt = OptConfig(0.1, schedule="constant", batch_size=16).state_at(5)
+    opt = OptConfig(0.1, schedule="constant", batch_size=16)
     with pytest.raises(ValueError, match="class label out of range"):
-        train_branches(start, make_omega_branches(2), 5, family, spec, opt, RngStream(2))
+        train_branches(start, make_omega_branches(2), range(5), 5, family, spec, opt,
+                       RngStream(2))
     assert draws == []
 
 
-@pytest.mark.parametrize("case", ["short_start", "long_start", "no_branches"])
+@pytest.mark.parametrize("case", ["short_start", "long_start", "no_branches",
+                                  "negative_start", "past_total", "step_of_2"])
 def test_bad_start_or_branches_fail_before_any_batch_is_drawn(draws, case):
     family = small_family()
     spec = family_spec(family)
     start = init_params(spec, RngStream(2).child("init"))
-    start = {"short_start": start[:-30], "long_start": np.append(start, np.zeros(30)),
-             "no_branches": start}[case]
+    start = {"short_start": start[:-30],
+             "long_start": np.append(start, np.zeros(30))}.get(case, start)
     branches = [] if case == "no_branches" else make_omega_branches(2)
-    opt = OptConfig(0.1, schedule="constant", batch_size=16).state_at(5)
+    steps = {"negative_start": range(-1, 4), "past_total": range(1, 6),
+             "step_of_2": range(0, 5, 2)}.get(case, range(5))
+    opt = OptConfig(0.1, schedule="constant", batch_size=16)
     with pytest.raises(ValueError):
-        train_branches(start, branches, 5, family, spec, opt, RngStream(2))
+        train_branches(start, branches, steps, 5, family, spec, opt, RngStream(2))
     assert draws == []
 
 
-def poison_train_row(family, task_id, step, column, root, opt):
+def test_empty_range_returns_start_for_every_branch(draws):
+    family = small_family()
+    spec = family_spec(family)
+    start = init_params(spec, RngStream(2).child("init"))
+    opt = OptConfig(0.1, batch_size=16)
+    for steps, total_steps in ((range(0), 0), (range(3, 3), 5), (range(5, 5), 5)):
+        trained = train_branches(start, make_omega_branches(2), steps, total_steps,
+                                 family, spec, opt, RngStream(2))
+        assert len(trained) == 3
+        for got in trained:
+            np.testing.assert_array_equal(got, start)
+    assert draws == []
+
+
+def poison_train_row(family, task_id, step, column, root, first, batch_size):
     """Put a NaN in column ``column`` of a row of ``task_id``'s train split
-    that its batch at ``step`` draws and no earlier step of ``opt`` does."""
+    that its batch at ``step`` draws and no step from ``first`` on before it
+    does."""
     split = family.train(task_id)
-    earlier = {int(row) for s in range(opt.step_count, step)
+    earlier = {int(row) for s in range(first, step)
                for row in fm.draw_batch(split, root, task_id, range(s, s + 1),
-                                        opt.config.batch_size)[0]}
-    drawn = fm.draw_batch(split, root, task_id, range(step, step + 1),
-                          opt.config.batch_size)[0]
+                                        batch_size)[0]}
+    drawn = fm.draw_batch(split, root, task_id, range(step, step + 1), batch_size)[0]
     split.inputs[next(int(row) for row in drawn if row not in earlier), column] = np.nan
 
 
@@ -469,11 +487,11 @@ def test_nan_in_one_batch_names_the_same_step_and_branch():
     family = small_family()
     spec = family_spec(family)
     start = init_params(spec, RngStream(2).child("init"))
-    opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant",
-                    batch_size=32).state_at(13, step_count=3)
-    poison_train_row(family, 1, 7, 1, RngStream(2), opt)
+    opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant", batch_size=32)
+    poison_train_row(family, 1, 7, 1, RngStream(2), 3, opt.batch_size)
     with pytest.raises(BranchDivergedError) as err:
-        train_branches(start, make_omega_branches(2), 10, family, spec, opt, RngStream(2))
+        train_branches(start, make_omega_branches(2), range(3, 13), 13, family, spec, opt,
+                       RngStream(2))
     assert (err.value.branch_id, err.value.step) == (1, 7)
 
 
@@ -486,8 +504,8 @@ def test_divergence_at_one_step_names_the_earlier_branch(order):
     family = small_family()
     spec = family_spec(family)
     start = init_params(spec, RngStream(4).child("init"))
-    opt = OptConfig(1e300, momentum_coeff=0.0, schedule="constant", batch_size=16).state_at(3)
-    poison_train_row(family, 1, 0, 0, RngStream(4), opt)
+    opt = OptConfig(1e300, momentum_coeff=0.0, schedule="constant", batch_size=16)
+    poison_train_row(family, 1, 0, 0, RngStream(4), 0, opt.batch_size)
     overflowing = BranchSpec(TaskWeighting({0: 1.0, 2: 1e300}), 2)
     poisoned = BranchSpec(TaskWeighting({0: 1.0, 1: 1.0}), 1)
     if order == "params_first":
@@ -497,7 +515,7 @@ def test_divergence_at_one_step_names_the_earlier_branch(order):
         branches = [poisoned, overflowing]
         expected = "branch 1 diverged at step 0: non-finite loss on task 1: diverged"
     with pytest.raises(BranchDivergedError) as err:
-        train_branches(start, branches, 3, family, spec, opt, RngStream(4))
+        train_branches(start, branches, range(3), 3, family, spec, opt, RngStream(4))
     assert str(err.value) == expected
     assert (err.value.step, err.value.round_index) == (0, None)
 
@@ -566,8 +584,9 @@ class TestAllocations:
         branches = make_omega_branches(2)
 
         def train(steps):
-            opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant").state_at(steps)
-            train_branches(start, branches, steps, family, spec, opt, RngStream(1))
+            opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant")
+            train_branches(start, branches, range(steps), steps, family, spec, opt,
+                           RngStream(1))
 
         train(1)  # warm-up: the kernel's workspaces grow to the batch size
         tracemalloc.start()

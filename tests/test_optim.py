@@ -75,15 +75,15 @@ class TestSgdStep:
         np.testing.assert_array_equal(new, params - 0.1 * grad)
 
     def test_cosine_endpoint_freezes(self):
-        state = OptConfig(base_lr=0.5, schedule="cosine").state_at(10, step_count=10)
+        opt = OptConfig(base_lr=0.5, schedule="cosine")
         params = np.array([3.0, -3.0])
-        new, _ = sgd_step(params, np.zeros(2), np.ones(2), state.config.momentum_coeff,
-                          state.learning_rate())
+        new, _ = sgd_step(params, np.zeros(2), np.ones(2), opt.momentum_coeff,
+                          opt.learning_rate(10, 10))
         np.testing.assert_allclose(new, params, atol=1e-16)
 
     def test_cosine_halfway(self):
-        state = OptConfig(base_lr=1.0, schedule="cosine").state_at(4, step_count=2)
-        assert state.learning_rate() == pytest.approx(0.5)
+        opt = OptConfig(base_lr=1.0, schedule="cosine")
+        assert opt.learning_rate(2, 4) == pytest.approx(0.5)
 
     def test_momentum_matches_hand_unroll(self):
         grad = np.array([1.0, -2.0])
@@ -105,11 +105,13 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             OptConfig(base_lr=0.1, momentum_coeff=1.0)
         with pytest.raises(ValueError):
-            OptConfig(base_lr=0.1, schedule="cosine").state_at(0)
+            OptConfig(base_lr=0.1, schedule="cosine").learning_rate(0, 0)
         with pytest.raises(ValueError):
             OptConfig(base_lr=0.1, schedule="warmup")
         with pytest.raises(ValueError):
-            OptConfig(base_lr=0.1).state_at(10, step_count=-1)
+            OptConfig(base_lr=0.1).learning_rate(-1, 10)
+        with pytest.raises(ValueError):
+            OptConfig(base_lr=0.1).learning_rate(11, 10)
 
 
 class TestOneStepMergeIdentities:
