@@ -3,7 +3,8 @@
 Subcommands: ``gen-data`` writes a task family to CSV files, ``run`` executes
 a config file, ``sweep`` runs the two analysis sweeps, ``report`` aggregates
 a results directory. Exit codes: 0 on success, 1 for usage problems (bad
-flags, missing or invalid config, nothing to report), 2 for runtime failures.
+flags, missing or invalid config, a records file of another format or with a
+job written twice, nothing to report), 2 for runtime failures.
 All diagnostics go to standard error.
 """
 
@@ -20,6 +21,7 @@ from .runner import (
     _PARSERS,
     ConfigError,
     ExperimentConfig,
+    RecordsError,
     aggregate,
     family_for_seed,
     load_config,
@@ -212,7 +214,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError) as exc:
+    except (UsageError, ConfigError, RecordsError) as exc:
         print(f"auxlab: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure: report, don't traceback

@@ -15,14 +15,12 @@ not depend on the core count.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isfinite
-from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -30,7 +28,7 @@ import numpy as np
 from . import nn
 from .nn import ModelSpec, PerfValue
 from .optim import OptConfig, TaskWeighting, sgd_step_into
-from .tasks import DataSplit, TaskFamily, write_table
+from .tasks import DataSplit, TaskFamily
 from .vectors import NonFiniteError, RngStream, linear_combination, linear_combination_into
 
 __all__ = [
@@ -51,7 +49,6 @@ __all__ = [
     "greedy_search_lambda",
     "across_cores",
     "run_forkmerge",
-    "write_merge_history",
 ]
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -122,7 +119,8 @@ class CandidateEval:
 class MergeRecord:
     """One fork/merge round. Its times are seconds of wall clock: ``train_s``
     for the `train_branches` call, ``search_s`` for the merge search and the
-    target-only scoring, and ``wall_s`` for the whole round."""
+    target-only scoring, and ``wall_s`` for the whole round; the runner
+    writes them to timings.csv."""
 
     round_index: int
     candidates: tuple[CandidateEval, ...]
@@ -677,29 +675,3 @@ def run_forkmerge(
         branches = surviving
 
     return ForkMergeResult(params, tuple(history))
-
-
-def write_merge_history(history: Sequence[MergeRecord], csv_path, json_path) -> None:
-    """One CSV row per evaluated candidate, plus a JSON coefficient trajectory."""
-    columns = ("round", "branch_id", "candidate_lambda_or_coeff", "val_perf", "chosen")
-    write_table(csv_path, columns, zip(*[
-        (record.round_index, cand.branch_id, cand.coeff, cand.perf.value, int(cand.chosen))
-        for record in history for cand in record.candidates]))
-
-    payload = {
-        "rounds": [
-            {
-                "round": r.round_index,
-                "merge_coeffs": {str(k): v for k, v in r.merge_coeffs.items()},
-                "target_only_perf": r.target_only_perf.value,
-                "chosen_perf": r.chosen_perf.value,
-                "surviving_branch_ids": list(r.surviving_branch_ids),
-                "psearch_evals": r.psearch_evals,
-                "train_s": r.train_s,
-                "search_s": r.search_s,
-                "wall_s": r.wall_s,
-            }
-            for r in history
-        ]
-    }
-    Path(json_path).write_text(json.dumps(payload, indent=2), encoding="utf-8")

@@ -35,12 +35,12 @@ from .baselines import (
 from .forkmerge import (
     DEFAULT_LAMBDA_GRID,
     BranchSpec,
+    MergeRecord,
     MergeSchedule,
     check_branches,
     make_omega_branches,
     run_forkmerge,
     train_branches,
-    write_merge_history,
 )
 from .metrics import csd, delta_m, one_step_tg_gcs_sweep
 from .nn import HeadSpec, ModelSpec
@@ -61,6 +61,7 @@ __all__ = [
     "OUTPUT_DIR_ENV",
     "ConfigError",
     "ExperimentConfig",
+    "RecordsError",
     "ResultRecord",
     "aggregate",
     "config_to_text",
@@ -91,11 +92,20 @@ _STL_KEYS = (*FAMILY_KEYS, "data_seed", "data_dir", "hidden_dims", "activation",
 
 OUTPUT_DIR_ENV = "AUXLAB_OUTPUT_DIR"
 RECORDS_FILENAME = "records.csv"
+TIMINGS_FILENAME = "timings.csv"
+# seconds of wall clock per job and per fork/merge round; round is empty on a
+# job's row
+TIMING_COLUMNS = ("method", "seed", "round", "phase", "seconds")
 CONFIG_ECHO_FILENAME = "config_echo_{method}.cfg"
 
 
 class ConfigError(ValueError):
     """A config line failed to parse, or a field failed validation."""
+
+
+class RecordsError(ValueError):
+    """A records file auxlab cannot use as it stands: its header is not this
+    version's, or it holds a (method, seed) job twice."""
 
 
 @dataclass(frozen=True)
@@ -196,7 +206,6 @@ class ResultRecord:
     value: float
     tg: float | None
     psearch_evals: int
-    wall_s: float
 
 
 # -- text codec: config values and record cells parse by their field's type --
@@ -372,15 +381,15 @@ def _schedule_for(config: ExperimentConfig,
     )
 
 
-def _finished_jobs(path: Path) -> tuple[list[list[ResultRecord]], int]:
-    """The rows of every (method, seed) job that ``path`` holds in full, in
-    file order, and the count of rows left out. A job writes its rows
-    together and ends with the target's val row, or, if it diverged, is one
-    NaN row; rows that stop short of that belong to a job that did not
-    finish and are left out."""
-    if not path.exists():
-        return [], 0
-    records = read_records(path)
+def _finished_jobs(records: Sequence[ResultRecord],
+                   path: Path) -> tuple[list[list[ResultRecord]], int]:
+    """The rows of every (method, seed) job that ``records``, read from
+    ``path``, hold in full, in order, and the count of rows left out. A job
+    writes its rows together and ends with the target's val row, or, if it
+    diverged, is one NaN row; rows that stop short of that belong to a job
+    that did not finish and are left out. A job held in full twice, as two
+    runs appending to one dir at once leave it, would count twice: that
+    raises RecordsError naming it."""
     jobs: list[list[ResultRecord]] = []
     rows: list[ResultRecord] = []
     for record in records:
@@ -390,6 +399,12 @@ def _finished_jobs(path: Path) -> tuple[list[list[ResultRecord]], int]:
         if record.split == "val" or (len(rows) == 1 and math.isnan(record.value)):
             jobs.append(rows)
             rows = []
+    keys = [(rows[0].method, rows[0].seed) for rows in jobs]
+    twice = [f"{method} seed {seed}" for method, seed in dict.fromkeys(keys)
+             if keys.count((method, seed)) > 1]
+    if twice:
+        raise RecordsError(f"{path}: holds job {', '.join(twice)} twice, as two runs"
+                           " writing into one dir at once leave it; use a fresh output dir")
     return jobs, len(records) - sum(map(len, jobs))
 
 
@@ -408,16 +423,18 @@ def _run_method(
     spec: ModelSpec,
     seed: int,
     out_dir: Path,
-) -> tuple[dict[int, np.ndarray], int]:
-    """Train one (method, seed) job; returns each task's final parameters and
-    the number of validation evaluations the method spent on weight search.
-    ``stl`` trains one model per task, every other method one for all."""
+) -> tuple[dict[int, np.ndarray], int, Sequence[MergeRecord]]:
+    """Train one (method, seed) job; returns each task's final parameters,
+    the number of validation evaluations the method spent on weight search,
+    and the merge history of a fork/merge method, which is also written to
+    ``out_dir``. ``stl`` trains one model per task, every other method one
+    for all."""
     opt = opt_config_for(config)
     total = config.total_steps
     tasks = family.task_ids
     if method == "stl":
-        return dict(zip(tasks, run_single_task(family, spec, tasks, total, opt, seed))), 0
-    psearch = 0
+        return dict(zip(tasks, run_single_task(family, spec, tasks, total, opt, seed))), 0, ()
+    psearch, history = 0, ()
     if method == "ew":
         params = run_ew(family, spec, total, opt, seed)
     elif method == "fixed_lambda":
@@ -434,13 +451,26 @@ def _run_method(
             family, spec, _schedule_for(config, config.lambda_grid),
             _branches_for(config), opt, seed,
         )
-        write_merge_history(
-            result.merge_history,
-            out_dir / f"merge_history_{method}_seed{seed}.csv",
-            out_dir / f"merge_history_{method}_seed{seed}.json",
-        )
+        history = result.merge_history
+        _write_merge_history(history, out_dir / f"merge_history_{method}_seed{seed}.csv",
+                             out_dir / f"merge_history_{method}_seed{seed}.json")
         params, psearch = result.final_params, result.total_psearch_evals
-    return dict.fromkeys(tasks, params), psearch
+    return dict.fromkeys(tasks, params), psearch, history
+
+
+def _write_merge_history(history: Sequence[MergeRecord], csv_path, json_path) -> None:
+    """One CSV row per evaluated candidate, plus a JSON coefficient trajectory."""
+    columns = ("round", "branch_id", "candidate_lambda_or_coeff", "val_perf", "chosen")
+    write_table(csv_path, columns, zip(*[
+        (record.round_index, cand.branch_id, cand.coeff, cand.perf.value, int(cand.chosen))
+        for record in history for cand in record.candidates]))
+    rounds = [{"round": r.round_index,
+               "merge_coeffs": {str(k): v for k, v in r.merge_coeffs.items()},
+               "target_only_perf": r.target_only_perf.value,
+               "chosen_perf": r.chosen_perf.value,
+               "surviving_branch_ids": list(r.surviving_branch_ids),
+               "psearch_evals": r.psearch_evals} for r in history]
+    Path(json_path).write_text(json.dumps({"rounds": rounds}, indent=2), encoding="utf-8")
 
 
 def _job_records(
@@ -451,22 +481,24 @@ def _job_records(
     seed: int,
     out_dir: Path,
     stl_value: float | None,
-) -> list[ResultRecord]:
+) -> tuple[list[ResultRecord], list[tuple]]:
     """Train and score one (method, seed) job: each task's test row, then the
     target's val row, accuracies in percent so that gains read as points; the
     target's test row carries its gain over ``stl_value``, the seed's stl
-    score, if given. A job that diverges is one NaN row."""
+    score, if given. A job that diverges is one NaN row. Also returns the
+    job's `TIMING_COLUMNS` rows: train, search and round seconds per
+    fork/merge round, then the whole job's."""
     start = time.perf_counter()
     target = family.target_id
     try:
-        params, psearch = _run_method(config, method, family, spec, seed, out_dir)
+        params, psearch, history = _run_method(config, method, family, spec, seed, out_dir)
         scored = [(task_id, "test", nn.evaluate(spec, params[task_id],
                                                 family.test(task_id), task_id))
                   for task_id in family.task_ids]
         scored.append((target, "val", nn.evaluate(spec, params[target],
                                                   family.val(target), target)))
     except NonFiniteError:  # a diverged job is one NaN row, with no gain
-        psearch, scored = 0, [(target, "test", None)]
+        psearch, history, scored = 0, (), [(target, "test", None)]
     wall = time.perf_counter() - start
     rows = []
     for task_id, split, perf in scored:
@@ -477,9 +509,11 @@ def _job_records(
             value = 100.0 * perf.value if metric == "accuracy" else perf.value
             tg = (value - stl_value if (task_id, split) == (target, "test")
                   and stl_value is not None else None)
-        rows.append(ResultRecord(method, seed, task_id, split, metric, value, tg,
-                                 psearch, wall))
-    return rows
+        rows.append(ResultRecord(method, seed, task_id, split, metric, value, tg, psearch))
+    timings = [(method, seed, r.round_index, phase, seconds) for r in history
+               for phase, seconds in (("train", r.train_s), ("search", r.search_s),
+                                      ("round", r.wall_s))]
+    return rows, timings + [(method, seed, None, "job", wall)]
 
 
 def run_experiment(
@@ -491,9 +525,9 @@ def run_experiment(
     The output directory (see `output_dir_for`) receives an echo of the
     effective config, named after the method so that every method run into
     one dir keeps its own (and one of the stl references, if the run trains
-    them), the incrementally appended records CSV, and per-seed merge
-    histories for the fork/merge methods. A diverged seed is recorded as a
-    NaN row and the run moves on to the next seed.
+    them), the incrementally appended records CSV, the timings CSV, and
+    per-seed merge histories for the fork/merge methods. A diverged seed is
+    recorded as a NaN row and the run moves on to the next seed.
 
     A dir that already holds records is resumed: (method, seed) jobs whose
     rows are complete there are skipped, and a skipped single-task job still
@@ -504,9 +538,11 @@ def run_experiment(
     written.
     """
     out_dir = output_dir_for(config, output_dir)
-    path = out_dir / RECORDS_FILENAME
-    finished, dropped = _finished_jobs(path)
+    path, timings_path = out_dir / RECORDS_FILENAME, out_dir / TIMINGS_FILENAME
+    finished, dropped = (_finished_jobs(read_records(path), path) if path.exists()
+                         else ([], 0))
     done = {(rows[0].method, rows[0].seed): rows for rows in finished}
+    kept_timings = _kept_timings(timings_path, done)
     jobs = [(config.method, seed) for seed in config.seeds]
     if config.method != "stl" and config.compute_tg:
         jobs = [("stl", seed) for seed in config.seeds] + jobs
@@ -529,31 +565,50 @@ def run_experiment(
     if dropped:
         print(f"auxlab: {path}: dropping {dropped} row(s) of unfinished jobs",
               file=sys.stderr)
-    # the file is made to hold exactly the finished jobs, in order: anything
-    # else (a torn tail, an unfinished job's rows) is dropped by an atomic
-    # rewrite; then each job's rows are appended whole, so a crash loses at
-    # most the job in flight
-    kept = csv_text(RECORD_COLUMNS,
-                    zip(*[astuple(r) for rows in finished for r in rows]))
-    if not path.exists() or path.read_text(encoding="utf-8") != kept:
-        partial = path.with_name(path.name + ".partial")
-        partial.write_text(kept, encoding="utf-8")
-        os.replace(partial, path)
+    # both files are made to hold exactly the finished jobs' rows, in order:
+    # anything else (a torn tail, an unfinished job's rows) is dropped by an
+    # atomic rewrite; then each job's rows are appended whole, its records
+    # and then its timings, so a crash loses at most the job in flight
+    _replace_text(path, csv_text(RECORD_COLUMNS,
+                                 zip(*[astuple(r) for rows in finished for r in rows])))
+    _replace_text(timings_path, kept_timings)
     records: list[ResultRecord] = []
     stl_target: dict[int, float | None] = {}
-    with open(path, "a", newline="", encoding="utf-8") as handle:
+    with (open(path, "a", newline="", encoding="utf-8") as handle,
+          open(timings_path, "a", newline="", encoding="utf-8") as timings):
         for method, seed in jobs:
             rows = done.get((method, seed))
             if rows is None:
-                rows = _job_records(config, method,
-                                    family_of(None if config.data_dir else seed),
-                                    spec, seed, out_dir, stl_target.get(seed))
+                rows, times = _job_records(config, method,
+                                           family_of(None if config.data_dir else seed),
+                                           spec, seed, out_dir, stl_target.get(seed))
                 handle.write(csv_text(None, zip(*map(astuple, rows))))
                 handle.flush()
+                timings.write(csv_text(None, zip(*times)))
+                timings.flush()
                 records += rows
             if method == "stl":  # None if the seed's stl job diverged
                 stl_target[seed] = _target_test_value(rows)
     return records
+
+
+def _kept_timings(path: Path, done: Iterable[tuple[str, int]]) -> str:
+    """The text of ``path``, a timings CSV, that a run keeps: the header and
+    the whole rows of the (method, seed) jobs in ``done``. As in records, a
+    last row without its newline was cut off mid-write and is dropped, and so
+    are the rows of jobs that did not finish."""
+    lines = path.read_text(encoding="utf-8").splitlines(True) if path.exists() else []
+    jobs = tuple(f"{method},{seed}," for method, seed in done)
+    return ",".join(TIMING_COLUMNS) + "\n" + "".join(
+        line for line in lines[1:] if line.endswith("\n") and line.startswith(jobs))
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Make ``path`` hold ``text``, by an atomic rewrite if it differs."""
+    if not path.exists() or path.read_text(encoding="utf-8") != text:
+        partial = path.with_name(path.name + ".partial")
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, path)
 
 
 def _echo_for(config: ExperimentConfig, method: str, out_dir: Path,
@@ -598,17 +653,22 @@ def read_records(path) -> list[ResultRecord]:
     """Parse a records CSV. Rows are appended whole and newline-terminated,
     so a last row without its newline was cut off mid-write: it is skipped
     with a note on stderr. A file whose whole text is a prefix of the header
-    was cut before any row, and holds none. Any other malformed row raises."""
+    was cut before any row, and holds none. A header of other columns, or a
+    job held twice (see `_finished_jobs`), raises RecordsError; any other
+    malformed row raises ValueError."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
         text = handle.read()
     if ",".join(RECORD_COLUMNS).startswith(text):
         return []
     reader = csv.DictReader(io.StringIO(text), restval="")
-    if reader.fieldnames != list(RECORD_COLUMNS):
-        raise ValueError(
-            f"{path}: unexpected records header {reader.fieldnames}"
-        )
+    found = reader.fieldnames
+    if found != list(RECORD_COLUMNS):
+        differ = ([c for c in found if c not in RECORD_COLUMNS]
+                  + [c for c in RECORD_COLUMNS if c not in found])
+        raise RecordsError(
+            f"{path}: unexpected records header: it differs from this auxlab"
+            f" version's in {', '.join(differ) or 'column order'}; use a fresh output dir")
     rows = [(reader.line_num, row) for row in reader]
     if rows and not text.endswith("\n"):
         line, _ = rows.pop()
@@ -623,6 +683,7 @@ def read_records(path) -> list[ResultRecord]:
                 **{key: parse(row[key]) for key, parse in _RECORD_PARSERS.items()}))
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: malformed record: {exc}") from exc
+    _finished_jobs(records, path)  # raises if a job is held twice
     return records
 
 

@@ -12,7 +12,6 @@ import json
 import shutil
 import statistics
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +179,7 @@ def test_c04_published_table_recomputation(gate):
     stl = (77.6, 41.4, 71.8, 73.0, 84.6, 70.2)
     ew = (78.0, 38.1, 67.2, 50.8, 77.1, 67.0)
     records = [
-        ResultRecord(method, 0, task, "test", "accuracy", value, None, 0, 0.0)
+        ResultRecord(method, 0, task, "test", "accuracy", value, None, 0)
         for method, values in (("stl", stl), ("ew", ew))
         for task, value in enumerate(values)
     ]
@@ -279,7 +278,6 @@ def _run_family(base: Path, template: str) -> dict:
         _run_cli(["run", "--config", str(cfg), "--output-dir", str(torn)])
     return {
         "records": records,
-        "resumed": read_records(torn / RECORDS_FILENAME),
         "dirs": (whole, torn),
         "elapsed": time.perf_counter() - start,
     }
@@ -411,23 +409,30 @@ def test_c08_greedy_search_eval_budget(gate, tmp_path):
 
 
 def test_c09_resume_determinism(gate, strong_negative_runs, positive_runs):
-    def strip_wall(records):
-        return [replace(r, wall_s=0.0) for r in records]
-
     ok = True
     details = []
     for runs in (strong_negative_runs, positive_runs):
-        whole, resumed = strip_wall(runs["records"]), strip_wall(runs["resumed"])
+        whole_dir, torn_dir = runs["dirs"]
+        # the header and every row, compared as bytes
+        whole, resumed = ((d / RECORDS_FILENAME).read_bytes().splitlines(True)
+                          for d in runs["dirs"])
         differ = abs(len(whole) - len(resumed)) + sum(
             a != b for a, b in zip(whole, resumed))
-        methods = {r.method for r in whole}
-        ok = ok and methods == {"stl", "ew", "forkmerge"} and differ == 0
-        details.append(f"{differ} of {len(whole)} rows differ")
+        histories = sorted({p.name for d in runs["dirs"] for p in d.glob("merge_history_*")})
+        histories_differ = sum(
+            not (torn_dir / name).is_file()
+            or (whole_dir / name).read_bytes() != (torn_dir / name).read_bytes()
+            for name in histories)
+        methods = {r.method for r in runs["records"]}
+        ok = (ok and methods == {"stl", "ew", "forkmerge"} and differ == 0
+              and histories_differ == 0 and histories != [])
+        details.append(f"{differ} of {len(whole) - 1} rows and {histories_differ} of"
+                       f" {len(histories)} merge-history files differ")
     gate(
         9,
         "records of a run resumed from a torn file equal an uninterrupted run's",
         ok,
-        f"ew and forkmerge, {', '.join(details)}, wall-clock column excluded",
+        f"ew and forkmerge, {', '.join(details)}, byte for byte",
     )
 
 

@@ -231,9 +231,7 @@ class TestExitCodes:
         complete = read_records(records)
         records.write_bytes(records.read_bytes()[:keep])
         assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
-        again = read_records(records)
-        strip = lambda r: (r.method, r.seed, r.task_id, r.split, r.value, r.tg)  # noqa: E731
-        assert [strip(r) for r in again] == [strip(r) for r in complete]
+        assert read_records(records) == complete
         capsys.readouterr()
         assert run_cli("report", "--records", str(out)) == 0
         with open(out / "summary.csv", newline="") as handle:
@@ -241,19 +239,19 @@ class TestExitCodes:
         assert {m: summary[m]["n_seeds"] for m in summary} == {"ew": "2", "stl": "2"}
 
     def test_report_rejects_malformed_inner_row(self, capsys, tmp_path):
-        header = "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
-        good = "ew,0,0,test,accuracy,80.0,,0,0.1\n"
+        header = "method,seed,task_id,split,metric,value,tg,psearch_evals\n"
+        good = "ew,0,0,test,accuracy,80.0,,0\n"
         (tmp_path / "records.csv").write_text(header + "ew,1,0,test,acc\n" + good)
         assert run_cli("report", "--records", str(tmp_path)) == 2
         assert "line 2" in capsys.readouterr().err
 
     def test_report_with_diverged_stl_rows_leaves_delta_m_empty(self, tmp_path):
         (tmp_path / "records.csv").write_text(
-            "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
-            "stl,0,0,test,accuracy,nan,,0,0.1\n"
-            "ew,0,0,test,accuracy,80.0,,0,0.1\n"
-            "ew,0,1,test,accuracy,70.0,,0,0.1\n"
-            "ew,0,0,val,accuracy,75.0,,0,0.1\n"
+            "method,seed,task_id,split,metric,value,tg,psearch_evals\n"
+            "stl,0,0,test,accuracy,nan,,0\n"
+            "ew,0,0,test,accuracy,80.0,,0\n"
+            "ew,0,1,test,accuracy,70.0,,0\n"
+            "ew,0,0,val,accuracy,75.0,,0\n"
         )
         assert run_cli("report", "--records", str(tmp_path)) == 0
         with open(tmp_path / "summary.csv", newline="") as handle:
@@ -263,9 +261,9 @@ class TestExitCodes:
 
     def test_report_without_finite_test_rows_exits_1(self, capsys, tmp_path):
         (tmp_path / "records.csv").write_text(
-            "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
-            "stl,0,0,test,accuracy,nan,,0,0.1\n"
-            "ew,0,0,test,accuracy,nan,,0,0.1\n"
+            "method,seed,task_id,split,metric,value,tg,psearch_evals\n"
+            "stl,0,0,test,accuracy,nan,,0\n"
+            "ew,0,0,test,accuracy,nan,,0\n"
         )
         assert run_cli("report", "--records", str(tmp_path)) == 1
         assert "finite" in capsys.readouterr().err
@@ -291,25 +289,113 @@ class TestExitCodes:
         assert capsys.readouterr().out == f"wrote 3 records to {written}\n"
         assert written.is_file()
 
-    @pytest.mark.parametrize("keep", [0, 1, 17, 62], ids=["empty", "one_char",
+    @pytest.mark.parametrize("keep", [0, 1, 17, -1], ids=["empty", "one_char",
                                                         "mid_column", "no_newline"])
     def test_report_on_a_header_cut_short(self, capsys, tmp_path, keep):
-        header = "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
+        header = "method,seed,task_id,split,metric,value,tg,psearch_evals\n"
         (tmp_path / "records.csv").write_text(header[:keep])
         assert run_cli("report", "--records", str(tmp_path)) == 1
         assert "holds no finite test records" in capsys.readouterr().err
 
     def test_report_on_headers_only(self, tmp_path):
         (tmp_path / "records.csv").write_text(
-            "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
+            "method,seed,task_id,split,metric,value,tg,psearch_evals\n"
         )
         assert run_cli("report", "--records", str(tmp_path)) == 1
 
     def test_runtime_failure_is_exit_two(self, capsys, tmp_path):
-        (tmp_path / "records.csv").write_text("who,what\n1,2\n")
+        (tmp_path / "records.csv").write_text(
+            "method,seed,task_id,split,metric,value,tg,psearch_evals\n"
+            "ew,0,0,test,accuracy,80.0,,0\n"
+        )
+        (tmp_path / "merge_history_forkmerge_seed0.json").write_text("{not json")
         code = run_cli("report", "--records", str(tmp_path))
         assert code == 2
         assert capsys.readouterr().err.startswith("auxlab:")
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def _no_training(monkeypatch):
+    """Make any (method, seed) job the runner starts fail the test."""
+    import auxlab.runner as runner_mod
+
+    def run_method(*args):
+        raise AssertionError("a job was trained")
+
+    monkeypatch.setattr(runner_mod, "_run_method", run_method)
+
+
+# records.csv as auxlab wrote it while each row carried its job's wall time,
+# and one with a renamed column
+OTHER_FORMATS = {
+    "wall_time_column": ("method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
+                         "ew,0,0,test,accuracy,80.0,,0,0.1\n"
+                         "ew,0,1,test,accuracy,70.0,,0,0.1\n"
+                         "ew,0,0,val,accuracy,75.0,,0,0.1\n", ["wall_s"]),
+    "renamed_column": ("method,seed,task_id,split,metric,value,gain,psearch_evals\n"
+                       "ew,0,0,test,accuracy,80.0,,0\n", ["gain", "tg"]),
+}
+
+
+class TestRecordsAuxlabCannotUse:
+    """A records.csv of another format, or one holding a (method, seed) job
+    twice, makes `run` and `report` exit 1 naming the cause, before any
+    training or write."""
+
+    @pytest.mark.parametrize("case", sorted(OTHER_FORMATS))
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_other_format_exits_1_naming_the_columns(self, capsys, tmp_path, monkeypatch,
+                                                     command, case):
+        text, columns = OTHER_FORMATS[case]
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "records.csv").write_text(text)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(CFG_SMALL + "compute_tg = false\n")
+        _no_training(monkeypatch)
+        before = _dir_bytes(out)
+        argv = (("run", "--config", str(cfg), "--output-dir", str(out))
+                if command == "run" else ("report", "--records", str(out)))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("auxlab:") and "records.csv" in err
+        assert all(column in err for column in columns)
+        assert _dir_bytes(out) == before
+
+    def _dir_with_a_duplicated_stl_job(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(CFG_SMALL.replace("seeds = 0", "seeds = 0,1"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        records = out / "records.csv"
+        lines = records.read_text().splitlines(keepends=True)
+        # a second whole copy of the stl seed-0 job, as two runs appending
+        # into one dir at once leave it
+        records.write_text("".join(lines + [line for line in lines
+                                             if line.startswith("stl,0,")]))
+        return cfg, out
+
+    def test_report_exits_1_naming_a_duplicated_job(self, capsys, tmp_path):
+        _, out = self._dir_with_a_duplicated_stl_job(tmp_path)
+        before = _dir_bytes(out)
+        capsys.readouterr()
+        assert run_cli("report", "--records", str(out)) == 1
+        assert "stl seed 0" in capsys.readouterr().err
+        assert _dir_bytes(out) == before
+
+    def test_run_exits_1_naming_a_duplicated_job_before_training(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        cfg, out = self._dir_with_a_duplicated_stl_job(tmp_path)
+        cfg.write_text(CFG_SMALL.replace("seeds = 0", "seeds = 0,1,2"))
+        before = _dir_bytes(out)
+        _no_training(monkeypatch)
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
+        assert "stl seed 0" in capsys.readouterr().err
+        assert _dir_bytes(out) == before
 
 
 class TestPipeline:
@@ -567,8 +653,5 @@ def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
     run_experiment(parse_config_text(text), tmp_path / "one")
 
-    def without_wall(name):
-        records = read_records(tmp_path / name / "records.csv")
-        return [dataclasses.replace(r, wall_s=0.0) for r in records]
-
-    assert without_wall("two") == without_wall("one") != []
+    records = read_records(tmp_path / "two" / "records.csv")
+    assert records == read_records(tmp_path / "one" / "records.csv") != []

@@ -1,9 +1,9 @@
 """Golden digests: a tiny fixed experiment must keep producing the same bytes.
 
 Refactors and speed-ups of the training loop are meant to leave every record
-bit-identical. These digests pin `records.csv` (without the timing column),
-the merge-history CSVs and the merge-history JSON files (without each
-round's timing) of small runs of every trainer: `ew`, a 2-branch
+bit-identical. These digests pin the bytes of `records.csv` and of the
+merge-history CSVs, and the merge-history JSON files in their canonical
+form (`json.dumps(..., sort_keys=True)`), of small runs of every trainer: `ew`, a 2-branch
 `forkmerge` with the grid and with the binary search, a 3-task
 `forkmerge_multi` with the full validation split, with a subsample (so
 evaluations run on splits of several row counts) and with a two-layer relu
@@ -22,7 +22,6 @@ gets its values.
 """
 
 import contextlib
-import csv
 import hashlib
 import io
 import json
@@ -212,24 +211,6 @@ def _config_text(lines: str) -> str:
     return "\n".join([lines, *base])
 
 
-def _records_without_wall_time(path) -> bytes:
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    keep = [i for i, name in enumerate(rows[0]) if name != "wall_s"]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows([row[i] for i in keep] for row in rows)
-    return out.getvalue().encode("utf-8")
-
-
-def _history_without_wall_time(path) -> bytes:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    for round_payload in payload["rounds"]:
-        for key in ("train_s", "search_s", "wall_s"):
-            del round_payload[key]
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-
 def _digests(case: str, out_dir: Path) -> dict[str, str]:
     """Run ``case`` into ``out_dir``; the sha256 of each file it pins."""
     if case in GOLDEN:
@@ -244,13 +225,9 @@ def _digests(case: str, out_dir: Path) -> dict[str, str]:
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(digests)
     got = {}
     for name in digests:
-        path = out_dir / name
-        if name == RECORDS_FILENAME:
-            data = _records_without_wall_time(path)
-        elif path.suffix == ".json":
-            data = _history_without_wall_time(path)
-        else:
-            data = path.read_bytes()
+        data = (out_dir / name).read_bytes()
+        if name.endswith(".json"):
+            data = json.dumps(json.loads(data), sort_keys=True).encode("utf-8")
         got[name] = hashlib.sha256(data).hexdigest()
     return got
 

@@ -1,5 +1,8 @@
+import csv
 import dataclasses
+import itertools
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 from auxlab.optim import OptConfig
 from auxlab.runner import (
     FAMILY_KEYS,
+    RECORD_COLUMNS,
+    TIMING_COLUMNS,
     ConfigError,
     ExperimentConfig,
     ResultRecord,
@@ -192,11 +197,17 @@ class TestRunExperiment:
         assert {r.method for r in records} == {"ew"}
         assert all(r.tg is None for r in records)
 
-    def test_rerun_identical_excluding_wall(self, tmp_path):
-        a = run_experiment(small_config(), output_dir=tmp_path / "a")
-        b = run_experiment(small_config(), output_dir=tmp_path / "b")
-        strip = lambda r: dataclasses.replace(r, wall_s=0.0)  # noqa: E731
-        assert [strip(r) for r in a] == [strip(r) for r in b]
+    def test_two_runs_write_identical_files(self, tmp_path):
+        """Records and merge histories are bytes: two runs of one config
+        write the same, with nothing masked; the timings go to timings.csv."""
+        cfg = small_config(method="forkmerge", seeds=(0, 1), merge_interval=10)
+        a = run_experiment(cfg, output_dir=tmp_path / "a")
+        b = run_experiment(cfg, output_dir=tmp_path / "b")
+        assert a == b != []
+        names = sorted(p.name for p in (tmp_path / "a").glob("merge_history_*"))
+        assert len(names) == 4
+        for name in ["records.csv", *names]:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_records_csv_round_trip(self, tmp_path):
         records = run_experiment(small_config(), output_dir=tmp_path)
@@ -209,9 +220,7 @@ class TestRunExperiment:
         run_experiment(small_config(seeds=(4,)), output_dir=tmp_path / "first")
         echoed = load_config(tmp_path / "first" / "config_echo_ew.cfg")
         again = run_experiment(echoed, output_dir=tmp_path / "second")
-        first = read_records(tmp_path / "first" / "records.csv")
-        strip = lambda r: dataclasses.replace(r, wall_s=0.0)  # noqa: E731
-        assert [strip(r) for r in first] == [strip(r) for r in again]
+        assert read_records(tmp_path / "first" / "records.csv") == again
 
     def test_forkmerge_writes_round_history(self, tmp_path):
         cfg = small_config(
@@ -270,8 +279,7 @@ class TestRunExperiment:
         for t in (1, 2):
             (tmp_path / "fam" / f"task{t}_val.csv").write_text("f0,f1,label\nnot,a,row\n")
         again = run_experiment(cfg, output_dir=tmp_path / "again")
-        strip = lambda r: dataclasses.replace(r, wall_s=0.0)  # noqa: E731
-        assert [strip(r) for r in again] == [strip(r) for r in intact] != []
+        assert again == intact != []
 
     def test_each_seed_family_generated_once_per_run(self, tmp_path, monkeypatch):
         import auxlab.runner as runner_mod
@@ -313,10 +321,6 @@ class TestRunExperiment:
         assert math.isnan(loaded[0].value)
 
 
-def _strip_wall(records):
-    return [dataclasses.replace(r, wall_s=0.0) for r in records]
-
-
 class TestRerunIntoSameDir:
     """A run into a dir that already holds records resumes: complete
     (method, seed) jobs are skipped, so no row is ever counted twice."""
@@ -353,15 +357,15 @@ class TestRerunIntoSameDir:
         assert sorted(set(trained)) == [("ew", 1), ("stl", 1)]
         fresh = run_experiment(small_config(seeds=(0, 1)), output_dir=tmp_path / "fresh")
         key = lambda r: (r.method, r.seed)  # noqa: E731
-        assert sorted(_strip_wall(read_records(tmp_path / "records.csv")), key=key) == (
-            sorted(_strip_wall(fresh), key=key))
+        assert sorted(read_records(tmp_path / "records.csv"), key=key) == (
+            sorted(fresh, key=key))
 
     def test_skipped_stl_job_still_feeds_tg(self, tmp_path):
         run_experiment(small_config(method="stl", seeds=(0,)), output_dir=tmp_path)
         added = run_experiment(small_config(seeds=(0,)), output_dir=tmp_path)
         assert {r.method for r in added} == {"ew"}
         fresh = run_experiment(small_config(seeds=(0,)), output_dir=tmp_path / "fresh")
-        assert _strip_wall(added) == _strip_wall([r for r in fresh if r.method == "ew"])
+        assert added == [r for r in fresh if r.method == "ew"]
         assert any(r.tg is not None for r in added)
 
     def test_other_methods_keep_appending(self, tmp_path):
@@ -394,12 +398,12 @@ class TestRerunIntoSameDir:
         assert list(dict.fromkeys((r.method, r.seed) for r in added)) == [
             ("stl", 1), ("forkmerge", 0), ("forkmerge", 1)]
         fresh = run_experiment(fork, output_dir=tmp_path / "fresh")
-        assert _strip_wall(added) == _strip_wall(fresh[3:])
+        assert added == fresh[3:]
         echo = load_config(shared / "config_echo_stl.cfg")
         assert (echo.method, echo.seeds) == ("stl", (0, 1))
         again = run_experiment(echo, output_dir=tmp_path / "again")
-        rows = _strip_wall(read_records(shared / "records.csv"))
-        assert _strip_wall(again) == [r for r in rows if r.method == "stl"]
+        rows = read_records(shared / "records.csv")
+        assert again == [r for r in rows if r.method == "stl"]
 
     def test_stl_rows_without_an_stl_echo_are_refused(self, tmp_path):
         run_experiment(small_config(seeds=(0,)), output_dir=tmp_path)
@@ -427,11 +431,11 @@ class TestRerunIntoSameDir:
         run_experiment(small_config(seeds=(0,)), output_dir=shared)
         run_experiment(small_config(method="gcs", seeds=(0,), compute_tg=False),
                        output_dir=shared)
-        rows = _strip_wall(read_records(shared / "records.csv"))
+        rows = read_records(shared / "records.csv")
         for method, methods in (("ew", {"stl", "ew"}), ("gcs", {"gcs"})):
             echoed = load_config(shared / f"config_echo_{method}.cfg")
             again = run_experiment(echoed, output_dir=tmp_path / method)
-            assert _strip_wall(again) == [r for r in rows if r.method in methods]
+            assert again == [r for r in rows if r.method in methods]
 
     def test_partial_job_is_dropped_and_rerun(self, tmp_path):
         cfg = small_config(seeds=(0, 1), compute_tg=False)
@@ -442,7 +446,7 @@ class TestRerunIntoSameDir:
         path.write_text("".join(lines[:-2]))
         added = run_experiment(cfg, output_dir=tmp_path)
         assert {(r.method, r.seed) for r in added} == {("ew", 1)}
-        assert _strip_wall(read_records(path)) == _strip_wall(complete)
+        assert read_records(path) == complete
 
     def test_job_that_raises_leaves_whole_jobs(self, tmp_path, monkeypatch):
         """An exception inside a job propagates with records.csv closed and
@@ -452,7 +456,7 @@ class TestRerunIntoSameDir:
         import auxlab.runner as runner_mod
 
         cfg = small_config(seeds=(0, 1))
-        fresh = _strip_wall(run_experiment(cfg, output_dir=tmp_path / "fresh"))
+        fresh = run_experiment(cfg, output_dir=tmp_path / "fresh")
         real_run, real_open = runner_mod._run_method, builtins.open
         calls, handles = [], []
 
@@ -473,20 +477,120 @@ class TestRerunIntoSameDir:
             run_experiment(cfg, output_dir=out)
         assert handles and all(handle.closed for handle in handles)
         path = out / "records.csv"
-        assert _strip_wall(read_records(path)) == [
+        assert read_records(path) == [
             r for r in fresh if (r.method, r.seed) == ("stl", 0)]
+        assert _timed_jobs(out) == [("stl", 0)]
         monkeypatch.undo()
         run_experiment(cfg, output_dir=out)
-        assert _strip_wall(read_records(path)) == fresh
+        assert read_records(path) == fresh
+        assert _timed_jobs(out) == [("stl", 0), ("stl", 1), ("ew", 0), ("ew", 1)]
+
+    def test_every_cut_of_the_records_resumes_to_the_same_bytes(self, tmp_path):
+        """A run whose records.csv is cut anywhere, at a line end or inside
+        a row or the header, re-runs to the uninterrupted run's records and
+        merge histories, byte for byte, and times only the jobs it trains."""
+        cfg = small_config(method="forkmerge", total_steps=40, merge_interval=10)
+        whole = tmp_path / "whole"
+        run_experiment(cfg, output_dir=whole)
+        text = (whole / "records.csv").read_text()
+        lines = text.splitlines(keepends=True)
+        ends = list(itertools.accumulate(map(len, lines)))
+        # the offset at which each job's last row ends, in job order
+        job_end = {}
+        for line, end in zip(lines[1:], ends[1:]):
+            method, seed = line.split(",")[:2]
+            job_end[method, int(seed)] = end
+        assert list(job_end) == [(m, s) for m in ("stl", "forkmerge") for s in (0, 1, 2)]
+        histories = sorted(p.name for p in whole.glob("merge_history_*"))
+        assert len(histories) == 6
+        mid_row = [10, ends[0] + 1, ends[4] + 7, ends[9] + 20, ends[-1] - 1]
+        for cut in [0, *ends, *mid_row]:
+            copy = tmp_path / f"cut{cut}"
+            copy.mkdir()
+            for path in whole.glob("config_echo_*.cfg"):
+                shutil.copy(path, copy)
+            # a crash leaves the histories of the jobs that finished
+            for (method, seed), end in job_end.items():
+                if method == "forkmerge" and end <= cut:
+                    for suffix in ("csv", "json"):
+                        shutil.copy(whole / f"merge_history_{method}_seed{seed}.{suffix}", copy)
+            (copy / "records.csv").write_text(text[:cut])
+            run_experiment(cfg, output_dir=copy)
+            for name in ["records.csv", *histories]:
+                assert (copy / name).read_bytes() == (whole / name).read_bytes(), (cut, name)
+            assert _timed_jobs(copy) == [job for job, end in job_end.items() if end > cut]
+
+
+def _timings(out_dir):
+    with open(out_dir / "timings.csv", newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
+def _timed_jobs(out_dir):
+    """The (method, seed) of each job row in ``out_dir``'s timings.csv."""
+    return [(r["method"], int(r["seed"])) for r in _timings(out_dir) if r["phase"] == "job"]
+
+
+class TestTimings:
+    """timings.csv holds every wall-clock figure of a run, apart from its
+    records and merge histories."""
+
+    def test_one_row_per_job_and_three_per_fork_merge_round(self, tmp_path):
+        cfg = small_config(method="forkmerge", seeds=(0, 1), merge_interval=10)
+        run_experiment(cfg, output_dir=tmp_path)
+        assert (tmp_path / "timings.csv").read_text().splitlines()[0] == (
+            "method,seed,round,phase,seconds")
+        rows = _timings(tmp_path)
+        assert _timed_jobs(tmp_path) == [("stl", 0), ("stl", 1),
+                                         ("forkmerge", 0), ("forkmerge", 1)]
+        assert all(r["round"] == "" and float(r["seconds"]) > 0
+                   for r in rows if r["phase"] == "job")
+        # each job's rows together: its rounds in order, then the job's
+        assert [(r["method"], r["seed"], r["round"], r["phase"]) for r in rows] == [
+            *[("stl", s, "", "job") for s in "01"],
+            *[row for s in "01" for row in (
+                *[("forkmerge", s, str(k), phase) for k in range(3)
+                  for phase in ("train", "search", "round")],
+                ("forkmerge", s, "", "job"))]]
+        seconds = {(r["seed"], r["round"], r["phase"]): float(r["seconds"]) for r in rows
+                   if r["method"] == "forkmerge"}
+        for s, k in itertools.product("01", "012"):
+            train, search, round_ = (seconds[s, k, phase]
+                                     for phase in ("train", "search", "round"))
+            assert 0 <= train and 0 <= search and train + search <= round_
+            assert round_ <= seconds[s, "", "job"]
+
+    def test_resumed_run_times_only_the_jobs_it_trains(self, tmp_path):
+        run_experiment(small_config(seeds=(0,)), output_dir=tmp_path)
+        run_experiment(small_config(seeds=(0, 1)), output_dir=tmp_path)
+        run_experiment(small_config(seeds=(0, 1)), output_dir=tmp_path)
+        assert _timed_jobs(tmp_path) == [("stl", 0), ("ew", 0), ("stl", 1), ("ew", 1)]
+
+    def test_torn_tail_and_unfinished_jobs_are_dropped(self, tmp_path):
+        cfg = small_config(compute_tg=False)
+        run_experiment(cfg, output_dir=tmp_path)
+        records, timings = tmp_path / "records.csv", tmp_path / "timings.csv"
+        lines = records.read_text().splitlines(keepends=True)
+        # a crash while seed 0's timing row was written: seed 0 is finished,
+        # and its torn row is dropped
+        records.write_text("".join(lines[:4]))
+        timings.write_text("".join(timings.read_text().splitlines(True)[:2])[:-3])
+        run_experiment(cfg, output_dir=tmp_path)
+        assert _timed_jobs(tmp_path) == [("ew", 1), ("ew", 2)]
+        # seed 1 keeps one of its three rows: the whole timing rows of seeds
+        # 1 and 2 are dropped with their jobs, which run again
+        records.write_text("".join(lines[:5]))
+        run_experiment(cfg, output_dir=tmp_path)
+        assert _timed_jobs(tmp_path) == [("ew", 1), ("ew", 2)]
+        assert records.read_text() == "".join(lines)
 
 
 def record(method, seed, task_id, value, tg=None, split="test"):
-    return ResultRecord(method, seed, task_id, split, "accuracy", value, tg, 0,
-                        0.0)
+    return ResultRecord(method, seed, task_id, split, "accuracy", value, tg, 0)
 
 
 class TestReadRecords:
-    HEADER = "method,seed,task_id,split,metric,value,tg,psearch_evals,wall_s\n"
+    HEADER = "method,seed,task_id,split,metric,value,tg,psearch_evals\n"
 
     @pytest.mark.parametrize("keep", [0, 5, len(HEADER) - 1])
     def test_file_cut_within_its_header_holds_no_records(self, tmp_path, keep):
@@ -501,12 +605,12 @@ class TestReadRecords:
             read_records(path)
 
     @pytest.mark.parametrize("row", [
-        "ew,0,0,test,accuracy,90.0,,0,0.1,EXTRA,MORE",
-        "ew,0,0,test,accuracy,90.0,,0,0.1,",
+        "ew,0,0,test,accuracy,90.0,,0,EXTRA,MORE",
+        "ew,0,0,test,accuracy,90.0,,0,",
     ], ids=["two_extra_cells", "one_empty_extra_cell"])
     def test_row_with_extra_cells_is_malformed(self, tmp_path, row):
         path = tmp_path / "records.csv"
-        path.write_text(self.HEADER + row + "\n" + "ew,1,0,test,accuracy,80.0,,0,0.1\n")
+        path.write_text(self.HEADER + row + "\n" + "ew,1,0,test,accuracy,80.0,,0\n")
         with pytest.raises(ValueError, match="line 2: malformed record"):
             read_records(path)
 
@@ -584,6 +688,13 @@ class TestConfigValidation:
         assert documented == [
             (key, "—" if key in ("method", "seeds") else "`" + (value or '""') + "`")
             for key, value in (line.split(" = ", 1) for line in echo.splitlines())]
+
+    def test_readme_file_headers_are_the_columns(self):
+        text = README.read_text(encoding="utf-8")
+        for name, columns in (("records.csv", RECORD_COLUMNS),
+                              ("timings.csv", TIMING_COLUMNS)):
+            block = text.split(f"`{name}` has one row per")[1].split("```\n")[1]
+            assert block == ",".join(columns) + "\n", name
 
     def test_branch_weights_arity(self):
         with pytest.raises(ConfigError, match="branch_weights"):
