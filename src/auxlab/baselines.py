@@ -10,7 +10,6 @@ scores anything, its runs on target validation data, to pick one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,14 +17,12 @@ import numpy as np
 from . import nn
 from .forkmerge import BranchSpec, across_cores, train_branches
 from .metrics import shared_gradient_block, gcs
-from .nn import ModelSpec, PerfValue
+from .nn import ModelSpec
 from .optim import OptConfig, TaskWeighting
 from .tasks import TaskFamily
 from .vectors import RngStream, dot
 
 __all__ = [
-    "FixedLambdaResult",
-    "GcsResult",
     "instantaneous_gcs_weights",
     "run_single_task",
     "run_stl",
@@ -92,21 +89,14 @@ def run_ew(
                   opt_cfg, seed, total_steps)[0]
 
 
-@dataclass(frozen=True)
-class FixedLambdaResult:
-    lam: float
-    params: np.ndarray = field(repr=False)
-    val_history: tuple[tuple[float, PerfValue], ...]
-
-
 def run_fixed_lambda(
     family: TaskFamily, model_spec: ModelSpec, total_steps: int,
     lambda_grid: Sequence[float], opt_cfg: OptConfig, seed: int,
-) -> FixedLambdaResult:
+) -> np.ndarray:
     """One full training run per grid value (every auxiliary task weighted
-    by the same lam), all trained in lockstep; the runs are scored on
-    validation across cores, and the winner is the first best, so ties go
-    to the earlier grid value."""
+    by the same lam), all trained in lockstep; the runs are scored on target
+    validation data across cores, and the parameters of the first best are
+    returned, so ties go to the earlier grid value."""
     if not lambda_grid:
         raise ValueError("empty lambda grid")
     weightings = [
@@ -119,17 +109,7 @@ def run_fixed_lambda(
     val, target = family.val(family.target_id), family.target_id
     perfs = across_cores(lambda params: nn.evaluate(model_spec, params, val, target),
                          trained, len(val))
-    runs = [(float(lam), params, perf)
-            for lam, params, perf in zip(lambda_grid, trained, perfs)]
-    lam_star, params_star, _ = max(runs, key=lambda run: run[2].value)
-    return FixedLambdaResult(lam_star, params_star,
-                             tuple((lam, perf) for lam, _, perf in runs))
-
-
-@dataclass(frozen=True)
-class GcsResult:
-    params: np.ndarray = field(repr=False)
-    lambda_history: tuple[dict[int, float], ...]
+    return max(zip(trained, perfs), key=lambda run: run[1].value)[0]
 
 
 def instantaneous_gcs_weights(
@@ -155,20 +135,17 @@ def instantaneous_gcs_weights(
 def run_gcs_weighting(
     family: TaskFamily, model_spec: ModelSpec, total_steps: int,
     opt_cfg: OptConfig, seed: int,
-) -> GcsResult:
+) -> np.ndarray:
     """Every step weights each auxiliary task by the clamped cosine between
     its gradient and the target gradient (on the shared block), so aligned
     tasks push with up to equal weight and conflicting tasks are muted."""
-    lambda_history = []
 
     def weigh(grads: dict[int, np.ndarray]) -> dict[int, float]:
-        weights = instantaneous_gcs_weights(model_spec, grads, family.target_id)
-        lambda_history.append(weights)
-        return {**weights, family.target_id: 1.0}
+        return {**instantaneous_gcs_weights(model_spec, grads, family.target_id),
+                family.target_id: 1.0}
 
-    [params] = _train(family, model_spec, [_equal_weighting(family)],
-                      range(total_steps), opt_cfg, seed, total_steps, weigh=weigh)
-    return GcsResult(params, tuple(lambda_history))
+    return _train(family, model_spec, [_equal_weighting(family)], range(total_steps),
+                  opt_cfg, seed, total_steps, weigh=weigh)[0]
 
 
 def run_post_train(

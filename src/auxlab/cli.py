@@ -3,8 +3,8 @@
 Subcommands: ``gen-data`` writes a task family to CSV files, ``run`` executes
 a config file, ``sweep`` runs the two analysis sweeps, ``report`` aggregates
 a results directory. Exit codes: 0 on success, 1 for usage problems (bad
-flags, missing or invalid config, a records file of another format or with a
-job written twice, nothing to report), 2 for runtime failures.
+flags, missing or invalid config, a records file auxlab cannot use, an output
+dir another run holds, nothing to report), 2 for runtime failures.
 All diagnostics go to standard error.
 """
 

@@ -340,7 +340,8 @@ class SearchOutcome:
 
     @property
     def n_evals(self) -> int:
-        """Validation evaluations the search made: one per candidate."""
+        """Candidates the search logged, one per evaluation except each
+        greedy stage's zero trial, logged with the previous winner's score."""
         return len(self.evaluations)
 
 

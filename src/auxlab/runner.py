@@ -7,6 +7,7 @@ Accuracy is recorded in percent so that gains read directly as points.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -22,6 +23,11 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # no flock (Windows): runs into one dir are not serialized
+    fcntl = None
 
 from . import nn
 from .baselines import (
@@ -100,12 +106,13 @@ CONFIG_ECHO_FILENAME = "config_echo_{method}.cfg"
 
 
 class ConfigError(ValueError):
-    """A config line failed to parse, or a field failed validation."""
+    """A config line failed to parse, a field failed validation, or the
+    config cannot run against its data or output dir as they stand."""
 
 
 class RecordsError(ValueError):
     """A records file auxlab cannot use as it stands: its header is not this
-    version's, or it holds a (method, seed) job twice."""
+    version's, a row is malformed, or it holds a (method, seed) job twice."""
 
 
 @dataclass(frozen=True)
@@ -438,10 +445,10 @@ def _run_method(
     if method == "ew":
         params = run_ew(family, spec, total, opt, seed)
     elif method == "fixed_lambda":
-        res = run_fixed_lambda(family, spec, total, config.lambda_grid, opt, seed)
-        params, psearch = res.params, len(res.val_history)
+        params = run_fixed_lambda(family, spec, total, config.lambda_grid, opt, seed)
+        psearch = len(config.lambda_grid)  # one validation evaluation per grid value
     elif method == "gcs":
-        params = run_gcs_weighting(family, spec, total, opt, seed).params
+        params = run_gcs_weighting(family, spec, total, opt, seed)
     elif method == "post_train":
         params = run_post_train(
             family, spec, config.pre_steps, total - config.pre_steps, opt, seed
@@ -533,23 +540,14 @@ def run_experiment(
     rows are complete there are skipped, and a skipped single-task job still
     supplies its seed's target value for transfer gain. Only the records
     written by this call are returned. A config that differs from the dir's
-    echo of a method whose jobs it runs or skips (see `_echo_for`), or a
-    ``data_dir`` the loader rejects, raises ConfigError before anything is
-    written.
+    echo of a method whose jobs it runs or skips (see `_echo_for`), a
+    ``data_dir`` the loader rejects, or a dir another run holds (see
+    `_sole_writer`) raises ConfigError before anything is written; the first
+    two leave a missing dir uncreated.
     """
     out_dir = output_dir_for(config, output_dir)
-    path, timings_path = out_dir / RECORDS_FILENAME, out_dir / TIMINGS_FILENAME
-    finished, dropped = (_finished_jobs(read_records(path), path) if path.exists()
-                         else ([], 0))
-    done = {(rows[0].method, rows[0].seed): rows for rows in finished}
-    kept_timings = _kept_timings(timings_path, done)
-    jobs = [(config.method, seed) for seed in config.seeds]
-    if config.method != "stl" and config.compute_tg:
-        jobs = [("stl", seed) for seed in config.seeds] + jobs
-    # the method's own echo is checked first, then that of its stl references
-    echoes = {method: _echo_for(config, method, out_dir,
-                                any(m == method for m, _ in done))
-              for method in dict.fromkeys(m for m, _ in reversed(jobs))}
+    # raises ConfigError if an echo line cannot name the dir
+    config = replace(config, output_dir=str(out_dir))
     # each seed's family is built once per run, however its jobs interleave
     # with other seeds'; a data_dir family serves every seed, and is loaded
     # before anything is written
@@ -559,37 +557,72 @@ def run_experiment(
         family_of(None)
     spec = model_spec_for(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for method, echo in echoes.items():
-        (out_dir / CONFIG_ECHO_FILENAME.format(method=method)).write_text(
-            config_to_text(echo), encoding="utf-8")
-    if dropped:
-        print(f"auxlab: {path}: dropping {dropped} row(s) of unfinished jobs",
-              file=sys.stderr)
-    # both files are made to hold exactly the finished jobs' rows, in order:
-    # anything else (a torn tail, an unfinished job's rows) is dropped by an
-    # atomic rewrite; then each job's rows are appended whole, its records
-    # and then its timings, so a crash loses at most the job in flight
-    _replace_text(path, csv_text(RECORD_COLUMNS,
-                                 zip(*[astuple(r) for rows in finished for r in rows])))
-    _replace_text(timings_path, kept_timings)
-    records: list[ResultRecord] = []
-    stl_target: dict[int, float | None] = {}
-    with (open(path, "a", newline="", encoding="utf-8") as handle,
-          open(timings_path, "a", newline="", encoding="utf-8") as timings):
-        for method, seed in jobs:
-            rows = done.get((method, seed))
-            if rows is None:
-                rows, times = _job_records(config, method,
-                                           family_of(None if config.data_dir else seed),
-                                           spec, seed, out_dir, stl_target.get(seed))
-                handle.write(csv_text(None, zip(*map(astuple, rows))))
-                handle.flush()
-                timings.write(csv_text(None, zip(*times)))
-                timings.flush()
-                records += rows
-            if method == "stl":  # None if the seed's stl job diverged
-                stl_target[seed] = _target_test_value(rows)
+    with _sole_writer(out_dir):
+        path, timings_path = out_dir / RECORDS_FILENAME, out_dir / TIMINGS_FILENAME
+        finished, dropped = (_finished_jobs(read_records(path), path) if path.exists()
+                             else ([], 0))
+        done = {(rows[0].method, rows[0].seed): rows for rows in finished}
+        kept_timings = _kept_timings(timings_path, done)
+        jobs = [(config.method, seed) for seed in config.seeds]
+        if config.method != "stl" and config.compute_tg:
+            jobs = [("stl", seed) for seed in config.seeds] + jobs
+        # the method's own echo is checked first, then that of its stl references
+        echoes = {method: _echo_for(config, method, out_dir,
+                                    any(m == method for m, _ in done))
+                  for method in dict.fromkeys(m for m, _ in reversed(jobs))}
+        for method, echo in echoes.items():
+            (out_dir / CONFIG_ECHO_FILENAME.format(method=method)).write_text(
+                config_to_text(echo), encoding="utf-8")
+        if dropped:
+            print(f"auxlab: {path}: dropping {dropped} row(s) of unfinished jobs",
+                  file=sys.stderr)
+        # both files are made to hold exactly the finished jobs' rows, in order:
+        # anything else (a torn tail, an unfinished job's rows) is dropped by an
+        # atomic rewrite; then each job's rows are appended whole, its records
+        # and then its timings, so a crash loses at most the job in flight
+        _replace_text(path, csv_text(RECORD_COLUMNS,
+                                     zip(*[astuple(r) for rows in finished for r in rows])))
+        _replace_text(timings_path, kept_timings)
+        records: list[ResultRecord] = []
+        stl_target: dict[int, float | None] = {}
+        with (open(path, "a", newline="", encoding="utf-8") as handle,
+              open(timings_path, "a", newline="", encoding="utf-8") as timings):
+            for method, seed in jobs:
+                rows = done.get((method, seed))
+                if rows is None:
+                    rows, times = _job_records(config, method,
+                                               family_of(None if config.data_dir else seed),
+                                               spec, seed, out_dir, stl_target.get(seed))
+                    handle.write(csv_text(None, zip(*map(astuple, rows))))
+                    handle.flush()
+                    timings.write(csv_text(None, zip(*times)))
+                    timings.flush()
+                    records += rows
+                if method == "stl":  # None if the seed's stl job diverged
+                    stl_target[seed] = _target_test_value(rows)
     return records
+
+
+@contextlib.contextmanager
+def _sole_writer(out_dir: Path):
+    """Hold an exclusive flock on ``out_dir`` for the block, so runs into one
+    dir take turns: one that finds it held raises ConfigError at once. The
+    lock is on the directory's own descriptor, so no lock file joins the
+    dir, and the kernel drops it when the process ends, so a crash leaves
+    none behind. Without fcntl nothing is locked."""
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(out_dir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"{out_dir}: output dir in use by another run;"
+                              " wait for it to end or use another dir") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def _kept_timings(path: Path, done: Iterable[tuple[str, int]]) -> str:
@@ -613,19 +646,18 @@ def _replace_text(path: Path, text: str) -> None:
 
 def _echo_for(config: ExperimentConfig, method: str, out_dir: Path,
               has_rows: bool) -> ExperimentConfig:
-    """The echo of ``method``'s rows that a run of ``config`` into ``out_dir``
-    writes: ``config`` itself, or, for the stl references of another method,
-    an stl config with ``config``'s ``_STL_KEYS``. An echo already there must
-    match it in the keys that train those rows (``_STL_KEYS`` for stl, every
-    key but ``seeds`` and ``output_dir`` otherwise; the dir may be spelled
-    another way), and rows of ``method`` in the dir (``has_rows``) need an
-    echo, or no echo would reproduce the dir's rows: ConfigError. The new
-    echo then names the seeds of both."""
-    if method == config.method:
-        echo = replace(config, output_dir=str(out_dir))
-    else:
-        echo = ExperimentConfig(method, config.seeds, output_dir=str(out_dir),
-                                **{key: getattr(config, key) for key in _STL_KEYS})
+    """The echo of ``method``'s rows that a run of ``config``, whose
+    ``output_dir`` names ``out_dir``, writes there: ``config`` itself, or, for
+    the stl references of another method, an stl config with ``config``'s
+    ``_STL_KEYS``. An echo already there must match it in the keys that train
+    those rows (``_STL_KEYS`` for stl, every key but ``seeds`` and
+    ``output_dir`` otherwise; the dir may be spelled another way), and rows of
+    ``method`` in the dir (``has_rows``) need an echo, or no echo would
+    reproduce the dir's rows: ConfigError. The new echo then names the seeds
+    of both."""
+    echo = config if method == config.method else ExperimentConfig(
+        method, config.seeds, output_dir=config.output_dir,
+        **{key: getattr(config, key) for key in _STL_KEYS})
     path = out_dir / CONFIG_ECHO_FILENAME.format(method=method)
     if not path.exists():
         if has_rows:
@@ -653,9 +685,9 @@ def read_records(path) -> list[ResultRecord]:
     """Parse a records CSV. Rows are appended whole and newline-terminated,
     so a last row without its newline was cut off mid-write: it is skipped
     with a note on stderr. A file whose whole text is a prefix of the header
-    was cut before any row, and holds none. A header of other columns, or a
-    job held twice (see `_finished_jobs`), raises RecordsError; any other
-    malformed row raises ValueError."""
+    was cut before any row, and holds none. A header of other columns, any
+    other malformed row, or a job held twice (see `_finished_jobs`) raises
+    RecordsError naming the file."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
         text = handle.read()
@@ -682,7 +714,7 @@ def read_records(path) -> list[ResultRecord]:
             records.append(ResultRecord(
                 **{key: parse(row[key]) for key, parse in _RECORD_PARSERS.items()}))
         except ValueError as exc:
-            raise ValueError(f"{path}: line {line}: malformed record: {exc}") from exc
+            raise RecordsError(f"{path}: line {line}: malformed record: {exc}") from exc
     _finished_jobs(records, path)  # raises if a job is held twice
     return records
 

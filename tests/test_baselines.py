@@ -137,48 +137,67 @@ class TestEw:
         assert_bitwise_equal(ew_params, stl_params)
 
 
+def score_each_lambda_alone(family, spec, steps, grid, seed):
+    """Each grid value's run, trained as a one-value grid, and its score on
+    target validation data, in grid order."""
+    runs = [run_fixed_lambda(family, spec, steps, [lam], OPT, seed) for lam in grid]
+    val, target = family.val(family.target_id), family.target_id
+    return runs, [evaluate(spec, params, val, target) for params in runs]
+
+
+def first_best(perfs):
+    best = max(perf.value for perf in perfs)
+    return [perf.value for perf in perfs].index(best)
+
+
 class TestFixedLambda:
     def test_zero_only_grid_is_stl(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam)
-        res = run_fixed_lambda(fam, spec, 40, [0.0], OPT, seed=2)
+        params = run_fixed_lambda(fam, spec, 40, [0.0], OPT, seed=2)
         stl_params = run_stl(fam, spec, 40, OPT, seed=2)
-        assert res.lam == 0.0
-        np.testing.assert_array_equal(res.params, stl_params)
+        np.testing.assert_array_equal(params, stl_params)
 
     def test_one_only_grid_is_ew(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam)
-        res = run_fixed_lambda(fam, spec, 40, [1.0], OPT, seed=2)
+        params = run_fixed_lambda(fam, spec, 40, [1.0], OPT, seed=2)
         ew_params = run_ew(fam, spec, 40, OPT, seed=2)
-        assert res.lam == 1.0
-        np.testing.assert_array_equal(res.params, ew_params)
+        np.testing.assert_array_equal(params, ew_params)
 
-    def test_three_point_grid_trains_three_times(self):
+    def test_three_point_grid_trains_three_times(self, monkeypatch):
         fam = family_for([0.5])
         spec = model_spec_for(fam)
-        res = run_fixed_lambda(fam, spec, 30, [0.0, 0.5, 1.0], OPT, seed=2)
-        assert [lam for lam, _ in res.val_history] == [0.0, 0.5, 1.0]
-        assert res.lam in (0.0, 0.5, 1.0)
-        best = max(p.value for _, p in res.val_history)
-        winners = [lam for lam, p in res.val_history if p.value == best]
-        assert res.lam == winners[0]  # ties break toward the smaller value
+        calls, _ = spy_on_lockstep_calls(monkeypatch)
+        params = run_fixed_lambda(fam, spec, 30, [0.0, 0.5, 1.0], OPT, seed=2)
+        [(_, branches, _, _)] = calls
+        assert [b.weighting.weights[1] for b in branches] == [0.0, 0.5, 1.0]
+        # the pick is the first best of the grid's runs on target validation
+        runs, perfs = score_each_lambda_alone(fam, spec, 30, [0.0, 0.5, 1.0], seed=2)
+        assert_bitwise_equal(params, runs[first_best(perfs)])
+
+    def test_ties_go_to_the_earlier_grid_value(self, monkeypatch):
+        fam = family_for([0.5])
+        spec = model_spec_for(fam)
+        tie = evaluate(spec, init_params(spec, RngStream(0)), fam.val(0), 0)
+        monkeypatch.setattr(baselines_mod.nn, "evaluate", lambda *args: tie)
+        params = run_fixed_lambda(fam, spec, 30, [0.5, 0.0, 1.0], OPT, seed=2)
+        assert_bitwise_equal(params, run_fixed_lambda(fam, spec, 30, [0.5], OPT, seed=2))
 
     def test_lockstep_grid_equals_each_run_alone(self, monkeypatch):
         fam = family_for([0.8, 0.2], seed=2)
         spec = model_spec_for(fam)
         grid = [0.0, 0.3, 1.0, 0.5]
         calls, real = spy_on_lockstep_calls(monkeypatch)
-        res = run_fixed_lambda(fam, spec, 30, grid, OPT, seed=2)
+        params = run_fixed_lambda(fam, spec, 30, grid, OPT, seed=2)
         assert [len(branches) for _, branches, _, _ in calls] == [len(grid)]
         assert_each_branch_trains_alone_to_the_same_bits(calls, real)
         # every grid point is the single-value grid's run
         monkeypatch.setattr(baselines_mod, "train_branches", real)
-        for lam, perf in res.val_history:
-            alone = run_fixed_lambda(fam, spec, 30, [lam], OPT, seed=2)
-            assert alone.val_history == ((lam, perf),)
-            if lam == res.lam:
-                assert_bitwise_equal(res.params, alone.params)
+        runs, perfs = score_each_lambda_alone(fam, spec, 30, grid, seed=2)
+        for got, alone in zip(calls[0][3], runs):
+            assert_bitwise_equal(got, alone)
+        assert_bitwise_equal(params, runs[first_best(perfs)])
 
     def test_empty_grid_rejected(self):
         fam = family_for([0.5])
@@ -225,47 +244,66 @@ class TestGcsWeights:
         assert instantaneous_gcs_weights(spec, {0: g0, 1: g1}, 0) == {1: 0.0}
 
 
+def spy_on_gcs_weights(monkeypatch):
+    """Record the auxiliary weights `instantaneous_gcs_weights` returns at
+    each step of the baselines' training; returns the list."""
+    real = baselines_mod.instantaneous_gcs_weights
+    history = []
+
+    def spy(*args):
+        weights = real(*args)
+        history.append(dict(weights))
+        return weights
+
+    monkeypatch.setattr(baselines_mod, "instantaneous_gcs_weights", spy)
+    return history
+
+
 class TestGcsTraining:
-    def test_weights_stay_in_unit_interval(self):
+    def test_weights_stay_in_unit_interval(self, monkeypatch):
         fam = family_for([0.8, 0.1], seed=12)
         spec = model_spec_for(fam)
-        res = run_gcs_weighting(fam, spec, 40, OPT, seed=12)
-        assert len(res.lambda_history) == 40
-        for step_weights in res.lambda_history:
+        history = spy_on_gcs_weights(monkeypatch)
+        run_gcs_weighting(fam, spec, 40, OPT, seed=12)
+        assert len(history) == 40
+        for step_weights in history:
             assert set(step_weights) == {1, 2}
             for lam in step_weights.values():
                 assert 0.0 <= lam <= 1.0
 
-    def test_disjoint_support_trajectory_is_stl(self):
+    def test_disjoint_support_trajectory_is_stl(self, monkeypatch):
         fam = family_for([0.5], seed=8)
         spec = ModelSpec(
             fam.input_dim, (), "tanh",
             {t: HeadSpec(fam.n_classes) for t in fam.task_ids},
         )
-        res = run_gcs_weighting(fam, spec, 50, OPT, seed=8)
+        history = spy_on_gcs_weights(monkeypatch)
+        params = run_gcs_weighting(fam, spec, 50, OPT, seed=8)
         stl_params = run_stl(fam, spec, 50, OPT, seed=8)
-        assert all(w == {1: 0.0} for w in res.lambda_history)
-        np.testing.assert_array_equal(res.params, stl_params)
+        assert len(history) == 50 and all(w == {1: 0.0} for w in history)
+        np.testing.assert_array_equal(params, stl_params)
 
-    def test_matches_the_per_step_loop_bitwise(self):
+    def test_matches_the_per_step_loop_bitwise(self, monkeypatch):
         # an unrelated task conflicts with the target often enough that its
         # cosine clamps to 0 and it drops out of some steps' mix
         fam = family_for([0.8, 0.0], seed=5)
         spec = model_spec_for(fam)
-        res = run_gcs_weighting(fam, spec, 60, OPT, seed=5)
+        got_history = spy_on_gcs_weights(monkeypatch)
+        got = run_gcs_weighting(fam, spec, 60, OPT, seed=5)
         params, history = gcs_loop(fam, spec, 60, OPT, seed=5)
-        assert_bitwise_equal(res.params, params)
-        assert list(res.lambda_history) == history
+        assert_bitwise_equal(got, params)
+        assert got_history == history
         weights = [w for step in history for w in step.values()]
         assert 0.0 in weights and max(weights) > 0.0
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         fam = family_for([0.6], seed=3)
         spec = model_spec_for(fam)
+        history = spy_on_gcs_weights(monkeypatch)
         a = run_gcs_weighting(fam, spec, 25, OPT, seed=3)
         b = run_gcs_weighting(fam, spec, 25, OPT, seed=3)
-        np.testing.assert_array_equal(a.params, b.params)
-        assert a.lambda_history == b.lambda_history
+        np.testing.assert_array_equal(a, b)
+        assert len(history) == 50 and history[:25] == history[25:]
 
 
 class TestPostTrain:

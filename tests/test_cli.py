@@ -242,7 +242,7 @@ class TestExitCodes:
         header = "method,seed,task_id,split,metric,value,tg,psearch_evals\n"
         good = "ew,0,0,test,accuracy,80.0,,0\n"
         (tmp_path / "records.csv").write_text(header + "ew,1,0,test,acc\n" + good)
-        assert run_cli("report", "--records", str(tmp_path)) == 2
+        assert run_cli("report", "--records", str(tmp_path)) == 1
         assert "line 2" in capsys.readouterr().err
 
     def test_report_with_diverged_stl_rows_leaves_delta_m_empty(self, tmp_path):
@@ -386,6 +386,26 @@ class TestRecordsAuxlabCannotUse:
         assert "stl seed 0" in capsys.readouterr().err
         assert _dir_bytes(out) == before
 
+    def test_run_exits_1_on_a_malformed_inner_row_before_training(self, capsys, tmp_path,
+                                                                   monkeypatch):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(CFG_SMALL)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        records = out / "records.csv"
+        header, first, *rest = records.read_text().splitlines(keepends=True)
+        row = first.split(",")
+        row[2] = "zero"  # task_id
+        records.write_text("".join([header, first, ",".join(row), *rest]))
+        cfg.write_text(CFG_SMALL.replace("seeds = 0", "seeds = 0,1"))
+        before = _dir_bytes(out)
+        _no_training(monkeypatch)
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("auxlab:") and "records.csv: line 3: malformed record" in err
+        assert _dir_bytes(out) == before
+
     def test_run_exits_1_naming_a_duplicated_job_before_training(self, capsys, tmp_path,
                                                                  monkeypatch):
         cfg, out = self._dir_with_a_duplicated_stl_job(tmp_path)
@@ -396,6 +416,70 @@ class TestRecordsAuxlabCannotUse:
         assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
         assert "stl seed 0" in capsys.readouterr().err
         assert _dir_bytes(out) == before
+
+
+class TestOneWriterPerDir:
+    """`auxlab run` holds an exclusive lock on its output dir for the whole
+    run: a second run into the dir exits 1 before it writes anything."""
+
+    @pytest.fixture
+    def hold(self):
+        """Lock a dir as a run does; returns the fd, whose close releases it."""
+        fcntl = pytest.importorskip("fcntl")
+
+        def hold(path):
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                os.close(fd)
+                raise
+            return fd
+
+        return hold
+
+    @pytest.mark.parametrize("state", ["empty", "with_records"])
+    def test_run_exits_1_while_another_holds_the_dir(self, capsys, tmp_path, monkeypatch,
+                                                      hold, state):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(CFG_SMALL)
+        out = tmp_path / "out"
+        out.mkdir()
+        if state == "with_records":
+            assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+            cfg.write_text(CFG_SMALL.replace("seeds = 0", "seeds = 0,1"))
+        before = _dir_bytes(out)
+        _no_training(monkeypatch)
+        capsys.readouterr()
+        fd = hold(out)
+        try:
+            assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
+        finally:
+            os.close(fd)
+        assert "output dir in use by another run" in capsys.readouterr().err
+        assert _dir_bytes(out) == before
+
+    def test_records_are_read_under_the_lock(self, tmp_path, monkeypatch, hold):
+        import auxlab.runner as runner_mod
+
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(CFG_SMALL)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        real, reads = runner_mod.read_records, []
+
+        def read_records(path):
+            with pytest.raises(BlockingIOError):
+                hold(Path(path).parent)
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(runner_mod, "read_records", read_records)
+        cfg.write_text(CFG_SMALL.replace("seeds = 0", "seeds = 0,1"))
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        assert len(reads) == 1
+        # the lock ends with the run
+        os.close(hold(out))
 
 
 class TestPipeline:

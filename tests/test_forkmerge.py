@@ -660,7 +660,7 @@ class TestAcrossCores:
 
     @pytest.mark.parametrize("search", ["grid", "binary", "greedy", "fixed_lambda"])
     def test_outcomes_do_not_depend_on_the_worker_count(self, monkeypatch, search):
-        from auxlab.baselines import run_fixed_lambda
+        import auxlab.baselines as baselines
 
         fam = family_for([0.5, 0.2], n_val=3000)
         spec = model_spec_for(fam, hidden=(6,))
@@ -677,19 +677,28 @@ class TestAcrossCores:
                 return search_lambda_binary(thetas[0], thetas[1], 6, val, 0, spec)
             if search == "greedy":
                 return greedy_search_lambda(list(enumerate(thetas)), grid[::4], val, 0, spec)
-            return run_fixed_lambda(fam, spec, 30, [0.0, 0.5, 1.0],
-                                    OptConfig(base_lr=0.1, batch_size=32), seed=2)
+            return baselines.run_fixed_lambda(fam, spec, 30, [0.0, 0.5, 1.0],
+                                              OptConfig(base_lr=0.1, batch_size=32), seed=2)
 
+        # the per-value validation scores fixed_lambda picks among
+        scores, real_across_cores = [], baselines.across_cores
+
+        def across_cores(score, items, rows):
+            scores.append(real_across_cores(score, items, rows))
+            return scores[-1]
+
+        monkeypatch.setattr(baselines, "across_cores", across_cores)
         outcomes = []
         for workers in (0, 1):
             monkeypatch.setattr(fm, "_WORKERS", workers)
             outcomes.append(run())
         alone, pooled = outcomes
-        assert alone.params.tobytes() == pooled.params.tobytes()
         if search == "fixed_lambda":
-            assert alone.lam == pooled.lam
-            assert alone.val_history == pooled.val_history
+            assert alone.tobytes() == pooled.tobytes()
+            assert len(scores) == 2 and scores[0] == scores[1]
+            assert len({perf.value for perf in scores[0]}) > 1
         else:
+            assert alone.params.tobytes() == pooled.params.tobytes()
             assert alone.perf == pooled.perf
             assert alone.coeffs == pooled.coeffs
             # coefficients, scores and flags, in evaluation order

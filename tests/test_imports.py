@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
-every public function and class the package defines is read somewhere in it,
-or is listed below with the reason it stays."""
+"""Every name a module of the package imports is used in that module; every
+public function and class the package defines is read somewhere in it, and
+every annotated field of its classes is read as an attribute somewhere in
+it, or is listed below with the reason it stays."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,39 @@ def test_the_check_sees_an_unread_function():
         "b": "from .a import dead\n__all__ = ['dead']\nimport a\na.used()\n",
     }
     assert _unread_public_names(sources) == ["a.dead"]
+
+
+def _unread_fields(sources: dict[str, str]) -> list[str]:
+    """``module.Class.field`` of each annotated field of a class in
+    ``sources`` ({module: source}), dataclass and NamedTuple alike, whose
+    name no expression in any module reads as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.target.id}", item.target.id)
+                            for item in node.body if isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(name for name, field in defined if field not in read)
+
+
+# module.Class.field: the reason no code reads it
+UNREAD_FIELDS_BY_DESIGN: dict[str, str] = {}
+
+
+def test_every_field_is_read_or_listed():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert _unread_fields(sources) == sorted(UNREAD_FIELDS_BY_DESIGN)
+
+
+def test_the_check_sees_an_unread_field():
+    sources = {
+        "a": ("@dataclass\nclass Result:\n    params: list\n    history: list\n"
+              "    count: int = 0\n\n"
+              "class Row(NamedTuple):\n    lam: float\n    score: float\n"),
+        "b": ("def use(result, row, history):\n    result.params\n    row.lam\n"
+              "    result.count = len(history)\n"),
+    }
+    assert _unread_fields(sources) == ["a.Result.count", "a.Result.history", "a.Row.score"]
