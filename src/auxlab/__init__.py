@@ -22,7 +22,7 @@ os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .baselines import run_stl
-from .forkmerge import BranchSpec, MergeSchedule, run_forkmerge
+from .forkmerge import MergeSchedule, run_forkmerge
 from .nn import HeadSpec, ModelSpec
 from .optim import OptConfig, TaskWeighting
 from .tasks import TaskFamilyConfig, generate_family
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BranchSpec",
     "HeadSpec",
     "MergeSchedule",
     "ModelSpec",

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .forkmerge import BranchSpec, across_cores, train_branches
+from .forkmerge import across_cores, train_branches
 from .metrics import shared_gradient_block, gcs
 from .nn import ModelSpec
 from .optim import OptConfig, TaskWeighting
@@ -50,8 +50,7 @@ def _train(
     root = RngStream(seed)
     if start_params is None:
         start_params = nn.init_params(model_spec, root.child("init"))
-    branches = [BranchSpec(w, i) for i, w in enumerate(weightings)]
-    return train_branches(start_params, branches, steps, total_steps, family,
+    return train_branches(start_params, weightings, steps, total_steps, family,
                           model_spec, opt_cfg, root, weigh)
 
 

@@ -32,11 +32,9 @@ from .tasks import DataSplit, TaskFamily
 from .vectors import NonFiniteError, RngStream, linear_combination, linear_combination_into
 
 __all__ = [
-    "BranchSpec",
     "MergeSchedule",
     "CandidateEval",
     "MergeRecord",
-    "ForkMergeResult",
     "SearchOutcome",
     "BranchDivergedError",
     "check_branches",
@@ -56,7 +54,9 @@ DEFAULT_LAMBDA_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 class BranchDivergedError(NonFiniteError):
     """Branch ``branch_id`` reached non-finite values at absolute step
-    ``step``; ``round_index`` is its fork/merge round, or None outside one."""
+    ``step``; ``round_index`` is its fork/merge round, or None outside one.
+    A branch's id is its position in the list of weightings it came from:
+    the list `train_branches` trained, or the fork `run_forkmerge` ran."""
 
     def __init__(self, branch_id: int, step: int, cause: Exception,
                  round_index: int | None = None):
@@ -65,15 +65,6 @@ class BranchDivergedError(NonFiniteError):
         self.branch_id = branch_id
         self.step = step
         self.round_index = round_index
-
-
-@dataclass(frozen=True)
-class BranchSpec:
-    weighting: TaskWeighting
-    branch_id: int
-
-    def is_target_only(self) -> bool:
-        return self.weighting.active_tasks == (self.weighting.target_id,)
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,6 @@ class MergeRecord:
     target_only_perf: PerfValue
     chosen_perf: PerfValue
     surviving_branch_ids: tuple[int, ...]
-    psearch_evals: int
     train_s: float
     search_s: float
     wall_s: float
@@ -142,24 +132,18 @@ class MergeRecord:
         object.__setattr__(self, "merge_coeffs", coeffs)
 
 
-@dataclass(frozen=True)
-class ForkMergeResult:
-    final_params: np.ndarray = field(repr=False)
-    merge_history: tuple[MergeRecord, ...]
-
-    @property
-    def total_psearch_evals(self) -> int:
-        return sum(r.psearch_evals for r in self.merge_history)
-
-
-def make_omega_branches(n_aux: int) -> list[BranchSpec]:
+def make_omega_branches(n_aux: int) -> list[TaskWeighting]:
     """Target-only branch plus one pairwise branch per auxiliary task."""
     if n_aux < 1:
         raise ValueError("need at least one auxiliary task")
-    branches = [BranchSpec(TaskWeighting({0: 1.0}), 0)]
+    branches = [TaskWeighting({0: 1.0})]
     for k in range(1, n_aux + 1):
-        branches.append(BranchSpec(TaskWeighting({0: 1.0, k: 1.0}), k))
+        branches.append(TaskWeighting({0: 1.0, k: 1.0}))
     return branches
+
+
+def _is_target_only(weighting: TaskWeighting) -> bool:
+    return weighting.active_tasks == (weighting.target_id,)
 
 
 def merge_coeffs_from_task_weights(aux_weights: Sequence[float]) -> list[float]:
@@ -219,7 +203,7 @@ batches stay small; at most `vectors._PAD`, so every call allocates the same."""
 
 def train_branch(
     start: np.ndarray,
-    branch: BranchSpec,
+    branch: TaskWeighting,
     steps: range,
     total_steps: int,
     family: TaskFamily,
@@ -236,7 +220,7 @@ def train_branch(
 
 def train_branches(
     start: np.ndarray,
-    branches: Sequence[BranchSpec],
+    branches: Sequence[TaskWeighting],
     steps: range,
     total_steps: int,
     family: TaskFamily,
@@ -259,7 +243,7 @@ def train_branches(
     `sgd_step`; each result is therefore bit-identical to training that
     branch alone. The first non-finite loss or parameter raises
     BranchDivergedError naming the earliest step and, within it, the first
-    branch in order.
+    branch in order, by its position in ``branches``.
 
     A ``weigh`` hook replaces each branch's weights at every step with
     ``weigh({task id: gradient})``; a task weighted 0 drops out of that mix.
@@ -271,7 +255,7 @@ def train_branches(
     kernel = model_spec.kernel
     batch_size, momentum = opt.batch_size, opt.momentum_coeff
     params = np.tile(np.asarray(start, dtype=np.float64), (len(branches), 1))
-    tasks = [b.weighting.active_tasks for b in branches]
+    tasks = [w.active_tasks for w in branches]
     splits = {t: family.train(t) for active in tasks for t in active}
     stack = kernel.pair_pass(
         params, [(i, t) for i, active in enumerate(tasks) for t in active], splits,
@@ -281,9 +265,9 @@ def train_branches(
     uses = [[(t, stack.index[i, t]) for t in active] for i, active in enumerate(tasks)]
     flat = params.reshape(-1)
     mixed, scratch = np.empty_like(params), np.empty_like(params)
-    mixes = [(out, [b.weighting.weights[t] for t in active],
+    mixes = [(out, [w.weights[t] for t in active],
               [stack.grads[k] for _, k in use], scratch[0])
-             for out, b, active, use in zip(mixed, branches, tasks, uses)]
+             for out, w, active, use in zip(mixed, branches, tasks, uses)]
     for step, rows in _batches(splits, root, steps, batch_size):
         losses = stack(rows)
         if weigh is None:
@@ -299,7 +283,7 @@ def train_branches(
         # a dot product is finite only if every entry is; one that overflows
         # from finite entries sends the exact check through finding nothing
         if not isfinite(losses.dot(losses) + flat.dot(flat)):
-            _raise_first_divergence(branches, uses, losses, params, step)
+            _raise_first_divergence(uses, losses, params, step)
     return list(params)
 
 
@@ -316,17 +300,17 @@ def _batches(splits: Mapping[int, DataSplit], root: RngStream, steps: range,
             yield step, {t: rows[i] for t, rows in drawn.items()}
 
 
-def _raise_first_divergence(branches, uses, losses, params, step: int) -> None:
+def _raise_first_divergence(uses, losses, params, step: int) -> None:
     """Raise BranchDivergedError for the first branch, in order, with a
     non-finite loss or, after its step, non-finite parameters, if any."""
-    for branch, use, branch_params in zip(branches, uses, params):
+    for position, (use, branch_params) in enumerate(zip(uses, params)):
         try:
             for t, k in use:
                 nn.check_loss(losses[k], t)
             if not np.isfinite(branch_params).all():
                 raise NonFiniteError("parameters diverged to non-finite values")
         except NonFiniteError as exc:
-            raise BranchDivergedError(branch.branch_id, step, exc) from exc
+            raise BranchDivergedError(position, step, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -337,12 +321,6 @@ class SearchOutcome:
     perf: PerfValue
     params: np.ndarray = field(repr=False)
     evaluations: tuple[CandidateEval, ...]
-
-    @property
-    def n_evals(self) -> int:
-        """Candidates the search logged, one per evaluation except each
-        greedy stage's zero trial, logged with the previous winner's score."""
-        return len(self.evaluations)
 
 
 _WORKERS = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
@@ -564,13 +542,10 @@ def _subsampled_val(family: TaskFamily, schedule: MergeSchedule, root: RngStream
     return DataSplit(val.inputs[idx], val.targets[idx], val.task_id)
 
 
-def check_branches(branches: Sequence[BranchSpec], schedule: MergeSchedule) -> None:
-    """Raise ValueError unless the branch ids are unique, exactly one branch
-    is target-only, and pruning after the first merge keeps fewer branches
-    than there are."""
-    if len({b.branch_id for b in branches}) != len(branches):
-        raise ValueError("branch ids must be unique")
-    n_target_only = sum(b.is_target_only() for b in branches)
+def check_branches(branches: Sequence[TaskWeighting], schedule: MergeSchedule) -> None:
+    """Raise ValueError unless exactly one branch is target-only and pruning
+    after the first merge keeps fewer branches than there are."""
+    n_target_only = sum(map(_is_target_only, branches))
     if n_target_only != 1:
         raise ValueError(f"need exactly one target-only branch, found {n_target_only}")
     if (schedule.prune_after_first_merge or 0) >= len(branches):
@@ -581,12 +556,14 @@ def run_forkmerge(
     family: TaskFamily,
     model_spec: ModelSpec,
     schedule: MergeSchedule,
-    branch_specs: Sequence[BranchSpec],
+    branch_specs: Sequence[TaskWeighting],
     opt_cfg: OptConfig,
     seed: int,
-) -> ForkMergeResult:
-    """Alternate Δt-step branch training with validation-guided merging.
+) -> tuple[np.ndarray, tuple[MergeRecord, ...]]:
+    """Alternate Δt-step branch training with validation-guided merging;
+    returns the final merged parameters and the merge history.
 
+    Branch i trains under ``branch_specs[i]`` and keeps id i throughout.
     Branches always start each round from the shared merged parameters with
     zeroed momentum; the learning-rate schedule position is global. A round
     of two branches runs the configured search; a round of any other number
@@ -595,84 +572,74 @@ def run_forkmerge(
     merge coefficient) survive, and the target-only branch always survives.
     Only validation data is scored here; the caller scores the result.
     """
-    branches = list(branch_specs)
-    check_branches(branches, schedule)
+    check_branches(branch_specs, schedule)
+    target = next(i for i, w in enumerate(branch_specs) if _is_target_only(w))
 
     root = RngStream(seed)
     params = nn.init_params(model_spec, root.child("init"))
 
     history: list[MergeRecord] = []
+    ids = list(range(len(branch_specs)))  # the surviving branches, in order
     total, interval = schedule.total_steps, schedule.interval
     for round_index, first in enumerate(range(0, total, interval)):
         t_start = time.perf_counter()
         steps = range(first, min(first + interval, total))
         try:
-            trained = train_branches(params, branches, steps, total, family, model_spec,
-                                     opt_cfg, root)
+            trained = dict(zip(ids, train_branches(
+                params, [branch_specs[i] for i in ids], steps, total, family, model_spec,
+                opt_cfg, root)))
         except BranchDivergedError as exc:
             raise BranchDivergedError(
-                exc.branch_id, exc.step, exc.__cause__, round_index
+                ids[exc.branch_id], exc.step, exc.__cause__, round_index
             ) from exc.__cause__
         t_trained = time.perf_counter()
 
         val = _subsampled_val(family, schedule, root, round_index)
-        tgt_branch = next(b for b in branches if b.is_target_only())
-        tgt_pos = branches.index(tgt_branch)
-        if len(branches) == 2 and schedule.search_strategy != "greedy":
-            other_pos = 1 - tgt_pos
-            pair_ids = (tgt_branch.branch_id, branches[other_pos].branch_id)
+        if len(ids) == 2 and schedule.search_strategy != "greedy":
+            other = next(i for i in ids if i != target)
             search, setting = ((search_lambda_binary, schedule.binary_iters)
                                if schedule.search_strategy == "binary"
                                else (search_lambda_grid, schedule.lambda_grid))
-            outcome = search(trained[tgt_pos], trained[other_pos], setting, val,
-                             family.target_id, model_spec, branch_ids=pair_ids)
-            target_only_key = (pair_ids[1], 0.0)
+            outcome = search(trained[target], trained[other], setting, val,
+                             family.target_id, model_spec, branch_ids=(target, other))
+            target_only_key = (other, 0.0)
         else:
-            outcome = greedy_search_lambda(
-                [(b.branch_id, p) for b, p in zip(branches, trained)],
-                schedule.lambda_grid, val, family.target_id, model_spec,
-            )
-            target_only_key = (tgt_branch.branch_id, 1.0)
+            outcome = greedy_search_lambda(list(trained.items()), schedule.lambda_grid,
+                                           val, family.target_id, model_spec)
+            target_only_key = (target, 1.0)
         target_only_perf = next((e.perf for e in outcome.evaluations
                                  if (e.branch_id, e.coeff) == target_only_key), None)
         if target_only_perf is None:
             # the binary search never evaluates λ=0; scored for the record only
-            target_only_perf = nn.evaluate(model_spec, trained[tgt_pos], val,
+            target_only_perf = nn.evaluate(model_spec, trained[target], val,
                                            family.target_id)
         t_searched = time.perf_counter()
 
         params = outcome.params
+        coeffs = {i: outcome.coeffs.get(i, 0.0) for i in ids}
 
-        surviving = branches
+        surviving = ids
         if round_index == 0 and schedule.prune_after_first_merge is not None:
             keep = schedule.prune_after_first_merge
-            by_coeff = sorted(
-                branches,
-                key=lambda b: (-outcome.coeffs.get(b.branch_id, 0.0),
-                               branches.index(b)),
-            )
-            surviving = [b for b in by_coeff[:keep]
-                         if outcome.coeffs.get(b.branch_id, 0.0) > 0.0]
-            if tgt_branch not in surviving:
-                surviving = surviving[: keep - 1] + [tgt_branch]
-            surviving = [b for b in branches if b in surviving]  # stable order
+            by_coeff = sorted(ids, key=lambda i: -coeffs[i])  # ties keep id order
+            surviving = [i for i in by_coeff[:keep] if coeffs[i] > 0.0]
+            if target not in surviving:
+                surviving = surviving[: keep - 1] + [target]
+            surviving.sort()
 
-        full_coeffs = {b.branch_id: outcome.coeffs.get(b.branch_id, 0.0)
-                       for b in branches}
         history.append(
             MergeRecord(
                 round_index=round_index,
                 candidates=outcome.evaluations,
-                merge_coeffs=full_coeffs,
+                merge_coeffs=coeffs,
                 target_only_perf=target_only_perf,
                 chosen_perf=outcome.perf,
-                surviving_branch_ids=tuple(b.branch_id for b in surviving),
-                psearch_evals=outcome.n_evals,
+                surviving_branch_ids=tuple(surviving),
                 train_s=t_trained - t_start,
                 search_s=t_searched - t_trained,
                 wall_s=time.perf_counter() - t_start,
             )
         )
-        branches = surviving
+        ids = surviving
 
-    return ForkMergeResult(params, tuple(history))
+    return params, tuple(history)

@@ -40,7 +40,6 @@ from .baselines import (
 )
 from .forkmerge import (
     DEFAULT_LAMBDA_GRID,
-    BranchSpec,
     MergeRecord,
     MergeSchedule,
     check_branches,
@@ -361,17 +360,16 @@ def opt_config_for(config: ExperimentConfig) -> OptConfig:
     )
 
 
-def _branches_for(config: ExperimentConfig) -> list[BranchSpec]:
+def _branches_for(config: ExperimentConfig) -> list[TaskWeighting]:
     """The fork/merge branches of ``config``; task 0 is the target."""
     if config.branch_weights:
-        return [BranchSpec(TaskWeighting(dict(enumerate(row))), branch_id)
-                for branch_id, row in enumerate(config.branch_weights)]
+        return [TaskWeighting(dict(enumerate(row))) for row in config.branch_weights]
     if config.method == "forkmerge_multi":
         return make_omega_branches(config.n_tasks - 1)
     # plain two-branch setup: target alone vs. everything at weight 1
     return [
-        BranchSpec(TaskWeighting({0: 1.0}), 0),
-        BranchSpec(TaskWeighting({t: 1.0 for t in range(config.n_tasks)}), 1),
+        TaskWeighting({0: 1.0}),
+        TaskWeighting({t: 1.0 for t in range(config.n_tasks)}),
     ]
 
 
@@ -454,14 +452,13 @@ def _run_method(
             family, spec, config.pre_steps, total - config.pre_steps, opt, seed
         )
     else:  # forkmerge / forkmerge_multi
-        result = run_forkmerge(
+        params, history = run_forkmerge(
             family, spec, _schedule_for(config, config.lambda_grid),
             _branches_for(config), opt, seed,
         )
-        history = result.merge_history
         _write_merge_history(history, out_dir / f"merge_history_{method}_seed{seed}.csv",
                              out_dir / f"merge_history_{method}_seed{seed}.json")
-        params, psearch = result.final_params, result.total_psearch_evals
+        psearch = sum(len(r.candidates) for r in history)
     return dict.fromkeys(tasks, params), psearch, history
 
 
@@ -476,7 +473,7 @@ def _write_merge_history(history: Sequence[MergeRecord], csv_path, json_path) ->
                "target_only_perf": r.target_only_perf.value,
                "chosen_perf": r.chosen_perf.value,
                "surviving_branch_ids": list(r.surviving_branch_ids),
-               "psearch_evals": r.psearch_evals} for r in history]
+               "psearch_evals": len(r.candidates)} for r in history]
     Path(json_path).write_text(json.dumps({"rounds": rounds}, indent=2), encoding="utf-8")
 
 
@@ -832,7 +829,7 @@ def run_csd_lambda_sweep(
             )
             one_task = replace(family, splits={0: {**family.splits[0], "train": mixed}})
             [params] = train_branches(
-                init, [BranchSpec(TaskWeighting({0: 1.0}), 0)], range(train_steps),
+                init, [TaskWeighting({0: 1.0})], range(train_steps),
                 train_steps, one_task, spec, opt, root.child("csd", "train", str(lam)))
             value = csd(spec, params, family.val(0), 0)
             results.append((seed, float(lam), value))

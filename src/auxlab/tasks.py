@@ -198,12 +198,6 @@ class FamilyGeometry:
     aux_means: tuple[np.ndarray, ...]
     label_flip_probs: tuple[float, ...]
 
-    def displacement(self, aux_index: int) -> float:
-        """Mean distance between aux class centers and target class centers."""
-        return float(
-            np.linalg.norm(self.aux_means[aux_index] - self.target_means, axis=1).mean()
-        )
-
 
 def _rotation_2d(angle: float, dim: int) -> np.ndarray:
     rot = np.eye(dim)

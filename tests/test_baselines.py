@@ -171,7 +171,7 @@ class TestFixedLambda:
         calls, _ = spy_on_lockstep_calls(monkeypatch)
         params = run_fixed_lambda(fam, spec, 30, [0.0, 0.5, 1.0], OPT, seed=2)
         [(_, branches, _, _)] = calls
-        assert [b.weighting.weights[1] for b in branches] == [0.0, 0.5, 1.0]
+        assert [w.weights[1] for w in branches] == [0.0, 0.5, 1.0]
         # the pick is the first best of the grid's runs on target validation
         runs, perfs = score_each_lambda_alone(fam, spec, 30, [0.0, 0.5, 1.0], seed=2)
         assert_bitwise_equal(params, runs[first_best(perfs)])

@@ -695,7 +695,7 @@ def test_package_exports_the_readme_python_api():
     import auxlab
 
     imported = set(namespace) - {"__builtins__"}
-    assert len(imported) == 10
+    assert len(imported) == 9
     assert set(auxlab.__all__) == imported | {"__version__"}
 
 

@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 import auxlab.forkmerge as fm
 from auxlab.forkmerge import (
     BranchDivergedError,
-    BranchSpec,
     MergeRecord,
     MergeSchedule,
     draw_batch,
@@ -56,16 +56,16 @@ class TestOmegaBranches:
     def test_single_aux_is_the_two_branch_setup(self):
         branches = make_omega_branches(1)
         assert len(branches) == 2
-        assert branches[0].weighting.weights == {0: 1.0}
-        assert branches[1].weighting.weights == {0: 1.0, 1: 1.0}
-        assert branches[0].is_target_only()
+        assert branches[0].weights == {0: 1.0}
+        assert branches[1].weights == {0: 1.0, 1: 1.0}
+        assert branches[0].active_tasks == (0,)
 
     def test_counts(self):
         assert len(make_omega_branches(2)) == 3
         branches = make_omega_branches(5)
         assert len(branches) == 6
         for b in branches:
-            assert len(b.weighting.active_tasks) <= 2
+            assert len(b.active_tasks) <= 2
 
     def test_rejects_zero_aux(self):
         with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ class TestTrainBranch:
         spec = model_spec_for(fam)
         start = init_params(spec, RngStream(3).child("init"))
         opt = OptConfig(0.1, schedule="constant", batch_size=32)
-        branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.5}), 1)
+        branch = TaskWeighting({0: 1.0, 1: 0.5})
         a = train_branches(start, [branch], range(20), 20, fam, spec, opt, RngStream(3))[0]
         b = train_branches(start, [branch], range(20), 20, fam, spec, opt, RngStream(3))[0]
         assert np.array_equal(a, b)
@@ -103,7 +103,7 @@ class TestTrainBranch:
         spec = model_spec_for(fam, hidden=(4,))
         start = init_params(spec, RngStream(5).child("init"))
         opt = OptConfig(0.05, momentum_coeff=0.9, schedule="constant", batch_size=16)
-        branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.7}), 1)
+        branch = TaskWeighting({0: 1.0, 1: 0.7})
         got = train_branches(start, [branch], range(10), 10, fam, spec, opt, RngStream(5))[0]
 
         params, buffer = start, np.zeros_like(start)
@@ -114,7 +114,7 @@ class TestTrainBranch:
                 idx = draw_batch(split, RngStream(5), task_id, range(step, step + 1), 16)[0]
                 batch = DataSplit(split.inputs[idx], split.targets[idx], task_id)
                 _, grads[task_id] = loss_and_gradient(spec, params, batch)
-            g = weighted_gradient(grads, branch.weighting)
+            g = weighted_gradient(grads, branch)
             params, buffer = sgd_step(params, buffer, g, 0.9, opt.learning_rate(step, 10))
         np.testing.assert_array_equal(got, params)
 
@@ -127,7 +127,7 @@ class TestTrainBranch:
         spec = model_spec_for(fam, hidden=(4,))
         start = init_params(spec, RngStream(5).child("init"))
         opt = OptConfig(0.05, momentum_coeff=0.9, batch_size=16)
-        branch = BranchSpec(TaskWeighting({0: 1.0, 1: 0.7}), 1)
+        branch = TaskWeighting({0: 1.0, 1: 0.7})
         [got] = train_branches(start, [branch], range(7, 8), 40, fam, spec, opt, RngStream(5))
 
         grads = {}
@@ -136,7 +136,7 @@ class TestTrainBranch:
             idx = draw_batch(split, RngStream(5), t, range(7, 8), 16)[0]
             batch = DataSplit(split.inputs[idx], split.targets[idx], t)
             grads[t] = loss_and_gradient(spec, start, batch)[1]
-        g = weighted_gradient(grads, branch.weighting)
+        g = weighted_gradient(grads, branch)
         assert 0.0 < opt.learning_rate(7, 40) < 0.05
         np.testing.assert_array_equal(got, start - opt.learning_rate(7, 40) * g)
 
@@ -148,7 +148,7 @@ class TestTrainBranch:
         root = RngStream(7)
 
         def branch_after(lam):
-            b = BranchSpec(TaskWeighting({0: 1.0, 1: lam}), int(lam * 10))
+            b = TaskWeighting({0: 1.0, 1: lam})
             return train_branches(start, [b], range(1), 1, fam, spec, opt, root)[0]
 
         theta0, theta1 = branch_after(0.0), branch_after(1.0)
@@ -166,7 +166,7 @@ class TestTrainBranch:
         spec = ModelSpec(2, (4,), "relu", heads)
         start = init_params(spec, RngStream(1).child("init"))
         opt = OptConfig(1e8, momentum_coeff=0.0, schedule="constant", batch_size=16)
-        branch = BranchSpec(TaskWeighting({0: 1.0}), 0)
+        branch = TaskWeighting({0: 1.0})
         with pytest.raises(NonFiniteError):
             train_branches(start, [branch], range(20), 20, fam, spec, opt, RngStream(1))
 
@@ -215,15 +215,15 @@ class TestTrainBranches:
         fam = family_for([0.5, 0.5])
         spec = model_spec_for(fam, activation="relu")
         branches = [
-            BranchSpec(TaskWeighting({0: 1.0}), 0),
-            BranchSpec(TaskWeighting({0: 1.0, 2: 1e300}), 2),
-            BranchSpec(TaskWeighting({0: 1.0, 1: 1e300}), 1),
+            TaskWeighting({0: 1.0}),
+            TaskWeighting({0: 1.0, 2: 1e300}),
+            TaskWeighting({0: 1.0, 1: 1e300}),
         ]
         opt = OptConfig(base_lr=1e300, momentum_coeff=0.0, schedule="constant")
         schedule = MergeSchedule(total_steps=40, interval=20)
         with pytest.raises(BranchDivergedError) as err:
             run_forkmerge(fam, spec, schedule, branches, opt, 0)
-        assert (err.value.branch_id, err.value.step, err.value.round_index) == (2, 0, 0)
+        assert (err.value.branch_id, err.value.step, err.value.round_index) == (1, 0, 0)
         assert isinstance(err.value, NonFiniteError)
         # alone, the target-only branch does get through its first step
         start = init_params(spec, RngStream(0).child("init"))
@@ -416,7 +416,7 @@ class TestGridSearch:
                 best_lam, best_val = lam, v
         assert out.coeffs[1] == best_lam
         assert out.perf.value == best_val
-        assert out.n_evals == len(grid)
+        assert len(out.evaluations) == len(grid)
 
 
 class TestBinarySearch:
@@ -442,7 +442,6 @@ class TestBinarySearch:
         out = search_lambda_binary(
             np.zeros(3), np.ones(3), 1, regression_val(), 0, spec
         )
-        assert out.n_evals == 2
         assert len(out.evaluations) == 2
 
 
@@ -453,7 +452,7 @@ class TestGreedySearch:
             [(0, np.array([1.0, 0.0, 0.0]))], (0.0, 0.5, 1.0), regression_val(), 0, spec,
         )
         assert out.coeffs == {0: 1.0}
-        assert out.n_evals == 1
+        assert len(out.evaluations) == 1
 
     def test_two_candidates_match_exhaustive_simplex_oracle(self):
         spec = regression_spec()
@@ -512,7 +511,7 @@ class TestGreedySearch:
         ]
         grid = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
         out = greedy_search_lambda(candidates, grid, fam.val(0), 0, spec)
-        assert out.n_evals <= (n_branches - 1) * len(grid) + n_branches
+        assert len(out.evaluations) <= (n_branches - 1) * len(grid) + n_branches
 
     @pytest.mark.parametrize("n_branches", [2, 3, 5])
     @pytest.mark.parametrize("head", ["regression", "classification"])
@@ -600,8 +599,8 @@ class TestGreedySearch:
 
 
 class TestSearchCounts:
-    """Every candidate a search scores is one CandidateEval, so `n_evals`
-    and a round's `psearch_evals` count candidates. Each candidate is one
+    """Every candidate a search scores is one CandidateEval, logged in its
+    `evaluations` and in a round's `candidates`. Each candidate is one
     `nn.evaluate` call, except greedy's zero trials: each of its B-1 stages
     logs the coefficient 0 with the previous stage's winner, unevaluated."""
 
@@ -630,7 +629,7 @@ class TestSearchCounts:
             out = search_lambda_binary(thetas[0], thetas[1], 4, val, 0, spec)
         else:
             out = greedy_search_lambda(list(enumerate(thetas)), grid, val, 0, spec)
-        assert out.n_evals == len(out.evaluations) == expected
+        assert len(out.evaluations) == expected
         reused = 3 - 1 if strategy == "greedy" else 0
         assert len(calls) == expected - reused
 
@@ -638,14 +637,14 @@ class TestSearchCounts:
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
         schedule = MergeSchedule(total_steps=20, interval=10)
-        branches = [BranchSpec(TaskWeighting({0: 1.0}), 0)]
-        result = run_forkmerge(fam, spec, schedule, branches, OptConfig(), 0)
-        for record in result.merge_history:
-            assert record.psearch_evals == len(record.candidates) == 1
+        branches = [TaskWeighting({0: 1.0})]
+        _, history = run_forkmerge(fam, spec, schedule, branches, OptConfig(), 0)
+        for record in history:
+            assert len(record.candidates) == 1
             assert record.merge_coeffs == {0: 1.0}
             assert record.target_only_perf == record.chosen_perf
         # each round's search, and no test evaluation: the caller scores that
-        assert len(calls) == result.total_psearch_evals == 2
+        assert len(calls) == sum(len(r.candidates) for r in history) == 2
 
 
 class TestAcrossCores:
@@ -811,10 +810,10 @@ class TestRunForkMerge:
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
         schedule = MergeSchedule(total_steps=10, interval=4)
-        result = run_forkmerge(
+        _, history = run_forkmerge(
             fam, spec, schedule, make_omega_branches(1), OptConfig(base_lr=0.05), 0
         )
-        assert len(result.merge_history) == 3  # 4 + 4 + 2 steps
+        assert len(history) == 3  # 4 + 4 + 2 steps
 
     def test_greedy_strategy_runs_greedy_on_two_branches(self):
         # greedy logs each of the B branches alone (coefficient 1), then
@@ -822,10 +821,10 @@ class TestRunForkMerge:
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
         schedule = MergeSchedule(total_steps=20, interval=10, search_strategy="greedy")
-        result = run_forkmerge(fam, spec, schedule, make_omega_branches(1),
+        _, history = run_forkmerge(fam, spec, schedule, make_omega_branches(1),
                                OptConfig(base_lr=0.05), 0)
-        for record in result.merge_history:
-            assert record.psearch_evals == len(record.candidates) == 2 + 6
+        for record in history:
+            assert len(record.candidates) == 2 + 6
             assert {(c.branch_id, c.coeff) for c in record.candidates[:2]} == {
                 (0, 1.0), (1, 1.0)}
 
@@ -836,10 +835,10 @@ class TestRunForkMerge:
         spec = model_spec_for(fam, hidden=(4,))
         opt = OptConfig(base_lr=0.05, momentum_coeff=0.0, batch_size=32)
         schedule = MergeSchedule(total_steps=30, interval=10)
-        branches = [BranchSpec(TaskWeighting({0: 1.0}), 0)]
-        fm = run_forkmerge(fam, spec, schedule, branches, opt, seed=11)
+        branches = [TaskWeighting({0: 1.0})]
+        params, _ = run_forkmerge(fam, spec, schedule, branches, opt, seed=11)
         stl_params = run_stl(fam, spec, 30, opt, seed=11)
-        np.testing.assert_array_equal(fm.final_params, stl_params)
+        np.testing.assert_array_equal(params, stl_params)
 
     def test_single_branch_equals_stl_with_momentum_single_round(self):
         from auxlab.baselines import run_stl
@@ -848,30 +847,30 @@ class TestRunForkMerge:
         spec = model_spec_for(fam, hidden=(4,))
         opt = OptConfig(base_lr=0.05, momentum_coeff=0.9, batch_size=32)
         schedule = MergeSchedule(total_steps=25, interval=25)
-        branches = [BranchSpec(TaskWeighting({0: 1.0}), 0)]
-        fm = run_forkmerge(fam, spec, schedule, branches, opt, seed=4)
+        branches = [TaskWeighting({0: 1.0})]
+        params, _ = run_forkmerge(fam, spec, schedule, branches, opt, seed=4)
         stl_params = run_stl(fam, spec, 25, opt, seed=4)
-        np.testing.assert_array_equal(fm.final_params, stl_params)
+        np.testing.assert_array_equal(params, stl_params)
 
     def test_per_merge_non_regression(self):
         fam = family_for([0.2], seed=23)
         spec = model_spec_for(fam)
         schedule = MergeSchedule(total_steps=120, interval=30)
-        result = run_forkmerge(
+        _, history = run_forkmerge(
             fam, spec, schedule, make_omega_branches(1), OptConfig(base_lr=0.1), 5
         )
-        assert len(result.merge_history) == 4
-        for record in result.merge_history:
+        assert len(history) == 4
+        for record in history:
             assert record.chosen_perf.value >= record.target_only_perf.value
 
     def test_merge_coefficients_are_probability_vectors(self):
         fam = family_for([0.9, 0.1], seed=2)
         spec = model_spec_for(fam)
         schedule = MergeSchedule(total_steps=60, interval=20)
-        result = run_forkmerge(
+        _, history = run_forkmerge(
             fam, spec, schedule, make_omega_branches(2), OptConfig(base_lr=0.1), 3
         )
-        for record in result.merge_history:
+        for record in history:
             total = sum(record.merge_coeffs.values())
             assert abs(total - 1.0) <= 1e-9
             assert all(c >= 0 for c in record.merge_coeffs.values())
@@ -880,13 +879,13 @@ class TestRunForkMerge:
         fam = family_for([0.9, 0.8, 0.2, 0.0], seed=31, n_train=300)
         spec = model_spec_for(fam)
         schedule = MergeSchedule(total_steps=60, interval=20, prune_after_first_merge=2)
-        result = run_forkmerge(
+        _, history = run_forkmerge(
             fam, spec, schedule, make_omega_branches(4), OptConfig(base_lr=0.1), 7
         )
-        first = result.merge_history[0]
+        first = history[0]
         assert len(first.surviving_branch_ids) == 2
         assert 0 in first.surviving_branch_ids
-        for later in result.merge_history[1:]:
+        for later in history[1:]:
             assert later.surviving_branch_ids == first.surviving_branch_ids
 
     def test_validates_branch_setup(self):
@@ -896,14 +895,7 @@ class TestRunForkMerge:
         with pytest.raises(ValueError, match="target-only"):
             run_forkmerge(
                 fam, spec, schedule,
-                [BranchSpec(TaskWeighting({0: 1.0, 1: 1.0}), 1)],
-                OptConfig(), 0,
-            )
-        with pytest.raises(ValueError, match="unique"):
-            run_forkmerge(
-                fam, spec, schedule,
-                [BranchSpec(TaskWeighting({0: 1.0}), 0),
-                 BranchSpec(TaskWeighting({0: 1.0, 1: 1.0}), 0)],
+                [TaskWeighting({0: 1.0, 1: 1.0})],
                 OptConfig(), 0,
             )
         with pytest.raises(ValueError, match="prune"):
@@ -926,6 +918,31 @@ class TestRunForkMerge:
             )
         assert err.value.branch_id in (0, 1)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_after_pruning_names_the_branch_id(self, monkeypatch):
+        # round 0 keeps branches 0 and 2; from round 1 on task 2's train rows
+        # are NaN, so the second surviving branch diverges at step 10: it is
+        # branch 2 of the fork, though it trains second in that round
+        fam = family_for([0.0, 0.9], seed=3)
+        spec = model_spec_for(fam, hidden=(4,))
+        rows = fam.train(2)
+        nan_rows = DataSplit(np.full_like(rows.inputs, np.nan), rows.targets, 2)
+        poisoned = replace(fam, splits={**fam.splits, 2: {**fam.splits[2], "train": nan_rows}})
+        real, trained = fm.train_branches, []
+
+        def poisoned_from_round_1(start, branches, steps, total, family, *args):
+            trained.append(list(branches))
+            return real(start, branches, steps, total, poisoned if steps.start else family,
+                        *args)
+
+        monkeypatch.setattr(fm, "train_branches", poisoned_from_round_1)
+        omega = make_omega_branches(2)
+        schedule = MergeSchedule(total_steps=30, interval=10, prune_after_first_merge=2)
+        with pytest.raises(BranchDivergedError) as err:
+            run_forkmerge(fam, spec, schedule, omega, OptConfig(base_lr=0.1), 0)
+        assert trained == [omega, [omega[0], omega[2]]]
+        assert (err.value.branch_id, err.value.step, err.value.round_index) == (2, 10, 1)
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             MergeSchedule(total_steps=0, interval=1)
@@ -943,9 +960,9 @@ class TestMergeRecordValidation:
 
         perf = PerfValue(0.5, "accuracy")
         with pytest.raises(ValueError):
-            MergeRecord(0, (), {0: 0.5, 1: 0.2}, perf, perf, (0, 1), 1, 0.0, 0.0, 0.0)
+            MergeRecord(0, (), {0: 0.5, 1: 0.2}, perf, perf, (0, 1), 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            MergeRecord(0, (), {0: 1.5, 1: -0.5}, perf, perf, (0, 1), 1, 0.0, 0.0, 0.0)
+            MergeRecord(0, (), {0: 1.5, 1: -0.5}, perf, perf, (0, 1), 0.0, 0.0, 0.0)
 
 
 class TestMergeHistoryOutput:
@@ -953,16 +970,16 @@ class TestMergeHistoryOutput:
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
         schedule = MergeSchedule(total_steps=20, interval=10)
-        result = run_forkmerge(
+        _, history = run_forkmerge(
             fam, spec, schedule, make_omega_branches(1), OptConfig(base_lr=0.1), 1
         )
         csv_path = tmp_path / "history.csv"
         json_path = tmp_path / "traj.json"
-        _write_merge_history(result.merge_history, csv_path, json_path)
+        _write_merge_history(history, csv_path, json_path)
 
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "round,branch_id,candidate_lambda_or_coeff,val_perf,chosen"
-        n_candidates = sum(len(r.candidates) for r in result.merge_history)
+        n_candidates = sum(len(r.candidates) for r in history)
         assert len(lines) == 1 + n_candidates
         chosen_per_round = {}
         for line in lines[1:]:
@@ -981,13 +998,13 @@ class TestMergeHistoryOutput:
         fam = family_for([0.5] * n_aux)
         spec = model_spec_for(fam, hidden=(4,))
         schedule = MergeSchedule(total_steps=30, interval=10, search_strategy=strategy)
-        result = run_forkmerge(fam, spec, schedule, make_omega_branches(n_aux),
+        _, history = run_forkmerge(fam, spec, schedule, make_omega_branches(n_aux),
                                OptConfig(base_lr=0.1), 1)
         json_path = tmp_path / "traj.json"
-        _write_merge_history(result.merge_history, tmp_path / "history.csv", json_path)
+        _write_merge_history(history, tmp_path / "history.csv", json_path)
         rounds = json.loads(json_path.read_text())["rounds"]
-        assert len(rounds) == len(result.merge_history) == 3
-        for record, payload in zip(result.merge_history, rounds):
+        assert len(rounds) == len(history) == 3
+        for record, payload in zip(history, rounds):
             # the times live in memory and in timings.csv, not in the history
             assert not {"train_s", "search_s", "wall_s"} & set(payload)
             assert record.train_s >= 0 and record.search_s >= 0

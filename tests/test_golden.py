@@ -6,8 +6,10 @@ merge-history CSVs, and the merge-history JSON files in their canonical
 form (`json.dumps(..., sort_keys=True)`), of small runs of every trainer: `ew`, a 2-branch
 `forkmerge` with the grid and with the binary search, a 3-task
 `forkmerge_multi` with the full validation split, with a subsample (so
-evaluations run on splits of several row counts) and with a two-layer relu
-encoder, `fixed_lambda`, `post_train` and `gcs`; and the CSV files of small
+evaluations run on splits of several row counts), with a two-layer relu
+encoder and pruned to two branches after round 0, a `forkmerge` whose
+target-only branch is its second `branch_weights` row, `fixed_lambda`,
+`post_train` and `gcs`; and the CSV files of small
 `sweep tg-gcs` and `sweep csd-lambda` runs; and every data file of two small
 `gen-data` families, one at `--input-dim 3`. A change that is meant to alter
 results refreshes them and says so. Each case runs twice: with the merge
@@ -115,6 +117,33 @@ GOLDEN = {
             "merge_history_forkmerge_multi_seed1.json":
                 "7d1f58ee2a436b45294079280d6dac88cf233e86deca9eb0eaabac1a762344bc",
         }),
+    # round 0 keeps branches 0 and 2, so later rounds search the pair (0, 2)
+    "forkmerge_multi_prune": ("method = forkmerge_multi\nprune_to = 2", {
+        RECORDS_FILENAME:
+            "5e7922b1689d7d6ee5892361376442ec1ea81f1117600193c52dc3209698fb64",
+        "merge_history_forkmerge_multi_seed0.csv":
+            "4c332cc8de7c9c117998209b418c3c96144bda01e6c2716e2ebed0e40170a20b",
+        "merge_history_forkmerge_multi_seed1.csv":
+            "3c0ca0806ad93fd8a39fc62c27932a525ac55b8ac393468ed6a7b0f75b0acc70",
+        "merge_history_forkmerge_multi_seed0.json":
+            "e8313175978ed55fe5d2686b9646e7ef07ff3b8cbd1e515f127c516c7bab2675",
+        "merge_history_forkmerge_multi_seed1.json":
+            "cd1c2e67b6f13ff33553b7a0a6d068e770b60e648207483bb17923ddb3ab8557",
+    }),
+    # the target-only branch second, so its id is 1; the branches train as
+    # in the `forkmerge` case, so its records are that case's bytes
+    "forkmerge_target_second": ("method = forkmerge\nbranch_weights = 1,1,1;1,0,0", {
+        RECORDS_FILENAME:
+            "b3c3fe5ab1f84ec4ecda85191b42d2a8730ba5639bbcf5c6eac17e91211d9d94",
+        "merge_history_forkmerge_seed0.csv":
+            "133ccb1e2b50ce88435c705beb5b7a8f8ce77a81993938065dad54d17d98c08c",
+        "merge_history_forkmerge_seed1.csv":
+            "f66d7fb33559f43e442d3639eca0346d5ee708c1e0ca6e0967e38f5a60ab3533",
+        "merge_history_forkmerge_seed0.json":
+            "4d601a1882c7e9e7d404aa5de0583724cbecd9c7fb452c1bce9cc6144f7dcaa2",
+        "merge_history_forkmerge_seed1.json":
+            "4b073019ee46a51576885238212b566162a68d2bf9156fce19c0bac872c1a53e",
+    }),
     "fixed_lambda": ("method = fixed_lambda", {
         RECORDS_FILENAME:
             "b5d6b0fac4ebf9f05bfcf2e0929e0718c9604266fe23a82b54b2aa04056d12c7",
@@ -240,6 +269,12 @@ def test_golden_digests(tmp_path, monkeypatch, case):
     for workers in (1, 0):
         monkeypatch.setattr(forkmerge, "_WORKERS", workers)
         assert _digests(case, tmp_path / f"workers{workers}") == expected
+
+
+def test_swapping_branch_rows_relabels_only_the_merge_history():
+    # a branch trains bit-identically whatever trains beside it
+    assert (GOLDEN["forkmerge_target_second"][1][RECORDS_FILENAME]
+            == GOLDEN["forkmerge"][1][RECORDS_FILENAME])
 
 
 if __name__ == "__main__":

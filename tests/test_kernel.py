@@ -17,7 +17,6 @@ import pytest
 import auxlab.forkmerge as fm
 from auxlab.forkmerge import (
     BranchDivergedError,
-    BranchSpec,
     make_omega_branches,
     train_branches,
 )
@@ -506,14 +505,14 @@ def test_divergence_at_one_step_names_the_earlier_branch(order):
     start = init_params(spec, RngStream(4).child("init"))
     opt = OptConfig(1e300, momentum_coeff=0.0, schedule="constant", batch_size=16)
     poison_train_row(family, 1, 0, 0, RngStream(4), 0, opt.batch_size)
-    overflowing = BranchSpec(TaskWeighting({0: 1.0, 2: 1e300}), 2)
-    poisoned = BranchSpec(TaskWeighting({0: 1.0, 1: 1.0}), 1)
+    overflowing = TaskWeighting({0: 1.0, 2: 1e300})
+    poisoned = TaskWeighting({0: 1.0, 1: 1.0})
     if order == "params_first":
         branches = [overflowing, poisoned]
-        expected = "branch 2 diverged at step 0: parameters diverged to non-finite values"
+        expected = "branch 0 diverged at step 0: parameters diverged to non-finite values"
     else:
         branches = [poisoned, overflowing]
-        expected = "branch 1 diverged at step 0: non-finite loss on task 1: diverged"
+        expected = "branch 0 diverged at step 0: non-finite loss on task 1: diverged"
     with pytest.raises(BranchDivergedError) as err:
         train_branches(start, branches, range(3), 3, family, spec, opt, RngStream(4))
     assert str(err.value) == expected
