@@ -72,16 +72,18 @@ class MergeSchedule:
     """Timing and search policy for the fork/merge loop."""
 
     total_steps: int
-    interval: int
+    merge_interval: int
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     search_strategy: str = "grid"
-    prune_after_first_merge: int | None = None
+    prune_to: int | None = None
     binary_iters: int = 5
     val_subsample: int | None = None
 
     def __post_init__(self):
-        if self.total_steps < 1 or self.interval < 1:
-            raise ValueError("total_steps and interval must be positive")
+        if self.total_steps < 1:
+            raise ValueError("total_steps must be positive")
+        if self.merge_interval < 1:
+            raise ValueError("merge_interval must be positive")
         grid = tuple(float(g) for g in self.lambda_grid)
         if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
             raise ValueError("lambda_grid must be strictly increasing")
@@ -89,9 +91,10 @@ class MergeSchedule:
             raise ValueError("lambda_grid must start at 0 and end at 1")
         object.__setattr__(self, "lambda_grid", grid)
         if self.search_strategy not in ("grid", "binary", "greedy"):
-            raise ValueError(f"unknown search strategy {self.search_strategy!r}")
-        if self.prune_after_first_merge is not None and self.prune_after_first_merge < 1:
-            raise ValueError("prune_after_first_merge must be >= 1")
+            raise ValueError("search_strategy must be grid, binary or greedy,"
+                             f" got {self.search_strategy!r}")
+        if self.prune_to is not None and self.prune_to < 1:
+            raise ValueError("prune_to must be >= 1")
         if self.binary_iters < 1:
             raise ValueError("binary_iters must be >= 1")
         if self.val_subsample is not None and self.val_subsample < 1:
@@ -253,7 +256,7 @@ def train_branches(
     if not steps:
         return [start for _ in branches]
     kernel = model_spec.kernel
-    batch_size, momentum = opt.batch_size, opt.momentum_coeff
+    batch_size, momentum = opt.batch_size, opt.momentum
     params = np.tile(np.asarray(start, dtype=np.float64), (len(branches), 1))
     tasks = [w.active_tasks for w in branches]
     splits = {t: family.train(t) for active in tasks for t in active}
@@ -548,22 +551,22 @@ def check_branches(branches: Sequence[TaskWeighting], schedule: MergeSchedule) -
     n_target_only = sum(map(_is_target_only, branches))
     if n_target_only != 1:
         raise ValueError(f"need exactly one target-only branch, found {n_target_only}")
-    if (schedule.prune_after_first_merge or 0) >= len(branches):
-        raise ValueError("prune_after_first_merge must be < number of branches")
+    if (schedule.prune_to or 0) >= len(branches):
+        raise ValueError("prune_to must be < number of branches")
 
 
 def run_forkmerge(
     family: TaskFamily,
     model_spec: ModelSpec,
     schedule: MergeSchedule,
-    branch_specs: Sequence[TaskWeighting],
+    branches: Sequence[TaskWeighting],
     opt_cfg: OptConfig,
     seed: int,
 ) -> tuple[np.ndarray, tuple[MergeRecord, ...]]:
     """Alternate Δt-step branch training with validation-guided merging;
     returns the final merged parameters and the merge history.
 
-    Branch i trains under ``branch_specs[i]`` and keeps id i throughout.
+    Branch i trains under ``branches[i]`` and keeps id i throughout.
     Branches always start each round from the shared merged parameters with
     zeroed momentum; the learning-rate schedule position is global. A round
     of two branches runs the configured search; a round of any other number
@@ -572,21 +575,21 @@ def run_forkmerge(
     merge coefficient) survive, and the target-only branch always survives.
     Only validation data is scored here; the caller scores the result.
     """
-    check_branches(branch_specs, schedule)
-    target = next(i for i, w in enumerate(branch_specs) if _is_target_only(w))
+    check_branches(branches, schedule)
+    target = next(i for i, w in enumerate(branches) if _is_target_only(w))
 
     root = RngStream(seed)
     params = nn.init_params(model_spec, root.child("init"))
 
     history: list[MergeRecord] = []
-    ids = list(range(len(branch_specs)))  # the surviving branches, in order
-    total, interval = schedule.total_steps, schedule.interval
+    ids = list(range(len(branches)))  # the surviving branches, in order
+    total, interval = schedule.total_steps, schedule.merge_interval
     for round_index, first in enumerate(range(0, total, interval)):
         t_start = time.perf_counter()
         steps = range(first, min(first + interval, total))
         try:
             trained = dict(zip(ids, train_branches(
-                params, [branch_specs[i] for i in ids], steps, total, family, model_spec,
+                params, [branches[i] for i in ids], steps, total, family, model_spec,
                 opt_cfg, root)))
         except BranchDivergedError as exc:
             raise BranchDivergedError(
@@ -619,8 +622,8 @@ def run_forkmerge(
         coeffs = {i: outcome.coeffs.get(i, 0.0) for i in ids}
 
         surviving = ids
-        if round_index == 0 and schedule.prune_after_first_merge is not None:
-            keep = schedule.prune_after_first_merge
+        if round_index == 0 and schedule.prune_to is not None:
+            keep = schedule.prune_to
             by_coeff = sorted(ids, key=lambda i: -coeffs[i])  # ties keep id order
             surviving = [i for i in by_coeff[:keep] if coeffs[i] > 0.0]
             if target not in surviving:

@@ -23,17 +23,18 @@ class OptConfig:
     """Optimizer settings, validated here only; total_steps comes at run time."""
 
     base_lr: float = 0.1
-    momentum_coeff: float = 0.9
-    schedule: str = "cosine"
+    momentum: float = 0.9
+    lr_schedule: str = "cosine"
     batch_size: int = 64
 
     def __post_init__(self):
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
-        if not 0.0 <= self.momentum_coeff < 1.0:
-            raise ValueError("momentum_coeff must lie in [0, 1)")
-        if self.schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if self.lr_schedule not in ("constant", "cosine"):
+            raise ValueError("lr_schedule must be constant or cosine,"
+                             f" got {self.lr_schedule!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -41,7 +42,7 @@ class OptConfig:
         """η at absolute step ``step`` of a ``total_steps``-step schedule."""
         if total_steps < 1 or not 0 <= step <= total_steps:
             raise ValueError(f"step {step} is outside a {total_steps}-step schedule")
-        if self.schedule == "constant":
+        if self.lr_schedule == "constant":
             return self.base_lr
         return self.base_lr * (1.0 + np.cos(np.pi * step / total_steps)) / 2.0
 
@@ -85,7 +86,7 @@ def weighted_gradient(
 
 def sgd_step(
     params: np.ndarray, buffer: np.ndarray, grad: np.ndarray,
-    momentum_coeff: float, lr: float,
+    momentum: float, lr: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One heavy-ball step: buffer ← μ·buffer + g; θ ← θ − η·buffer. Returns
     the new parameters and buffer; the arguments are left as they were."""
@@ -96,7 +97,7 @@ def sgd_step(
         )
     new_params = np.array(params, dtype=np.float64)
     new_buffer = np.array(buffer, dtype=np.float64)
-    sgd_step_into(new_params, new_buffer, grad, momentum_coeff, lr, np.empty_like(new_buffer))
+    sgd_step_into(new_params, new_buffer, grad, momentum, lr, np.empty_like(new_buffer))
     if not np.all(np.isfinite(new_params)):
         raise NonFiniteError("parameters diverged to non-finite values during sgd_step")
     return new_params, new_buffer
@@ -104,11 +105,11 @@ def sgd_step(
 
 def sgd_step_into(
     params: np.ndarray, buffer: np.ndarray, grad: np.ndarray,
-    momentum_coeff: float, lr: float, scratch: np.ndarray,
+    momentum: float, lr: float, scratch: np.ndarray,
 ) -> None:
     """``sgd_step``'s heavy-ball arithmetic, in place and unchecked:
     buffer ← μ·buffer + g; params ← params − η·buffer. ``scratch`` holds
     η·buffer."""
-    np.multiply(buffer, momentum_coeff, out=buffer)
+    np.multiply(buffer, momentum, out=buffer)
     buffer += grad
     params -= np.multiply(buffer, lr, out=scratch)

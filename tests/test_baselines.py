@@ -86,7 +86,7 @@ def gcs_loop(family, spec, total_steps, opt_cfg, seed):
         weights[family.target_id] = 1.0
         w = TaskWeighting(weights, target_id=family.target_id)
         params, buffer = sgd_step(params, buffer, weighted_gradient(grads, w),
-                                  opt_cfg.momentum_coeff,
+                                  opt_cfg.momentum,
                                   opt_cfg.learning_rate(step, total_steps))
     return params, history
 

@@ -13,6 +13,7 @@ from auxlab.runner import (
     OUTPUT_DIR_ENV,
     ConfigError,
     ExperimentConfig,
+    aggregate,
     parse_config_text,
     read_records,
     run_experiment,
@@ -82,6 +83,14 @@ class TestExitCodes:
         ("momentum", "1.0"),
         ("hidden_dims", "0"),
         ("seeds", "0,1,0"),
+        ("prune_to", "0"),
+        ("merge_interval", "0"),
+        ("lr_schedule", "step"),
+        ("search_strategy", "anneal"),
+        ("total_steps", "0"),
+        ("binary_iters", "0"),
+        ("base_lr", "0"),
+        ("batch_size", "0"),
     ])
     def test_invalid_value_exits_1_before_any_work(self, capsys, tmp_path,
                                                    key, value):
@@ -94,26 +103,27 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not (out / "records.csv").exists()
 
-    @pytest.mark.parametrize("method, lines", [
-        ("forkmerge", "prune_to = 2"),
-        ("forkmerge", "branch_weights = 0.5,1;1,1"),
-        ("forkmerge", "branch_weights = 1,1;1,0.5"),
-        ("forkmerge_multi", "n_tasks = 1\nrelatedness ="),
-        ("forkmerge", "n_tasks = 1\nrelatedness ="),
-        ("fixed_lambda", "lambda_grid = 0,-0.5,1"),
-        ("fixed_lambda", "lambda_grid ="),
-        ("forkmerge", "branch_weights = 0,1;1,0"),
+    @pytest.mark.parametrize("method, lines, key", [
+        ("forkmerge", "prune_to = 2", "prune_to"),
+        ("forkmerge", "branch_weights = 0.5,1;1,1", "branch_weights"),
+        ("forkmerge", "branch_weights = 1,1;1,0.5", "branch_weights"),
+        ("forkmerge_multi", "n_tasks = 1\nrelatedness =", "n_tasks"),
+        ("forkmerge", "n_tasks = 1\nrelatedness =", "n_tasks"),
+        ("fixed_lambda", "lambda_grid = 0,-0.5,1", "lambda_grid"),
+        ("fixed_lambda", "lambda_grid =", "lambda_grid"),
+        ("forkmerge", "branch_weights = 0,1;1,0", "branch_weights"),
     ], ids=["prune_all", "target_weight_half", "no_target_only", "multi_no_aux",
             "pair_no_aux", "fixed_negative_grid", "fixed_empty_grid",
             "target_weight_zero"])
     def test_invalid_branches_exit_1_before_any_work(self, capsys, tmp_path,
-                                                     method, lines):
+                                                     method, lines, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(CFG_SMALL.replace("method = ew", f"method = {method}")
                        + lines + "\nmerge_interval = 10\n")
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
-        assert capsys.readouterr().err.startswith("auxlab:")
+        err = capsys.readouterr().err
+        assert err.startswith("auxlab:") and key in err
         assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize("case", ["missing_dir", "too_few_tasks", "input_dim",
@@ -258,6 +268,24 @@ class TestExitCodes:
             summary = list(csv.DictReader(handle))
         assert [(r["method"], r["target_mean"], r["delta_m_pct"]) for r in summary] == [
             ("ew", "80.0", "")]
+
+    def test_report_leaves_delta_m_empty_for_another_task_set(self, tmp_path):
+        # two valid runs into one dir: ew over 2 tasks with its stl references,
+        # then gcs over 3 tasks without; gcs has no like-for-like stl score
+        out = tmp_path / "out"
+        for name, text in (("ew", CFG_SMALL),
+                           ("gcs", CFG_SMALL.replace("method = ew", "method = gcs")
+                            + "n_tasks = 3\nrelatedness = 0.5,0.5\ncompute_tg = false\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        assert run_cli("report", "--records", str(out)) == 0
+        with open(out / "summary.csv", newline="") as handle:
+            delta_m = {r["method"]: r["delta_m_pct"] for r in csv.DictReader(handle)}
+        assert delta_m["gcs"] == "" and float(delta_m["stl"]) == 0.0
+        # ew keeps the figure it has without gcs's rows
+        without_gcs = [r for r in read_records(out / "records.csv") if r.method != "gcs"]
+        assert float(delta_m["ew"]) == aggregate(without_gcs)["ew"]["delta_m_pct"]
 
     def test_report_without_finite_test_rows_exits_1(self, capsys, tmp_path):
         (tmp_path / "records.csv").write_text(

@@ -88,7 +88,7 @@ class TestTrainBranch:
         fam = family_for([0.5])
         spec = model_spec_for(fam)
         start = init_params(spec, RngStream(3).child("init"))
-        opt = OptConfig(0.1, schedule="constant", batch_size=32)
+        opt = OptConfig(0.1, lr_schedule="constant", batch_size=32)
         branch = TaskWeighting({0: 1.0, 1: 0.5})
         a = train_branches(start, [branch], range(20), 20, fam, spec, opt, RngStream(3))[0]
         b = train_branches(start, [branch], range(20), 20, fam, spec, opt, RngStream(3))[0]
@@ -102,7 +102,7 @@ class TestTrainBranch:
         fam = family_for([0.4])
         spec = model_spec_for(fam, hidden=(4,))
         start = init_params(spec, RngStream(5).child("init"))
-        opt = OptConfig(0.05, momentum_coeff=0.9, schedule="constant", batch_size=16)
+        opt = OptConfig(0.05, momentum=0.9, lr_schedule="constant", batch_size=16)
         branch = TaskWeighting({0: 1.0, 1: 0.7})
         got = train_branches(start, [branch], range(10), 10, fam, spec, opt, RngStream(5))[0]
 
@@ -126,7 +126,7 @@ class TestTrainBranch:
         fam = family_for([0.4])
         spec = model_spec_for(fam, hidden=(4,))
         start = init_params(spec, RngStream(5).child("init"))
-        opt = OptConfig(0.05, momentum_coeff=0.9, batch_size=16)
+        opt = OptConfig(0.05, momentum=0.9, batch_size=16)
         branch = TaskWeighting({0: 1.0, 1: 0.7})
         [got] = train_branches(start, [branch], range(7, 8), 40, fam, spec, opt, RngStream(5))
 
@@ -144,7 +144,7 @@ class TestTrainBranch:
         fam = family_for([0.6])
         spec = model_spec_for(fam)
         start = init_params(spec, RngStream(7).child("init"))
-        opt = OptConfig(0.1, momentum_coeff=0.0, schedule="constant", batch_size=32)
+        opt = OptConfig(0.1, momentum=0.0, lr_schedule="constant", batch_size=32)
         root = RngStream(7)
 
         def branch_after(lam):
@@ -165,7 +165,7 @@ class TestTrainBranch:
         heads = {0: HeadSpec(1, MEAN_SQUARED_ERROR), 1: HeadSpec(4, CROSS_ENTROPY)}
         spec = ModelSpec(2, (4,), "relu", heads)
         start = init_params(spec, RngStream(1).child("init"))
-        opt = OptConfig(1e8, momentum_coeff=0.0, schedule="constant", batch_size=16)
+        opt = OptConfig(1e8, momentum=0.0, lr_schedule="constant", batch_size=16)
         branch = TaskWeighting({0: 1.0})
         with pytest.raises(NonFiniteError):
             train_branches(start, [branch], range(20), 20, fam, spec, opt, RngStream(1))
@@ -176,7 +176,7 @@ class TestTrainBranches:
         self.fam = family_for([0.7, 0.3], seed=6)
         self.spec = model_spec_for(self.fam)
         self.start = init_params(self.spec, RngStream(9).child("init"))
-        self.opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant", batch_size=32)
+        self.opt = OptConfig(0.1, momentum=0.9, lr_schedule="constant", batch_size=32)
 
     def train(self, branches, steps):
         return train_branches(self.start, branches, steps, 80, self.fam, self.spec,
@@ -219,8 +219,8 @@ class TestTrainBranches:
             TaskWeighting({0: 1.0, 2: 1e300}),
             TaskWeighting({0: 1.0, 1: 1e300}),
         ]
-        opt = OptConfig(base_lr=1e300, momentum_coeff=0.0, schedule="constant")
-        schedule = MergeSchedule(total_steps=40, interval=20)
+        opt = OptConfig(base_lr=1e300, momentum=0.0, lr_schedule="constant")
+        schedule = MergeSchedule(total_steps=40, merge_interval=20)
         with pytest.raises(BranchDivergedError) as err:
             run_forkmerge(fam, spec, schedule, branches, opt, 0)
         assert (err.value.branch_id, err.value.step, err.value.round_index) == (1, 0, 0)
@@ -636,7 +636,7 @@ class TestSearchCounts:
     def test_one_branch_round_counts_its_one_evaluation(self, calls):
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
-        schedule = MergeSchedule(total_steps=20, interval=10)
+        schedule = MergeSchedule(total_steps=20, merge_interval=10)
         branches = [TaskWeighting({0: 1.0})]
         _, history = run_forkmerge(fam, spec, schedule, branches, OptConfig(), 0)
         for record in history:
@@ -809,7 +809,7 @@ class TestRunForkMerge:
     def test_round_count(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
-        schedule = MergeSchedule(total_steps=10, interval=4)
+        schedule = MergeSchedule(total_steps=10, merge_interval=4)
         _, history = run_forkmerge(
             fam, spec, schedule, make_omega_branches(1), OptConfig(base_lr=0.05), 0
         )
@@ -820,7 +820,7 @@ class TestRunForkMerge:
         # B-1 stages of |G| trials: 2 + 6 candidates per round, not the grid's 6
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
-        schedule = MergeSchedule(total_steps=20, interval=10, search_strategy="greedy")
+        schedule = MergeSchedule(total_steps=20, merge_interval=10, search_strategy="greedy")
         _, history = run_forkmerge(fam, spec, schedule, make_omega_branches(1),
                                OptConfig(base_lr=0.05), 0)
         for record in history:
@@ -833,8 +833,8 @@ class TestRunForkMerge:
 
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
-        opt = OptConfig(base_lr=0.05, momentum_coeff=0.0, batch_size=32)
-        schedule = MergeSchedule(total_steps=30, interval=10)
+        opt = OptConfig(base_lr=0.05, momentum=0.0, batch_size=32)
+        schedule = MergeSchedule(total_steps=30, merge_interval=10)
         branches = [TaskWeighting({0: 1.0})]
         params, _ = run_forkmerge(fam, spec, schedule, branches, opt, seed=11)
         stl_params = run_stl(fam, spec, 30, opt, seed=11)
@@ -845,8 +845,8 @@ class TestRunForkMerge:
 
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
-        opt = OptConfig(base_lr=0.05, momentum_coeff=0.9, batch_size=32)
-        schedule = MergeSchedule(total_steps=25, interval=25)
+        opt = OptConfig(base_lr=0.05, momentum=0.9, batch_size=32)
+        schedule = MergeSchedule(total_steps=25, merge_interval=25)
         branches = [TaskWeighting({0: 1.0})]
         params, _ = run_forkmerge(fam, spec, schedule, branches, opt, seed=4)
         stl_params = run_stl(fam, spec, 25, opt, seed=4)
@@ -855,7 +855,7 @@ class TestRunForkMerge:
     def test_per_merge_non_regression(self):
         fam = family_for([0.2], seed=23)
         spec = model_spec_for(fam)
-        schedule = MergeSchedule(total_steps=120, interval=30)
+        schedule = MergeSchedule(total_steps=120, merge_interval=30)
         _, history = run_forkmerge(
             fam, spec, schedule, make_omega_branches(1), OptConfig(base_lr=0.1), 5
         )
@@ -866,7 +866,7 @@ class TestRunForkMerge:
     def test_merge_coefficients_are_probability_vectors(self):
         fam = family_for([0.9, 0.1], seed=2)
         spec = model_spec_for(fam)
-        schedule = MergeSchedule(total_steps=60, interval=20)
+        schedule = MergeSchedule(total_steps=60, merge_interval=20)
         _, history = run_forkmerge(
             fam, spec, schedule, make_omega_branches(2), OptConfig(base_lr=0.1), 3
         )
@@ -878,7 +878,7 @@ class TestRunForkMerge:
     def test_pruning_keeps_target_and_k_strongest(self):
         fam = family_for([0.9, 0.8, 0.2, 0.0], seed=31, n_train=300)
         spec = model_spec_for(fam)
-        schedule = MergeSchedule(total_steps=60, interval=20, prune_after_first_merge=2)
+        schedule = MergeSchedule(total_steps=60, merge_interval=20, prune_to=2)
         _, history = run_forkmerge(
             fam, spec, schedule, make_omega_branches(4), OptConfig(base_lr=0.1), 7
         )
@@ -891,7 +891,7 @@ class TestRunForkMerge:
     def test_validates_branch_setup(self):
         fam = family_for([0.5])
         spec = model_spec_for(fam)
-        schedule = MergeSchedule(total_steps=10, interval=5)
+        schedule = MergeSchedule(total_steps=10, merge_interval=5)
         with pytest.raises(ValueError, match="target-only"):
             run_forkmerge(
                 fam, spec, schedule,
@@ -901,7 +901,7 @@ class TestRunForkMerge:
         with pytest.raises(ValueError, match="prune"):
             run_forkmerge(
                 fam, spec,
-                MergeSchedule(total_steps=10, interval=5, prune_after_first_merge=2),
+                MergeSchedule(total_steps=10, merge_interval=5, prune_to=2),
                 make_omega_branches(1), OptConfig(), 0,
             )
 
@@ -910,11 +910,11 @@ class TestRunForkMerge:
         fam = family_for([0.5])
         heads = {0: HeadSpec(1, MEAN_SQUARED_ERROR), 1: HeadSpec(4)}
         spec = ModelSpec(2, (4,), "relu", heads)
-        schedule = MergeSchedule(total_steps=40, interval=20)
+        schedule = MergeSchedule(total_steps=40, merge_interval=20)
         with pytest.raises(BranchDivergedError) as err:
             run_forkmerge(
                 fam, spec, schedule, make_omega_branches(1),
-                OptConfig(base_lr=1e8, momentum_coeff=0.0), 0,
+                OptConfig(base_lr=1e8, momentum=0.0), 0,
             )
         assert err.value.branch_id in (0, 1)
 
@@ -937,7 +937,7 @@ class TestRunForkMerge:
 
         monkeypatch.setattr(fm, "train_branches", poisoned_from_round_1)
         omega = make_omega_branches(2)
-        schedule = MergeSchedule(total_steps=30, interval=10, prune_after_first_merge=2)
+        schedule = MergeSchedule(total_steps=30, merge_interval=10, prune_to=2)
         with pytest.raises(BranchDivergedError) as err:
             run_forkmerge(fam, spec, schedule, omega, OptConfig(base_lr=0.1), 0)
         assert trained == [omega, [omega[0], omega[2]]]
@@ -945,13 +945,13 @@ class TestRunForkMerge:
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            MergeSchedule(total_steps=0, interval=1)
+            MergeSchedule(total_steps=0, merge_interval=1)
         with pytest.raises(ValueError):
-            MergeSchedule(total_steps=10, interval=5, lambda_grid=(0.0, 0.5))
+            MergeSchedule(total_steps=10, merge_interval=5, lambda_grid=(0.0, 0.5))
         with pytest.raises(ValueError):
-            MergeSchedule(total_steps=10, interval=5, lambda_grid=(0.2, 1.0))
+            MergeSchedule(total_steps=10, merge_interval=5, lambda_grid=(0.2, 1.0))
         with pytest.raises(ValueError):
-            MergeSchedule(total_steps=10, interval=5, search_strategy="anneal")
+            MergeSchedule(total_steps=10, merge_interval=5, search_strategy="anneal")
 
 
 class TestMergeRecordValidation:
@@ -969,7 +969,7 @@ class TestMergeHistoryOutput:
     def test_csv_and_json(self, tmp_path):
         fam = family_for([0.5])
         spec = model_spec_for(fam, hidden=(4,))
-        schedule = MergeSchedule(total_steps=20, interval=10)
+        schedule = MergeSchedule(total_steps=20, merge_interval=10)
         _, history = run_forkmerge(
             fam, spec, schedule, make_omega_branches(1), OptConfig(base_lr=0.1), 1
         )
@@ -997,7 +997,7 @@ class TestMergeHistoryOutput:
                                                                 strategy):
         fam = family_for([0.5] * n_aux)
         spec = model_spec_for(fam, hidden=(4,))
-        schedule = MergeSchedule(total_steps=30, interval=10, search_strategy=strategy)
+        schedule = MergeSchedule(total_steps=30, merge_interval=10, search_strategy=strategy)
         _, history = run_forkmerge(fam, spec, schedule, make_omega_branches(n_aux),
                                OptConfig(base_lr=0.1), 1)
         json_path = tmp_path / "traj.json"

@@ -430,7 +430,7 @@ def test_bad_label_fails_before_any_batch_is_drawn(draws, label):
     family.train(1).targets[3] = label  # after the family checked its labels
     spec = family_spec(family)
     start = init_params(spec, RngStream(2).child("init"))
-    opt = OptConfig(0.1, schedule="constant", batch_size=16)
+    opt = OptConfig(0.1, lr_schedule="constant", batch_size=16)
     with pytest.raises(ValueError, match="class label out of range"):
         train_branches(start, make_omega_branches(2), range(5), 5, family, spec, opt,
                        RngStream(2))
@@ -448,7 +448,7 @@ def test_bad_start_or_branches_fail_before_any_batch_is_drawn(draws, case):
     branches = [] if case == "no_branches" else make_omega_branches(2)
     steps = {"negative_start": range(-1, 4), "past_total": range(1, 6),
              "step_of_2": range(0, 5, 2)}.get(case, range(5))
-    opt = OptConfig(0.1, schedule="constant", batch_size=16)
+    opt = OptConfig(0.1, lr_schedule="constant", batch_size=16)
     with pytest.raises(ValueError):
         train_branches(start, branches, steps, 5, family, spec, opt, RngStream(2))
     assert draws == []
@@ -486,7 +486,7 @@ def test_nan_in_one_batch_names_the_same_step_and_branch():
     family = small_family()
     spec = family_spec(family)
     start = init_params(spec, RngStream(2).child("init"))
-    opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant", batch_size=32)
+    opt = OptConfig(0.1, momentum=0.9, lr_schedule="constant", batch_size=32)
     poison_train_row(family, 1, 7, 1, RngStream(2), 3, opt.batch_size)
     with pytest.raises(BranchDivergedError) as err:
         train_branches(start, make_omega_branches(2), range(3, 13), 13, family, spec, opt,
@@ -503,7 +503,7 @@ def test_divergence_at_one_step_names_the_earlier_branch(order):
     family = small_family()
     spec = family_spec(family)
     start = init_params(spec, RngStream(4).child("init"))
-    opt = OptConfig(1e300, momentum_coeff=0.0, schedule="constant", batch_size=16)
+    opt = OptConfig(1e300, momentum=0.0, lr_schedule="constant", batch_size=16)
     poison_train_row(family, 1, 0, 0, RngStream(4), 0, opt.batch_size)
     overflowing = TaskWeighting({0: 1.0, 2: 1e300})
     poisoned = TaskWeighting({0: 1.0, 1: 1.0})
@@ -583,7 +583,7 @@ class TestAllocations:
         branches = make_omega_branches(2)
 
         def train(steps):
-            opt = OptConfig(0.1, momentum_coeff=0.9, schedule="constant")
+            opt = OptConfig(0.1, momentum=0.9, lr_schedule="constant")
             train_branches(start, branches, range(steps), steps, family, spec, opt,
                            RngStream(1))
 

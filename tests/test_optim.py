@@ -75,14 +75,14 @@ class TestSgdStep:
         np.testing.assert_array_equal(new, params - 0.1 * grad)
 
     def test_cosine_endpoint_freezes(self):
-        opt = OptConfig(base_lr=0.5, schedule="cosine")
+        opt = OptConfig(base_lr=0.5, lr_schedule="cosine")
         params = np.array([3.0, -3.0])
-        new, _ = sgd_step(params, np.zeros(2), np.ones(2), opt.momentum_coeff,
+        new, _ = sgd_step(params, np.zeros(2), np.ones(2), opt.momentum,
                           opt.learning_rate(10, 10))
         np.testing.assert_allclose(new, params, atol=1e-16)
 
     def test_cosine_halfway(self):
-        opt = OptConfig(base_lr=1.0, schedule="cosine")
+        opt = OptConfig(base_lr=1.0, lr_schedule="cosine")
         assert opt.learning_rate(2, 4) == pytest.approx(0.5)
 
     def test_momentum_matches_hand_unroll(self):
@@ -103,11 +103,11 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             OptConfig(base_lr=0.0)
         with pytest.raises(ValueError):
-            OptConfig(base_lr=0.1, momentum_coeff=1.0)
+            OptConfig(base_lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
-            OptConfig(base_lr=0.1, schedule="cosine").learning_rate(0, 0)
+            OptConfig(base_lr=0.1, lr_schedule="cosine").learning_rate(0, 0)
         with pytest.raises(ValueError):
-            OptConfig(base_lr=0.1, schedule="warmup")
+            OptConfig(base_lr=0.1, lr_schedule="warmup")
         with pytest.raises(ValueError):
             OptConfig(base_lr=0.1).learning_rate(-1, 10)
         with pytest.raises(ValueError):

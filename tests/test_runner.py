@@ -4,14 +4,15 @@ import itertools
 import math
 import shutil
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from auxlab.forkmerge import MergeSchedule
 from auxlab.optim import OptConfig
 from auxlab.runner import (
-    FAMILY_KEYS,
     RECORD_COLUMNS,
     TIMING_COLUMNS,
     ConfigError,
@@ -254,7 +255,8 @@ class TestRunExperiment:
         from auxlab.tasks import generate_family, write_family
 
         cfg = small_config(data_dir=str(tmp_path / "fam"))
-        write_family(generate_family(runner_mod._family_config(cfg, 0)), cfg.data_dir)
+        family = generate_family(runner_mod._settings_for(TaskFamilyConfig, cfg, seed=0))
+        write_family(family, cfg.data_dir)
         loads = []
 
         def load_family(*args):
@@ -273,7 +275,8 @@ class TestRunExperiment:
         from auxlab.tasks import generate_family, write_family
 
         cfg = small_config(data_dir=str(tmp_path / "fam"))
-        write_family(generate_family(runner_mod._family_config(cfg, 0)), cfg.data_dir)
+        family = generate_family(runner_mod._settings_for(TaskFamilyConfig, cfg, seed=0))
+        write_family(family, cfg.data_dir)
         intact = run_experiment(cfg, output_dir=tmp_path / "intact")
         # a header over rows no parser accepts: no method reads these splits
         for t in (1, 2):
@@ -670,14 +673,20 @@ class TestAggregate:
 
 class TestConfigValidation:
     def test_defaults_match_the_library_defaults(self):
-        config = ExperimentConfig(method="ew", seeds=(0,))
-        family = {f.name: f.default for f in dataclasses.fields(TaskFamilyConfig)
-                  if f.name in FAMILY_KEYS and f.default is not dataclasses.MISSING}
-        assert len(family) == len(FAMILY_KEYS) - 2  # n_tasks, relatedness
-        assert {key: getattr(config, key) for key in family} == family
-        opt = OptConfig()
-        assert ((config.base_lr, config.momentum, config.lr_schedule, config.batch_size)
-                == (opt.base_lr, opt.momentum_coeff, opt.schedule, opt.batch_size))
+        # each settings field is the config key of its name, with its type and
+        # default; the runner computes the family's seed
+        keys = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+        key_hints = get_type_hints(ExperimentConfig)
+        for cls in (TaskFamilyConfig, OptConfig, MergeSchedule):
+            hints = get_type_hints(cls)
+            for field in dataclasses.fields(cls):
+                if (cls, field.name) == (TaskFamilyConfig, "seed"):
+                    continue
+                name = f"{cls.__name__}.{field.name}"
+                assert field.name in keys, name
+                assert hints[field.name] == key_hints[field.name], name
+                if field.default is not dataclasses.MISSING:
+                    assert keys[field.name].default == field.default, name
 
     def test_readme_config_reference_lists_every_key_with_its_default(self):
         section = README.read_text(encoding="utf-8").split("## Config reference\n")[1]
