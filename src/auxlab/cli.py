@@ -142,8 +142,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _flag_config(args)
-    lambdas = args.lambdas
+    config = _flag_config(args, lambda_grid=args.lambdas)
+    lambdas = config.lambda_grid
     # tg-gcs probes auxiliary tasks; csd-lambda mixes the target with exactly
     # one, at rates >= 0, over one training set size
     if not lambdas:

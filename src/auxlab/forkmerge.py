@@ -29,7 +29,8 @@ from . import nn
 from .nn import ModelSpec, PerfValue
 from .optim import OptConfig, TaskWeighting, sgd_step_into
 from .tasks import DataSplit, TaskFamily
-from .vectors import NonFiniteError, RngStream, linear_combination, linear_combination_into
+from .vectors import (NonFiniteError, RngStream, check_domains, linear_combination,
+                      linear_combination_into, within)
 
 __all__ = [
     "MergeSchedule",
@@ -71,34 +72,22 @@ class BranchDivergedError(NonFiniteError):
 class MergeSchedule:
     """Timing and search policy for the fork/merge loop."""
 
-    total_steps: int
-    merge_interval: int
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    search_strategy: str = "grid"
-    prune_to: int | None = None
-    binary_iters: int = 5
-    val_subsample: int | None = None
+    total_steps: int = within(">= 1")
+    merge_interval: int = within(">= 1")
+    lambda_grid: tuple[float, ...] = within(">= 0", DEFAULT_LAMBDA_GRID)
+    search_strategy: str = within(("grid", "binary", "greedy"), "grid")
+    prune_to: int | None = within(">= 1", None)
+    binary_iters: int = within(">= 1", 5)
+    val_subsample: int | None = within(">= 1", None)
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be positive")
-        if self.merge_interval < 1:
-            raise ValueError("merge_interval must be positive")
         grid = tuple(float(g) for g in self.lambda_grid)
-        if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
-            raise ValueError("lambda_grid must be strictly increasing")
-        if not grid or grid[0] != 0.0 or grid[-1] != 1.0:
-            raise ValueError("lambda_grid must start at 0 and end at 1")
         object.__setattr__(self, "lambda_grid", grid)
-        if self.search_strategy not in ("grid", "binary", "greedy"):
-            raise ValueError("search_strategy must be grid, binary or greedy,"
-                             f" got {self.search_strategy!r}")
-        if self.prune_to is not None and self.prune_to < 1:
-            raise ValueError("prune_to must be >= 1")
-        if self.binary_iters < 1:
-            raise ValueError("binary_iters must be >= 1")
-        if self.val_subsample is not None and self.val_subsample < 1:
-            raise ValueError("val_subsample must be >= 1")
+        check_domains(self)
+        if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
+            raise ValueError("lambda_grid: must be strictly increasing")
+        if not grid or grid[0] != 0.0 or grid[-1] != 1.0:
+            raise ValueError("lambda_grid: must start at 0 and end at 1")
 
 
 @dataclass(frozen=True)
@@ -284,8 +273,11 @@ def train_branches(
         sgd_step_into(params, momenta, mixed, momentum,
                       opt.learning_rate(step, total_steps), scratch)
         # a dot product is finite only if every entry is; one that overflows
-        # from finite entries sends the exact check through finding nothing
-        if not isfinite(losses.dot(losses) + flat.dot(flat)):
+        # from finite entries, which is no fault, sends the exact check
+        # through finding nothing
+        with np.errstate(over="ignore"):
+            finite = isfinite(losses.dot(losses) + flat.dot(flat))
+        if not finite:
             _raise_first_divergence(uses, losses, params, step)
     return list(params)
 

@@ -1,69 +1,29 @@
-"""Transfer diagnostics: gain, transfer-regime classes, gradient cosine
-similarity, confidence-based distribution shift, and the signed average
-relative improvement used for cross-method summaries."""
+"""Transfer diagnostics: gradient cosine similarity, the one-step gain versus
+cosine sweep, confidence-based distribution shift, and the signed average
+relative improvement used for cross-method summaries. Transfer gain itself is
+a record's value minus its seed's single-task value, taken in the runner."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import nn
-from .nn import ModelSpec, PerfValue, check_loss, mean_max_confidence
+from .nn import ModelSpec, check_loss, mean_max_confidence
 from .optim import sgd_step
 from .tasks import DataSplit, TaskFamily
 from .vectors import RngStream, dot
 
 __all__ = [
-    "PerfValue",
     "SweepRow",
-    "POSITIVE",
-    "WEAK_NEGATIVE",
-    "STRONG_NEGATIVE",
-    "transfer_gain",
-    "classify_transfer",
     "gcs",
     "csd",
     "delta_m",
     "shared_gradient_block",
     "one_step_tg_gcs_sweep",
 ]
-
-POSITIVE = "positive"
-WEAK_NEGATIVE = "weak_negative"
-STRONG_NEGATIVE = "strong_negative"
-
-
-def transfer_gain(perf_atl: PerfValue, perf_stl: PerfValue) -> float:
-    """Auxiliary-assisted performance minus single-task performance.
-
-    Positive means the auxiliary signal helped; reported in raw metric points
-    (e.g. accuracy points), matching how the comparison is usually plotted.
-    """
-    if perf_atl.metric != perf_stl.metric:
-        raise ValueError(
-            f"cannot compare {perf_atl.metric!r} against {perf_stl.metric!r}"
-        )
-    return perf_atl.value - perf_stl.value
-
-
-def classify_transfer(tg_by_lambda: Mapping[float, float]) -> str:
-    """Sort gains into positive / weak-negative / strong-negative regimes.
-
-    Strong negative: every positive weighting hurts. Weak negative: some
-    weighting hurts but a benign one exists. Positive: nothing hurts.
-    """
-    if not tg_by_lambda:
-        raise ValueError("need at least one (lambda, gain) entry")
-    positive_lams = {l: tg for l, tg in tg_by_lambda.items() if l > 0}
-    if not positive_lams:
-        raise ValueError("need at least one entry with lambda > 0")
-    if max(positive_lams.values()) < 0:
-        return STRONG_NEGATIVE
-    if min(tg_by_lambda.values()) < 0:
-        return WEAK_NEGATIVE
-    return POSITIVE
 
 
 def gcs(g_i: np.ndarray, g_j: np.ndarray) -> float:

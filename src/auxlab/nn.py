@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .tasks import DataSplit, class_labels
-from .vectors import NonFiniteError, RngStream
+from .vectors import NonFiniteError, RngStream, check_domains, within
 
 CROSS_ENTROPY = "softmax_cross_entropy"
 MEAN_SQUARED_ERROR = "mean_squared_error"
@@ -49,35 +49,27 @@ class EmptySplitError(ValueError):
 
 @dataclass(frozen=True)
 class HeadSpec:
-    output_dim: int
-    loss: str = CROSS_ENTROPY
+    output_dim: int = within(">= 1")
+    loss: str = within((CROSS_ENTROPY, MEAN_SQUARED_ERROR), CROSS_ENTROPY)
 
     def __post_init__(self):
-        if self.output_dim < 1:
-            raise ValueError(f"output_dim must be positive, got {self.output_dim}")
-        if self.loss not in (CROSS_ENTROPY, MEAN_SQUARED_ERROR):
-            raise ValueError(f"unknown loss kind: {self.loss!r}")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description: shared encoder plus one head per task."""
 
-    input_dim: int
-    hidden_dims: tuple[int, ...]
-    activation: str
+    input_dim: int = within(">= 1")
+    hidden_dims: tuple[int, ...] = within(">= 1")
+    activation: str = within(_ACTIVATIONS)
     heads: Mapping[int, HeadSpec]
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden_dims must be positive")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+        check_domains(self)
         if not self.heads:
-            raise ValueError("need at least one head")
+            raise ValueError("heads: need at least one head")
         object.__setattr__(self, "heads", dict(sorted(self.heads.items())))
 
     @property

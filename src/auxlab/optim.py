@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .vectors import NonFiniteError, linear_combination
+from .vectors import NonFiniteError, check_domains, linear_combination, within
 
 __all__ = [
     "TaskWeighting",
@@ -22,21 +22,13 @@ __all__ = [
 class OptConfig:
     """Optimizer settings, validated here only; total_steps comes at run time."""
 
-    base_lr: float = 0.1
-    momentum: float = 0.9
-    lr_schedule: str = "cosine"
-    batch_size: int = 64
+    base_lr: float = within("> 0", 0.1)
+    momentum: float = within("in [0, 1)", 0.9)
+    lr_schedule: str = within(("constant", "cosine"), "cosine")
+    batch_size: int = within(">= 1", 64)
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError("lr_schedule must be constant or cosine,"
-                             f" got {self.lr_schedule!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_domains(self)
 
     def learning_rate(self, step: int, total_steps: int) -> float:
         """η at absolute step ``step`` of a ``total_steps``-step schedule."""

@@ -59,7 +59,7 @@ from .tasks import (
     sample_interpolated,
     write_table,
 )
-from .vectors import NonFiniteError, RngStream
+from .vectors import NonFiniteError, RngStream, check_domains, within
 
 __all__ = [
     "METHODS",
@@ -119,7 +119,7 @@ class ExperimentConfig:
     """Everything one experiment needs, flat and fully defaulted except for
     the method and the seeds."""
 
-    method: str
+    method: str = within(METHODS)
     seeds: tuple[int, ...]
     # task family (regenerated per seed as data_seed + seed unless data_dir
     # points at CSVs written by gen-data, which are then shared by all seeds)
@@ -152,16 +152,12 @@ class ExperimentConfig:
     val_subsample: int | None = None
     branch_weights: tuple[tuple[float, ...], ...] = ()
     # post-train split (fine-tuning gets total_steps - pre_steps)
-    pre_steps: int = 1000
+    pre_steps: int = within(">= 0", 1000)
     # bookkeeping
     compute_tg: bool = True
     output_dir: str = "results"
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(
-                f"method: {self.method!r} is not one of {', '.join(METHODS)}"
-            )
         # text an echo line could not carry would read back as other text
         for key, value in vars(self).items():
             if isinstance(value, str) and (value != value.strip() or _COMMENT.search(value)
@@ -178,8 +174,9 @@ class ExperimentConfig:
                     f"branch_weights: each branch needs {self.n_tasks} weights,"
                     f" got {len(row)}"
                 )
-        # the family, model, optimizer, schedule and branches own their checks
+        # its own domains first; the family, model, optimizer, schedule and branches own theirs
         try:
+            check_domains(self)
             _settings_for(TaskFamilyConfig, self, seed=self.data_seed)
             model_spec_for(self)
             _settings_for(OptConfig, self)
@@ -200,8 +197,6 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.method == "fixed_lambda" and min(self.lambda_grid, default=-1) < 0:
             raise ConfigError("lambda_grid: fixed_lambda needs one or more values >= 0")
-        if self.pre_steps < 0:
-            raise ConfigError("pre_steps: must be >= 0")
         if self.method == "post_train" and self.pre_steps > self.total_steps:
             raise ConfigError("pre_steps: must not exceed total_steps")
 

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .vectors import RngStream
+from .vectors import RngStream, check_domains, within
 
 __all__ = [
     "TaskFamilyConfig",
@@ -63,42 +63,29 @@ class TaskFamilyConfig:
     sequence, which is how small-target / large-auxiliary regimes are built.
     """
 
-    n_tasks: int
-    relatedness: tuple[float, ...]
-    input_dim: int = 2
-    n_classes: int = 4
-    n_train: int | tuple[int, ...] = 2000
-    n_val: int = 500
-    n_test: int = 1000
-    noise_std: float = 0.5
+    n_tasks: int = within(">= 1")  # the target task and K auxiliary tasks
+    relatedness: tuple[float, ...] = within("in [0, 1]")
+    input_dim: int = within(">= 2", 2)  # the class circle needs a plane
+    n_classes: int = within(">= 2", 4)
+    n_train: int | tuple[int, ...] = within(">= 1", 2000)
+    n_val: int = within(">= 1", 500)
+    n_test: int = within(">= 1", 1000)
+    noise_std: float = within(">= 0", 0.5)
     mean_scale: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_tasks < 1:
-            raise ValueError("n_tasks must be >= 1 (the target task)")
         rel = tuple(float(r) for r in np.atleast_1d(self.relatedness))
-        if len(rel) != self.n_tasks - 1:
-            raise ValueError(
-                f"relatedness needs {self.n_tasks - 1} entries, got {len(rel)}"
-            )
-        if any(not 0.0 <= r <= 1.0 for r in rel):
-            raise ValueError(f"relatedness values must lie in [0, 1]: {rel}")
         object.__setattr__(self, "relatedness", rel)
-        if self.input_dim < 2:
-            raise ValueError("input_dim must be >= 2 (class circle needs a plane)")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
         if isinstance(self.n_train, (tuple, list)):
-            counts = tuple(int(n) for n in self.n_train)
-            if len(counts) != self.n_tasks:
-                raise ValueError("per-task n_train needs one entry per task")
-            object.__setattr__(self, "n_train", counts)
-        train = self.n_train if isinstance(self.n_train, tuple) else (self.n_train,)
-        if min(train) < 1 or self.n_val < 1 or self.n_test < 1:
-            raise ValueError("n_train, n_val and n_test must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+            object.__setattr__(self, "n_train", tuple(int(n) for n in self.n_train))
+        check_domains(self)
+        if len(rel) != self.n_tasks - 1:
+            raise ValueError(f"relatedness: needs {self.n_tasks - 1} entries, one per"
+                             f" auxiliary task, got {len(rel)}")
+        if isinstance(self.n_train, tuple) and len(self.n_train) != self.n_tasks:
+            raise ValueError(f"n_train: needs {self.n_tasks} counts, one per task,"
+                             f" got {len(self.n_train)}")
 
     def train_count(self, task_id: int) -> int:
         if isinstance(self.n_train, tuple):

@@ -3,13 +3,16 @@
 A parameter vector is a plain 1-D float64 ``numpy.ndarray``. Every operation
 here is pure, validates finiteness, and sums in a fixed order so that results
 are bit-identical across runs: whatever branches train alongside, whether a
-run is resumed, and however many BLAS threads numpy uses.
+run is resumed, and however many BLAS threads numpy uses. Settings classes
+declare each field's domain with `within`; `check_domains` enforces those
+domains and requires every float in a settings object to be finite.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -18,9 +21,11 @@ __all__ = [
     "LengthMismatchError",
     "NonFiniteError",
     "RngStream",
+    "check_domains",
     "linear_combination",
     "linear_combination_into",
     "dot",
+    "within",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -32,6 +37,45 @@ class LengthMismatchError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """A parameter vector or coefficient contains NaN or Inf."""
+
+
+def within(domain: str | tuple[str, ...], default=MISSING):
+    """A dataclass field whose value, or each entry of a tuple value, must lie
+    in ``domain``: "> b", ">= b", "in [a, b]", "in [a, b)", or a tuple of the
+    allowed names. The class's ``__post_init__`` calls `check_domains`."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def _holds(domain: str | tuple[str, ...], x) -> bool:
+    if isinstance(domain, tuple):
+        return x in domain
+    if domain.startswith("in "):
+        low, high = map(float, domain[4:-1].split(","))
+        return low <= x and (x < high if domain.endswith(")") else x <= high)
+    op, bound = domain.split()
+    return {">": x > float(bound), ">=": x >= float(bound)}[op]
+
+
+def _entries(value) -> list:
+    """``value`` itself, or the entries of a tuple or list at any depth."""
+    if isinstance(value, (tuple, list)):
+        return [entry for item in value for entry in _entries(item)]
+    return [value]
+
+
+def check_domains(settings) -> None:
+    """Raise ValueError, starting with the field's name, at the first field of
+    dataclass ``settings`` that holds a float that is not finite, at any tuple
+    depth, or a value outside its `within` domain; None is an unset value."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        entries = _entries(value)
+        if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
+            raise ValueError(f"{f.name}: {value!r} holds a value that is not finite")
+        domain = f.metadata.get("domain")
+        if domain and value is not None and not all(_holds(domain, x) for x in entries):
+            says = "one of " + ", ".join(domain) if isinstance(domain, tuple) else domain
+            raise ValueError(f"{f.name}: must be {says}, got {value!r}")
 
 
 def linear_combination(coeffs: Sequence[float], vectors: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import importlib.metadata as md
+import math
 import os
 import subprocess
 import sys
@@ -76,31 +77,65 @@ class TestExitCodes:
             (method, "0", "nan"), (method, "1", "nan"),
         ]
 
-    @pytest.mark.parametrize("key, value", [
-        ("relatedness", "1.5"),
-        ("lambda_grid", "0.5,1"),
-        ("val_subsample", "0"),
-        ("momentum", "1.0"),
-        ("hidden_dims", "0"),
-        ("seeds", "0,1,0"),
-        ("prune_to", "0"),
-        ("merge_interval", "0"),
-        ("lr_schedule", "step"),
-        ("search_strategy", "anneal"),
-        ("total_steps", "0"),
-        ("binary_iters", "0"),
-        ("base_lr", "0"),
-        ("batch_size", "0"),
+    @pytest.mark.filterwarnings("error")
+    def test_fixed_lambda_grid_has_no_upper_bound(self, tmp_path):
+        # λ = 1e300 trains finite; the divergence check's dot product
+        # overflows on it, which is no fault and warns nothing
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(CFG_SMALL.replace("method = ew", "method = fixed_lambda")
+                       + "lambda_grid = 0,1e300\ncompute_tg = false\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        values = [r.value for r in read_records(out / "records.csv")]
+        assert len(values) == 3 and all(map(math.isfinite, values))
+
+    @pytest.mark.parametrize("key, value, method", [
+        pytest.param(key, value, method,
+                     id=f"{key}-{value}" + ("" if method == "forkmerge" else f"-{method}"))
+        for key, value, method in [
+            *((key, value, "forkmerge") for key, value in (
+                ("relatedness", "1.5"),
+                ("lambda_grid", "0.5,1"),
+                ("val_subsample", "0"),
+                ("momentum", "1.0"),
+                ("hidden_dims", "0"),
+                ("seeds", "0,1,0"),
+                ("prune_to", "0"),
+                ("merge_interval", "0"),
+                ("lr_schedule", "step"),
+                ("search_strategy", "anneal"),
+                ("total_steps", "0"),
+                ("binary_iters", "0"),
+                ("base_lr", "0"),
+                ("batch_size", "0"),
+            )),
+            # a comparison with a non-finite value cannot be the check
+            *((key, text.format(bad), method) for bad in ("nan", "inf", "-inf")
+              for key, text, method in (
+                  ("base_lr", "{}", "forkmerge"),
+                  ("momentum", "{}", "forkmerge"),
+                  ("noise_std", "{}", "forkmerge"),
+                  ("mean_scale", "{}", "forkmerge"),
+                  ("relatedness", "{}", "forkmerge"),
+                  ("lambda_grid", "0,{},1", "forkmerge"),
+                  ("lambda_grid", "0,{}", "fixed_lambda"),
+                  ("branch_weights", "1,0;1,{}", "forkmerge"),
+                  ("branch_weights", "1,{}", "gcs"),
+              )),
+        ]
     ])
     def test_invalid_value_exits_1_before_any_work(self, capsys, tmp_path,
-                                                   key, value):
+                                                   key, value, method):
         lines = [line for line in CFG_SMALL.strip().splitlines()
                  if not line.startswith(("method", key))]
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("\n".join(["method = forkmerge", f"{key} = {value}", *lines]))
+        cfg.write_text("\n".join([f"method = {method}", f"{key} = {value}", *lines]))
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        # a non-finite value is named as such, ahead of any other rule it breaks
+        assert ("not finite" in err) == any(bad in value for bad in ("nan", "inf"))
         assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize("method, lines, key", [
@@ -190,7 +225,9 @@ class TestExitCodes:
         (("sweep", "tg-gcs", "--seeds", "0,0"), "seeds", {"seeds": (0, 0)}),
         (("gen-data", "--relatedness", "2"), "relatedness",
          {"seeds": (0,), "relatedness": (2.0,)}),
-    ], ids=["sweep_seeds", "gen_data_relatedness"])
+        (("sweep", "csd-lambda", "--lambdas", "0,nan"), "lambda_grid",
+         {"seeds": (0,), "lambda_grid": (0.0, math.nan)}),
+    ], ids=["sweep_seeds", "gen_data_relatedness", "sweep_lambdas_nan"])
     def test_config_errors_carry_the_key_name(self, capsys, tmp_path, argv, key, config):
         with pytest.raises(ConfigError, match=f"^{key}") as expected:
             ExperimentConfig("stl", **config)

@@ -73,8 +73,6 @@ UNREAD_BY_DESIGN = {
     "forkmerge.merge_coeffs_from_task_weights": "acceptance-gate reference",
     "nn.param_layout": "perfbench tracer",
     "forkmerge.train_branch": "perfbench tracer",
-    "metrics.transfer_gain": "README diagnostic",
-    "metrics.classify_transfer": "README diagnostic",
     "cli._Parser.error": "argparse calls it",
 }
 

@@ -4,18 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auxlab.metrics import (
-    POSITIVE,
-    STRONG_NEGATIVE,
-    WEAK_NEGATIVE,
-    PerfValue,
     SweepRow,
-    classify_transfer,
     csd,
     delta_m,
     gcs,
     one_step_tg_gcs_sweep,
     shared_gradient_block,
-    transfer_gain,
 )
 from auxlab.nn import HeadSpec, ModelSpec, evaluate, init_params, loss_and_gradient
 from auxlab.optim import sgd_step
@@ -25,46 +19,6 @@ from auxlab.vectors import RngStream
 # Published DomainNet accuracies used as a fixed-point check for delta_m.
 STL_ACC = (77.6, 41.4, 71.8, 73.0, 84.6, 70.2)
 EW_ACC = (78.0, 38.1, 67.2, 50.8, 77.1, 67.0)
-
-
-def acc(v):
-    return PerfValue(v, "accuracy")
-
-
-class TestTransferGain:
-    def test_equal_is_zero(self):
-        assert transfer_gain(acc(50.0), acc(50.0)) == 0.0
-
-    def test_published_real_column(self):
-        assert transfer_gain(acc(85.2), acc(84.6)) == pytest.approx(0.6, abs=1e-9)
-
-    def test_published_quickdraw_column(self):
-        assert transfer_gain(acc(50.8), acc(73.0)) == pytest.approx(-22.2, abs=1e-9)
-
-    def test_metric_mismatch(self):
-        with pytest.raises(ValueError):
-            transfer_gain(acc(1.0), PerfValue(-0.5, "neg_mse"))
-
-
-class TestClassifyTransfer:
-    def test_all_positive(self):
-        assert classify_transfer({0.5: 0.1, 1.0: 0.2}) == POSITIVE
-
-    def test_weak_negative(self):
-        assert classify_transfer({0.5: 1.0, 1.0: -2.0}) == WEAK_NEGATIVE
-
-    def test_strong_negative(self):
-        assert classify_transfer({0.5: -1.0, 1.0: -2.0}) == STRONG_NEGATIVE
-
-    def test_zero_lambda_alone_rejected(self):
-        with pytest.raises(ValueError):
-            classify_transfer({0.0: 0.0})
-        with pytest.raises(ValueError):
-            classify_transfer({})
-
-    def test_never_positive_with_any_negative_gain(self):
-        # a negative gain at lambda=0 would be odd but must not read as positive
-        assert classify_transfer({0.0: -0.1, 1.0: 0.5}) == WEAK_NEGATIVE
 
 
 class TestGcs:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auxlab.forkmerge import MergeSchedule
+from auxlab.nn import HeadSpec, ModelSpec
 from auxlab.optim import OptConfig
 from auxlab.runner import (
     RECORD_COLUMNS,
@@ -671,7 +672,64 @@ class TestAggregate:
         assert summary["fm"]["tg_mean"] == 2.0
 
 
+# the classes whose fields declare their domains with `within`, the config's
+# own first
+SETTINGS = (ExperimentConfig, TaskFamilyConfig, OptConfig, MergeSchedule, ModelSpec, HeadSpec)
+DECLARED = [(cls, f.name, f.metadata["domain"]) for cls in SETTINGS
+            for f in dataclasses.fields(cls) if "domain" in f.metadata]
+CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _in_domain(domain, x) -> bool:
+    """Whether ``x`` lies in the declared ``domain``, read here on its own."""
+    if isinstance(domain, tuple):
+        return x in domain
+    return (not isinstance(x, float) or math.isfinite(x)) and {
+        "> 0": x > 0, ">= 0": x >= 0, ">= 1": x >= 1, ">= 2": x >= 2,
+        "in [0, 1]": 0 <= x <= 1, "in [0, 1)": 0 <= x < 1}[domain]
+
+
+def _draws(cls, key, domain):
+    """Values of ``key``'s type from its whole range: floats with NaN and
+    ±inf, ints of any sign, any text, and the domain's names."""
+    ints, floats = st.integers(), st.floats()
+    if key == "n_tasks":  # each task adds entries to the config; see below
+        ints = st.integers(max_value=64)
+    if key == "n_train":  # a per-task tuple's length is the family's rule
+        return ints | st.lists(ints, min_size=2, max_size=2).map(tuple)
+    hint = get_type_hints(cls)[key]
+    if hint is str:
+        return st.text(max_size=12) | st.sampled_from(domain)
+    return {
+        int: ints, float: floats, int | None: st.none() | ints,
+        tuple[int, ...]: st.lists(ints, max_size=3).map(tuple),
+        tuple[float, ...]: st.lists(floats, max_size=3).map(tuple),
+    }[hint]
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("cls, key, domain", DECLARED,
+                             ids=[f"{cls.__name__}.{key}" for cls, key, _ in DECLARED])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_each_declared_domain_holds_or_names_its_key(self, cls, key, domain, data):
+        value = data.draw(_draws(cls, key, domain), label=key)
+        overrides = {key: value}
+        if key == "n_tasks" and value >= 1:  # one relatedness per auxiliary task
+            overrides["relatedness"] = (0.5,) * (value - 1)
+        try:
+            if key in CONFIG_KEYS:  # a forkmerge config builds every settings class
+                config = ExperimentConfig(**{"method": "forkmerge", "seeds": (0,), **overrides})
+                accepted = getattr(config, key)
+            else:  # HeadSpec's fields are not config keys
+                accepted = getattr(cls(**{"output_dim": 4, **overrides}), key)
+        except ValueError as exc:
+            assert str(exc).startswith(key), str(exc)
+            assert key not in CONFIG_KEYS or isinstance(exc, ConfigError)
+            return
+        entries = accepted if isinstance(accepted, tuple) else (accepted,)
+        assert accepted is None or all(_in_domain(domain, x) for x in entries)
+
     def test_defaults_match_the_library_defaults(self):
         # each settings field is the config key of its name, with its type and
         # default; the runner computes the family's seed
@@ -690,12 +748,18 @@ class TestConfigValidation:
 
     def test_readme_config_reference_lists_every_key_with_its_default(self):
         section = README.read_text(encoding="utf-8").split("## Config reference\n")[1]
-        rows = [line.split("|")[1:3] for line in section.split("\n## ")[0].splitlines()
+        rows = [line.split("|")[1:4] for line in section.split("\n## ")[0].splitlines()
                 if line.startswith("| `")]
-        documented = [(key.strip().strip("`"), default.strip()) for key, default in rows]
+        documented = [tuple(cell.strip() for cell in row) for row in rows]
+        # a key's domain is the first declaration of it in SETTINGS order
+        domains = {}
+        for _, key, domain in DECLARED:
+            domains.setdefault(key, ", ".join(f"`{name}`" for name in domain)
+                               if isinstance(domain, tuple) else f"`{domain}`")
         echo = config_to_text(ExperimentConfig(method="ew", seeds=(0,)))
         assert documented == [
-            (key, "—" if key in ("method", "seeds") else "`" + (value or '""') + "`")
+            (f"`{key}`", "—" if key in ("method", "seeds") else "`" + (value or '""') + "`",
+             domains.get(key, "—"))
             for key, value in (line.split(" = ", 1) for line in echo.splitlines())]
 
     def test_readme_file_headers_are_the_columns(self):
