@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .runner import (
     FAMILY_KEYS,
+    FORKMERGE_METHODS,
+    MERGE_HISTORY_STEM,
     _PARSERS,
     ConfigError,
     ExperimentConfig,
@@ -171,25 +172,25 @@ def _cmd_report(args) -> int:
     records_path = records_dir / RECORDS_FILENAME
     if not records_path.is_file():
         raise UsageError(f"no {RECORDS_FILENAME} in {records_dir}")
-    finite = [r for r in read_records(records_path)
-              if r.split == "test" and not math.isnan(r.value)]
-    if not finite:
+    records = read_records(records_path)
+    summary = aggregate(records)
+    if not summary:
         raise UsageError(f"{records_path} holds no finite test records")
-    summary = aggregate(finite)
     out = Path(args.out) if args.out else records_dir
     out.mkdir(parents=True, exist_ok=True)
     write_summary(summary, out / "summary.csv", out / "summary.json")
 
+    # a finished fork/merge job that did not diverge has written its history
+    stems = sorted(MERGE_HISTORY_STEM.format(method=r.method, seed=r.seed)
+                   for r in records if r.split == "val" and r.method in FORKMERGE_METHODS)
     trajectory_rows = []
-    for history_path in sorted(records_dir.glob("merge_history_*.json")):
-        payload = json.loads(history_path.read_text(encoding="utf-8"))
+    for stem in stems:
+        payload = json.loads((records_dir / f"{stem}.json").read_text(encoding="utf-8"))
         for round_payload in payload["rounds"]:
             for branch_id, coeff in sorted(
                 round_payload["merge_coeffs"].items(), key=lambda kv: int(kv[0])
             ):
-                trajectory_rows.append((
-                    history_path.stem, round_payload["round"], branch_id, coeff
-                ))
+                trajectory_rows.append((stem, round_payload["round"], branch_id, coeff))
     if trajectory_rows:
         write_table(out / "lambda_trajectories.csv",
                     ("source", "round", "branch_id", "merge_coeff"), zip(*trajectory_rows))

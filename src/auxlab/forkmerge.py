@@ -169,22 +169,7 @@ def draw_batch(
     single numpy ``Philox`` bit generator to each step's stream and builds a
     generator only to redraw a row that Lemire's method would reject.
     """
-    return root.child_integers(_BatchLabels(task_id, steps), len(split), batch_size)
-
-
-@dataclass(frozen=True)
-class _BatchLabels(Sequence):
-    """The stream labels ("batch", task_id, step) of ``steps``, made one at a
-    time: a list of them would make a draw's peak memory grow with its steps."""
-
-    task_id: int
-    steps: range
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __getitem__(self, i: int) -> tuple:
-        return ("batch", self.task_id, self.steps[i])
+    return root.child_integers([("batch", task_id, s) for s in steps], len(split), batch_size)
 
 
 _CHUNK = 64

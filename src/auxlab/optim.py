@@ -47,16 +47,15 @@ class TaskWeighting:
     for every task).
     """
 
-    weights: Mapping[int, float]
+    weights: Mapping[int, float] = within(">= 0")
     target_id: int = 0
 
     def __post_init__(self):
         w = {int(k): float(v) for k, v in self.weights.items()}
+        object.__setattr__(self, "weights", w)
+        check_domains(self)
         if w.get(self.target_id) != 1.0:
             raise ValueError(f"target task {self.target_id} must carry weight 1, got {w}")
-        if any(v < 0 for v in w.values()):
-            raise ValueError(f"negative task weight in {w}")
-        object.__setattr__(self, "weights", w)
 
     @property
     def active_tasks(self) -> tuple[int, ...]:

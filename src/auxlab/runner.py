@@ -102,6 +102,8 @@ TIMINGS_FILENAME = "timings.csv"
 # job's row
 TIMING_COLUMNS = ("method", "seed", "round", "phase", "seconds")
 CONFIG_ECHO_FILENAME = "config_echo_{method}.cfg"
+# a fork/merge job's merge history, as .csv and .json
+MERGE_HISTORY_STEM = "merge_history_{method}_seed{seed}"
 
 
 class ConfigError(ValueError):
@@ -367,33 +369,6 @@ def _branches_for(config: ExperimentConfig) -> list[TaskWeighting]:
     ]
 
 
-def _finished_jobs(records: Sequence[ResultRecord],
-                   path: Path) -> tuple[list[list[ResultRecord]], int]:
-    """The rows of every (method, seed) job that ``records``, read from
-    ``path``, hold in full, in order, and the count of rows left out. A job
-    writes its rows together and ends with the target's val row, or, if it
-    diverged, is one NaN row; rows that stop short of that belong to a job
-    that did not finish and are left out. A job held in full twice, as two
-    runs appending to one dir at once leave it, would count twice: that
-    raises RecordsError naming it."""
-    jobs: list[list[ResultRecord]] = []
-    rows: list[ResultRecord] = []
-    for record in records:
-        if rows and (record.method, record.seed) != (rows[0].method, rows[0].seed):
-            rows = []
-        rows.append(record)
-        if record.split == "val" or (len(rows) == 1 and math.isnan(record.value)):
-            jobs.append(rows)
-            rows = []
-    keys = [(rows[0].method, rows[0].seed) for rows in jobs]
-    twice = [f"{method} seed {seed}" for method, seed in dict.fromkeys(keys)
-             if keys.count((method, seed)) > 1]
-    if twice:
-        raise RecordsError(f"{path}: holds job {', '.join(twice)} twice, as two runs"
-                           " writing into one dir at once leave it; use a fresh output dir")
-    return jobs, len(records) - sum(map(len, jobs))
-
-
 def _target_test_value(rows: Sequence[ResultRecord]) -> float | None:
     """A finished job's target test value; None for a diverged job."""
     if rows[-1].split != "val":
@@ -437,8 +412,8 @@ def _run_method(
             family, spec, _settings_for(MergeSchedule, config), _branches_for(config),
             opt, seed,
         )
-        _write_merge_history(history, out_dir / f"merge_history_{method}_seed{seed}.csv",
-                             out_dir / f"merge_history_{method}_seed{seed}.json")
+        stem = out_dir / MERGE_HISTORY_STEM.format(method=method, seed=seed)
+        _write_merge_history(history, stem.with_suffix(".csv"), stem.with_suffix(".json"))
         psearch = sum(len(r.candidates) for r in history)
     return dict.fromkeys(tasks, params), psearch, history
 
@@ -514,8 +489,8 @@ def run_experiment(
     per-seed merge histories for the fork/merge methods. A diverged seed is
     recorded as a NaN row and the run moves on to the next seed.
 
-    A dir that already holds records is resumed: (method, seed) jobs whose
-    rows are complete there are skipped, and a skipped single-task job still
+    A dir that already holds records is resumed: (method, seed) jobs that
+    `read_records` reads there are skipped, and a skipped single-task job still
     supplies its seed's target value for transfer gain. Only the records
     written by this call are returned. A config that differs from the dir's
     echo of a method whose jobs it runs or skips (see `_echo_for`), a
@@ -537,9 +512,10 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     with _sole_writer(out_dir):
         path, timings_path = out_dir / RECORDS_FILENAME, out_dir / TIMINGS_FILENAME
-        finished, dropped = (_finished_jobs(read_records(path), path) if path.exists()
-                             else ([], 0))
-        done = {(rows[0].method, rows[0].seed): rows for rows in finished}
+        finished = read_records(path) if path.exists() else []
+        done: dict[tuple[str, int], list[ResultRecord]] = {}
+        for record in finished:
+            done.setdefault((record.method, record.seed), []).append(record)
         kept_timings = _kept_timings(timings_path, done)
         jobs = [(config.method, seed) for seed in config.seeds]
         if config.method != "stl" and config.compute_tg:
@@ -551,15 +527,11 @@ def run_experiment(
         for method, echo in echoes.items():
             (out_dir / CONFIG_ECHO_FILENAME.format(method=method)).write_text(
                 config_to_text(echo), encoding="utf-8")
-        if dropped:
-            print(f"auxlab: {path}: dropping {dropped} row(s) of unfinished jobs",
-                  file=sys.stderr)
         # both files are made to hold exactly the finished jobs' rows, in order:
         # anything else (a torn tail, an unfinished job's rows) is dropped by an
         # atomic rewrite; then each job's rows are appended whole, its records
         # and then its timings, so a crash loses at most the job in flight
-        _replace_text(path, csv_text(RECORD_COLUMNS,
-                                     zip(*[astuple(r) for rows in finished for r in rows])))
+        _replace_text(path, csv_text(RECORD_COLUMNS, zip(*map(astuple, finished))))
         _replace_text(timings_path, kept_timings)
         records: list[ResultRecord] = []
         stl_target: dict[int, float | None] = {}
@@ -660,12 +632,16 @@ def _echo_for(config: ExperimentConfig, method: str, out_dir: Path,
 # -- aggregation -------------------------------------------------------------
 
 def read_records(path) -> list[ResultRecord]:
-    """Parse a records CSV. Rows are appended whole and newline-terminated,
-    so a last row without its newline was cut off mid-write: it is skipped
-    with a note on stderr. A file whose whole text is a prefix of the header
-    was cut before any row, and holds none. A header of other columns, any
-    other malformed row, or a job held twice (see `_finished_jobs`) raises
-    RecordsError naming the file."""
+    """The rows of every (method, seed) job a records CSV holds in full, in
+    file order. A job writes its rows together and ends with the target's
+    val row, or, if it diverged, is one NaN row; the rows of a job that
+    stops short of that are left out, with a note on stderr. Rows are
+    appended whole and newline-terminated, so a last row without its newline
+    was cut off mid-write: it is skipped with a note too. A file whose whole
+    text is a prefix of the header was cut before any row, and holds none. A
+    header of other columns, a malformed row, or a job held in full twice, as
+    two runs appending to one dir at once leave it, raises RecordsError
+    naming the file and the first such row or job."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
         text = handle.read()
@@ -684,27 +660,43 @@ def read_records(path) -> list[ResultRecord]:
         line, _ = rows.pop()
         print(f"auxlab: {path}: skipping incomplete last row (line {line})",
               file=sys.stderr)
-    records = []
+    jobs: dict[tuple[str, int], list[ResultRecord]] = {}
+    job: list[ResultRecord] = []
+    unfinished: list[ResultRecord] = []
     for line, row in rows:
         try:
             if None in row:  # DictReader files cells past the header under None
                 raise ValueError(f"{len(row[None])} cell(s) past the last column")
-            records.append(ResultRecord(
-                **{key: parse(row[key]) for key, parse in _RECORD_PARSERS.items()}))
+            record = ResultRecord(
+                **{key: parse(row[key]) for key, parse in _RECORD_PARSERS.items()})
         except ValueError as exc:
             raise RecordsError(f"{path}: line {line}: malformed record: {exc}") from exc
-    _finished_jobs(records, path)  # raises if a job is held twice
-    return records
+        key = (record.method, record.seed)
+        if job and key != (job[0].method, job[0].seed):
+            unfinished += job
+            job = []
+        job.append(record)
+        if record.split == "val" or (len(job) == 1 and math.isnan(record.value)):
+            if key in jobs:
+                raise RecordsError(f"{path}: holds job {record.method} seed {record.seed}"
+                                   " twice, as two runs writing into one dir at once leave"
+                                   " it; use a fresh output dir")
+            jobs[key], job = job, []
+    unfinished += job
+    if unfinished:
+        names = dict.fromkeys(f"{r.method} seed {r.seed}" for r in unfinished)
+        print(f"auxlab: {path}: leaving out {len(unfinished)} row(s) of unfinished jobs:"
+              f" {', '.join(names)}", file=sys.stderr)
+    return [record for job in jobs.values() for record in job]
 
 
 def aggregate(records: Iterable[ResultRecord]) -> dict[str, dict]:
     """Per-method summary over seeds: mean/std of the target (task 0) test
     value, gain statistics, per-task means, and, when finite stl rows are
     present, the average relative improvement over them (``delta_m_pct``, in
-    percent; every metric is larger-is-better). Record order never matters."""
+    percent; every metric is larger-is-better), over the finite test rows
+    alone: with none, the summary is empty. Record order never matters."""
     rows = [r for r in records if r.split == "test" and not math.isnan(r.value)]
-    if not rows:
-        raise ValueError("no finite test records to aggregate")
     methods = sorted({r.method for r in rows})
 
     per_task_mean: dict[str, dict[int, float]] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,7 +57,10 @@ def _holds(domain: str | tuple[str, ...], x) -> bool:
 
 
 def _entries(value) -> list:
-    """``value`` itself, or the entries of a tuple or list at any depth."""
+    """``value`` itself, or the entries of a tuple or list, or the values of
+    a mapping, at any depth."""
+    if isinstance(value, Mapping):
+        return _entries(list(value.values()))
     if isinstance(value, (tuple, list)):
         return [entry for item in value for entry in _entries(item)]
     return [value]
@@ -66,7 +69,7 @@ def _entries(value) -> list:
 def check_domains(settings) -> None:
     """Raise ValueError, starting with the field's name, at the first field of
     dataclass ``settings`` that holds a float that is not finite, at any tuple
-    depth, or a value outside its `within` domain; None is an unset value."""
+    or mapping depth, or a value outside its `within` domain; None is an unset value."""
     for f in fields(settings):
         value = getattr(settings, f.name)
         entries = _entries(value)

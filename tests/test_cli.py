@@ -261,12 +261,47 @@ class TestExitCodes:
         assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
         records = out / "records.csv"
         complete = read_records(records)
+        # seed 1's val row is cut short: its two test rows are an unfinished job
         records.write_bytes(records.read_bytes()[:-20])
         capsys.readouterr()
         assert run_cli("report", "--records", str(out)) == 0
-        assert "incomplete last row" in capsys.readouterr().err
-        assert read_records(records) == complete[:-1]
-        assert (out / "summary.csv").is_file()
+        err = capsys.readouterr().err
+        assert "incomplete last row" in err
+        assert "leaving out 2 row(s) of unfinished jobs: ew seed 1" in err
+        assert read_records(records) == [r for r in complete if r.seed == 0]
+        assert _summary(out)["ew"]["n_seeds"] == "1"
+
+    def test_report_counts_the_jobs_a_resumed_run_skips(self, capsys, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(CFG_SMALL.replace("seeds = 0", "seeds = 0,1")
+                       + "compute_tg = false\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        records = out / "records.csv"
+        lines = records.read_text().splitlines(keepends=True)
+        # cut at the line end after seed 1's first row
+        records.write_text("".join(lines[:5]))
+        capsys.readouterr()
+        assert run_cli("report", "--records", str(out)) == 0
+        assert "leaving out 1 row(s) of unfinished jobs: ew seed 1" in capsys.readouterr().err
+        assert _summary(out)["ew"]["n_seeds"] == "1"
+
+    def test_report_reads_only_the_histories_of_finished_jobs(self, capsys, tmp_path):
+        cfg = tmp_path / "fm.cfg"
+        cfg.write_text(CFG_SMALL.replace("method = ew", "method = forkmerge")
+                       .replace("seeds = 0", "seeds = 0,1")
+                       + "merge_interval = 10\ncompute_tg = false\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(out)) == 0
+        records = out / "records.csv"
+        # a crash between seed 1's history write and its records append
+        records.write_text("".join(records.read_text().splitlines(keepends=True)[:4]))
+        assert (out / "merge_history_forkmerge_seed1.json").is_file()
+        assert run_cli("report", "--records", str(out)) == 0
+        assert _summary(out)["forkmerge"]["n_seeds"] == "1"
+        with open(out / "lambda_trajectories.csv", newline="") as handle:
+            sources = {r["source"] for r in csv.DictReader(handle)}
+        assert sources == {"merge_history_forkmerge_seed0"}
 
     @pytest.mark.parametrize("keep", [-20, 10], ids=["torn_row", "torn_header"])
     def test_rerun_after_torn_row_counts_every_seed_once(self, capsys, tmp_path, keep):
@@ -281,8 +316,7 @@ class TestExitCodes:
         assert read_records(records) == complete
         capsys.readouterr()
         assert run_cli("report", "--records", str(out)) == 0
-        with open(out / "summary.csv", newline="") as handle:
-            summary = {r["method"]: r for r in csv.DictReader(handle)}
+        summary = _summary(out)
         assert {m: summary[m]["n_seeds"] for m in summary} == {"ew": "2", "stl": "2"}
 
     def test_report_rejects_malformed_inner_row(self, capsys, tmp_path):
@@ -371,12 +405,20 @@ class TestExitCodes:
     def test_runtime_failure_is_exit_two(self, capsys, tmp_path):
         (tmp_path / "records.csv").write_text(
             "method,seed,task_id,split,metric,value,tg,psearch_evals\n"
-            "ew,0,0,test,accuracy,80.0,,0\n"
+            "forkmerge,0,0,test,accuracy,80.0,,12\n"
+            "forkmerge,0,1,test,accuracy,70.0,,12\n"
+            "forkmerge,0,0,val,accuracy,75.0,,12\n"
         )
         (tmp_path / "merge_history_forkmerge_seed0.json").write_text("{not json")
         code = run_cli("report", "--records", str(tmp_path))
         assert code == 2
         assert capsys.readouterr().err.startswith("auxlab:")
+
+
+def _summary(out):
+    """``out``'s summary.csv rows by method."""
+    with open(out / "summary.csv", newline="") as handle:
+        return {r["method"]: r for r in csv.DictReader(handle)}
 
 
 def _dir_bytes(path):

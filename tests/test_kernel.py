@@ -587,7 +587,9 @@ class TestAllocations:
             train_branches(start, branches, range(steps), steps, family, spec, opt,
                            RngStream(1))
 
-        train(1)  # warm-up: the kernel's workspaces grow to the batch size
+        # warm-up: the kernel's workspaces grow to the batch size, and the
+        # batch draw's to a whole chunk of steps
+        train(100)
         tracemalloc.start()
         try:
             held = []

@@ -18,6 +18,11 @@ class TestTaskWeighting:
         with pytest.raises(ValueError):
             TaskWeighting({0: 1.0, 1: -0.1})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^weights: "):
+            TaskWeighting({0: 1.0, 1: value})
+
     def test_active_tasks_skip_zeros(self):
         w = TaskWeighting({0: 1.0, 1: 0.0, 2: 0.3})
         assert w.active_tasks == (0, 2)

@@ -519,6 +519,9 @@ class TestRerunIntoSameDir:
                     for suffix in ("csv", "json"):
                         shutil.copy(whole / f"merge_history_{method}_seed{seed}.{suffix}", copy)
             (copy / "records.csv").write_text(text[:cut])
+            # run and report agree: the jobs read are the jobs the run skips
+            read = dict.fromkeys((r.method, r.seed) for r in read_records(copy / "records.csv"))
+            assert list(read) == [job for job, end in job_end.items() if end <= cut], cut
             run_experiment(cfg, output_dir=copy)
             for name in ["records.csv", *histories]:
                 assert (copy / name).read_bytes() == (whole / name).read_bytes(), (cut, name)
