@@ -191,9 +191,12 @@ def _cmd_report(args) -> int:
                 round_payload["merge_coeffs"].items(), key=lambda kv: int(kv[0])
             ):
                 trajectory_rows.append((stem, round_payload["round"], branch_id, coeff))
+    trajectories = out / "lambda_trajectories.csv"
     if trajectory_rows:
-        write_table(out / "lambda_trajectories.csv",
-                    ("source", "round", "branch_id", "merge_coeff"), zip(*trajectory_rows))
+        write_table(trajectories, ("source", "round", "branch_id", "merge_coeff"),
+                    zip(*trajectory_rows))
+    else:  # an earlier report's, which these records do not back
+        trajectories.unlink(missing_ok=True)
     print(f"wrote summary for {len(summary)} methods to {out}")
     return 0
 

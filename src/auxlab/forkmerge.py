@@ -174,8 +174,9 @@ def draw_batch(
 
 _CHUNK = 64
 """Steps whose batches `train_branches` draws in one `draw_batch` call per
-task: enough to spread a call's fixed cost, few enough that the held
-batches stay small; at most `vectors._PAD`, so every call allocates the same."""
+task and stages at once: enough to spread a call's fixed cost, few enough
+that the stage stays small; at most `vectors._PAD`, so every call
+allocates the same."""
 
 
 def train_branch(
@@ -213,9 +214,11 @@ def train_branches(
     All branches start from the same parameters with zero momentum, with
     ``opt``'s batch size. Every used task's train split is checked once,
     before the first draw, and its batches are drawn `_CHUNK` steps at a
-    time, one `draw_batch` call per task and chunk. Each step runs one
-    stacked forward and backward over every (branch, task) pair with a
-    nonzero weight, mixes each branch's gradients, and steps all branches
+    time, one `draw_batch` call per task and chunk, and staged in the pair
+    pass at once. Each step runs the pass's stacked forward and backward
+    over every (branch, task) pair with a nonzero weight, mixes all
+    branches' gradients one term at a time (each branch's j-th task in its
+    task order, across every branch that has one), and steps all branches
     at once, in place, with the arithmetic of `weighted_gradient` and
     `sgd_step`; each result is therefore bit-identical to training that
     branch alone. The first non-finite loss or parameter raises
@@ -236,48 +239,53 @@ def train_branches(
     splits = {t: family.train(t) for active in tasks for t in active}
     stack = kernel.pair_pass(
         params, [(i, t) for i, active in enumerate(tasks) for t in active], splits,
-        batch_size)
+        batch_size, _CHUNK)
     momenta = np.zeros_like(params)
-    # per branch: its (task, pair position) in task order, and its mix
+    # per branch: its (task, pair position) in task order
     uses = [[(t, stack.index[i, t]) for t in active] for i, active in enumerate(tasks)]
     flat = params.reshape(-1)
     mixed, scratch = np.empty_like(params), np.empty_like(params)
-    mixes = [(out, [w.weights[t] for t in active],
-              [stack.grads[k] for _, k in use], scratch[0])
-             for out, w, active, use in zip(mixed, branches, tasks, uses)]
-    for step, rows in _batches(splits, root, steps, batch_size):
-        losses = stack(rows)
-        if weigh is None:
-            for mix in mixes:
-                linear_combination_into(*mix)
-        else:
-            for out, use in zip(mixed, uses):
-                weights = weigh({t: stack.grads[k] for t, k in use})
-                live = [(weights[t], stack.grads[k]) for t, k in use if weights[t] > 0]
-                linear_combination_into(out, *zip(*live), scratch[0])
-        sgd_step_into(params, momenta, mixed, momentum,
-                      opt.learning_rate(step, total_steps), scratch)
-        # a dot product is finite only if every entry is; one that overflows
-        # from finite entries, which is no fault, sends the exact check
-        # through finding nothing
-        with np.errstate(over="ignore"):
-            finite = isfinite(losses.dot(losses) + flat.dot(flat))
-        if not finite:
-            _raise_first_divergence(uses, losses, params, step)
-    return list(params)
-
-
-def _batches(splits: Mapping[int, DataSplit], root: RngStream, steps: range,
-             batch_size: int):
-    """Each of ``steps`` with its {task: row indices}, drawn `_CHUNK` steps
-    at a time into one buffer per task."""
-    drawn = {t: np.empty((_CHUNK, batch_size), dtype=np.int64) for t in sorted(splits)}
+    # mixing term j: the j-th task's pair of every branch with more than j
+    # tasks, its weight, the branches' rows of ``mixed`` (a slice when they
+    # are adjacent) and the buffer its products go to
+    terms = []
+    for j in range(max(map(len, tasks))):
+        members = [i for i, use in enumerate(uses) if len(use) > j]
+        adjacent = members == list(range(members[0], members[-1] + 1))
+        terms.append((np.array([uses[i][j][1] for i in members]),
+                      np.array([[branches[i].weights[uses[i][j][0]]] for i in members]),
+                      slice(members[0], members[-1] + 1) if adjacent else np.array(members),
+                      scratch[: len(members)]))
+    (first_at, first_weights, _, _), *later_terms = terms
     for first in range(steps.start, steps.stop, _CHUNK):
         chunk = range(first, min(first + _CHUNK, steps.stop))
-        for t, rows in drawn.items():
-            rows[: len(chunk)] = draw_batch(splits[t], root, t, chunk, batch_size)
-        for i, step in enumerate(chunk):
-            yield step, {t: rows[i] for t, rows in drawn.items()}
+        stack.stage({t: draw_batch(split, root, t, chunk, batch_size)
+                     for t, split in splits.items()})
+        for j, step in enumerate(chunk):
+            losses = stack.run(j)
+            if weigh is None:
+                # v0*c0 + v1*c1 + ... per branch, in its task order
+                stack.grads.take(first_at, 0, mixed, "clip")
+                mixed *= first_weights
+                for at, weights, rows, products in later_terms:
+                    stack.grads.take(at, 0, products, "clip")
+                    products *= weights
+                    mixed[rows] += products
+            else:
+                for out, use in zip(mixed, uses):
+                    weights = weigh({t: stack.grads[k] for t, k in use})
+                    live = [(weights[t], stack.grads[k]) for t, k in use if weights[t] > 0]
+                    linear_combination_into(out, *zip(*live), scratch[0])
+            sgd_step_into(params, momenta, mixed, momentum,
+                          opt.learning_rate(step, total_steps), scratch)
+            # a dot product is finite only if every entry is; one that
+            # overflows from finite entries, which is no fault, sends the
+            # exact check through finding nothing
+            with np.errstate(over="ignore"):
+                finite = isfinite(losses.dot(losses) + flat.dot(flat))
+            if not finite:
+                _raise_first_divergence(uses, losses, params, step)
+    return list(params)
 
 
 def _raise_first_divergence(uses, losses, params, step: int) -> None:

@@ -107,8 +107,9 @@ def one_step_tg_gcs_sweep(
     against the lam = 0 step. Rows are ordered by (point, lambda-position);
     the lam = 0 rows are exactly zero by construction. Every gradient comes
     from stacked passes over the train splits, built once per sweep, one per
-    batch length; each point hands them its row indices, which one
-    `RngStream.child_integers` call per task draws for every point up front.
+    batch length, which stage every point's row indices up front, as one
+    `RngStream.child_integers` call per task draws them, and then run one
+    point at a time.
     """
     aux_ids = (aux_task,) if aux_task is not None else family.aux_ids
     if not aux_ids:
@@ -121,16 +122,18 @@ def one_step_tg_gcs_sweep(
     # one stacked pass per batch length, built once; normally one holds every task
     stacked = np.ascontiguousarray(params)[None]
     passes = [spec.kernel.pair_pass(stacked, [(0, t) for t in tasks if lengths[t] == n],
-                                    splits, n)
+                                    splits, n, n_points)
               for n in sorted(set(lengths.values()))]
     val = family.val(family.target_id)
     drawn = {t: rng.child_integers([("point", p, t) for p in range(n_points)],
                                    len(splits[t]), lengths[t]) for t in tasks}
+    for pair_pass in passes:
+        pair_pass.stage(drawn)
     rows: list[SweepRow] = []
     for point in range(n_points):
         grads = {}
         for pair_pass in passes:
-            losses = pair_pass({t: batches[point] for t, batches in drawn.items()})
+            losses = pair_pass.run(point)
             for (_, t), k in pair_pass.index.items():
                 check_loss(losses[k], t)
                 # the next point's pass overwrites ``grads``

@@ -13,10 +13,11 @@ spec; all branches of a fork share this single layout, which is what makes
 merged vectors meaningful. ``ModelSpec.kernel`` compiles the spec once per
 thread into a kernel that reuses its workspaces across calls, so any thread
 may evaluate or train a model. Its stacked pass over (branch, task) pairs,
-which is built once, bound to its parameters and the splits it reads, and
-then called with row indices per step, is the only forward/backward;
-``loss_and_gradient`` builds one such pass over one split per call. A model
-is its spec plus one parameter vector: the module-level functions take both
+which is built once, bound to its parameters and the splits it reads, then
+handed the row indices of up to one draw chunk of steps at a time and run
+step by step, is the only forward/backward; ``loss_and_gradient`` builds
+one such pass over one split per call and runs its one step. A model is
+its spec plus one parameter vector: the module-level functions take both
 and return fresh values.
 """
 
@@ -173,7 +174,6 @@ class _Fitted(NamedTuple):
     deltas: list[np.ndarray]
     derivs: list[np.ndarray]
     col: np.ndarray
-    row_ids: np.ndarray
 
 
 class _Kernel:
@@ -185,7 +185,8 @@ class _Kernel:
     ``(n, d)`` batch and a stacked ``(P, n, d)`` pass over P (branch, task)
     pairs (see ``pair_pass``), with one matmul per layer over the leading
     pair axis. Activations, logits and backward scratch live in grow-only
-    workspaces sized to the most rows seen so far and sliced per call; a
+    workspaces sized to the most rows seen so far; an evaluation slices them
+    per call, and a pass takes its views of them once, when it is built. A
     workspace view returned by ``logits`` or ``log_probs`` is valid only
     until the next call. The operations and their order are those of a
     plain allocating implementation, so results do not depend on which calls
@@ -229,11 +230,11 @@ class _Kernel:
             self._reserve(rows)
 
             def fit(ws):
-                return ws[:rows].reshape(*lead, *ws.shape[1:])
+                return _rows_outer(ws, lead, ws.shape[1])
 
             fitted = self._fitted[lead] = _Fitted(
                 [fit(ws) for ws in self._acts], [fit(ws) for ws in self._deltas],
-                [fit(ws) for ws in self._derivs], fit(self._col), self._row_ids[:rows])
+                [fit(ws) for ws in self._derivs], fit(self._col))
         return fitted
 
     def views(self, vector: np.ndarray):
@@ -245,110 +246,41 @@ class _Kernel:
         pairs = list(zip(blocks[::2], blocks[1::2]))
         return tuple(pairs[: self._depth]), dict(zip(self.spec.heads, pairs[self._depth:]))
 
-    def _encode(self, enc, x: np.ndarray) -> list[np.ndarray]:
-        """[x, a_1, ..., a_depth]: inputs ``x`` (..., n, d) and each hidden
-        layer's activations under encoder blocks ``enc``, in workspaces."""
-        acts = [x]
-        for (w, b), z in zip(enc, self._fit(x.shape[:-1]).acts):
-            np.matmul(acts[-1], w, out=z)
+    def _encode(self, enc, x: np.ndarray, acts: Sequence[np.ndarray]) -> None:
+        """Each hidden layer's activations under encoder blocks ``enc`` on
+        inputs ``x`` (..., n, d), into ``acts``, workspaces of its rows."""
+        for (w, b), z in zip(enc, acts):
+            np.matmul(x, w, out=z)
             z += b
             if self._tanh:
                 np.tanh(z, out=z)
             else:
                 np.maximum(z, 0.0, out=z)
-            acts.append(z)
-        return acts
-
-    def _affine_head(self, a: np.ndarray, w: np.ndarray, b: np.ndarray,
-                     start: int = 0) -> np.ndarray:
-        """a @ w + b into the logits workspace from flat offset ``start``."""
-        out = self._logits[start: start + a.size // a.shape[-1] * w.shape[-1]]
-        out = out.reshape(*a.shape[:-1], w.shape[-1])
-        np.matmul(a, w, out=out)
-        out += b
-        return out
-
-    def _log_softmax(self, logits: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Log-softmax over the last axis, in place; ``scratch`` (same shape)
-        holds the exponentials."""
-        col = self._fit(logits.shape[:-1]).col
-        _reduce_last(np.maximum, logits, col)
-        logits -= col
-        np.exp(logits, out=scratch)
-        _reduce_last(np.add, scratch, col)
-        np.log(col, out=col)
-        logits -= col
-        return logits
+            x = z
 
     def logits(self, views, x: np.ndarray, task_id: int) -> np.ndarray:
         """(n, C) logits of head ``task_id`` on inputs ``x``, in a workspace."""
-        return self._affine_head(self._encode(views[0], x)[-1], *views[1][task_id])
+        acts = self._fit(x.shape[:-1]).acts
+        self._encode(views[0], x, acts)
+        w, b = views[1][task_id]
+        out = self._logits[: len(x) * w.shape[-1]].reshape(len(x), w.shape[-1])
+        np.matmul(acts[-1] if acts else x, w, out=out)
+        out += b
+        return out
 
     def log_probs(self, views, x: np.ndarray, task_id: int) -> np.ndarray:
         """(n, C) log-softmax of head ``task_id`` on ``x``, in a workspace."""
         logits = self.logits(views, x, task_id)
-        return self._log_softmax(logits, self._probs[: logits.size].reshape(logits.shape))
-
-    def _loss(self, a: np.ndarray, w: np.ndarray, b: np.ndarray, head: HeadSpec,
-              targets: np.ndarray, start: int = 0):
-        """Mean loss over the row axis of one head kind on activations ``a``
-        (..., n, h), and d loss / d logits in the probs workspace from flat
-        offset ``start``. ``targets`` are checked labels (..., n) or values
-        (..., n, C); the loss has shape (...)."""
-        logits = self._affine_head(a, w, b, start)
-        n, c = logits.shape[-2:]
-        grad = self._probs[start: start + logits.size].reshape(logits.shape)
-        if head.loss == CROSS_ENTROPY:
-            log_probs = self._log_softmax(logits, grad)
-            hit = (self._fit(targets.shape).row_ids, targets.reshape(-1))
-            loss = -(np.add.reduce(log_probs.reshape(-1, c)[hit].reshape(targets.shape),
-                                   axis=-1) / n)
-            np.exp(log_probs, out=grad)
-            grad.reshape(-1, c)[hit] -= 1.0
-            grad /= n
-        else:
-            diff = logits
-            diff -= targets
-            np.square(diff, out=grad)
-            loss = np.add.reduce(grad, axis=(-2, -1)) / (n * c)
-            np.multiply(diff, 2.0, out=grad)
-            grad /= n * c
-        return loss, grad
-
-    def _backward(self, acts, enc, genc, heads) -> None:
-        """Backward pass after ``_encode`` and ``_loss``: writes encoder
-        gradients into ``genc``. ``heads`` holds, per head kind, (slice of
-        the leading axis, W, gW, gb, d loss / d logits)."""
-        fitted = self._fit(acts[0].shape[:-1])
-        deltas, derivs = fitted.deltas, fitted.derivs
-        top = acts[-1]
-        delta = deltas[-1] if self._depth else None
-        for part, w, gw, gb, grad in heads:
-            np.matmul(top[part].swapaxes(-1, -2), grad, out=gw)
-            np.add.reduce(grad, axis=-2, out=gb)
-            if delta is not None:
-                np.matmul(grad, w.swapaxes(-1, -2), out=delta[part])
-        for i in reversed(range(self._depth)):
-            d = deltas[i]
-            if i + 1 < self._depth:
-                np.matmul(delta, enc[i + 1][0].swapaxes(-1, -2), out=d)
-            act, deriv = acts[i + 1], derivs[i]
-            if self._tanh:
-                np.square(act, out=deriv)
-                np.subtract(1.0, deriv, out=deriv)
-            else:
-                np.greater(act, 0.0, out=deriv)
-            np.multiply(d, deriv, out=d)
-            gw, gb = genc[i]
-            np.matmul(acts[i].swapaxes(-1, -2), d, out=gw)
-            np.add.reduce(d, axis=-2, out=gb)
-            delta = d
+        return _log_softmax(logits, self._probs[: logits.size].reshape(logits.shape),
+                            self._fit(logits.shape[:-1]).col)
 
     def pair_pass(self, params: np.ndarray, pairs: Sequence[tuple[int, int]],
-                  splits: Mapping[int, DataSplit], batch_size: int) -> "_PairPass":
+                  splits: Mapping[int, DataSplit], batch_size: int,
+                  steps: int = 1) -> "_PairPass":
         """One stacked forward/backward per step for the (row of ``params``,
-        task id) ``pairs`` on rows of ``splits``; see ``_PairPass``."""
-        return _PairPass(self, params, pairs, splits, batch_size)
+        task id) ``pairs`` on rows of ``splits``, staged up to ``steps``
+        steps at a time; see ``_PairPass``."""
+        return _PairPass(self, params, pairs, splits, batch_size, steps)
 
     def evaluate(self, views, split, task_id: int) -> "PerfValue":
         inputs = _inputs(split)
@@ -401,29 +333,38 @@ class _Kernel:
 
 
 class _PairPass:
-    """One stacked forward/backward per step over (branch, task) pairs.
+    """One stacked forward/backward per step over (branch, task) pairs, on
+    row indices staged up to ``steps`` steps at a time.
 
     ``params`` is a C-contiguous (branches, ``kernel.n_params``) array with
     one branch's parameter vector per row, which the caller may update in
-    place between steps; every pair's branch must be one of its rows. Each task's split in ``splits`` is checked once,
-    when the pass is built, and the splits' inputs are copied back to back
-    into one table, as are each head kind's targets, on the same row
-    offsets. A step offsets each task's row indices into that table and
-    gathers every pair's inputs with one ``take``, and its targets with one
-    more per head kind, straight into the pass's buffers. Pair (i, t) runs
-    task t's batch through row i's encoder and head t, and its gradient goes
-    to ``grads[index[(i, t)]]``, a full-length vector that stays zero outside
-    the encoder and head t. The pair axis is ordered by head kind, so each
-    kind's heads are one slice of it; a single pair drops the axis and runs
-    as one ``(n, d)`` batch. The pairs' parameter blocks are read through a
-    strided view of ``params`` when they sit evenly spaced in it (one pair,
-    or one branch on consecutive heads) and gathered per step otherwise;
-    head gradients are written in place or scattered likewise.
+    place between steps; every pair's branch must be one of its rows. Each
+    task's split in ``splits`` is checked once, when the pass is built, and
+    the splits' inputs are copied back to back into one table, as are each
+    head kind's targets, on the same row offsets. `stage` takes up to
+    ``steps`` steps' row indices per task at once and does for all of them
+    what depends only on the batch: it offsets every pair's rows into that
+    table and looks up its targets, a classification head's as flat indices
+    into its logits and a regression head's as values, into buffers sized
+    when the pass is built. `run` then runs one staged step: one ``take`` of
+    every pair's inputs, the gathers of the pairs' parameter blocks and the
+    arithmetic, through workspace views that the pass also built once.
+    Calling the pass stages one step and runs it.
+
+    Pair (i, t) runs task t's batch through row i's encoder and head t, and
+    its gradient goes to ``grads[index[(i, t)]]``, a full-length vector that
+    stays zero outside the encoder and head t. The pair axis is ordered by
+    head kind, so each kind's heads are one slice of it; a single pair drops
+    the axis and runs as one ``(n, d)`` batch. The pairs' parameter blocks
+    are read through a strided view of ``params`` when they sit evenly
+    spaced in it (one pair, or one branch on consecutive heads) and gathered
+    per step otherwise; head gradients are written in place or scattered
+    likewise.
     """
 
     def __init__(self, kernel: _Kernel, params: np.ndarray,
                  pairs: Sequence[tuple[int, int]], splits: Mapping[int, DataSplit],
-                 batch_size: int):
+                 batch_size: int, steps: int):
         spec, depth, n = kernel.spec, kernel._depth, kernel.n_params
         if params.ndim != 2 or params.shape[1] != n:
             raise ValueError(f"params of shape {params.shape} are not rows of length {n}")
@@ -438,6 +379,7 @@ class _PairPass:
         heads = {t: kernel._head(t) for _, t in pairs}
         kinds = list(dict.fromkeys(heads[t] for t in sorted(heads)))
         order = sorted(pairs, key=lambda pair: (kinds.index(heads[pair[1]]), pair))
+        single = len(order) == 1
         self.index = {pair: k for k, pair in enumerate(order)}
         self.grads = np.zeros((len(order), n))
         self._grads_flat = self.grads.reshape(-1)
@@ -446,97 +388,245 @@ class _PairPass:
         self._params = params.reshape(-1)
         self._gathers: list[tuple[np.ndarray, np.ndarray]] = []
         self._scatters: list[tuple[np.ndarray, np.ndarray]] = []
-        self._xs = self._x = np.empty((len(order), batch_size, spec.input_dim))
+        # row r of task t's split is row offset[t] + r of every table
+        tasks = sorted(heads)
+        inputs = [_inputs(splits[t]) for t in tasks]
+        lengths = [len(x) for x in inputs]
+        offsets = dict(zip(tasks, np.cumsum([0] + lengths[:-1]).tolist()))
+        self._inputs = np.concatenate(inputs, out=np.empty((sum(lengths), spec.input_dim)))
+        fitted = kernel._fit((batch_size,) if single else (len(order), batch_size))
+        self._xs = np.empty((len(order), batch_size, spec.input_dim))
         branch_at = np.array([i for i, _ in order]) * n
         enc_shapes = [shape for _, _, shape in spec.layout[: 2 * depth]]
         enc_size = sum(math.prod(shape) for shape in enc_shapes)
         enc = _rows_at(self._params, branch_at, enc_size, self._gathers)
         self._enc = _stacked_blocks(enc, enc_shapes)
-        self._genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes, bias_rows=False)
-        # row r of task t's split is row offset[t] + r of every table
-        tasks = sorted(heads)
-        inputs = [_inputs(splits[t]) for t in tasks]
-        lengths = [len(x) for x in inputs]
-        offsets = np.cumsum([0] + lengths[:-1]).tolist()
-        self._inputs = np.concatenate(inputs, out=np.empty((sum(lengths), spec.input_dim)))
-        self._task_rows = np.empty((len(tasks), batch_size), dtype=np.int64)
-        self._offsets = list(zip(tasks, offsets, self._task_rows))
-        self._pair_tasks = np.array([tasks.index(t) for _, t in order])
-        self._rows = np.empty((len(order), batch_size), dtype=np.int64)
-        self._targets = []  # per head kind: (its target table, its pairs, their buffer)
-        self._kinds = []
-        start = 0
+        genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes, bias_rows=False)
+        if single:
+            self._enc, genc = ([(w[0], b[0]) for w, b in blocks]
+                               for blocks in (self._enc, genc))
+        acts = [self._xs[0] if single else self._xs, *fitted.acts]
+        self._x, self._acts = acts[0], fitted.acts
+        # per hidden layer, the top one first: the delta and transposed W of
+        # the layer above (None for the top one), then the layer's delta,
+        # activations, derivative, transposed inputs and gradient blocks
+        self._layers = [
+            (*((fitted.deltas[i + 1], self._enc[i + 1][0].swapaxes(-1, -2))
+               if i + 1 < depth else (None, None)),
+             fitted.deltas[i], acts[i + 1], fitted.derivs[i], acts[i].swapaxes(-1, -2),
+             *genc[i])
+            for i in reversed(range(depth))]
+        self._pair_offsets = [(t, offsets[t]) for _, t in order]
+        self._lengths = dict(zip(tasks, lengths))
+        self._rows = np.empty((steps, len(order), batch_size), dtype=np.int64)
+        # per head kind: its target table, its pairs' slice, their stage and,
+        # for labels, each (pair, row)'s offset into the kind's flat logits
+        self._targets = []
+        self._heads = []
+        logits_at = 0
         for kind in kinds:
             members = [k for k, (_, t) in enumerate(order) if heads[t] == kind]
             part = slice(members[0], members[-1] + 1)
             head_at = np.array([spec.head_slices[t].start for _, t in order[part]])
-            shapes = [(spec.encoder_out_dim, kind.output_dim), (kind.output_dim,)]
-            size = (spec.encoder_out_dim + 1) * kind.output_dim
+            c = kind.output_dim
+            shapes = [(spec.encoder_out_dim, c), (c,)]
+            size = (spec.encoder_out_dim + 1) * c
             head = _rows_at(self._params, branch_at[part] + head_at, size, self._gathers)
-            (w, b), = _stacked_blocks(head, shapes)
             grad_at = np.arange(part.start, part.stop) * n + head_at
             ghead = _rows_at(self._grads_flat, grad_at, size, self._scatters)
-            (gw, gb), = _stacked_blocks(ghead, shapes, bias_rows=False)
+            blocks = [*_stacked_blocks(head, shapes)[0],
+                      *_stacked_blocks(ghead, shapes, bias_rows=False)[0]]
             # rows of another kind's tasks stay zero; no pair of this kind reads them
-            shape, dtype = (((), np.int64) if kind.loss == CROSS_ENTROPY
-                            else ((kind.output_dim,), np.float64))
+            ce = kind.loss == CROSS_ENTROPY
+            shape, dtype = ((), np.int64) if ce else ((c,), np.float64)
             table = np.zeros((len(self._inputs), *shape), dtype)
-            for t, at, rows in zip(tasks, offsets, lengths):
+            for t, rows in zip(tasks, lengths):
                 if heads[t] == kind:
-                    table[at: at + rows] = _checked_targets(splits[t].targets, kind)
-            y = np.empty((len(members), batch_size, *shape), dtype)
-            self._targets.append((table, part, y))
-            self._kinds.append((part, kind, w, b, y, gw, gb, start))
-            start += len(members) * batch_size * kind.output_dim
-        if len(order) == 1:
-            self._x = self._x[0]
-            self._enc, self._genc = ([(w[0], b[0]) for w, b in blocks]
-                                     for blocks in (self._enc, self._genc))
-            _, kind, *operands, start = self._kinds[0]
-            self._kinds = [(slice(None), kind, *(a[0] for a in operands), start)]
+                    table[offsets[t]: offsets[t] + rows] = _checked_targets(
+                        splits[t].targets, kind)
+            # a classification kind's logits keep their rows outermost (see
+            # `_Head`), so pair q's row r starts at (r * pairs + q) * c
+            at = slice(logits_at, logits_at + len(members) * batch_size * c)
+            logits_at = at.stop
+            flat_at = np.arange(0, at.stop - at.start, c).reshape(
+                batch_size, len(members)).T if ce else None
+            stage = np.empty((steps, len(members), batch_size, *shape), dtype)
+            self._targets.append((table, part, stage, flat_at))
 
-    def __call__(self, rows: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Every pair's loss on this step's rows (``batch_size`` indices in
-        [0, len(split)) into each task's split), in pair order, and its
-        gradient into ``grads``. The gradient of a pair whose loss is
-        non-finite is meaningless."""
-        kernel = self._kernel
-        for t, offset, at in self._offsets:
-            np.add(rows[t], offset, out=at)
-        at = self._task_rows.take(self._pair_tasks, 0, self._rows)
-        self._inputs.take(at, 0, self._xs)
-        for table, part, y in self._targets:
-            table.take(at[part], 0, y)
+            def rows_of(view):
+                return view if single else view[part]
+
+            self._heads.append(_Head(
+                ce, rows_of(acts[-1]), *(block[0] if single else block for block in blocks),
+                kernel._logits[at], kernel._probs[at], rows_of(fitted.col),
+                rows_of(fitted.deltas[-1]) if depth else None,
+                self.losses.reshape(()) if single else self.losses[part]))
+        # each step's rows, and per head kind its targets
+        self._staged = [(self._rows[j], [stage[j, 0] if single else stage[j]
+                                         for _, _, stage, _ in self._targets])
+                        for j in range(steps)]
+
+    def stage(self, rows: Mapping[int, np.ndarray]) -> None:
+        """Stage the steps that `run` runs next: row j of ``rows[t]`` holds
+        step j's ``batch_size`` indices in [0, len(split)) into task t's
+        split, for as many steps as the pass was built to stage or fewer."""
+        count = len(rows[self._pair_offsets[0][0]])
+        if count > len(self._rows):
+            raise ValueError(f"cannot stage {count} steps in a stage of {len(self._rows)}")
+        # a step's gathers do not check their indices
+        for t, length in self._lengths.items():
+            if rows[t].size and not 0 <= rows[t].min() <= rows[t].max() < length:
+                raise IndexError(f"task {t}: a row index lies outside its {length}-row split")
+        staged = self._rows[:count]
+        for p, (t, offset) in enumerate(self._pair_offsets):
+            np.add(rows[t], offset, out=staged[:, p])
+        for table, part, stage, flat_at in self._targets:
+            table.take(staged[:, part], 0, stage[:count], "clip")
+            if flat_at is not None:
+                stage[:count] += flat_at
+
+    def run(self, step: int) -> np.ndarray:
+        """Every pair's loss on staged step ``step``, counted from the first
+        step staged last, in pair order, and its gradient into ``grads``.
+        The gradient of a pair whose loss is non-finite is meaningless."""
+        rows, targets = self._staged[step]
+        self._inputs.take(rows, 0, self._xs, "clip")
         for at, out in self._gathers:
-            self._params.take(at, None, out)
-        acts = kernel._encode(self._enc, self._x)
-        heads = []
-        for part, kind, w, b, targets, gw, gb, start in self._kinds:
-            loss, grad = kernel._loss(acts[-1][part], w, b, kind, targets, start)
-            self.losses[part] = loss
-            heads.append((part, w, gw, gb, grad))
-        kernel._backward(acts, self._enc, self._genc, heads)
+            self._params.take(at, None, out, "clip")
+        self._kernel._encode(self._enc, self._x, self._acts)
+        for head, y in zip(self._heads, targets):
+            head.forward(y)
+        for head in self._heads:
+            head.backward()
+        tanh = self._kernel._tanh
+        for above, w_t, d, act, deriv, inputs_t, gw, gb in self._layers:
+            if above is not None:
+                np.matmul(above, w_t, out=d)
+            # tanh' is 1 - a**2; relu' is the mask a > 0
+            if tanh:
+                np.square(act, out=deriv)
+                np.subtract(1.0, deriv, out=deriv)
+            else:
+                np.greater(act, 0.0, out=deriv)
+            d *= deriv
+            np.matmul(inputs_t, d, out=gw)
+            np.add.reduce(d, axis=-2, out=gb)
         for at, values in self._scatters:
             self._grads_flat[at] = values
         return self.losses
 
+    def __call__(self, rows: Mapping[int, np.ndarray]) -> np.ndarray:
+        """`run` of one step staged alone: ``rows[t]`` holds its
+        ``batch_size`` indices in [0, len(split)) into task t's split."""
+        self.stage({t: np.asarray(at)[None] for t, at in rows.items()})
+        return self.run(0)
 
-def _reduce_last(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray) -> None:
+
+class _Head:
+    """One head kind's share of a pass: views, built with the pass, of its
+    pairs' top activations, head blocks and their gradients, row scratch,
+    encoder delta (None without a hidden layer) and losses, and the flat
+    workspaces that hold its logits and d loss / d logits, through which
+    each step's head runs. Classification logits keep their rows outermost,
+    as the workspaces do; regression logits keep each pair's rows together,
+    the order its loss sums them in."""
+
+    def __init__(self, cross_entropy: bool, top, w, b, gw, gb, logits_flat, grad_flat,
+                 col, delta, losses):
+        lead, c = top.shape[:-1], w.shape[-1]
+        logits, grad = (_rows_outer(flat, lead, c) if cross_entropy
+                        else flat.reshape(*lead, c) for flat in (logits_flat, grad_flat))
+        rows = lead[-1]
+        self._ce = cross_entropy
+        self._scale = rows if cross_entropy else rows * c
+        self._top, self._w, self._b = top, w, b
+        self._top_t, self._w_t = top.swapaxes(-1, -2), w.swapaxes(-1, -2)
+        self._gw, self._gb = gw, gb
+        self._logits, self._grad, self._col = logits, grad, col
+        self._logits_flat, self._grad_flat = logits_flat, grad_flat
+        self._columns = (_columns(logits), _columns(grad))
+        self._delta, self._losses = delta, losses
+
+    def forward(self, targets: np.ndarray) -> None:
+        """The losses and d loss / d logits on ``targets``: each label's flat
+        index into the logits, or the regression values."""
+        logits, grad, losses = self._logits, self._grad, self._losses
+        np.matmul(self._top, self._w, out=logits)
+        logits += self._b
+        if self._ce:
+            _log_softmax(logits, grad, self._col, self._columns)
+            # the mean's negation, bit for bit: rounding is symmetric in sign
+            np.add.reduce(self._logits_flat.take(targets), axis=-1, out=losses)
+            losses /= -self._scale
+            np.exp(logits, out=grad)
+            self._grad_flat[targets] -= 1.0
+        else:
+            diff = logits
+            diff -= targets
+            np.square(diff, out=grad)
+            np.add.reduce(grad, axis=(-2, -1), out=losses)
+            losses /= self._scale
+            np.multiply(diff, 2.0, out=grad)
+        grad /= self._scale
+
+    def backward(self) -> None:
+        """The head's gradient blocks and, given a hidden layer, the top
+        layer's delta, after `forward`."""
+        np.matmul(self._top_t, self._grad, out=self._gw)
+        np.add.reduce(self._grad, axis=-2, out=self._gb)
+        if self._delta is not None:
+            np.matmul(self._grad, self._w_t, out=self._delta)
+
+
+def _rows_outer(ws: np.ndarray, lead: tuple[int, ...], width: int) -> np.ndarray:
+    """A (*lead, width) view of the start of contiguous workspace ``ws``.
+    For a stacked (P, n) lead the rows are stored outermost, pair p's row r
+    at row r * P + p, so that a bias add or a sum over rows runs along long
+    stretches of memory."""
+    return ws.reshape(-1)[: math.prod(lead) * width].reshape(
+        *lead[::-1], width).swapaxes(0, -2)
+
+
+def _log_softmax(logits: np.ndarray, scratch: np.ndarray, col: np.ndarray,
+                 columns=(None, None)) -> np.ndarray:
+    """Log-softmax over the last axis, in place; ``scratch`` (same shape)
+    holds the exponentials and ``col`` (keepdims) the row reductions.
+    ``columns`` may hold the `_columns` of ``logits`` and ``scratch``."""
+    _reduce_last(np.maximum, logits, col, columns[0])
+    logits -= col
+    np.exp(logits, out=scratch)
+    _reduce_last(np.add, scratch, col, columns[1])
+    np.log(col, out=col)
+    logits -= col
+    return logits
+
+
+def _columns(x: np.ndarray) -> list[np.ndarray] | None:
+    """``x``'s last-axis columns as (..., 1) views when it has fewer than 8,
+    the ones `_reduce_last` folds, else None."""
+    c = x.shape[-1]
+    return [x[..., j:j + 1] for j in range(c)] if c < 8 else None
+
+
+def _reduce_last(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray,
+                 columns: list[np.ndarray] | None = None) -> None:
     """``ufunc.reduce`` over the last axis of ``x`` into ``out`` (keepdims),
     bit for bit. Below 8 columns numpy folds each row left to right, from
     the ufunc's identity if it has one, so one elementwise call per column
     gives the same bits without a per-row inner loop; from 8 columns on it
-    sums pairwise, so the reduce itself runs."""
-    c = x.shape[-1]
-    if c >= 8:
+    sums pairwise, so the reduce itself runs. ``columns`` may hold
+    ``_columns(x)``, made beforehand."""
+    columns = columns or _columns(x)
+    if columns is None:
         ufunc.reduce(x, axis=-1, keepdims=True, out=out)
         return
+    first, *rest = columns
     if ufunc.identity is None:
-        np.copyto(out, x[..., :1])
+        np.copyto(out, first)
     else:
-        ufunc(x[..., :1], ufunc.identity, out=out)
-    for j in range(1, c):
-        ufunc(out, x[..., j:j + 1], out=out)
+        ufunc(first, ufunc.identity, out=out)
+    for column in rest:
+        ufunc(out, column, out=out)
 
 
 def _rows_at(flat: np.ndarray, offsets: np.ndarray, size: int, copies: list) -> np.ndarray:

@@ -101,6 +101,6 @@ def sgd_step_into(
     """``sgd_step``'s heavy-ball arithmetic, in place and unchecked:
     buffer ← μ·buffer + g; params ← params − η·buffer. ``scratch`` holds
     η·buffer."""
-    np.multiply(buffer, momentum, out=buffer)
+    buffer *= momentum
     buffer += grad
     params -= np.multiply(buffer, lr, out=scratch)

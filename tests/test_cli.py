@@ -629,6 +629,26 @@ class TestPipeline:
         assert {r["round"] for r in rows} == {"0", "1"}
         assert {r["branch_id"] for r in rows} == {"0", "1"}
 
+    def test_report_without_histories_removes_stale_trajectories(self, tmp_path):
+        # a second report into the same --out names no fork/merge history, so
+        # the first report's trajectories must not stay beside its summary
+        records = {}
+        for method in ("forkmerge", "ew"):
+            cfg = tmp_path / f"{method}.cfg"
+            cfg.write_text(CFG_SMALL.replace("method = ew", f"method = {method}")
+                           + "merge_interval = 10\ncompute_tg = false\n")
+            records[method] = tmp_path / method
+            assert run_cli("run", "--config", str(cfg),
+                           "--output-dir", str(records[method])) == 0
+        out = tmp_path / "report"
+        assert run_cli("report", "--records", str(records["forkmerge"]),
+                       "--out", str(out)) == 0
+        assert (out / "lambda_trajectories.csv").is_file()
+        assert run_cli("report", "--records", str(records["ew"]), "--out", str(out)) == 0
+        with open(out / "summary.csv", newline="") as handle:
+            assert {r["method"] for r in csv.DictReader(handle)} == {"ew"}
+        assert not (out / "lambda_trajectories.csv").exists()
+
     def test_gen_data_and_report_start_no_thread(self, tmp_path, monkeypatch):
         import threading
         from concurrent.futures import ThreadPoolExecutor

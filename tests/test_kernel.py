@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import auxlab.forkmerge as fm
+import auxlab.nn as nn
 from auxlab.forkmerge import (
     BranchDivergedError,
     make_omega_branches,
@@ -32,9 +33,9 @@ from auxlab.nn import (
     param_layout,
 )
 from auxlab.nn import _reduce_last
-from auxlab.optim import OptConfig, TaskWeighting
+from auxlab.optim import OptConfig, TaskWeighting, sgd_step, weighted_gradient
 from auxlab.tasks import DataSplit, TaskFamilyConfig, generate_family
-from auxlab.vectors import RngStream
+from auxlab.vectors import RngStream, linear_combination
 
 
 def _blocks(spec, vector):
@@ -395,6 +396,19 @@ def test_pair_pass_rejects_a_branch_outside_params(branch):
             spec.kernel.pair_pass(params, pairs, splits, 4)
 
 
+@pytest.mark.parametrize("row", [-1, 8])
+def test_pair_pass_rejects_a_row_outside_its_split(row):
+    # at 8 the row would fall in task 1's rows of the inputs table, and at -1
+    # in its last one
+    spec = mixed_head_spec("tanh", (6,))
+    params = np.stack([trained_like_params(spec, seed) for seed in range(2)])
+    rng = np.random.default_rng(3)
+    splits = {0: random_split(spec, 0, 8, rng), 1: random_split(spec, 1, 20, rng)}
+    stack = spec.kernel.pair_pass(params, [(0, 0), (1, 1)], splits, 4)
+    with pytest.raises(IndexError, match="task 0"):
+        stack({0: np.array([0, 1, 2, row]), 1: np.arange(4)})
+
+
 def small_family():
     return generate_family(TaskFamilyConfig(
         n_tasks=3, relatedness=(0.7, 0.3), n_train=300, n_val=100, n_test=100,
@@ -517,6 +531,94 @@ def test_divergence_at_one_step_names_the_earlier_branch(order):
         train_branches(start, branches, range(3), 3, family, spec, opt, RngStream(4))
     assert str(err.value) == expected
     assert (err.value.step, err.value.round_index) == (0, None)
+
+
+def stepwise_training(start, branches, steps, total_steps, family, spec, opt, root,
+                      weigh=None):
+    """`train_branches` one step at a time through the pure functions: each
+    step stages only its own batches, by calling the pass, then mixes each
+    branch's gradients with `weighted_gradient`, or with `linear_combination`
+    of the ``weigh`` hook's live weights, and steps each branch with
+    `sgd_step`."""
+    params = np.tile(start, (len(branches), 1))
+    momenta = np.zeros_like(params)
+    tasks = [w.active_tasks for w in branches]
+    splits = {t: family.train(t) for active in tasks for t in active}
+    stack = spec.kernel.pair_pass(
+        params, [(i, t) for i, active in enumerate(tasks) for t in active], splits,
+        opt.batch_size)
+    for step in steps:
+        stack({t: fm.draw_batch(split, root, t, range(step, step + 1), opt.batch_size)[0]
+               for t, split in splits.items()})
+        for i, (weighting, active) in enumerate(zip(branches, tasks)):
+            grads = {t: stack.grads[stack.index[i, t]] for t in active}
+            if weigh is None:
+                mixed = weighted_gradient(grads, weighting)
+            else:
+                weights = weigh(grads)
+                live = [t for t in active if weights[t] > 0]
+                mixed = linear_combination([weights[t] for t in live],
+                                           [grads[t] for t in live])
+            params[i], momenta[i] = sgd_step(params[i], momenta[i], mixed, opt.momentum,
+                                             opt.learning_rate(step, total_steps))
+    return list(params)
+
+
+def halve_odd_tasks(grads):
+    """A ``weigh`` hook that reads the gradients: each odd task's weight is
+    0.5 when its first entry is positive and 0 otherwise."""
+    return {t: 0.5 * float(g[0] > 0) if t % 2 else 1.0 for t, g in grads.items()}
+
+
+# branch 0 weights three tasks and branch 1 only the target, so the second
+# and third mixing terms select branches 0 and 2, which are not adjacent
+UNEVEN_BRANCHES = [TaskWeighting({0: 1.0, 1: 0.5, 2: 0.25}), TaskWeighting({0: 1.0}),
+                   TaskWeighting({0: 1.0, 1: 0.3, 2: 2.0})]
+
+
+@pytest.mark.parametrize("heads", ["cross_entropy", "mixed"])
+@pytest.mark.parametrize("case", ["single_pair", "omega", "uneven", "weigh"])
+def test_training_equals_one_step_stages(heads, case):
+    # range(37, 170) starts mid-chunk and crosses two chunk boundaries
+    family = small_family()
+    spec = family_spec(family)
+    if heads == "mixed":
+        # task 1's head regresses onto its class label
+        spec = ModelSpec(spec.input_dim, spec.hidden_dims, spec.activation,
+                         {**spec.heads, 1: HeadSpec(1, MEAN_SQUARED_ERROR)})
+    branches = {"single_pair": [TaskWeighting({0: 1.0})],
+                "omega": make_omega_branches(2), "uneven": UNEVEN_BRANCHES,
+                "weigh": UNEVEN_BRANCHES}[case]
+    weigh = halve_odd_tasks if case == "weigh" else None
+    start = init_params(spec, RngStream(5).child("init"))
+    opt = OptConfig(0.1, momentum=0.9, batch_size=16)
+    args = (start, branches, range(37, 170), 200, family, spec, opt, RngStream(5))
+    trained = train_branches(*args, weigh=weigh)
+    expected = stepwise_training(*args, weigh=weigh)
+    for got, want in zip(trained, expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_training_draws_and_stages_once_per_chunk(draws, monkeypatch):
+    family = small_family()
+    spec = family_spec(family)
+    start = init_params(spec, RngStream(3).child("init"))
+    staged = []
+    real_stage = nn._PairPass.stage
+
+    def counting_stage(pair_pass, rows):
+        staged.append({t: len(at) for t, at in rows.items()})
+        real_stage(pair_pass, rows)
+
+    monkeypatch.setattr(nn._PairPass, "stage", counting_stage)
+    opt = OptConfig(0.1, batch_size=16)
+    train_branches(start, make_omega_branches(2), range(37, 170), 170, family, spec, opt,
+                   RngStream(3))
+    chunks = [range(37, 101), range(101, 165), range(165, 170)]
+    assert sorted((t, steps.start, steps.stop) for _, _, t, steps, _ in draws) == [
+        (t, steps.start, steps.stop) for t in range(3) for steps in chunks]
+    assert staged == [{t: len(steps) for t in range(3)} for steps in chunks]
 
 
 def _peak_bytes(call):

@@ -12,6 +12,7 @@ from auxlab.vectors import (
     dot,
     linear_combination,
 )
+from auxlab.vectors import _derive_stream_id, _stream_ids
 
 
 class TestLinearCombination:
@@ -156,6 +157,31 @@ class TestRngStream:
         labels = [("point", p, 1) for p in range(3)]
         got = root.child_integers(labels, 500, 7)
         assert got.shape == (3, 7)
+        for row, label in zip(got, labels):
+            np.testing.assert_array_equal(
+                row, root.child(*label).generator().integers(0, 500, size=7))
+
+    @pytest.mark.parametrize("labels", [
+        [("batch", 3, step) for step in range(37, 101)],
+        [("point", p, 2) for p in range(20)],
+        [(7,), (8,), ("seven",)],
+        [(1,), (True,), (1.0,)],  # equal values, different reprs
+        [(0.0, 1), (-0.0, 1)],
+        [("batch", -3, 2**70), ("batch", -3, -(2**70)), ("batch", -3, -1)],
+        [("it's", 'say "hi"', 1), ("it's", 'say "hi"', 2), ("it's", "a\\'b", 3)],
+        [(), ("a",), ("a", 1), ("a", 1, 2), ("a", (1, 2), 3)],
+        [("same", 1), ("same", 1)],
+        [("only", 5)],
+        [],
+    ], ids=["steps", "points", "one_item", "equal_values", "signed_zeros", "big_ints",
+            "quotes", "lengths", "repeated", "single", "none"])
+    def test_stream_ids_equal_derive_stream_id(self, labels):
+        for parent in (0, 12345, 2**64 - 1):
+            assert list(_stream_ids(parent, labels)) == [
+                _derive_stream_id(parent, label) for label in labels]
+        root = RngStream(seed=6, stream_id=99)
+        got = root.child_integers(labels, 500, 7)
+        assert got.shape == (len(labels), 7)
         for row, label in zip(got, labels):
             np.testing.assert_array_equal(
                 row, root.child(*label).generator().integers(0, 500, size=7))
