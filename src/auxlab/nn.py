@@ -15,10 +15,10 @@ thread into a kernel that reuses its workspaces across calls, so any thread
 may evaluate or train a model. Its stacked pass over (branch, task) pairs,
 which is built once, bound to its parameters and the splits it reads, then
 handed the row indices of up to one draw chunk of steps at a time and run
-step by step, is the only forward/backward; ``loss_and_gradient`` builds
-one such pass over one split per call and runs its one step. A model is
-its spec plus one parameter vector: the module-level functions take both
-and return fresh values.
+step by step, is the only forward/backward. Every pass keeps its pair
+axis: ``loss_and_gradient`` builds one of a single pair over one split per
+call and runs its one step. A model is its spec plus one parameter vector:
+the module-level functions take both and return fresh values.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -167,26 +167,19 @@ def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     return params
 
 
-class _Fitted(NamedTuple):
-    """A kernel's workspace views shaped for one row shape (..., n)."""
-
-    acts: list[np.ndarray]
-    deltas: list[np.ndarray]
-    derivs: list[np.ndarray]
-    col: np.ndarray
-
-
 class _Kernel:
     """Forward and backward passes of one ModelSpec.
 
     Parameter and gradient vectors are read and written through block views
     from ``views``, which callers may keep for as long as the vector lives.
-    Every operation acts on the last two axes, so the same code runs one
-    ``(n, d)`` batch and a stacked ``(P, n, d)`` pass over P (branch, task)
-    pairs (see ``pair_pass``), with one matmul per layer over the leading
-    pair axis. Activations, logits and backward scratch live in grow-only
-    workspaces sized to the most rows seen so far; an evaluation slices them
-    per call, and a pass takes its views of them once, when it is built. A
+    Every operation acts on the last two axes, so the same code runs an
+    evaluation's ``(n, d)`` batch and a pass's stacked ``(P, n, d)`` one over
+    P (branch, task) pairs, one pair included (see ``pair_pass``), with one
+    matmul per layer over the leading pair axis. Activations, logits and
+    backward scratch live in grow-only workspaces sized to the most rows
+    seen so far. An evaluation slices their first n rows per call; a pass
+    reserves its P * n rows and takes its rows-outermost views of them once,
+    when it is built, and keeps them if the workspaces later grow. A
     workspace view returned by ``logits`` or ``log_probs`` is valid only
     until the next call. The operations and their order are those of a
     plain allocating implementation, so results do not depend on which calls
@@ -201,7 +194,6 @@ class _Kernel:
         self._tanh = spec.activation == "tanh"
         self._max_out = max(head.output_dim for head in spec.heads.values())
         self._rows = 0
-        self._fitted: dict[tuple[int, ...], _Fitted] = {}
 
     def _reserve(self, rows: int) -> None:
         if rows <= self._rows:
@@ -219,23 +211,6 @@ class _Kernel:
         self._equal = np.empty((rows, 1), dtype=np.bool_)
         self._row_ids = np.arange(rows)
         self._rows = rows
-        self._fitted.clear()
-
-    def _fit(self, lead: tuple[int, ...]) -> "_Fitted":
-        """Workspace views shaped for rows ``lead``, (n,) or (P, n); kept per
-        shape until the workspaces grow."""
-        fitted = self._fitted.get(lead)
-        if fitted is None:
-            rows = math.prod(lead)
-            self._reserve(rows)
-
-            def fit(ws):
-                return _rows_outer(ws, lead, ws.shape[1])
-
-            fitted = self._fitted[lead] = _Fitted(
-                [fit(ws) for ws in self._acts], [fit(ws) for ws in self._deltas],
-                [fit(ws) for ws in self._derivs], fit(self._col))
-        return fitted
 
     def views(self, vector: np.ndarray):
         """Writable block views of a full-length vector: a tuple of (W, b)
@@ -260,10 +235,12 @@ class _Kernel:
 
     def logits(self, views, x: np.ndarray, task_id: int) -> np.ndarray:
         """(n, C) logits of head ``task_id`` on inputs ``x``, in a workspace."""
-        acts = self._fit(x.shape[:-1]).acts
+        n = len(x)
+        self._reserve(n)
+        acts = [ws[:n] for ws in self._acts]
         self._encode(views[0], x, acts)
         w, b = views[1][task_id]
-        out = self._logits[: len(x) * w.shape[-1]].reshape(len(x), w.shape[-1])
+        out = self._logits[: n * w.shape[-1]].reshape(n, w.shape[-1])
         np.matmul(acts[-1] if acts else x, w, out=out)
         out += b
         return out
@@ -272,7 +249,7 @@ class _Kernel:
         """(n, C) log-softmax of head ``task_id`` on ``x``, in a workspace."""
         logits = self.logits(views, x, task_id)
         return _log_softmax(logits, self._probs[: logits.size].reshape(logits.shape),
-                            self._fit(logits.shape[:-1]).col)
+                            self._col[: len(logits)])
 
     def pair_pass(self, params: np.ndarray, pairs: Sequence[tuple[int, int]],
                   splits: Mapping[int, DataSplit], batch_size: int,
@@ -354,12 +331,14 @@ class _PairPass:
     Pair (i, t) runs task t's batch through row i's encoder and head t, and
     its gradient goes to ``grads[index[(i, t)]]``, a full-length vector that
     stays zero outside the encoder and head t. The pair axis is ordered by
-    head kind, so each kind's heads are one slice of it; a single pair drops
-    the axis and runs as one ``(n, d)`` batch. The pairs' parameter blocks
-    are read through a strided view of ``params`` when they sit evenly
-    spaced in it (one pair, or one branch on consecutive heads) and gathered
-    per step otherwise; head gradients are written in place or scattered
-    likewise.
+    head kind, so each kind's heads are one slice of it; every pass keeps
+    the axis, one of a single pair too. The pairs' parameter blocks are read
+    through a strided view of ``params`` when they sit evenly spaced in it
+    (one pair, or one branch on consecutive heads) and gathered per step
+    otherwise; head gradients are written in place or scattered likewise.
+    A step writes every workspace row it reads before reading it, so what
+    another call left in the kernel's workspaces between steps does not
+    matter.
     """
 
     def __init__(self, kernel: _Kernel, params: np.ndarray,
@@ -379,7 +358,6 @@ class _PairPass:
         heads = {t: kernel._head(t) for _, t in pairs}
         kinds = list(dict.fromkeys(heads[t] for t in sorted(heads)))
         order = sorted(pairs, key=lambda pair: (kinds.index(heads[pair[1]]), pair))
-        single = len(order) == 1
         self.index = {pair: k for k, pair in enumerate(order)}
         self.grads = np.zeros((len(order), n))
         self._grads_flat = self.grads.reshape(-1)
@@ -394,7 +372,11 @@ class _PairPass:
         lengths = [len(x) for x in inputs]
         offsets = dict(zip(tasks, np.cumsum([0] + lengths[:-1]).tolist()))
         self._inputs = np.concatenate(inputs, out=np.empty((sum(lengths), spec.input_dim)))
-        fitted = kernel._fit((batch_size,) if single else (len(order), batch_size))
+        # the pass's views of the kernel's workspaces, rows outermost
+        kernel._reserve(len(order) * batch_size)
+        self._acts, deltas, derivs, [col] = (
+            [_rows_outer(ws, (len(order), batch_size), ws.shape[1]) for ws in workspaces]
+            for workspaces in (kernel._acts, kernel._deltas, kernel._derivs, [kernel._col]))
         self._xs = np.empty((len(order), batch_size, spec.input_dim))
         branch_at = np.array([i for i, _ in order]) * n
         enc_shapes = [shape for _, _, shape in spec.layout[: 2 * depth]]
@@ -402,18 +384,14 @@ class _PairPass:
         enc = _rows_at(self._params, branch_at, enc_size, self._gathers)
         self._enc = _stacked_blocks(enc, enc_shapes)
         genc = _stacked_blocks(self.grads[:, :enc_size], enc_shapes, bias_rows=False)
-        if single:
-            self._enc, genc = ([(w[0], b[0]) for w, b in blocks]
-                               for blocks in (self._enc, genc))
-        acts = [self._xs[0] if single else self._xs, *fitted.acts]
-        self._x, self._acts = acts[0], fitted.acts
+        acts = [self._xs, *self._acts]
         # per hidden layer, the top one first: the delta and transposed W of
         # the layer above (None for the top one), then the layer's delta,
         # activations, derivative, transposed inputs and gradient blocks
         self._layers = [
-            (*((fitted.deltas[i + 1], self._enc[i + 1][0].swapaxes(-1, -2))
+            (*((deltas[i + 1], self._enc[i + 1][0].swapaxes(-1, -2))
                if i + 1 < depth else (None, None)),
-             fitted.deltas[i], acts[i + 1], fitted.derivs[i], acts[i].swapaxes(-1, -2),
+             deltas[i], acts[i + 1], derivs[i], acts[i].swapaxes(-1, -2),
              *genc[i])
             for i in reversed(range(depth))]
         self._pair_offsets = [(t, offsets[t]) for _, t in order]
@@ -452,18 +430,11 @@ class _PairPass:
                 batch_size, len(members)).T if ce else None
             stage = np.empty((steps, len(members), batch_size, *shape), dtype)
             self._targets.append((table, part, stage, flat_at))
-
-            def rows_of(view):
-                return view if single else view[part]
-
             self._heads.append(_Head(
-                ce, rows_of(acts[-1]), *(block[0] if single else block for block in blocks),
-                kernel._logits[at], kernel._probs[at], rows_of(fitted.col),
-                rows_of(fitted.deltas[-1]) if depth else None,
-                self.losses.reshape(()) if single else self.losses[part]))
+                ce, acts[-1][part], *blocks, kernel._logits[at], kernel._probs[at],
+                col[part], deltas[-1][part] if depth else None, self.losses[part]))
         # each step's rows, and per head kind its targets
-        self._staged = [(self._rows[j], [stage[j, 0] if single else stage[j]
-                                         for _, _, stage, _ in self._targets])
+        self._staged = [(self._rows[j], [stage[j] for _, _, stage, _ in self._targets])
                         for j in range(steps)]
 
     def stage(self, rows: Mapping[int, np.ndarray]) -> None:
@@ -493,7 +464,7 @@ class _PairPass:
         self._inputs.take(rows, 0, self._xs, "clip")
         for at, out in self._gathers:
             self._params.take(at, None, out, "clip")
-        self._kernel._encode(self._enc, self._x, self._acts)
+        self._kernel._encode(self._enc, self._xs, self._acts)
         for head, y in zip(self._heads, targets):
             head.forward(y)
         for head in self._heads:
@@ -631,8 +602,9 @@ def _reduce_last(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray,
 
 def _rows_at(flat: np.ndarray, offsets: np.ndarray, size: int, copies: list) -> np.ndarray:
     """(len(offsets), size) rows of ``flat`` starting at ``offsets``: a
-    strided view when the offsets are evenly spaced, else a buffer whose
-    (flat index, buffer) pair joins ``copies``, to be copied every step."""
+    strided view when the offsets are evenly spaced, a single offset
+    included, else a buffer whose (flat index, buffer) pair joins
+    ``copies``, to be copied every step."""
     steps = np.diff(offsets)
     if (steps != steps[:1]).any():
         rows = np.empty((len(offsets), size))
@@ -689,11 +661,11 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray,
     expected to abort the run with a diagnostic.
     """
     t, n = split.task_id, len(split)
-    single = spec.kernel.pair_pass(np.array(params, dtype=np.float64)[None], [(0, t)],
-                                   {t: split}, n)
-    [loss] = single({t: np.arange(n)})
+    stack = spec.kernel.pair_pass(np.array(params, dtype=np.float64)[None], [(0, t)],
+                                  {t: split}, n)
+    [loss] = stack({t: np.arange(n)})
     check_loss(loss, t)
-    return float(loss), single.grads[0]
+    return float(loss), stack.grads[0]
 
 
 @dataclass(frozen=True)

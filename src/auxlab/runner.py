@@ -79,21 +79,21 @@ __all__ = [
     "write_summary",
 ]
 
-METHODS = (
-    "stl",
-    "ew",
-    "fixed_lambda",
-    "gcs",
-    "post_train",
-    "forkmerge",
-    "forkmerge_multi",
-)
-FORKMERGE_METHODS = ("forkmerge", "forkmerge_multi")
 # the config keys, and CLI flags, that make up a task family
 FAMILY_KEYS = tuple(f.name for f in fields(TaskFamilyConfig) if f.name != "seed")
-# the config keys stl training reads, all that config_echo_stl.cfg must match
+# the config keys stl training reads
 _STL_KEYS = (*FAMILY_KEYS, "data_seed", "data_dir", "hidden_dims", "activation",
              "total_steps", *(f.name for f in fields(OptConfig)))
+_MERGE_KEYS = (*(f.name for f in fields(MergeSchedule)), "branch_weights")
+# each method and the config keys its rows depend on, all that its echo must
+# match; compute_tg decides whether a non-stl method's rows carry a transfer gain
+_ROW_KEYS = {"stl": _STL_KEYS, **{
+    method: tuple(dict.fromkeys((*_STL_KEYS, "compute_tg", *own)))
+    for method, own in (("ew", ()), ("fixed_lambda", ("lambda_grid",)), ("gcs", ()),
+                        ("post_train", ("pre_steps",)), ("forkmerge", _MERGE_KEYS),
+                        ("forkmerge_multi", _MERGE_KEYS))}}
+METHODS = tuple(_ROW_KEYS)
+FORKMERGE_METHODS = ("forkmerge", "forkmerge_multi")
 
 OUTPUT_DIR_ENV = "AUXLAB_OUTPUT_DIR"
 RECORDS_FILENAME = "records.csv"
@@ -599,12 +599,10 @@ def _echo_for(config: ExperimentConfig, method: str, out_dir: Path,
     """The echo of ``method``'s rows that a run of ``config``, whose
     ``output_dir`` names ``out_dir``, writes there: ``config`` itself, or, for
     the stl references of another method, an stl config with ``config``'s
-    ``_STL_KEYS``. An echo already there must match it in the keys that train
-    those rows (``_STL_KEYS`` for stl, every key but ``seeds`` and
-    ``output_dir`` otherwise; the dir may be spelled another way), and rows of
-    ``method`` in the dir (``has_rows``) need an echo, or no echo would
-    reproduce the dir's rows: ConfigError. The new echo then names the seeds
-    of both."""
+    ``_STL_KEYS``. An echo already there must match it in the keys those
+    rows depend on, ``_ROW_KEYS[method]``, and rows of ``method`` in the dir
+    (``has_rows``) need an echo, or no echo would reproduce the dir's rows:
+    ConfigError. The new echo then names the seeds of both."""
     echo = config if method == config.method else ExperimentConfig(
         method, config.seeds, output_dir=config.output_dir,
         **{key: getattr(config, key) for key in _STL_KEYS})
@@ -618,9 +616,7 @@ def _echo_for(config: ExperimentConfig, method: str, out_dir: Path,
         old = load_config(path)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    keys = _STL_KEYS if method == "stl" else [
-        key for key in _PARSERS if key not in ("seeds", "output_dir")]
-    differ = [key for key in keys if getattr(old, key) != getattr(echo, key)]
+    differ = [key for key in _ROW_KEYS[method] if getattr(old, key) != getattr(echo, key)]
     if differ:
         raise ConfigError(
             f"{path}: the dir holds {method} rows of another config"

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module; every
-public function, class, method and property the package defines is read
-somewhere in it, and every annotated field of its classes is read as an
-attribute somewhere in it, or is listed below with the reason it stays."""
+function, class, method and property the package defines, public or
+private, is read somewhere in it, and every annotated field of its classes
+is read as an attribute somewhere in it, or is listed below with the reason
+it stays."""
 
 import ast
 from pathlib import Path
@@ -42,23 +43,26 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(source) == ["line 2: Sequence"]
 
 
-def _unread_public_names(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each public module-level function and class, and
-    ``module.Class.name`` of each public method and property of a
-    module-level class, in ``sources`` ({module: source}) whose name no
-    expression in any module reads, bare or as an attribute; ``__all__`` and
-    imports do not count."""
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _unread_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level function and class, and
+    ``module.Class.name`` of each method and property of a module-level
+    class, public or private but not a dunder, in ``sources`` ({module:
+    source}) whose name no expression in any module reads, bare or as an
+    attribute; ``__all__`` and imports do not count."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 defined += [f"{module}.{node.name}.{item.name}" for item in node.body
-                            if isinstance(item, ast.FunctionDef)
-                            and not item.name.startswith("_")]
+                            if isinstance(item, ast.FunctionDef) and not _dunder(item.name)]
         defined += [f"{module}.{node.name}" for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")]
+                    and not _dunder(node.name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -79,7 +83,7 @@ UNREAD_BY_DESIGN = {
 
 def test_every_public_function_and_class_is_read_or_listed():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
-    assert _unread_public_names(sources) == sorted(UNREAD_BY_DESIGN)
+    assert _unread_names(sources) == sorted(UNREAD_BY_DESIGN)
 
 
 def test_the_check_sees_an_unread_function():
@@ -87,7 +91,7 @@ def test_the_check_sees_an_unread_function():
         "a": "def used():\n    pass\n\ndef dead():\n    pass\n\nclass _Private:\n    pass\n",
         "b": "from .a import dead\n__all__ = ['dead']\nimport a\na.used()\n",
     }
-    assert _unread_public_names(sources) == ["a.dead"]
+    assert _unread_names(sources) == ["a._Private", "a.dead"]
 
 
 def test_the_check_sees_an_unread_method_and_property():
@@ -99,7 +103,20 @@ def test_the_check_sees_an_unread_method_and_property():
               "class _Hidden:\n    def gone(self):\n        pass\n"),
         "b": "from a import Box, _Hidden\nBox().used()\n",
     }
-    assert _unread_public_names(sources) == ["a.Box.dead", "a.Box.size", "a._Hidden.gone"]
+    assert _unread_names(sources) == [
+        "a.Box.dead", "a.Box.size", "a._Hidden", "a._Hidden.gone"]
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a": ("def _helper():\n    pass\n\ndef _left():\n    pass\n\n"
+              "class _Cache:\n    def __init__(self):\n        self._fill()\n\n"
+              "    def _fill(self):\n        _helper()\n\n"
+              "    def _fit(self):\n        pass\n\n"
+              "    def __repr__(self):\n        return ''\n"),
+        "b": "from a import _Cache\nprint(_Cache())\n",
+    }
+    assert _unread_names(sources) == ["a._Cache._fit", "a._left"]
 
 
 def _unread_fields(sources: dict[str, str]) -> list[str]:

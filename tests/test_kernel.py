@@ -224,10 +224,16 @@ def pair_sets():
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("hidden", [(), (6,), (7, 5)], ids=["depth0", "depth1", "depth2"])
 @pytest.mark.parametrize("batch_size", [16, 1])
-def test_pair_pass_matches_per_pair_gradients_bitwise(activation, hidden, batch_size):
+@pytest.mark.parametrize("between", ["nothing", "evaluations"])
+def test_pair_pass_matches_per_pair_gradients_bitwise(activation, hidden, batch_size,
+                                                     between):
     spec = mixed_head_spec(activation, hidden)
     kernel = spec.kernel
     rng = np.random.default_rng(7)
+    # with "evaluations", each step follows two evaluations on this thread's
+    # kernel: a small one, which overwrites the workspaces the pass views,
+    # then one larger than any before, which grows them
+    eval_rng, largest = np.random.default_rng(8), 0
     for pairs in pair_sets():
         params = np.stack([trained_like_params(spec, seed) for seed in range(4)])
         # splits longer than a batch, so that every step gathers its rows
@@ -235,6 +241,11 @@ def test_pair_pass_matches_per_pair_gradients_bitwise(activation, hidden, batch_
                   for t in sorted({t for _, t in pairs})}
         stack = kernel.pair_pass(params, pairs, splits, batch_size)
         for _ in range(3):
+            if between == "evaluations":
+                t = pairs[0][1]
+                largest = max(largest, len(pairs) * batch_size) + 100
+                for n in (3, largest):
+                    evaluate(spec, params[0], random_split(spec, t, n, eval_rng), t)
             # in-place updates between steps, as training makes them
             params += 0.05 * rng.normal(size=params.shape)
             rows = {t: rng.integers(0, len(split), size=batch_size)

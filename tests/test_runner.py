@@ -441,6 +441,40 @@ class TestRerunIntoSameDir:
             again = run_experiment(echoed, output_dir=tmp_path / method)
             assert again == [r for r in rows if r.method in methods]
 
+    @pytest.mark.parametrize("method, first, second", [
+        ("ew", {}, {"lambda_grid": (0.0, 1.0)}),
+        ("fixed_lambda", {"lambda_grid": (0.0, 1.0)},
+         {"lambda_grid": (0.0, 1.0), "merge_interval": 7}),
+    ], ids=["ew-lambda_grid", "fixed_lambda-merge_interval"])
+    def test_keys_the_method_never_reads_may_differ(self, tmp_path, method, first, second):
+        from auxlab.runner import load_config
+
+        shared = tmp_path / "shared"
+        base = {"method": method, "total_steps": 10, "compute_tg": False}
+        run_experiment(small_config(seeds=(0,), **base, **first), output_dir=shared)
+        added = run_experiment(small_config(seeds=(0, 1), **base, **second),
+                               output_dir=shared)
+        assert {r.seed for r in added} == {1}
+        echo = load_config(shared / f"config_echo_{method}.cfg")
+        assert echo.seeds == (0, 1)
+        again = run_experiment(echo, output_dir=tmp_path / "again")
+        assert again == read_records(shared / "records.csv")
+
+    @pytest.mark.parametrize("method, key, first, second", [
+        ("ew", "base_lr", 0.1, 0.05),
+        ("fixed_lambda", "lambda_grid", (0.0, 1.0), (0.0, 0.5, 1.0)),
+        ("forkmerge", "merge_interval", 5, 7),
+    ])
+    def test_a_key_the_method_reads_must_match(self, tmp_path, method, key, first, second):
+        base = {"method": method, "total_steps": 10, "compute_tg": False}
+        run_experiment(small_config(seeds=(0,), **base, **{key: first}), output_dir=tmp_path)
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ConfigError,
+                           match=rf"config_echo_{method}\.cfg.*\(it differs in {key}\)"):
+            run_experiment(small_config(seeds=(1,), **base, **{key: second}),
+                           output_dir=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
     def test_partial_job_is_dropped_and_rerun(self, tmp_path):
         cfg = small_config(seeds=(0, 1), compute_tg=False)
         complete = run_experiment(cfg, output_dir=tmp_path)
