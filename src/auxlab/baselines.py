@@ -20,7 +20,7 @@ from .metrics import shared_gradient_block, gcs
 from .nn import ModelSpec
 from .optim import OptConfig, TaskWeighting
 from .tasks import TaskFamily
-from .vectors import RngStream, dot
+from .vectors import RngStream
 
 __all__ = [
     "instantaneous_gcs_weights",
@@ -116,18 +116,16 @@ def instantaneous_gcs_weights(
 ) -> dict[int, float]:
     """Clamped cosine, on the shared block, between each auxiliary gradient
     and the target gradient.  An identical copy of the target gradient gets
-    weight 1, an exactly opposed one gets 0, and a gradient with no shared
-    support (or no signal at all) gets 0."""
+    weight 1, and a NaN or non-positive cosine maps to weight 0: an opposed
+    gradient, one with no shared support, and one with no signal at all
+    (`gcs` is NaN for a zero gradient) all get 0."""
     g_tgt = shared_gradient_block(spec, per_task_grads[target_id])
     weights = {}
     for task_id, grad in per_task_grads.items():
         if task_id == target_id:
             continue
-        g_aux = shared_gradient_block(spec, grad)
-        if dot(g_tgt, g_tgt) == 0.0 or dot(g_aux, g_aux) == 0.0:
-            weights[task_id] = 0.0  # no usable signal this step
-        else:
-            weights[task_id] = max(0.0, gcs(g_tgt, g_aux))
+        cos = gcs(g_tgt, shared_gradient_block(spec, grad))
+        weights[task_id] = cos if cos > 0.0 else 0.0
     return weights
 
 

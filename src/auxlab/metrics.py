@@ -5,13 +5,14 @@ a record's value minus its seed's single-task value, taken in the runner."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import nn
-from .nn import ModelSpec, check_loss, mean_max_confidence
+from .nn import ModelSpec, mean_max_confidence
 from .optim import sgd_step
 from .tasks import DataSplit, TaskFamily
 from .vectors import RngStream, dot
@@ -27,11 +28,13 @@ __all__ = [
 
 
 def gcs(g_i: np.ndarray, g_j: np.ndarray) -> float:
-    """Cosine of the angle between two gradients; negative means conflict."""
+    """Cosine of the angle between two gradients; negative means conflict.
+    NaN when either gradient is zero: its angle is undefined, and a
+    saturated model's gradient can be exactly zero."""
     ni = np.sqrt(dot(g_i, g_i))
     nj = np.sqrt(dot(g_j, g_j))
     if ni == 0.0 or nj == 0.0:
-        raise ValueError("gradient cosine undefined for a zero gradient")
+        return math.nan
     return float(np.clip(dot(g_i, g_j) / (ni * nj), -1.0, 1.0))
 
 
@@ -105,11 +108,11 @@ def one_step_tg_gcs_sweep(
     shared block, then for every weighting in ``lambdas`` apply the single
     step theta - lr * (g_tgt + lam * g_aux) and report the validation change
     against the lam = 0 step. Rows are ordered by (point, lambda-position);
-    the lam = 0 rows are exactly zero by construction. Every gradient comes
-    from stacked passes over the train splits, built once per sweep, one per
-    batch length, which stage every point's row indices up front, as one
-    `RngStream.child_integers` call per task draws them, and then run one
-    point at a time.
+    the lam = 0 rows are exactly zero by construction, and a point whose
+    target or auxiliary gradient is zero on the shared block has a NaN
+    cosine. One `RngStream.child_integers` call per task draws every point's
+    batch rows; each (point, task) gradient is `nn.loss_and_gradient` on
+    that point's rows.
     """
     aux_ids = (aux_task,) if aux_task is not None else family.aux_ids
     if not aux_ids:
@@ -118,26 +121,17 @@ def one_step_tg_gcs_sweep(
         raise ValueError("lr must be positive")
     tasks = tuple(dict.fromkeys((family.target_id, *aux_ids)))
     splits = {t: family.train(t) for t in tasks}
-    lengths = {t: min(batch_size, len(split)) for t, split in splits.items()}
-    # one stacked pass per batch length, built once; normally one holds every task
-    stacked = np.ascontiguousarray(params)[None]
-    passes = [spec.kernel.pair_pass(stacked, [(0, t) for t in tasks if lengths[t] == n],
-                                    splits, n, n_points)
-              for n in sorted(set(lengths.values()))]
     val = family.val(family.target_id)
     drawn = {t: rng.child_integers([("point", p, t) for p in range(n_points)],
-                                   len(splits[t]), lengths[t]) for t in tasks}
-    for pair_pass in passes:
-        pair_pass.stage(drawn)
+                                   len(split), min(batch_size, len(split)))
+             for t, split in splits.items()}
     rows: list[SweepRow] = []
     for point in range(n_points):
         grads = {}
-        for pair_pass in passes:
-            losses = pair_pass.run(point)
-            for (_, t), k in pair_pass.index.items():
-                check_loss(losses[k], t)
-                # the next point's pass overwrites ``grads``
-                grads[t] = pair_pass.grads[k].copy()
+        for t, split in splits.items():
+            at = drawn[t][point]
+            batch = DataSplit(split.inputs[at], split.targets[at], t)
+            grads[t] = nn.loss_and_gradient(spec, params, batch)[1]
         g_tgt = grads[family.target_id]
         aux_grads = [grads[aid] for aid in aux_ids]
         g_aux = aux_grads[0] if len(aux_grads) == 1 else np.mean(aux_grads, axis=0)

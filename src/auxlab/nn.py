@@ -515,7 +515,6 @@ class _Head:
         self._gw, self._gb = gw, gb
         self._logits, self._grad, self._col = logits, grad, col
         self._logits_flat, self._grad_flat = logits_flat, grad_flat
-        self._columns = (_columns(logits), _columns(grad))
         self._delta, self._losses = delta, losses
 
     def forward(self, targets: np.ndarray) -> None:
@@ -525,7 +524,7 @@ class _Head:
         np.matmul(self._top, self._w, out=logits)
         logits += self._b
         if self._ce:
-            _log_softmax(logits, grad, self._col, self._columns)
+            _log_softmax(logits, grad, self._col)
             # the mean's negation, bit for bit: rounding is symmetric in sign
             np.add.reduce(self._logits_flat.take(targets), axis=-1, out=losses)
             losses /= -self._scale
@@ -558,46 +557,35 @@ def _rows_outer(ws: np.ndarray, lead: tuple[int, ...], width: int) -> np.ndarray
         *lead[::-1], width).swapaxes(0, -2)
 
 
-def _log_softmax(logits: np.ndarray, scratch: np.ndarray, col: np.ndarray,
-                 columns=(None, None)) -> np.ndarray:
+def _log_softmax(logits: np.ndarray, scratch: np.ndarray, col: np.ndarray) -> np.ndarray:
     """Log-softmax over the last axis, in place; ``scratch`` (same shape)
-    holds the exponentials and ``col`` (keepdims) the row reductions.
-    ``columns`` may hold the `_columns` of ``logits`` and ``scratch``."""
-    _reduce_last(np.maximum, logits, col, columns[0])
+    holds the exponentials and ``col`` (keepdims) the row reductions, both
+    made by `_reduce_last`."""
+    _reduce_last(np.maximum, logits, col)
     logits -= col
     np.exp(logits, out=scratch)
-    _reduce_last(np.add, scratch, col, columns[1])
+    _reduce_last(np.add, scratch, col)
     np.log(col, out=col)
     logits -= col
     return logits
 
 
-def _columns(x: np.ndarray) -> list[np.ndarray] | None:
-    """``x``'s last-axis columns as (..., 1) views when it has fewer than 8,
-    the ones `_reduce_last` folds, else None."""
-    c = x.shape[-1]
-    return [x[..., j:j + 1] for j in range(c)] if c < 8 else None
-
-
-def _reduce_last(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray,
-                 columns: list[np.ndarray] | None = None) -> None:
+def _reduce_last(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray) -> None:
     """``ufunc.reduce`` over the last axis of ``x`` into ``out`` (keepdims),
     bit for bit. Below 8 columns numpy folds each row left to right, from
-    the ufunc's identity if it has one, so one elementwise call per column
-    gives the same bits without a per-row inner loop; from 8 columns on it
-    sums pairwise, so the reduce itself runs. ``columns`` may hold
-    ``_columns(x)``, made beforehand."""
-    columns = columns or _columns(x)
-    if columns is None:
+    the ufunc's identity if it has one, so one elementwise call per column,
+    on a (..., 1) view of it, gives the same bits without a per-row inner
+    loop; from 8 columns on it sums pairwise, so the reduce itself runs."""
+    c = x.shape[-1]
+    if c >= 8:
         ufunc.reduce(x, axis=-1, keepdims=True, out=out)
         return
-    first, *rest = columns
     if ufunc.identity is None:
-        np.copyto(out, first)
+        np.copyto(out, x[..., :1])
     else:
-        ufunc(first, ufunc.identity, out=out)
-    for column in rest:
-        ufunc(out, column, out=out)
+        ufunc(x[..., :1], ufunc.identity, out=out)
+    for j in range(1, c):
+        ufunc(out, x[..., j:j + 1], out=out)
 
 
 def _rows_at(flat: np.ndarray, offsets: np.ndarray, size: int, copies: list) -> np.ndarray:

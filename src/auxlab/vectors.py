@@ -141,33 +141,6 @@ def _derive_stream_id(parent_id: int, labels: tuple) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
-def _stream_ids(parent_id: int, labels: Sequence[tuple]):
-    """``_derive_stream_id(parent_id, label)`` for each of ``labels`` in
-    turn, bit for bit, hashing the payload text the labels share once.
-
-    A tuple's repr is its items' reprs joined by ", " in parentheses, with a
-    trailing comma after a lone item. The leading items that every label
-    holds with one value and type, int or str, so one repr, are shared; at
-    least one item of each label is not. The shared text is hashed once and
-    each label's hasher is a copy of that one which hashes only the rest,
-    formatted from a template per label length. Nothing is kept per label.
-    """
-    first = labels[0] if labels else ()
-    shared = 0
-    while shared < len(first) - 1 and type(first[shared]) in (int, str) and all(
-            len(label) > shared + 1 and type(label[shared]) is type(first[shared])
-            and label[shared] == first[shared] for label in labels):
-        shared += 1
-    head = "".join(f"{item!r}, " for item in first[:shared])
-    prefix = hashlib.blake2b(f"({parent_id!r}, ({head}".encode("utf-8"), digest_size=8)
-    forms = {n: ", ".join(["%r"] * (n - shared)) + ("," if n == 1 else "") + "))"
-             for n in {len(label) for label in labels}}
-    for label in labels:
-        hasher = prefix.copy()
-        hasher.update((forms[len(label)] % label[shared:]).encode("utf-8"))
-        yield int.from_bytes(hasher.digest(), "big")
-
-
 @dataclass(frozen=True)
 class RngStream:
     """A named, splittable random stream.
@@ -195,13 +168,13 @@ class RngStream:
         ``self.child(*labels[i]).generator().integers(0, high, size)`` draws.
 
         One ``np.random.Philox`` is built per call and re-keyed for each
-        stream, whose id `_stream_ids` derives with the labels' shared text
-        hashed once; its raw 64-bit words are cut into 32-bit halves, low half
-        first, and scaled by Lemire's method, as numpy's ``Generator.integers``
-        does for a range below 2**32. A row in which that method would reject
-        a word is drawn again by a real generator, and so is every row when
-        ``high >= 2**32``. The rows are computed for a multiple of ``_PAD``
-        streams, so every call of up to ``_PAD`` rows allocates the same.
+        stream, whose id `_derive_stream_id` derives as `child` does; its raw
+        64-bit words are cut into 32-bit halves, low half first, and scaled by
+        Lemire's method, as numpy's ``Generator.integers`` does for a range
+        below 2**32. A row in which that method would reject a word is drawn
+        again by a real generator, and so is every row when ``high >= 2**32``.
+        The rows are computed for a multiple of ``_PAD`` streams, so every
+        call of up to ``_PAD`` rows allocates the same.
         """
         if high < 1:
             raise ValueError("high <= 0")
@@ -214,8 +187,8 @@ class RngStream:
         key = [0, self.seed & _MASK64]
         state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
                  "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for i, stream_id in enumerate(_stream_ids(self.stream_id, labels)):
-            key[0] = stream_id
+        for i, label in enumerate(labels):
+            key[0] = _derive_stream_id(self.stream_id, label)
             bits.state = state
             raw[i] = bits.random_raw(words)
         halves = np.empty((padded, words, 2), np.uint64)

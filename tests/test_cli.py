@@ -720,6 +720,19 @@ class TestSweeps:
                        if r["seed"] == s] for s in "01"}
         assert by_seed["0"] != by_seed["1"]
 
+    def test_tg_gcs_writes_nan_for_a_zero_gradient(self, tmp_path):
+        # at this rate the warm model saturates: some probe's shared-block
+        # gradient is exactly zero, so its cosine is undefined
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "tg-gcs", "--points", "3", "--lr", "50",
+                       "--out", str(out)) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 15
+        undefined = [row for row in rows if row["gcs"] == "nan"]
+        assert undefined
+        assert all(math.isfinite(float(row["tg"])) for row in undefined)
+
     def test_csd_lambda_columns(self, tmp_path):
         out = tmp_path / "csd.csv"
         code = run_cli(

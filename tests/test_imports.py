@@ -73,7 +73,6 @@ def _unread_names(sources: dict[str, str]) -> list[str]:
 
 UNREAD_BY_DESIGN = {
     "optim.weighted_gradient": "acceptance-gate reference",
-    "nn.loss_and_gradient": "acceptance-gate reference",
     "forkmerge.merge_coeffs_from_task_weights": "acceptance-gate reference",
     "nn.param_layout": "perfbench tracer",
     "forkmerge.train_branch": "perfbench tracer",

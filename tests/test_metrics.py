@@ -30,9 +30,9 @@ class TestGcs:
         assert gcs(g, g) == pytest.approx(1.0, abs=1e-12)
         assert gcs(g, -g) == pytest.approx(-1.0, abs=1e-12)
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            gcs(np.zeros(3), np.ones(3))
+    def test_zero_norm_is_nan(self):
+        assert np.isnan(gcs(np.zeros(3), np.ones(3)))
+        assert np.isnan(gcs(np.ones(3), np.zeros(3)))
 
     @given(
         scale_i=st.floats(min_value=1e-3, max_value=1e3),
@@ -170,6 +170,19 @@ class TestOneStepSweep:
         expected_order = [(p, l) for p in range(5) for l in lams]
         assert [(r.point_id, r.lam) for r in rows] == expected_order
 
+    def test_zero_target_head_gives_nan_cosine_and_finite_tg(self, family, warm_model):
+        # with the target head's weights zero, no target gradient reaches the
+        # shared block, so every point's cosine is undefined
+        spec, params = warm_model
+        params = params.copy()
+        params[{name: sl for name, sl, _ in spec.layout}["head0.W"]] = 0.0
+        rows = one_step_tg_gcs_sweep(
+            spec, params, family, [0.0, 1.0], n_points=3, rng=RngStream(3)
+        )
+        assert len(rows) == 6
+        assert all(np.isnan(r.gcs) for r in rows)
+        assert all(np.isfinite(r.tg) for r in rows)
+
     def test_gcs_constant_within_point(self, family, warm_model):
         rows = one_step_tg_gcs_sweep(
             *warm_model, family, [0.0, 0.5, 1.0], n_points=3, rng=RngStream(5)
@@ -220,3 +233,26 @@ def test_sweep_matches_per_task_gradients(aux_task, aux_ids):
     assert rows == reference_sweep(spec, params, fam, lambdas, 4, RngStream(6),
                                    0.05, 64, aux_ids)
     assert len({row.gcs for row in rows}) == 4
+
+
+def test_sweep_takes_one_loss_and_gradient_per_point_and_task(family, warm_model,
+                                                              monkeypatch):
+    from auxlab import nn
+
+    calls, passes = [], []
+    real_loss_and_gradient, real_pair_pass = nn.loss_and_gradient, nn._Kernel.pair_pass
+
+    def counting_loss_and_gradient(spec, params, split):
+        calls.append((split.task_id, len(split)))
+        return real_loss_and_gradient(spec, params, split)
+
+    def counting_pair_pass(kernel, *args, **kwargs):
+        passes.append(len(calls))
+        return real_pair_pass(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "loss_and_gradient", counting_loss_and_gradient)
+    monkeypatch.setattr(nn._Kernel, "pair_pass", counting_pair_pass)
+    one_step_tg_gcs_sweep(*warm_model, family, [0.0, 1.0], n_points=3, rng=RngStream(3))
+    assert calls == [(t, 64) for _ in range(3) for t in (0, 1)]
+    # every pass is the one its loss_and_gradient call builds
+    assert passes == list(range(1, len(calls) + 1))

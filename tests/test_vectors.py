@@ -12,7 +12,6 @@ from auxlab.vectors import (
     dot,
     linear_combination,
 )
-from auxlab.vectors import _derive_stream_id, _stream_ids
 
 
 class TestLinearCombination:
@@ -175,10 +174,7 @@ class TestRngStream:
         [],
     ], ids=["steps", "points", "one_item", "equal_values", "signed_zeros", "big_ints",
             "quotes", "lengths", "repeated", "single", "none"])
-    def test_stream_ids_equal_derive_stream_id(self, labels):
-        for parent in (0, 12345, 2**64 - 1):
-            assert list(_stream_ids(parent, labels)) == [
-                _derive_stream_id(parent, label) for label in labels]
+    def test_child_integers_equal_child_generator_draws(self, labels):
         root = RngStream(seed=6, stream_id=99)
         got = root.child_integers(labels, 500, 7)
         assert got.shape == (len(labels), 7)
