@@ -4,8 +4,8 @@ Subcommands: ``gen-data`` writes a task family to CSV files, ``run`` executes
 a config file, ``sweep`` runs the two analysis sweeps, ``report`` aggregates
 a results directory. Exit codes: 0 on success, 1 for usage problems (bad
 flags, missing or invalid config, a records file auxlab cannot use, an output
-dir another run holds, nothing to report), 2 for runtime failures.
-All diagnostics go to standard error.
+path of the wrong kind or held by another run, nothing to report), 2 for
+runtime failures. All diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -81,6 +81,16 @@ def _flag_config(args, **keys) -> ExperimentConfig:
     return ExperimentConfig("stl", **flags, **keys)
 
 
+def _check_output(path, name: str, *, directory: bool) -> Path:
+    """``path``; UsageError naming ``name`` if it is of the wrong kind, a file
+    for a ``directory`` or a directory for a file, or lies under a file."""
+    path = Path(path)
+    there = next(p for p in (path, *path.parents) if p.exists())
+    if there.is_dir() != (directory or there != path):
+        raise UsageError(f"{name}: {there} is {'' if there.is_dir() else 'not '}a directory")
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="auxlab",
                      description="auxiliary-task learning laboratory")
@@ -120,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
+    out = _check_output(args.out, "--out", directory=True)
     family = family_for_seed(_flag_config(args, seeds=(args.seed,)), args.seed)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = write_family(family, out)
     print(f"wrote {len(paths)} files to {out}")
@@ -136,13 +146,15 @@ def _cmd_run(args) -> int:
         config = load_config(path)
     except ConfigError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    records = run_experiment(config, output_dir=args.output_dir)
     out_dir = output_dir_for(config, args.output_dir)
+    _check_output(out_dir, "--output-dir" if args.output_dir else "output_dir", directory=True)
+    records = run_experiment(config, output_dir=args.output_dir)
     print(f"wrote {len(records)} records to {out_dir / RECORDS_FILENAME}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    _check_output(args.out, "--out", directory=False)
     config = _flag_config(args, lambda_grid=args.lambdas)
     lambdas = config.lambda_grid
     # tg-gcs probes auxiliary tasks; csd-lambda mixes the target with exactly
@@ -172,11 +184,11 @@ def _cmd_report(args) -> int:
     records_path = records_dir / RECORDS_FILENAME
     if not records_path.is_file():
         raise UsageError(f"no {RECORDS_FILENAME} in {records_dir}")
+    out = _check_output(args.out or records_dir, "--out", directory=True)
     records = read_records(records_path)
     summary = aggregate(records)
     if not summary:
         raise UsageError(f"{records_path} holds no finite test records")
-    out = Path(args.out) if args.out else records_dir
     out.mkdir(parents=True, exist_ok=True)
     write_summary(summary, out / "summary.csv", out / "summary.json")
 

@@ -1,6 +1,6 @@
 """Transfer diagnostics: gradient cosine similarity, the one-step gain versus
-cosine sweep, confidence-based distribution shift, and the signed average
-relative improvement used for cross-method summaries. Transfer gain itself is
+cosine sweep, confidence-based distribution shift, and the average relative
+improvement used for cross-method summaries. Transfer gain itself is
 a record's value minus its seed's single-task value, taken in the runner."""
 
 from __future__ import annotations
@@ -47,25 +47,18 @@ def csd(spec: ModelSpec, params: np.ndarray, split: DataSplit, task_id: int) -> 
     return 1.0 - mean_max_confidence(spec, params, split, task_id)
 
 
-def delta_m(
-    baseline: Sequence[float], method: Sequence[float], signs: Sequence[int]
-) -> float:
-    """Signed mean relative change of `method` over `baseline`, as a fraction.
-
-    signs[k] = 0 when larger is better for metric k, 1 when smaller is better.
-    Multiply by 100 for the conventional percent form.
+def delta_m(baseline: Sequence[float], method: Sequence[float]) -> float:
+    """Mean relative change of `method` over `baseline`, as a fraction; every
+    metric of this lab is larger-is-better. Multiply by 100 for the
+    conventional percent form.
     """
-    if not (len(baseline) == len(method) == len(signs)):
-        raise ValueError("baseline, method, and signs must have equal lengths")
-    if len(baseline) == 0:
-        raise ValueError("need at least one metric")
-    if any(s not in (0, 1) for s in signs):
-        raise ValueError("signs must be 0 (higher better) or 1 (lower better)")
+    if len(baseline) != len(method) or len(baseline) == 0:
+        raise ValueError("baseline and method must be non-empty and of equal lengths")
     if any(b == 0 for b in baseline):
         raise ValueError("zero baseline value makes relative change undefined")
     total = 0.0
-    for b, m, z in zip(baseline, method, signs):
-        total += (-1.0) ** z * (m - b) / b
+    for b, m in zip(baseline, method):
+        total += (m - b) / b
     return total / len(baseline)
 
 
@@ -89,6 +82,10 @@ def shared_gradient_block(spec: ModelSpec, g: np.ndarray) -> np.ndarray:
     return g[:start] if start > 0 else g
 
 
+# every tg-gcs probe takes one small fixed step, as ForkMerge's gain probe does
+PROBE_LR = 0.01
+
+
 def one_step_tg_gcs_sweep(
     spec: ModelSpec,
     params: np.ndarray,
@@ -96,31 +93,23 @@ def one_step_tg_gcs_sweep(
     lambdas: Sequence[float],
     n_points: int,
     rng: RngStream,
-    lr: float = 0.01,
     batch_size: int = 64,
-    aux_task: int | None = None,
 ) -> list[SweepRow]:
     """Probe how one mixed-gradient step moves target validation performance.
 
     For each of ``n_points`` fresh batch draws: take the target gradient and
-    one auxiliary task's gradient (averaged over auxiliary tasks when
-    ``aux_task`` is None and several exist), record their cosine on the
+    the mean of every auxiliary task's gradient, record their cosine on the
     shared block, then for every weighting in ``lambdas`` apply the single
-    step theta - lr * (g_tgt + lam * g_aux) and report the validation change
-    against the lam = 0 step. Rows are ordered by (point, lambda-position);
-    the lam = 0 rows are exactly zero by construction, and a point whose
-    target or auxiliary gradient is zero on the shared block has a NaN
+    step theta - PROBE_LR * (g_tgt + lam * g_aux) and report the validation
+    change against the lam = 0 step. Rows are ordered by (point, lambda
+    position); the lam = 0 rows are exactly zero by construction, and a point
+    whose target or auxiliary gradient is zero on the shared block has a NaN
     cosine. One `RngStream.child_integers` call per task draws every point's
-    batch rows; each (point, task) gradient is `nn.loss_and_gradient` on
-    that point's rows.
+    batch rows; each (point, task) gradient is `nn.loss_and_gradient` on them.
     """
-    aux_ids = (aux_task,) if aux_task is not None else family.aux_ids
-    if not aux_ids:
+    if not family.aux_ids:
         raise ValueError("family has no auxiliary task to probe")
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    tasks = tuple(dict.fromkeys((family.target_id, *aux_ids)))
-    splits = {t: family.train(t) for t in tasks}
+    splits = {t: family.train(t) for t in family.task_ids}
     val = family.val(family.target_id)
     drawn = {t: rng.child_integers([("point", p, t) for p in range(n_points)],
                                    len(split), min(batch_size, len(split)))
@@ -133,12 +122,12 @@ def one_step_tg_gcs_sweep(
             batch = DataSplit(split.inputs[at], split.targets[at], t)
             grads[t] = nn.loss_and_gradient(spec, params, batch)[1]
         g_tgt = grads[family.target_id]
-        aux_grads = [grads[aid] for aid in aux_ids]
-        g_aux = aux_grads[0] if len(aux_grads) == 1 else np.mean(aux_grads, axis=0)
+        g_aux = np.mean([grads[t] for t in family.aux_ids], axis=0)
         cos = gcs(shared_gradient_block(spec, g_tgt), shared_gradient_block(spec, g_aux))
 
         def perf_after(lam: float) -> float:
-            stepped, _ = sgd_step(params, np.zeros_like(params), g_tgt + lam * g_aux, 0.0, lr)
+            stepped, _ = sgd_step(params, np.zeros_like(params), g_tgt + lam * g_aux,
+                                  0.0, PROBE_LR)
             return nn.evaluate(spec, stepped, val, family.target_id).value
 
         base = perf_after(0.0)

@@ -724,8 +724,7 @@ def aggregate(records: Iterable[ResultRecord]) -> dict[str, dict]:
             mine = per_task_mean[method]
             if sorted(mine) != tasks:  # no like-for-like reference
                 continue
-            frac = delta_m([base[t] for t in tasks], [mine[t] for t in tasks],
-                           [0] * len(tasks))
+            frac = delta_m([base[t] for t in tasks], [mine[t] for t in tasks])
             summary[method]["delta_m_pct"] = 100.0 * frac
     return summary
 
@@ -757,8 +756,8 @@ def run_tg_gcs_sweep(
     n_points: int,
 ) -> list[tuple[int, int, float, float, float]]:
     """For each seed of ``config``, warm a single-task model on the seed's
-    family, then probe one-step gains and gradient cosines around it with
-    steps of size 0.01. Returns (seed, point, lambda, cosine, gain) rows."""
+    family, then probe it with `one_step_tg_gcs_sweep`'s fixed 0.01 steps.
+    Returns (seed, point, lambda, cosine, gain) rows."""
     spec, opt = model_spec_for(config), _settings_for(OptConfig, config)
     rows = []
     for seed in config.seeds:
@@ -767,8 +766,7 @@ def run_tg_gcs_sweep(
         rows += [(seed, row.point_id, row.lam, row.gcs, row.tg)
                  for row in one_step_tg_gcs_sweep(
                      spec, params, family, lambdas, n_points,
-                     RngStream(seed).child("sweep"), lr=0.01,
-                     batch_size=opt.batch_size)]
+                     RngStream(seed).child("sweep"), batch_size=opt.batch_size)]
     return rows
 
 

@@ -24,7 +24,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -131,13 +131,13 @@ def class_labels(targets, n_classes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TaskFamily:
-    """Per-task train/val/test splits; task 0 is the target. An auxiliary
-    task may lack its val split, which no method reads."""
+    """Per-task train/val/test splits; the target is always task 0, a class
+    constant. An auxiliary task may lack its val split, which no method reads."""
 
     splits: Mapping[int, Mapping[str, DataSplit]]
     n_classes: int
     input_dim: int
-    target_id: int = 0
+    target_id: ClassVar[int] = 0
 
     def __post_init__(self):
         for task_id, per_split in self.splits.items():

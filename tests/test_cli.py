@@ -447,6 +447,50 @@ OTHER_FORMATS = {
 }
 
 
+# each command with an output path of the wrong kind, the flag or key it
+# names, and the cli function that would start its work
+WRONG_OUTPUT_KIND = {
+    "gen_data_out_file": (("gen-data", "--out", "afile"), None, "--out", "family_for_seed"),
+    "run_output_dir_file": (("run", "--config", "c.cfg", "--output-dir", "afile"), None,
+                            "--output-dir", "run_experiment"),
+    "run_output_dir_under_file": (("run", "--config", "c.cfg", "--output-dir", "afile/sub"),
+                                  None, "--output-dir", "run_experiment"),
+    "run_env_output_dir_file": (("run", "--config", "c.cfg"), "afile", "output_dir",
+                                "run_experiment"),
+    "report_out_file": (("report", "--records", "o", "--out", "afile"), None, "--out",
+                        "read_records"),
+    "sweep_out_dir": (("sweep", "tg-gcs", "--out", "adir", "--points", "1",
+                       "--warm-steps", "1"), None, "--out", "run_tg_gcs_sweep"),
+}
+
+
+@pytest.mark.parametrize("argv, env, name, work", WRONG_OUTPUT_KIND.values(),
+                         ids=WRONG_OUTPUT_KIND)
+def test_output_path_of_the_wrong_kind_exits_1_before_any_work(
+        capsys, tmp_path, monkeypatch, argv, env, name, work):
+    import auxlab.cli as cli_mod
+
+    monkeypatch.chdir(tmp_path)
+    Path("afile").touch()
+    Path("adir").mkdir()
+    Path("c.cfg").write_text(CFG_SMALL)
+    Path("o").mkdir()
+    Path("o", "records.csv").write_text(
+        "method,seed,task_id,split,metric,value,tg,psearch_evals\n"
+        "ew,0,0,test,accuracy,80.0,,0\new,0,0,val,accuracy,75.0,,0\n")
+    if env:
+        monkeypatch.setenv(OUTPUT_DIR_ENV, env)
+
+    def started(*args, **kwargs):
+        raise AssertionError(f"{work} was called")
+
+    monkeypatch.setattr(cli_mod, work, started)
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"auxlab: {name}: ")
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
 class TestRecordsAuxlabCannotUse:
     """A records.csv of another format, or one holding a (method, seed) job
     twice, makes `run` and `report` exit 1 naming the cause, before any

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module; every
 function, class, method and property the package defines, public or
-private, is read somewhere in it, and every annotated field of its classes
-is read as an attribute somewhere in it, or is listed below with the reason
-it stays."""
+private, is read somewhere in it, every annotated field of its classes is
+read as an attribute somewhere in it, and every defaulted parameter of its
+module-level functions is set by some call in it, or is listed below with
+the reason it stays."""
 
 import ast
 from pathlib import Path
@@ -116,6 +117,67 @@ def test_the_check_sees_an_unread_private_name():
         "b": "from a import _Cache\nprint(_Cache())\n",
     }
     assert _unread_names(sources) == ["a._Cache._fit", "a._left"]
+
+
+def _unset_defaults(sources: dict[str, str]) -> list[str]:
+    """``module.function.parameter`` of each defaulted parameter of a
+    module-level function in ``sources`` ({module: source}) that no call in
+    any module, of the bare or attribute name, passes by position or keyword
+    with anything but the default's own expression; a ``*`` or ``**``
+    argument passes them all."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defaults = {}  # function name: (module, positional names, {defaulted name: default})
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                         *zip(args.kwonlyargs, args.kw_defaults)]
+                defaults[node.name] = (module, [arg.arg for arg in positional],
+                                       {arg.arg: ast.dump(d) for arg, d in pairs if d is not None})
+    set_by_a_call = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in defaults:
+                continue
+            _, positional, defaulted = defaults[name]
+            for param, value in [*zip(positional, node.args),
+                                 *((kw.arg, kw.value) for kw in node.keywords)]:
+                if param is None or isinstance(value, ast.Starred):
+                    set_by_a_call |= {(name, p) for p in defaulted}
+                elif ast.dump(value) != defaulted.get(param):
+                    set_by_a_call.add((name, param))
+    return sorted(f"{module}.{name}.{param}" for name, (module, _, defaulted) in defaults.items()
+                  for param in defaulted if (name, param) not in set_by_a_call)
+
+
+# module.function.parameter: the reason no call in the package sets it
+UNSET_DEFAULTS_BY_DESIGN = {
+    "forkmerge.search_lambda_grid.branch_ids": "called through a variable, which passes it",
+    "forkmerge.search_lambda_binary.branch_ids": "called through a variable, which passes it",
+    "cli.main.argv": "tests set it; the console script reads sys.argv",
+}
+
+
+def test_every_defaulted_parameter_is_set_or_listed():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert _unset_defaults(sources) == sorted(UNSET_DEFAULTS_BY_DESIGN)
+
+
+def test_the_check_sees_an_unset_default():
+    sources = {
+        "a": ("def probe(x, lr=0.01, aux=None, *, size=64, seed=0):\n    pass\n\n"
+              "def spread(a=1, b=2):\n    pass\n\n"
+              "class Box:\n    def method(self, flag=False):\n        pass\n"),
+        "b": ("import a\nfrom a import probe, spread\n"
+              "probe(1, lr=0.01, size=32)\na.probe(1, 0.01, 5)\n"
+              "spread(*[3, 4])\n"),
+    }
+    assert _unset_defaults(sources) == ["a.probe.lr", "a.probe.seed"]
 
 
 def _unread_fields(sources: dict[str, str]) -> list[str]:

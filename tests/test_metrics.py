@@ -50,29 +50,22 @@ class TestGcs:
 
 class TestDeltaM:
     def test_identical_is_exactly_zero(self):
-        assert delta_m(STL_ACC, STL_ACC, [0] * 6) == 0.0
+        assert delta_m(STL_ACC, STL_ACC) == 0.0
 
     def test_published_table_value(self):
-        value_pct = 100.0 * delta_m(STL_ACC, EW_ACC, [0] * 6)
+        value_pct = 100.0 * delta_m(STL_ACC, EW_ACC)
         assert value_pct == pytest.approx(-9.62, abs=0.01)
 
     def test_hand_case_cancels(self):
-        assert delta_m([100.0, 50.0], [110.0, 45.0], [0, 0]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_sign_flip_antisymmetric(self):
-        up = delta_m([80.0], [90.0], [0])
-        down = delta_m([80.0], [90.0], [1])
-        assert up == -down == pytest.approx(0.125)
+        assert delta_m([100.0, 50.0], [110.0, 45.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            delta_m([1.0], [1.0, 2.0], [0, 0])
+            delta_m([1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
-            delta_m([0.0], [1.0], [0])
+            delta_m([0.0], [1.0])
         with pytest.raises(ValueError):
-            delta_m([], [], [])
-        with pytest.raises(ValueError):
-            delta_m([1.0], [1.0], [2])
+            delta_m([], [])
 
 
 def train_target_only(family, steps=300, lr=0.1, hidden=(8,), seed=0):
@@ -155,12 +148,6 @@ class TestOneStepSweep:
         assert len(zero_rows) == 4
         assert all(r.tg == 0.0 for r in zero_rows)
 
-    def test_identical_batches_give_unit_cosine(self, family, warm_model):
-        rows = one_step_tg_gcs_sweep(
-            *warm_model, family, [0.0, 1.0], n_points=3, rng=RngStream(3), aux_task=0
-        )
-        assert all(r.gcs == pytest.approx(1.0, abs=1e-12) for r in rows)
-
     def test_row_count_and_order(self, family, warm_model):
         lams = [0.0, 0.25, 0.5, 1.0]
         rows = one_step_tg_gcs_sweep(
@@ -192,9 +179,10 @@ class TestOneStepSweep:
             assert len(values) == 1
 
 
-def reference_sweep(spec, params, family, lambdas, n_points, rng, lr, batch_size,
-                    aux_ids):
-    """The tg-gcs sweep with one `loss_and_gradient` call per task and point."""
+def reference_sweep(spec, params, family, lambdas, n_points, rng, batch_size):
+    """The tg-gcs sweep with one `loss_and_gradient` call per task and point,
+    each point stepping 0.01 along the target plus the mean auxiliary gradient."""
+    aux_ids = family.task_ids[1:]
     rows = []
     for point in range(n_points):
         grads = {}
@@ -209,7 +197,7 @@ def reference_sweep(spec, params, family, lambdas, n_points, rng, lr, batch_size
         cos = gcs(shared_gradient_block(spec, g_tgt), shared_gradient_block(spec, g_aux))
 
         def perf_after(lam):
-            stepped, _ = sgd_step(params, np.zeros_like(params), g_tgt + lam * g_aux, 0.0, lr)
+            stepped, _ = sgd_step(params, np.zeros_like(params), g_tgt + lam * g_aux, 0.0, 0.01)
             return evaluate(spec, stepped, family.val(0), 0).value
 
         base = perf_after(0.0)
@@ -218,8 +206,7 @@ def reference_sweep(spec, params, family, lambdas, n_points, rng, lr, batch_size
     return rows
 
 
-@pytest.mark.parametrize("aux_task, aux_ids", [(None, (1, 2)), (1, (1,)), (2, (2,))])
-def test_sweep_matches_per_task_gradients(aux_task, aux_ids):
+def test_sweep_matches_per_task_gradients():
     # task 1 has fewer rows than a batch, so the sweep runs two batch lengths
     fam = generate_family(TaskFamilyConfig(
         n_tasks=3, relatedness=(0.7, 0.2), n_train=(300, 40, 300), n_val=200,
@@ -227,12 +214,13 @@ def test_sweep_matches_per_task_gradients(aux_task, aux_ids):
     spec = ModelSpec(2, (8,), "tanh", {t: HeadSpec(4) for t in range(3)})
     params = init_params(spec, RngStream(2))
     params += 0.2 * np.random.default_rng(2).normal(size=len(params))
-    lambdas = [0.0, 0.5, 1.0, 2.0]
+    # weights large enough that the one fixed step moves target accuracy
+    lambdas = [0.0, 1.0, 4.0, 16.0]
     rows = one_step_tg_gcs_sweep(spec, params, fam, lambdas, 4, RngStream(6),
-                                 lr=0.05, batch_size=64, aux_task=aux_task)
-    assert rows == reference_sweep(spec, params, fam, lambdas, 4, RngStream(6),
-                                   0.05, 64, aux_ids)
+                                 batch_size=64)
+    assert rows == reference_sweep(spec, params, fam, lambdas, 4, RngStream(6), 64)
     assert len({row.gcs for row in rows}) == 4
+    assert any(row.tg != 0.0 for row in rows)
 
 
 def test_sweep_takes_one_loss_and_gradient_per_point_and_task(family, warm_model,

@@ -156,6 +156,12 @@ class TestGenerateFamily:
         expected = (true_labels[split.targets != true_labels] + 1) % 4
         np.testing.assert_array_equal(flipped, expected)
 
+    def test_target_is_always_task_zero(self):
+        fam = generate_family(cfg([0.5]))
+        assert fam.target_id == 0 and fam.aux_ids == (1,)
+        with pytest.raises(TypeError):
+            TaskFamily(fam.splits, fam.n_classes, fam.input_dim, target_id=1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TaskFamilyConfig(n_tasks=2, relatedness=(0.5, 0.5))
